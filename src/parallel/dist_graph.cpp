@@ -23,10 +23,13 @@ DistGraph::DistGraph(const StaticGraph& graph, BlockID num_shards, int rank,
       node_to_shard_(prepartition(graph, num_shards)),
       shards_(num_shards) {
   const NodeID n = graph.num_nodes();
+  if (rank >= 0) owned_index_.assign(n, kInvalidNode);
+  NodeID num_owned = 0;
   for (NodeID u = 0; u < n; ++u) {
     const BlockID su = node_to_shard_[u];
     if (!materializes(su, rank, num_pes)) continue;
     shards_[su].nodes.push_back(u);
+    if (rank >= 0) owned_index_[u] = num_owned++;
   }
   for (NodeID u = 0; u < n; ++u) {
     const BlockID su = node_to_shard_[u];

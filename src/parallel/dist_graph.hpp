@@ -31,11 +31,16 @@
 namespace kappa {
 
 /// One cross-shard arc: a local endpoint, a remote endpoint in another
-/// shard, and the edge weight.
+/// shard, and the edge weight. The SPMD hierarchy also records where
+/// both endpoints live in the rank's resident layer (ShardGraph local
+/// ids), resolved once when the level is sealed, so its matching and
+/// contraction loops index arrays instead of looking ids up per arc.
 struct CrossShardArc {
   NodeID u = kInvalidNode;  ///< endpoint inside the owning shard
   NodeID v = kInvalidNode;  ///< endpoint in shard(v) != shard(u)
   EdgeWeight weight = 0;
+  NodeID lu = kInvalidNode;  ///< resident local id of u (once sealed)
+  NodeID lv = kInvalidNode;  ///< resident local id of v (once sealed)
 };
 
 /// One shard: the nodes a virtual PE owns plus its boundary structure.
@@ -80,6 +85,15 @@ class DistGraph {
     return node_to_shard_;
   }
 
+  /// Rank-filtered builds: per node, its position among the filtering
+  /// rank's owned nodes in ascending id order (the node's local id in
+  /// that rank's ShardGraph), kInvalidNode for nodes of other ranks.
+  /// Filled in the same pass as the shard lists; empty for the
+  /// replicated build.
+  [[nodiscard]] const std::vector<NodeID>& owned_index() const {
+    return owned_index_;
+  }
+
   [[nodiscard]] const GraphShard& shard(BlockID s) const { return shards_[s]; }
 
   /// Physical owner of shard \p s in a runtime of \p num_pes PEs
@@ -100,6 +114,7 @@ class DistGraph {
  private:
   const StaticGraph* graph_;
   std::vector<BlockID> node_to_shard_;
+  std::vector<NodeID> owned_index_;
   std::vector<GraphShard> shards_;
 };
 

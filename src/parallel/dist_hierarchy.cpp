@@ -15,15 +15,12 @@
 #include <cassert>
 #include <limits>
 #include <numeric>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "graph/subgraph.hpp"
 #include "matching/tentative_match.hpp"
 #include "parallel/dist_partition.hpp"
 #include "parallel/wire_format.hpp"
-#include "util/seeded_hash.hpp"
 #include "util/trace.hpp"
 
 namespace kappa {
@@ -61,6 +58,35 @@ std::vector<BlockID> reassemble_owned(
     });
   }
   return values;
+}
+
+/// Resolves the halo of a freshly sealed level once: the owner rank of
+/// every ghost and both resident endpoints of every cross-shard arc, so
+/// the matching and contraction loops read arrays instead of looking ids
+/// up per arc.
+void resolve_halo(DistLevel& level, int p) {
+  const ShardGraph& sg = level.shard;
+  level.ghost_owner.clear();
+  level.ghost_owner.reserve(sg.num_ghost());
+  for (NodeID g = sg.num_owned(); g < sg.num_local(); ++g) {
+    level.ghost_owner.push_back(level.owner_of_node(sg.global_of(g), p));
+  }
+  for (GraphShard& shard : level.my_shards) {
+    for (CrossShardArc& arc : shard.cross_arcs) {
+      arc.lu = sg.owned_local(arc.u);
+      arc.lv = sg.local_of(arc.v);
+      assert(arc.lu != kInvalidNode && arc.lv != kInvalidNode);
+    }
+  }
+}
+
+/// A coarse id received over the halo; throws TransportError unless it
+/// names a node of the \p coarse_n-node coarse level.
+NodeID checked_coarse_id(std::uint64_t word, NodeID coarse_n) {
+  if (word >= coarse_n) {
+    throw TransportError("malformed halo message: coarse id out of range");
+  }
+  return static_cast<NodeID>(word);
 }
 
 }  // namespace
@@ -167,12 +193,11 @@ DistLevel DistHierarchy::build_finest_level(const CoarseningOptions& options) {
     level.my_shard_ids.push_back(s);
     level.my_shards.push_back(dist.shard(s));
   }
-  level.shard = ShardGraph(*finest_, dist, pe_);
+  level.shard = ShardGraph(finest_shard_parts(*finest_, dist, pe_));
+  resolve_halo(level, p);
 
   level.peer.assign(p, 0);
-  for (NodeID g = level.shard.num_owned(); g < level.shard.num_local(); ++g) {
-    level.peer[level.owner_of_node(level.shard.global_of(g), p)] = 1;
-  }
+  for (const int q : level.ghost_owner) level.peer[q] = 1;
 
   if (warm_) {
     const std::vector<BlockID>& assignment = options.warm_start->assignment();
@@ -213,9 +238,10 @@ std::vector<NodeID> DistHierarchy::match_level(
     const Rng& level_rng) {
   const int p = pe_.size();
   const int rank = pe_.rank();
-  const StaticGraph& resident = level.shard.csr();
-  const NodeID num_owned = level.shard.num_owned();
-  const NodeID num_local = level.shard.num_local();
+  const ShardGraph& sg = level.shard;
+  const StaticGraph& resident = sg.csr();
+  const NodeID num_owned = sg.num_owned();
+  const NodeID num_local = sg.num_local();
 
   // --- Phase 1: sequential matching per owned shard (§3.3), on shard
   // subgraphs cut out of the resident CSR. Local ids ascend with global
@@ -229,7 +255,7 @@ std::vector<NodeID> DistHierarchy::match_level(
     std::vector<NodeID> locals;
     locals.reserve(shard_s.nodes.size());
     for (const NodeID u : shard_s.nodes) {
-      locals.push_back(level.shard.local_of(u));
+      locals.push_back(sg.owned_local(u));
     }
     const Subgraph sub = induced_subgraph(resident, locals);
     MatchingOptions sub_options = options;
@@ -263,7 +289,7 @@ std::vector<NodeID> DistHierarchy::match_level(
   // rater runs on the resident CSR with the exchanged ghost degrees and
   // enforces the pair-weight bound plus the block constraint.
   const TentativeMatchRater rater(resident, options,
-                                  level.shard.weighted_degrees());
+                                  sg.weighted_degrees());
   std::vector<double> match_rating(num_local, 0.0);
   for (NodeID u = 0; u < num_owned; ++u) {
     match_rating[u] = rater.match_rating(u, partner[u]);
@@ -285,17 +311,15 @@ std::vector<NodeID> DistHierarchy::match_level(
         }
         // Unmatched boundary nodes stay at the receiver's default of 0.0,
         // so only matched ones need to cross the wire.
-        if (match_rating[level.shard.local_of(arc.u)] == 0.0) continue;
-        const int q = level.owner_of_node(arc.v, p);
-        if (q == rank) continue;
+        if (match_rating[arc.lu] == 0.0 || sg.is_owned(arc.lv)) continue;
+        const int q = level.owner_of_local(arc.lv, rank);
         if (std::find(peers_of_u.begin(), peers_of_u.end(), q) !=
             peers_of_u.end()) {
           continue;
         }
         peers_of_u.push_back(q);
         to_peer[q].push_back(arc.u);
-        to_peer[q].push_back(std::bit_cast<std::uint64_t>(
-            match_rating[level.shard.local_of(arc.u)]));
+        to_peer[q].push_back(std::bit_cast<std::uint64_t>(match_rating[arc.lu]));
       }
     }
     for (int q = 0; q < p; ++q) {
@@ -304,9 +328,10 @@ std::vector<NodeID> DistHierarchy::match_level(
     for (int q = 0; q < p; ++q) {
       if (q == rank || !level.peer[q]) continue;
       const Message msg = pe_.receive(q);
-      for (std::size_t i = 0; i + 1 < msg.payload.size(); i += 2) {
-        match_rating[level.shard.local_of(static_cast<NodeID>(
-            msg.payload[i]))] = std::bit_cast<double>(msg.payload[i + 1]);
+      const std::size_t records = halo_records(msg.payload, 2);
+      for (std::size_t r = 0; r < records; ++r) {
+        const NodeID l = sg.halo_local(msg.payload[2 * r], HaloKind::kGhost);
+        match_rating[l] = std::bit_cast<double>(msg.payload[2 * r + 1]);
       }
     }
   }
@@ -325,30 +350,42 @@ std::vector<NodeID> DistHierarchy::match_level(
   std::vector<GapCandidate> cands;
   for (const GraphShard& shard_s : level.my_shards) {
     for (const CrossShardArc& arc : shard_s.cross_arcs) {
-      const NodeID lu = level.shard.local_of(arc.u);
-      const NodeID lv = level.shard.local_of(arc.v);
-      const bool v_mine = level.shard.is_owned(lv);
-      if (v_mine && arc.u > arc.v) continue;  // the mirror arc covers it
+      if (sg.is_owned(arc.lv) && arc.u > arc.v) continue;  // mirror covers it
       double r = 0.0;
-      if (rater.admits_gap_edge(lu, lv, arc.weight, match_rating[lu],
-                                match_rating[lv], &r)) {
-        cands.push_back({lu, lv, arc.u, arc.v, r});
+      if (rater.admits_gap_edge(arc.lu, arc.lv, arc.weight,
+                                match_rating[arc.lu], match_rating[arc.lv],
+                                &r)) {
+        cands.push_back({arc.lu, arc.lv, arc.u, arc.v, r});
       }
     }
   }
 
+  // Candidates by endpoint as a CSR over local ids, each list in
+  // candidate order: nomination below walks it in node order, never in
+  // hash order. Spanning candidates are also listed by remote owner.
   constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-  // Indexed by local node id: nomination below walks this structure, so
-  // its order must be the node order, not hash order.
-  std::vector<std::vector<std::size_t>> incident(num_local);
+  std::vector<std::size_t> incident_begin(num_local + 1, 0);
+  for (const GapCandidate& c : cands) {
+    ++incident_begin[c.u + 1];
+    if (sg.is_owned(c.v)) ++incident_begin[c.v + 1];
+  }
+  std::vector<NodeID> endpoints;  // ascending local ids with a candidate
+  for (NodeID x = 0; x < num_local; ++x) {
+    if (incident_begin[x + 1] != 0) endpoints.push_back(x);
+    incident_begin[x + 1] += incident_begin[x];
+  }
+  std::vector<std::size_t> incident(incident_begin.back());
   std::vector<std::vector<std::size_t>> spanning(p);  // by remote owner
-  for (std::size_t i = 0; i < cands.size(); ++i) {
-    incident[cands[i].u].push_back(i);
-    const int q = level.owner_of_node(cands[i].v_global, p);
-    if (q == rank) {
-      incident[cands[i].v].push_back(i);
-    } else {
-      spanning[q].push_back(i);
+  {
+    std::vector<std::size_t> fill(incident_begin.begin(),
+                                  incident_begin.end() - 1);
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      incident[fill[cands[i].u]++] = i;
+      if (sg.is_owned(cands[i].v)) {
+        incident[fill[cands[i].v]++] = i;
+      } else {
+        spanning[level.owner_of_local(cands[i].v, rank)].push_back(i);
+      }
     }
   }
 
@@ -361,6 +398,9 @@ std::vector<NodeID> DistHierarchy::match_level(
   // every PE in the same round. ---
   std::vector<std::uint8_t> alive(cands.size(), 1);
   std::vector<std::uint8_t> taken(num_local, 0);
+  std::vector<std::size_t> best(num_local, kNone);  // by local id
+  // By ghost index: the owned endpoint of the edge the ghost nominated.
+  std::vector<NodeID> remote_pick(sg.num_ghost(), kInvalidNode);
   auto better = [&](std::size_t i, std::size_t b) {
     if (cands[i].rating != cands[b].rating) {
       return cands[i].rating > cands[b].rating;
@@ -370,27 +410,27 @@ std::vector<NodeID> DistHierarchy::match_level(
   };
   while (true) {
     if (stats_ != nullptr) ++stats_->gap_rounds;
-    hash_map<NodeID, std::size_t> best;
-    for (NodeID x = 0; x < num_local; ++x) {
-      if (taken[x] || incident[x].empty()) continue;
+    for (const NodeID x : endpoints) {
       std::size_t b = kNone;
-      for (const std::size_t i : incident[x]) {
-        if (alive[i] && (b == kNone || better(i, b))) b = i;
+      if (!taken[x]) {
+        for (std::size_t e = incident_begin[x]; e < incident_begin[x + 1];
+             ++e) {
+          const std::size_t i = incident[e];
+          if (alive[i] && (b == kNone || better(i, b))) b = i;
+        }
       }
-      if (b != kNone) best[x] = b;
+      best[x] = b;
     }
-    auto best_at = [&](NodeID x, std::size_t i) {
-      const auto it = best.find(x);
-      return it != best.end() && it->second == i;
-    };
 
-    // Nomination exchange for spanning candidates.
-    hash_set<std::uint64_t> remote_best;
+    // Nomination exchange for spanning candidates: each remote node
+    // nominates at most one edge per round, so one slot per ghost holds
+    // its pick.
+    std::fill(remote_pick.begin(), remote_pick.end(), kInvalidNode);
     for (int q = 0; q < p; ++q) {
       if (q == rank || !level.peer[q]) continue;
       std::vector<std::uint64_t> words;
       for (const std::size_t i : spanning[q]) {
-        if (alive[i] && best_at(cands[i].u, i)) {
+        if (alive[i] && best[cands[i].u] == i) {
           words.push_back(edge_key(cands[i].u_global, cands[i].v_global));
         }
       }
@@ -399,7 +439,16 @@ std::vector<NodeID> DistHierarchy::match_level(
     for (int q = 0; q < p; ++q) {
       if (q == rank || !level.peer[q]) continue;
       const Message msg = pe_.receive(q);
-      remote_best.insert(msg.payload.begin(), msg.payload.end());
+      for (const std::uint64_t key : msg.payload) {
+        // The nominating endpoint is the sender's node, a ghost here; the
+        // other endpoint is owned here.
+        const auto [lo, hi] = unpack_pair(key);
+        const bool lo_mine = sg.owned_local(lo) != kInvalidNode;
+        const NodeID mine = sg.halo_local(lo_mine ? lo : hi, HaloKind::kOwned);
+        const NodeID ghost =
+            sg.halo_local(lo_mine ? hi : lo, HaloKind::kGhost);
+        remote_pick[ghost - sg.num_owned()] = mine;
+      }
     }
 
     // Decide on the nominations alone: two distinct both-nominated edges
@@ -419,14 +468,13 @@ std::vector<NodeID> DistHierarchy::match_level(
       std::vector<int> served;
       for (EdgeID e = resident.first_arc(lx); e < resident.last_arc(lx); ++e) {
         const NodeID lt = resident.arc_target(e);
-        if (level.shard.is_owned(lt)) continue;
-        const int q = level.owner_of_node(level.shard.global_of(lt), p);
-        if (q == rank ||
-            std::find(served.begin(), served.end(), q) != served.end()) {
+        if (sg.is_owned(lt)) continue;
+        const int q = level.owner_of_local(lt, rank);
+        if (std::find(served.begin(), served.end(), q) != served.end()) {
           continue;
         }
         served.push_back(q);
-        notify[q].push_back(level.shard.global_of(lx));
+        notify[q].push_back(sg.global_of(lx));
       }
     };
     std::uint64_t matched_here = 0;
@@ -434,12 +482,10 @@ std::vector<NodeID> DistHierarchy::match_level(
       if (!alive[i]) continue;
       const NodeID u = cands[i].u;
       const NodeID v = cands[i].v;
-      const bool v_mine = level.shard.is_owned(v);
-      const bool u_nominates = best_at(u, i);
+      const bool v_mine = sg.is_owned(v);
+      const bool u_nominates = best[u] == i;
       const bool v_nominates =
-          v_mine ? best_at(v, i)
-                 : remote_best.contains(
-                       edge_key(cands[i].u_global, cands[i].v_global));
+          v_mine ? best[v] == i : remote_pick[v - sg.num_owned()] == u;
       if (u_nominates && v_nominates) {
         dissolve(u);
         partner[u] = v;
@@ -466,10 +512,7 @@ std::vector<NodeID> DistHierarchy::match_level(
       if (q == rank || !level.peer[q]) continue;
       const Message msg = pe_.receive(q);
       for (const std::uint64_t w : msg.payload) {
-        // Notifications target resident nodes by construction; the guard
-        // only shields against a malformed message.
-        const NodeID l = level.shard.local_of(static_cast<NodeID>(w));
-        if (l != kInvalidNode) taken[l] = 1;
+        taken[sg.halo_local(w, HaloKind::kGhost)] = 1;
       }
     }
     // Retire candidates that lost an endpoint this round — after the
@@ -507,7 +550,7 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
   std::vector<std::uint64_t> my_counts(fine.my_shard_ids.size(), 0);
   for (std::size_t i = 0; i < fine.my_shards.size(); ++i) {
     for (const NodeID u : fine.my_shards[i].nodes) {
-      if (is_canonical(sg.local_of(u))) ++my_counts[i];
+      if (is_canonical(sg.owned_local(u))) ++my_counts[i];
     }
   }
   const std::vector<std::uint64_t> counts =
@@ -525,7 +568,7 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
   for (std::size_t i = 0; i < fine.my_shards.size(); ++i) {
     NodeID next_id = shard_begin[fine.my_shard_ids[i]];
     for (const NodeID u : fine.my_shards[i].nodes) {
-      const NodeID lu = sg.local_of(u);
+      const NodeID lu = sg.owned_local(u);
       if (is_canonical(lu)) coarse_of[lu] = next_id++;
     }
   }
@@ -543,7 +586,7 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
     for (NodeID lu = 0; lu < num_owned; ++lu) {
       const NodeID lv = partner[lu];
       if (lv == lu || sg.is_owned(lv) || !is_canonical(lu)) continue;
-      const int q = fine.owner_of_node(go(lv), p);
+      const int q = fine.owner_of_local(lv, rank);
       outbox[q].push_back(go(lv));
       outbox[q].push_back(coarse_of[lu]);
     }
@@ -553,10 +596,10 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
     for (int q = 0; q < p; ++q) {
       if (q == rank || !fine.peer[q]) continue;
       const Message msg = pe_.receive(q);
-      for (std::size_t i = 0; i + 1 < msg.payload.size(); i += 2) {
-        const NodeID lu = sg.local_of(static_cast<NodeID>(msg.payload[i]));
-        assert(lu != kInvalidNode && sg.is_owned(lu));
-        coarse_of[lu] = static_cast<NodeID>(msg.payload[i + 1]);
+      const std::size_t records = halo_records(msg.payload, 2);
+      for (std::size_t r = 0; r < records; ++r) {
+        const NodeID lu = sg.halo_local(msg.payload[2 * r], HaloKind::kOwned);
+        coarse_of[lu] = checked_coarse_id(msg.payload[2 * r + 1], coarse_n);
       }
     }
   }
@@ -579,14 +622,14 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
           last_u = arc.u;
           served.clear();
         }
-        const int q = fine.owner_of_node(arc.v, p);
-        if (q == rank ||
-            std::find(served.begin(), served.end(), q) != served.end()) {
+        if (sg.is_owned(arc.lv)) continue;
+        const int q = fine.owner_of_local(arc.lv, rank);
+        if (std::find(served.begin(), served.end(), q) != served.end()) {
           continue;
         }
         served.push_back(q);
         outbox[q].push_back(arc.u);
-        outbox[q].push_back(coarse_of[sg.local_of(arc.u)]);
+        outbox[q].push_back(coarse_of[arc.lu]);
       }
     }
     for (int q = 0; q < p; ++q) {
@@ -595,10 +638,10 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
     for (int q = 0; q < p; ++q) {
       if (q == rank || !fine.peer[q]) continue;
       const Message msg = pe_.receive(q);
-      for (std::size_t i = 0; i + 1 < msg.payload.size(); i += 2) {
-        const NodeID l = sg.local_of(static_cast<NodeID>(msg.payload[i]));
-        assert(l != kInvalidNode && !sg.is_owned(l));
-        coarse_of[l] = static_cast<NodeID>(msg.payload[i + 1]);
+      const std::size_t records = halo_records(msg.payload, 2);
+      for (std::size_t r = 0; r < records; ++r) {
+        const NodeID l = sg.halo_local(msg.payload[2 * r], HaloKind::kGhost);
+        coarse_of[l] = checked_coarse_id(msg.payload[2 * r + 1], coarse_n);
       }
     }
   }
@@ -607,14 +650,21 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
   // The non-canonical owner translates its endpoint's full row into
   // coarse target space (everything it needs is resident) and ships it
   // to the canonical owner, which merges it into the coarse row. ---
-  hash_map<NodeID, std::vector<std::pair<NodeID, EdgeWeight>>>
-      shipped;  // fine global id of the remote member -> coarse arcs
+  // Received contributions, sorted by the remote member's ghost id: a
+  // (ghost id, arc range) index into one flat coarse-arc list.
+  struct Shipped {
+    NodeID ghost;
+    std::size_t begin;
+    std::size_t end;
+  };
+  std::vector<Shipped> shipped;
+  std::vector<std::pair<NodeID, EdgeWeight>> shipped_arcs;
   {
     std::vector<std::vector<std::uint64_t>> outbox(p);
     for (NodeID lu = 0; lu < num_owned; ++lu) {
       const NodeID lv = partner[lu];
       if (lv == lu || sg.is_owned(lv) || is_canonical(lu)) continue;
-      const int q = fine.owner_of_node(go(lv), p);
+      const int q = fine.owner_of_local(lv, rank);
       std::vector<std::uint64_t>& words = outbox[q];
       words.push_back(go(lu));
       words.push_back(resident.last_arc(lu) - resident.first_arc(lu));
@@ -629,21 +679,26 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
     for (int q = 0; q < p; ++q) {
       if (q == rank || !fine.peer[q]) continue;
       const Message msg = pe_.receive(q);
+      const std::vector<std::uint64_t>& words = msg.payload;
       std::size_t i = 0;
-      while (i + 1 < msg.payload.size()) {
-        const NodeID member = static_cast<NodeID>(msg.payload[i]);
-        const std::uint64_t narcs = msg.payload[i + 1];
+      while (i < words.size()) {
+        if (words.size() - i < 2 || words[i + 1] > (words.size() - i - 2) / 2) {
+          throw TransportError("malformed halo message: partial record");
+        }
+        const NodeID member = sg.halo_local(words[i], HaloKind::kGhost);
+        const std::uint64_t narcs = words[i + 1];
         i += 2;
-        auto& arcs = shipped[member];
-        arcs.reserve(narcs);
-        for (std::uint64_t j = 0; j < narcs; ++j) {
-          arcs.emplace_back(static_cast<NodeID>(msg.payload[i]),
-                            bits_weight(msg.payload[i + 1]));
-          i += 2;
+        shipped.push_back({member, shipped_arcs.size(),
+                           shipped_arcs.size() + narcs});
+        for (std::uint64_t j = 0; j < narcs; ++j, i += 2) {
+          shipped_arcs.emplace_back(checked_coarse_id(words[i], coarse_n),
+                                    bits_weight(words[i + 1]));
         }
       }
     }
   }
+  std::sort(shipped.begin(), shipped.end(),
+            [](const Shipped& x, const Shipped& y) { return x.ghost < y.ghost; });
 
   // --- Owner-computes coarse rows: merge the members' coarse-translated
   // arcs, drop the self-arc, sort by coarse target. The sorted canonical
@@ -665,7 +720,7 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
     const BlockID s = fine.my_shard_ids[i];
     GraphShard& coarse_shard = next.my_shards[i];
     for (const NodeID u : fine.my_shards[i].nodes) {
-      const NodeID lu = sg.local_of(u);
+      const NodeID lu = sg.owned_local(u);
       if (!is_canonical(lu)) continue;
       const NodeID c = coarse_of[lu];
       acc.clear();
@@ -683,9 +738,14 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
         if (sg.is_owned(lv)) {
           add_member(lv);
         } else {
-          const auto it = shipped.find(go(lv));
-          assert(it != shipped.end() && "remote member must have shipped");
-          for (const auto& [ct, w] : it->second) {
+          const auto it = std::lower_bound(
+              shipped.begin(), shipped.end(), lv,
+              [](const Shipped& x, NodeID g) { return x.ghost < g; });
+          if (it == shipped.end() || it->ghost != lv) {
+            throw TransportError("halo exchange: remote member not shipped");
+          }
+          for (std::size_t a = it->begin; a < it->end; ++a) {
+            const auto& [ct, w] = shipped_arcs[a];
             if (ct != c) acc.emplace_back(ct, w);
           }
         }
@@ -708,7 +768,7 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
       }
       for (EdgeID e = rows.xadj.back(); e < rows.adj.size(); ++e) {
         const NodeID ct = rows.adj[e];
-        if (next.shard_of(ct) != s) {
+        if (ct < shard_begin[s] || ct >= shard_begin[s + 1]) {
           coarse_shard.cross_arcs.push_back({c, ct, rows.ewgt[e]});
           boundary = true;
         }
@@ -746,11 +806,7 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
   std::vector<EdgeWeight> ghost_wdeg(ghosts.size(), 0);
   std::vector<BlockID> ghost_warm(warm_ ? ghosts.size() : 0, 0);
   {
-    const std::uint64_t stride = warm_ ? 4 : 3;
-    auto ghost_index = [&](NodeID g) {
-      return static_cast<std::size_t>(
-          std::lower_bound(ghosts.begin(), ghosts.end(), g) - ghosts.begin());
-    };
+    const std::size_t stride = warm_ ? 4 : 3;
     // Row index of an owned coarse id: rows were appended per shard in
     // my_shard_ids order, contiguous coarse-id ranges within each.
     std::vector<std::size_t> shard_row_offset(next.my_shards.size() + 1, 0);
@@ -788,13 +844,13 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
     for (int q = 0; q < p; ++q) {
       if (q == rank || !next.peer[q]) continue;
       const Message msg = pe_.receive(q);
-      for (std::size_t i = 0; i + (stride - 1) < msg.payload.size();
-           i += stride) {
-        const std::size_t g = ghost_index(static_cast<NodeID>(msg.payload[i]));
-        assert(g < ghosts.size());
-        ghost_weights[g] = bits_weight(msg.payload[i + 1]);
-        ghost_wdeg[g] = bits_weight(msg.payload[i + 2]);
-        if (warm_) ghost_warm[g] = static_cast<BlockID>(msg.payload[i + 3]);
+      const std::size_t records = halo_records(msg.payload, stride);
+      for (std::size_t r = 0; r < records; ++r) {
+        const std::uint64_t* record = msg.payload.data() + stride * r;
+        const std::size_t g = halo_position(ghosts, record[0]);
+        ghost_weights[g] = bits_weight(record[1]);
+        ghost_wdeg[g] = bits_weight(record[2]);
+        if (warm_) ghost_warm[g] = static_cast<BlockID>(record[3]);
       }
     }
   }
@@ -813,6 +869,7 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
   parts.ghost_weights = std::move(ghost_weights);
   parts.ghost_weighted_degrees = std::move(ghost_wdeg);
   next.shard = ShardGraph(std::move(parts));
+  resolve_halo(next, p);
   if (warm_) {
     next.warm_blocks = std::move(owned_warm);
     next.warm_blocks.insert(next.warm_blocks.end(), ghost_warm.begin(),

@@ -86,8 +86,12 @@ struct DistLevel {
   // --- resident data of this rank ---
   ShardGraph shard;                   ///< owned + ghost local CSR
   std::vector<BlockID> my_shard_ids;  ///< ascending; s ≡ rank (mod p)
-  std::vector<GraphShard> my_shards;  ///< parallel to my_shard_ids
+  /// Parallel to my_shard_ids; the cross arcs carry their resolved
+  /// resident endpoints (CrossShardArc::lu, lv).
+  std::vector<GraphShard> my_shards;
   std::vector<char> peer;             ///< per rank: shares a halo with me
+  /// Owner rank of every ghost, by ghost index (local id - num_owned).
+  std::vector<int> ghost_owner;
   /// Warm-started builds: the block of every resident node (local ids,
   /// owned then ghost) — the constraint the matchers filter on.
   std::vector<BlockID> warm_blocks;
@@ -101,6 +105,13 @@ struct DistLevel {
   /// Physical owner rank of a global node id.
   [[nodiscard]] int owner_of_node(NodeID global, int num_pes) const {
     return DistGraph::owner_of_shard(shard_of(global), num_pes);
+  }
+
+  /// Physical owner rank of a resident node (this level's \p rank for
+  /// owned nodes) — an array read, no id lookup.
+  [[nodiscard]] int owner_of_local(NodeID local, int rank) const {
+    return shard.is_owned(local) ? rank
+                                 : ghost_owner[local - shard.num_owned()];
   }
 
   /// Visits the owned nodes of rank \p q in ascending global-id order —

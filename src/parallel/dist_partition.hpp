@@ -83,8 +83,8 @@ class DistPartition {
   /// its pair path reads blocks with block_at() — no hashing per arc.
   [[nodiscard]] NodeID slot_of(NodeID global) const {
     if (level_ != nullptr) {
-      const NodeID local = level_->shard.local_of(global);
-      if (local != kInvalidNode && level_->shard.is_owned(local)) return local;
+      const NodeID local = level_->shard.owned_local(global);
+      if (local != kInvalidNode) return local;
     }
     const auto it = cache_slot_.find(global);
     return it == cache_slot_.end() ? kInvalidNode : it->second;

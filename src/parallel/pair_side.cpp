@@ -1,5 +1,6 @@
 #include "parallel/pair_side.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "parallel/transport.hpp"
@@ -47,6 +48,7 @@ PairSide PairSide::parse(std::vector<std::uint64_t> words,
   rest -= 3 * nband;
   if (nfringe > rest) malformed("fringe count exceeds payload");
   rest -= nfringe;
+  if (nband + nfringe >= kGlobalTag) malformed("index references overflow");
 
   PairSide side;
   side.words_ = std::move(words);
@@ -64,8 +66,13 @@ PairSide PairSide::parse(std::vector<std::uint64_t> words,
   if (side.narcs_ > rest / 2 || 2 * side.narcs_ != rest) {
     malformed("arc count disagrees with payload");
   }
+  const std::uint64_t listed = std::uint64_t{side.nband_} + side.nfringe_;
   for (std::uint64_t e = 0; e < side.narcs_; ++e) {
-    if (all[side.targets_ + e] >= kInvalidNode) malformed("target id");
+    const std::uint64_t ref = all[side.targets_ + e];
+    if (ref >= listed &&
+        (ref < kGlobalTag || ref - kGlobalTag >= kInvalidNode)) {
+      malformed("target reference out of range");
+    }
   }
   if (!ascending_ids(all.subspan(side.fringe_, side.nfringe_))) {
     malformed("fringe ids not ascending node ids");
@@ -75,6 +82,13 @@ PairSide PairSide::parse(std::vector<std::uint64_t> words,
 
 NodeWeight PairSide::band_weight(NodeID i) const {
   return bits_weight(words_[weights_ + i]);
+}
+
+NodeID PairSide::target_global(std::uint64_t arc) const {
+  const std::uint64_t ref = target_ref(arc);
+  if (ref < nband_) return band_id(static_cast<NodeID>(ref));
+  if (ref < kGlobalTag) return fringe_id(static_cast<NodeID>(ref - nband_));
+  return static_cast<NodeID>(ref - kGlobalTag);
 }
 
 EdgeWeight PairSide::arc_weight(std::uint64_t arc) const {
@@ -107,8 +121,24 @@ PairSide PairSideWriter::finish(std::span<const NodeID> fringe) {
   const std::size_t fixed = ids + 3 * static_cast<std::size_t>(band_size_);
   if (band_size_ > 0) words_[ids + 3 * band_size_ - 1] = words_.size() - fixed;
   words_[header_words_ + 1] = fringe.size();
+
+  // Fringe references were written as list positions; renumber them to
+  // the positions of the ascending fringe section.
+  std::vector<std::pair<NodeID, NodeID>> order;  // (id, list position)
+  order.reserve(fringe.size());
+  for (NodeID j = 0; j < fringe.size(); ++j) order.emplace_back(fringe[j], j);
+  std::sort(order.begin(), order.end());
+  std::vector<NodeID> sorted_index(fringe.size());
+  for (NodeID j = 0; j < order.size(); ++j) sorted_index[order[j].second] = j;
+  const std::uint64_t begin = band_size_;
+  const std::uint64_t end = begin + fringe.size();
+  for (std::size_t w = fixed; w < words_.size(); ++w) {
+    if (words_[w] >= begin && words_[w] < end) {
+      words_[w] = begin + sorted_index[words_[w] - begin];
+    }
+  }
   words_.insert(words_.end(), arc_weights_.begin(), arc_weights_.end());
-  words_.insert(words_.end(), fringe.begin(), fringe.end());
+  for (const auto& [id, position] : order) words_.push_back(id);
   PairSide side;
   side.words_ = std::move(words_);
   side.locate(header_words_);

@@ -12,16 +12,28 @@
 ///   band ids     (nband, strictly ascending)
 ///   band weights (nband, weight bits)
 ///   row ends     (nband, cumulative arc counts; narcs = the last one)
-///   targets      (narcs, global ids, row order)
+///   targets      (narcs, one reference word each, row order)
 ///   arc weights  (narcs, weight bits)
 ///   fringe ids   (nfringe, strictly ascending)
+///
+/// A target reference names the arc's target in one of three ways:
+///
+///   r < nband                  the band node at index r;
+///   nband <= r < nband+nfringe the fringe node at index r - nband;
+///   r >= kGlobalTag            the node with global id r - kGlobalTag,
+///                              for every other target (the partner
+///                              side's nodes, or unlisted ones).
+///
+/// Same-side targets thus resolve by index, and only the tagged ones
+/// need a search when the executor numbers the view. Still one word per
+/// arc, so the wire volume is that of plain global ids.
 ///
 /// The optional header carries a message's own fields (the async
 /// scheduler's tag, pair index and partner weight) ahead of the side, so
 /// a received payload is parsed without copying. parse() checks every
-/// count against the payload before reading, so a truncated, oversized
-/// or garbage side raises TransportError instead of reading out of
-/// bounds or allocating without limit.
+/// count and every reference against the payload before reading, so a
+/// truncated, oversized or garbage side raises TransportError instead of
+/// reading out of bounds or allocating without limit.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +47,14 @@ namespace kappa {
 
 class PairSide {
  public:
+  /// Offset of a target reference that carries a global id.
+  static constexpr std::uint64_t kGlobalTag = std::uint64_t{1} << 32;
+
+  /// The reference word that names \p global by its id.
+  [[nodiscard]] static constexpr std::uint64_t global_ref(NodeID global) {
+    return kGlobalTag + global;
+  }
+
   PairSide() = default;
 
   /// Validates \p words as a side starting after \p header_words words
@@ -56,9 +76,12 @@ class PairSide {
   [[nodiscard]] std::uint64_t row_end(NodeID i) const {
     return words_[ends_ + i];
   }
-  [[nodiscard]] NodeID target(std::uint64_t arc) const {
-    return static_cast<NodeID>(words_[targets_ + arc]);
+  /// The arc's target reference word (see the file comment).
+  [[nodiscard]] std::uint64_t target_ref(std::uint64_t arc) const {
+    return words_[targets_ + arc];
   }
+  /// Global id of the arc's target, whichever way the arc names it.
+  [[nodiscard]] NodeID target_global(std::uint64_t arc) const;
   [[nodiscard]] EdgeWeight arc_weight(std::uint64_t arc) const;
   [[nodiscard]] NodeID fringe_id(NodeID i) const {
     return static_cast<NodeID>(words_[fringe_ + i]);
@@ -97,19 +120,35 @@ class PairSide {
 
 /// Writes a PairSide in one pass over its band rows: open with the band
 /// size, then per band node in ascending id order begin_row() followed by
-/// its kept arcs, and finish() with the sorted fringe.
+/// its kept arcs, and finish() with the fringe.
 class PairSideWriter {
  public:
   PairSideWriter(std::vector<std::uint64_t> header, NodeID band_size);
 
   void begin_row(NodeID id, NodeWeight weight);
-  void add_arc(NodeID target, EdgeWeight weight) {
-    words_.push_back(target);
-    arc_weights_.push_back(weight_bits(weight));
+  /// An arc to the band node at \p index (its rank in the band order).
+  void add_band_arc(NodeID index, EdgeWeight weight) {
+    add_arc(index, weight);
   }
+  /// An arc to the fringe node at \p index of the list finish() takes.
+  void add_fringe_arc(NodeID index, EdgeWeight weight) {
+    add_arc(std::uint64_t{band_size_} + index, weight);
+  }
+  /// An arc named by its target's global id.
+  void add_global_arc(NodeID target, EdgeWeight weight) {
+    add_arc(PairSide::global_ref(target), weight);
+  }
+  /// Seals the side with \p fringe: distinct ids in any order (the order
+  /// add_fringe_arc() indexed), written ascending with the fringe
+  /// references renumbered to match.
   [[nodiscard]] PairSide finish(std::span<const NodeID> fringe);
 
  private:
+  void add_arc(std::uint64_t ref, EdgeWeight weight) {
+    words_.push_back(ref);
+    arc_weights_.push_back(weight_bits(weight));
+  }
+
   std::vector<std::uint64_t> words_;
   std::vector<std::uint64_t> arc_weights_;
   std::size_t header_words_ = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "graph/dynamic_overlay.hpp"
 #include "parallel/wire_format.hpp"
 
 namespace kappa {
@@ -36,200 +35,190 @@ NodeID decode_row_words(const std::vector<std::uint64_t>& words,
   return static_cast<NodeID>(id);
 }
 
+// ----------------------------------------------------------- halo decoding ----
+
+std::size_t halo_records(std::span<const std::uint64_t> payload,
+                         std::size_t stride) {
+  if (payload.size() % stride != 0) {
+    throw TransportError("malformed halo message: partial record");
+  }
+  return payload.size() / stride;
+}
+
+std::size_t halo_position(std::span<const NodeID> ids, std::uint64_t word) {
+  const auto it = std::lower_bound(ids.begin(), ids.end(), word,
+                                   [](NodeID id, std::uint64_t w) {
+                                     return std::uint64_t{id} < w;
+                                   });
+  if (it == ids.end() || *it != word) {
+    throw TransportError("malformed halo message: node not resident here");
+  }
+  return static_cast<std::size_t>(it - ids.begin());
+}
+
+NodeID ShardGraph::halo_local(std::uint64_t word, HaloKind kind) const {
+  if (kind == HaloKind::kGhost) {
+    const std::span<const NodeID> ghosts(local_to_global_.data() + num_owned_,
+                                         num_ghost());
+    return num_owned_ + static_cast<NodeID>(halo_position(ghosts, word));
+  }
+  const NodeID local =
+      word < kInvalidNode ? owned_local(static_cast<NodeID>(word))
+                          : kInvalidNode;
+  if (local == kInvalidNode) {
+    throw TransportError("malformed halo message: node not owned here");
+  }
+  return local;
+}
+
 // ------------------------------------------------------------ ShardGraph ----
 
-ShardGraph::ShardGraph(const StaticGraph& level, const DistGraph& dist,
-                       PEContext& pe) {
+ShardGraphParts finest_shard_parts(const StaticGraph& level,
+                                   const DistGraph& dist, PEContext& pe) {
   const int p = pe.size();
   const int rank = pe.rank();
   const std::vector<BlockID> my_shards = dist.shards_of_rank(rank, p);
 
   // Owned nodes: the union of this rank's virtual shards, sorted by
-  // global id (per-shard lists are sorted already).
-  std::vector<NodeID> owned;
+  // global id, with their rows verbatim. This read of the input graph is
+  // the initial data distribution of the level; every structure the
+  // matching inner loops touch afterwards is resident.
+  ShardGraphParts parts;
   for (const BlockID s : my_shards) {
     const std::vector<NodeID>& nodes = dist.shard(s).nodes;
-    owned.insert(owned.end(), nodes.begin(), nodes.end());
+    parts.owned.insert(parts.owned.end(), nodes.begin(), nodes.end());
   }
-  std::sort(owned.begin(), owned.end());
-  num_owned_ = static_cast<NodeID>(owned.size());
-
-  // Static core: the subgraph induced by the owned set. This replica
-  // read is the initial data distribution of the level; every structure
-  // the matching inner loops touch afterwards is resident.
-  const Subgraph core = induced_subgraph(level, owned);
+  std::sort(parts.owned.begin(), parts.owned.end());
+  parts.owned_rows = extract_rows(level, parts.owned);
+  parts.owned_index = dist.owned_index();
 
   // Rank-remote cross arcs define the one-hop ghost layer. Cross arcs
-  // between two shards of this rank stay inside the core.
-  struct GhostArc {
-    NodeID u;  ///< owned endpoint (global id)
-    NodeID v;  ///< ghost endpoint (global id)
-    EdgeWeight w;
-  };
-  std::vector<GhostArc> ghost_arcs;
+  // between two shards of this rank stay owned.
   for (const BlockID s : my_shards) {
     for (const CrossShardArc& arc : dist.shard(s).cross_arcs) {
-      if (dist.owner_of_node(arc.v, p) != rank) {
-        ghost_arcs.push_back({arc.u, arc.v, arc.weight});
-      }
+      if (dist.owner_of_node(arc.v, p) != rank) parts.ghosts.push_back(arc.v);
     }
   }
-  std::vector<NodeID> ghosts;
-  ghosts.reserve(ghost_arcs.size());
-  for (const GhostArc& arc : ghost_arcs) ghosts.push_back(arc.v);
-  std::sort(ghosts.begin(), ghosts.end());
-  ghosts.erase(std::unique(ghosts.begin(), ghosts.end()), ghosts.end());
-
-  local_to_global_ = owned;
-  local_to_global_.insert(local_to_global_.end(), ghosts.begin(),
-                          ghosts.end());
-  global_to_local_.reserve(local_to_global_.size());
-  for (NodeID local = 0; local < local_to_global_.size(); ++local) {
-    global_to_local_.emplace(local_to_global_[local], local);
-  }
-
-  // Owned weighted degrees are computable locally: core row sum plus the
-  // rank-remote cross arc weights.
-  weighted_degrees_.assign(local_to_global_.size(), 0);
-  for (NodeID i = 0; i < num_owned_; ++i) {
-    weighted_degrees_[i] = core.graph.weighted_degree(i);
-  }
-  for (const GhostArc& arc : ghost_arcs) {
-    weighted_degrees_[global_to_local_.at(arc.u)] += arc.w;
-  }
+  std::sort(parts.ghosts.begin(), parts.ghosts.end());
+  parts.ghosts.erase(std::unique(parts.ghosts.begin(), parts.ghosts.end()),
+                     parts.ghosts.end());
 
   // --- Ghost refresh over channels: every neighboring rank sends, per
   // owned boundary node the receiver sees as a ghost, the triple
   // (global id, node weight, full-row weighted degree). The peer set is
   // symmetric (u adjacent to a node of q iff q has u as a ghost), so
   // each side knows exactly whom to expect. ---
+  const RowSet& rows = parts.owned_rows;
   std::vector<char> is_peer(p, 0);
-  for (const NodeID g : ghosts) {
-    is_peer[dist.owner_of_node(g, p)] = 1;
-  }
+  for (const NodeID g : parts.ghosts) is_peer[dist.owner_of_node(g, p)] = 1;
   {
     std::vector<std::vector<std::uint64_t>> to_peer(p);
-    NodeID last_u = kInvalidNode;
-    std::vector<int> peers_of_u;
-    for (const GhostArc& arc : ghost_arcs) {
-      if (arc.u != last_u) {
-        last_u = arc.u;
-        peers_of_u.clear();
+    for (const BlockID s : my_shards) {
+      NodeID last_u = kInvalidNode;
+      std::vector<int> peers_of_u;
+      for (const CrossShardArc& arc : dist.shard(s).cross_arcs) {
+        if (arc.u != last_u) {
+          last_u = arc.u;
+          peers_of_u.clear();
+        }
+        const int q = dist.owner_of_node(arc.v, p);
+        if (q == rank || std::find(peers_of_u.begin(), peers_of_u.end(), q) !=
+                             peers_of_u.end()) {
+          continue;
+        }
+        peers_of_u.push_back(q);
+        const NodeID lu = parts.owned_index[arc.u];
+        EdgeWeight wdeg = 0;
+        for (EdgeID e = rows.xadj[lu]; e < rows.xadj[lu + 1]; ++e) {
+          wdeg += rows.ewgt[e];
+        }
+        to_peer[q].push_back(arc.u);
+        to_peer[q].push_back(weight_bits(rows.vwgt[lu]));
+        to_peer[q].push_back(weight_bits(wdeg));
       }
-      const int q = dist.owner_of_node(arc.v, p);
-      if (std::find(peers_of_u.begin(), peers_of_u.end(), q) !=
-          peers_of_u.end()) {
-        continue;
-      }
-      peers_of_u.push_back(q);
-      const NodeID lu = global_to_local_.at(arc.u);
-      to_peer[q].push_back(arc.u);
-      to_peer[q].push_back(weight_bits(core.graph.node_weight(lu)));
-      to_peer[q].push_back(weight_bits(weighted_degrees_[lu]));
     }
     for (int q = 0; q < p; ++q) {
       if (q != rank && is_peer[q]) pe.send(q, std::move(to_peer[q]));
     }
   }
-  std::vector<NodeWeight> ghost_weight(ghosts.size(), 0);
+  parts.ghost_weights.assign(parts.ghosts.size(), 0);
+  parts.ghost_weighted_degrees.assign(parts.ghosts.size(), 0);
   for (int q = 0; q < p; ++q) {
     if (q == rank || !is_peer[q]) continue;
     const Message msg = pe.receive(q);
-    for (std::size_t i = 0; i + 2 < msg.payload.size(); i += 3) {
-      const NodeID g = static_cast<NodeID>(msg.payload[i]);
-      const NodeID local = global_to_local_.at(g);
-      assert(local >= num_owned_);
-      ghost_weight[local - num_owned_] = bits_weight(msg.payload[i + 1]);
-      weighted_degrees_[local] = bits_weight(msg.payload[i + 2]);
+    const std::size_t records = halo_records(msg.payload, 3);
+    for (std::size_t r = 0; r < records; ++r) {
+      const std::uint64_t* record = msg.payload.data() + 3 * r;
+      const std::size_t g = halo_position(parts.ghosts, record[0]);
+      parts.ghost_weights[g] = bits_weight(record[1]);
+      parts.ghost_weighted_degrees[g] = bits_weight(record[2]);
     }
   }
-
-  // --- Ghost intake through the §5.2 hybrid structure: the received
-  // halo enters a DynamicOverlay over the owned core (ghosts as
-  // migrated nodes, owned boundary nodes gaining overlay edges into the
-  // halo), which is then sealed into the compact local CSR. ---
-  DynamicOverlay intake(core.graph, core.local_to_global);
-  for (std::size_t i = 0; i < ghosts.size(); ++i) {
-    intake.add_migrated_node(ghosts[i], ghost_weight[i]);
-  }
-  for (const GhostArc& arc : ghost_arcs) {
-    intake.add_migrated_edge(arc.u, arc.v, arc.w);  // owned -> ghost
-    intake.add_migrated_edge(arc.v, arc.u, arc.w);  // mirror arc
-  }
-
-  std::vector<EdgeID> xadj;
-  xadj.reserve(local_to_global_.size() + 1);
-  xadj.push_back(0);
-  std::vector<NodeID> adj;
-  std::vector<EdgeWeight> ewgt;
-  std::vector<NodeWeight> vwgt;
-  vwgt.reserve(local_to_global_.size());
-  for (NodeID local = 0; local < local_to_global_.size(); ++local) {
-    const NodeID global = local_to_global_[local];
-    vwgt.push_back(intake.node_weight(global));
-    intake.for_each_neighbor(global, [&](NodeID to_global, EdgeWeight w) {
-      adj.push_back(global_to_local_.at(to_global));
-      ewgt.push_back(w);
-    });
-    xadj.push_back(adj.size());
-  }
-  csr_ = StaticGraph(std::move(xadj), std::move(adj), std::move(ewgt),
-                     std::move(vwgt));
+  return parts;
 }
 
-ShardGraph::ShardGraph(ShardGraphParts parts) {
-  num_owned_ = static_cast<NodeID>(parts.owned.size());
+ShardGraph::ShardGraph(ShardGraphParts parts)
+    : num_owned_(static_cast<NodeID>(parts.owned.size())),
+      owned_index_(std::move(parts.owned_index)) {
   assert(parts.owned_rows.ids.size() == parts.owned.size());
   assert(parts.ghost_weights.size() == parts.ghosts.size());
   assert(parts.ghost_weighted_degrees.size() == parts.ghosts.size());
 
+  if (owned_index_.empty()) {
+    for (NodeID i = 0; i < num_owned_; ++i) {
+      if (i == 0 || parts.owned[i] != parts.owned[i - 1] + 1) {
+        run_first_.push_back(parts.owned[i]);
+        run_local_.push_back(i);
+      }
+    }
+    run_local_.push_back(num_owned_);
+  }
   local_to_global_ = std::move(parts.owned);
   local_to_global_.insert(local_to_global_.end(), parts.ghosts.begin(),
                           parts.ghosts.end());
-  global_to_local_.reserve(local_to_global_.size());
-  for (NodeID local = 0; local < local_to_global_.size(); ++local) {
-    global_to_local_.emplace(local_to_global_[local], local);
+  const NodeID num_ghosts = static_cast<NodeID>(parts.ghosts.size());
+
+  // Resolve every owned arc target once, counting the ghost mirror arcs.
+  RowSet& rows = parts.owned_rows;
+  const std::size_t owned_arcs = rows.adj.size();
+  std::vector<NodeID> adj(owned_arcs);
+  std::vector<EdgeID> mirror_begin(num_ghosts + 1, 0);
+  for (std::size_t e = 0; e < owned_arcs; ++e) {
+    const NodeID local = local_of(rows.adj[e]);
+    assert(local != kInvalidNode && "owned row target must be resident");
+    adj[e] = local;
+    if (local >= num_owned_) ++mirror_begin[local - num_owned_ + 1];
+  }
+  for (NodeID g = 0; g < num_ghosts; ++g) {
+    mirror_begin[g + 1] += mirror_begin[g];
   }
 
-  // Ghost mirror rows: the arcs back into the owned set, derived from the
-  // owned rows' ghost targets (kept sorted by owned endpoint — the order
-  // is resident-only state that never feeds a p-sensitive stream).
-  std::vector<std::vector<std::pair<NodeID, EdgeWeight>>> mirror(
-      parts.ghosts.size());
-  for (NodeID i = 0; i < num_owned_; ++i) {
-    for (EdgeID e = parts.owned_rows.xadj[i]; e < parts.owned_rows.xadj[i + 1];
-         ++e) {
-      const NodeID local = global_to_local_.at(parts.owned_rows.adj[e]);
-      if (local >= num_owned_) {
-        mirror[local - num_owned_].emplace_back(i, parts.owned_rows.ewgt[e]);
+  // Ghost mirror rows: the arcs back into the owned set, in owned-row
+  // scan order (sorted by owned endpoint — resident-only state that never
+  // feeds a p-sensitive stream).
+  std::vector<EdgeID> xadj = std::move(rows.xadj);
+  if (xadj.empty()) xadj.push_back(0);
+  std::vector<EdgeWeight> ewgt = std::move(rows.ewgt);
+  adj.resize(owned_arcs + mirror_begin.back());
+  ewgt.resize(adj.size());
+  {
+    std::vector<EdgeID> fill(mirror_begin.begin(), mirror_begin.end() - 1);
+    for (NodeID i = 0; i < num_owned_; ++i) {
+      for (EdgeID e = xadj[i]; e < xadj[i + 1]; ++e) {
+        if (adj[e] < num_owned_) continue;
+        const EdgeID slot = owned_arcs + fill[adj[e] - num_owned_]++;
+        adj[slot] = i;
+        ewgt[slot] = ewgt[e];
       }
     }
   }
-
-  std::vector<EdgeID> xadj;
   xadj.reserve(local_to_global_.size() + 1);
-  xadj.push_back(0);
-  std::vector<NodeID> adj;
-  std::vector<EdgeWeight> ewgt;
-  std::vector<NodeWeight> vwgt;
-  vwgt.reserve(local_to_global_.size());
-  for (NodeID i = 0; i < num_owned_; ++i) {
-    vwgt.push_back(parts.owned_rows.vwgt[i]);
-    for (EdgeID e = parts.owned_rows.xadj[i]; e < parts.owned_rows.xadj[i + 1];
-         ++e) {
-      adj.push_back(global_to_local_.at(parts.owned_rows.adj[e]));
-      ewgt.push_back(parts.owned_rows.ewgt[e]);
-    }
-    xadj.push_back(adj.size());
+  for (NodeID g = 0; g < num_ghosts; ++g) {
+    xadj.push_back(owned_arcs + mirror_begin[g + 1]);
   }
-  for (std::size_t g = 0; g < parts.ghosts.size(); ++g) {
-    vwgt.push_back(parts.ghost_weights[g]);
-    for (const auto& [owned_local, w] : mirror[g]) {
-      adj.push_back(owned_local);
-      ewgt.push_back(w);
-    }
-    xadj.push_back(adj.size());
-  }
+  std::vector<NodeWeight> vwgt = std::move(rows.vwgt);
+  vwgt.insert(vwgt.end(), parts.ghost_weights.begin(),
+              parts.ghost_weights.end());
   csr_ = StaticGraph(std::move(xadj), std::move(adj), std::move(ewgt),
                      std::move(vwgt));
 
@@ -239,7 +228,7 @@ ShardGraph::ShardGraph(ShardGraphParts parts) {
   for (NodeID i = 0; i < num_owned_; ++i) {
     weighted_degrees_[i] = csr_.weighted_degree(i);
   }
-  for (std::size_t g = 0; g < parts.ghosts.size(); ++g) {
+  for (NodeID g = 0; g < num_ghosts; ++g) {
     weighted_degrees_[num_owned_ + g] = parts.ghost_weighted_degrees[g];
   }
 }

@@ -8,13 +8,17 @@
 ///
 ///   ShardGraph   — built per contraction level for the SPMD matcher: a
 ///     compact CSR over the rank's owned nodes (union of its virtual
-///     shards) plus the one-hop ghost layer. The owned core comes from
-///     induced_subgraph(); ghosts are taken in through a DynamicOverlay
-///     (the §5.2 hybrid structure) and sealed into the final local CSR.
-///     Ghost node weights and weighted degrees are dynamic per level and
-///     are *not* read off the replica: they arrive over channels from
-///     the owning ranks, so the CommStats counters see every ghost
-///     refresh.
+///     shards) plus the one-hop ghost layer, a static adjacency array
+///     as in §5.2. Every level is sealed the same way from
+///     ShardGraphParts: the finest level's owned rows are extracted from
+///     the resident input graph, coarse levels' rows come out of the
+///     halo-exchanged contraction. Global ids are resolved to local ids
+///     once, at the seal — owned ids by arithmetic, ghosts by binary
+///     search in the sorted ghost list — so no per-arc step of matching
+///     or contraction hashes. Ghost node weights and weighted degrees
+///     are dynamic per level and are *not* read off the replica: they
+///     arrive over channels from the owning ranks, so the CommStats
+///     counters see every ghost refresh.
 ///
 ///   BlockRowShard — built per uncoarsening level for the SPMD refiner:
 ///     the CSR rows of the nodes currently assigned to this rank's
@@ -51,37 +55,57 @@
 
 namespace kappa {
 
-/// Pre-assembled ingredients of a ShardGraph when no replica exists to
-/// extract them from: the distributed hierarchy store builds each coarse
-/// level's parts shard-locally (owned rows from the halo-exchanged
-/// contraction, ghost weights/degrees from the peer refresh) and seals
-/// them here. Rows are in *global* id space; ids must be sorted.
+/// Ingredients of a ShardGraph, assembled by its builder and sealed by
+/// the ShardGraph constructor: finest_shard_parts() extracts them from
+/// the resident input graph, the distributed hierarchy store builds each
+/// coarse level's parts shard-locally (owned rows from the
+/// halo-exchanged contraction, ghost weights/degrees from the peer
+/// refresh). Rows are in *global* id space; id lists must be sorted.
 struct ShardGraphParts {
   std::vector<NodeID> owned;                        ///< sorted global ids
   RowSet owned_rows;                                ///< rows of `owned`
   std::vector<NodeID> ghosts;                       ///< sorted global ids
   std::vector<NodeWeight> ghost_weights;            ///< parallel to ghosts
   std::vector<EdgeWeight> ghost_weighted_degrees;   ///< parallel to ghosts
+  /// Optional dense owned-id table (DistGraph::owned_index()): global id
+  /// -> owned local id, kInvalidNode elsewhere. The finest level passes
+  /// it, because its owned ids are scattered over the whole id range;
+  /// without it, owned ids resolve through the runs of consecutive ids
+  /// in `owned` (one per owned shard at coarse levels, whose coarse ids
+  /// are contiguous per shard).
+  std::vector<NodeID> owned_index;
 };
+
+/// Which part of the resident layer a received halo record must name.
+enum class HaloKind { kOwned, kGhost };
+
+/// Number of \p stride-word records in a received halo payload; throws
+/// TransportError on a trailing partial record.
+[[nodiscard]] std::size_t halo_records(std::span<const std::uint64_t> payload,
+                                       std::size_t stride);
+
+/// Position of a received node id in the sorted id list \p ids (a ghost
+/// list that is not sealed yet); throws TransportError unless the id is
+/// listed.
+[[nodiscard]] std::size_t halo_position(std::span<const NodeID> ids,
+                                        std::uint64_t word);
 
 /// One rank's resident graph for one matching level: compact CSR over
 /// owned nodes (local ids [0, num_owned())) followed by the one-hop
 /// ghost layer (local ids [num_owned(), num_local())). Owned rows carry
-/// the node's full arc list (owned and ghost targets, as local ids);
-/// ghost rows carry only the mirror arcs back into the owned set.
+/// the node's full arc list in source arc order (owned and ghost
+/// targets, as local ids); ghost rows carry only the mirror arcs back
+/// into the owned set. Ids are resolved once, when the structure is
+/// sealed: local_of() is arithmetic for owned ids (dense table or
+/// contiguous runs, see ShardGraphParts) and a binary search of the
+/// sorted ghost list for ghosts — no hash table.
 class ShardGraph {
  public:
   ShardGraph() = default;
 
-  /// Builds the resident graph of \p pe's rank from the rank-filtered
-  /// \p dist over \p level. Ghost weights and weighted degrees are
-  /// exchanged with the neighboring ranks over \p pe's channels
-  /// (counted in its CommStats); with one PE the ghost layer is empty.
-  ShardGraph(const StaticGraph& level, const DistGraph& dist, PEContext& pe);
-
-  /// Seals pre-assembled \p parts into the local CSR — the replica-free
-  /// construction path of the distributed hierarchy store. Ghost mirror
-  /// rows are derived from the owned rows' ghost targets.
+  /// Seals \p parts into the local CSR — the one construction path.
+  /// Ghost mirror rows are derived from the owned rows' ghost targets;
+  /// every owned row's targets must be owned or listed ghosts.
   explicit ShardGraph(ShardGraphParts parts);
 
   /// The sealed local CSR (owned rows first, then ghost rows).
@@ -104,11 +128,40 @@ class ShardGraph {
     return local_to_global_[local];
   }
 
+  /// Local id of an owned global node; kInvalidNode if not owned here.
+  [[nodiscard]] NodeID owned_local(NodeID global) const {
+    if (!owned_index_.empty()) {
+      return global < owned_index_.size() ? owned_index_[global]
+                                          : kInvalidNode;
+    }
+    const auto it =
+        std::upper_bound(run_first_.begin(), run_first_.end(), global);
+    if (it == run_first_.begin()) return kInvalidNode;
+    const std::size_t r = static_cast<std::size_t>(it - run_first_.begin()) - 1;
+    const NodeID offset = global - run_first_[r];
+    return offset < run_local_[r + 1] - run_local_[r] ? run_local_[r] + offset
+                                                      : kInvalidNode;
+  }
+
+  /// Local id of a ghost global node; kInvalidNode if not a ghost here.
+  [[nodiscard]] NodeID ghost_local(NodeID global) const {
+    const auto begin = local_to_global_.begin() + num_owned_;
+    const auto it = std::lower_bound(begin, local_to_global_.end(), global);
+    return it != local_to_global_.end() && *it == global
+               ? static_cast<NodeID>(it - local_to_global_.begin())
+               : kInvalidNode;
+  }
+
   /// Local id of a global node; kInvalidNode if not resident here.
   [[nodiscard]] NodeID local_of(NodeID global) const {
-    const auto it = global_to_local_.find(global);
-    return it == global_to_local_.end() ? kInvalidNode : it->second;
+    const NodeID local = owned_local(global);
+    return local != kInvalidNode ? local : ghost_local(global);
   }
+
+  /// The checked lookup of every halo receive loop: local id of the node
+  /// a peer's record names, which must be resident here as \p kind.
+  /// Throws TransportError otherwise.
+  [[nodiscard]] NodeID halo_local(std::uint64_t word, HaloKind kind) const;
 
   /// Full-row weighted degrees by local id: owned entries computed from
   /// the resident row, ghost entries received from the owner.
@@ -122,10 +175,23 @@ class ShardGraph {
  private:
   NodeID num_owned_ = 0;
   StaticGraph csr_;
-  std::vector<NodeID> local_to_global_;
-  hash_map<NodeID, NodeID> global_to_local_;
+  std::vector<NodeID> local_to_global_;  ///< owned, then ghosts (sorted)
+  std::vector<NodeID> owned_index_;  ///< dense owned table (finest level)
+  std::vector<NodeID> run_first_;    ///< first global id of each owned run
+  std::vector<NodeID> run_local_;    ///< local id of each run start, + end
   std::vector<EdgeWeight> weighted_degrees_;
 };
+
+/// The finest level's ShardGraph parts for \p pe's rank, cut from the
+/// resident input graph \p level along the rank-filtered \p dist: the
+/// owned rows verbatim (extract_rows), the sorted one-hop ghost list and
+/// the owned-id table. Ghost node weights and weighted degrees are not
+/// read off the input graph: the neighboring ranks send them over
+/// \p pe's channels (counted in its CommStats). With one PE the ghost
+/// layer is empty.
+[[nodiscard]] ShardGraphParts finest_shard_parts(const StaticGraph& level,
+                                                 const DistGraph& dist,
+                                                 PEContext& pe);
 
 /// One full CSR row in global id space — the unit the refiner's stores
 /// exchange when a node's block (and with it the row's home rank)
@@ -328,6 +394,7 @@ class BlockRowShard {
   RowSet core_;                       ///< level-start rows (handles first)
   std::vector<GraphRow> arena_;       ///< migrated-in rows
   std::vector<NodeID> arena_ids_;     ///< parallel to arena_
+  // kappa-lint: allow(dense-level-ids, "rows migrate in mid-level with arbitrary global ids; one lookup per row event, never per arc")
   hash_map<NodeID, NodeID> handle_of_;  ///< global -> row handle
   std::vector<BlockID> member_block_;   ///< by handle; invalid: departed
   std::vector<std::vector<NodeID>> members_;  ///< per block, sorted

@@ -269,71 +269,91 @@ struct PairView {
 PairView build_pair_view(const PairSide& side_a, const PairSide& side_b,
                          NodeWeight weight_a, NodeWeight weight_b,
                          const QuotientEdge& edge, BlockID k) {
-  // Every id the view mentions, tagged with its role and index and sorted
-  // once: band nodes, then the stubs with their blocks — the shipped
-  // same-side fringes, plus any band-row target not otherwise in the view
-  // (by construction a cross-side target, since same-side targets are
-  // covered by the fringe, so its block is the partner block of the
-  // row's side). Among equal ids the lowest role wins, which ranks a band
-  // node above any stub listing and the fringes above cross targets. One
-  // pass over the sorted tags then numbers the view nodes (ascending
-  // global id) and resolves every arc target without a search.
-  enum Role : std::uint64_t {
-    kBandA,
-    kBandB,
-    kFringeA,
-    kFringeB,
-    kArcA,
-    kArcB,
-  };
-  constexpr int kIndexBits = 29;
+  // The view nodes are the union of six ascending id lists, one per role:
+  // the two bands, the two shipped same-side fringes (stubs), and any
+  // tagged band-row target listed nowhere else (by construction a
+  // cross-side target, since same-side targets are covered by the fringe,
+  // so its block is the partner block of the row's side). One linear
+  // merge numbers them in ascending global order; among equal ids the
+  // lowest role wins, which ranks a band node above any stub listing and
+  // the fringes above cross targets. Same-side arcs resolve by index
+  // through the merge; only tagged arcs are searched.
+  enum Role : int { kBandA, kBandB, kFringeA, kFringeB, kArcA, kArcB, kRoles };
   const PairSide* sides[2] = {&side_a, &side_b};
-  std::vector<std::uint64_t> tags;
-  tags.reserve(side_a.band_size() + side_b.band_size() +
-               side_a.fringe_size() + side_b.fringe_size() +
-               side_a.num_arcs() + side_b.num_arcs());
-  auto tag = [&](NodeID global, Role role, std::uint64_t index) {
-    assert(index < (std::uint64_t{1} << kIndexBits));
-    tags.push_back((std::uint64_t{global} << 32) | (role << kIndexBits) |
-                   index);
-  };
+  std::vector<std::uint64_t> unlisted[2];  // tagged targets not in a list
+  std::span<const std::uint64_t> lists[kRoles];
   for (int s = 0; s < 2; ++s) {
-    const PairSide& side = *sides[s];
-    for (NodeID i = 0; i < side.band_size(); ++i) {
-      tag(side.band_id(i), static_cast<Role>(kBandA + s), i);
-    }
-    for (NodeID i = 0; i < side.fringe_size(); ++i) {
-      tag(side.fringe_id(i), static_cast<Role>(kFringeA + s), i);
-    }
-    for (std::uint64_t e = 0; e < side.num_arcs(); ++e) {
-      tag(side.target(e), static_cast<Role>(kArcA + s), e);
-    }
+    lists[kBandA + s] = sides[s]->band_ids();
+    lists[kFringeA + s] = sides[s]->fringe_ids();
   }
-  std::sort(tags.begin(), tags.end());
 
   PairView view;
   std::vector<Role> role;          // by view node: its winning role
-  std::vector<NodeID> band_index;  // by view node: index in its band
-  std::vector<NodeID> band_view[2];
+  std::vector<NodeID> role_index;  // by view node: index in that list
+  std::vector<NodeID> position[kRoles];  // by list index: view node
   std::vector<NodeID> arc_view[2];
-  for (int s = 0; s < 2; ++s) {
-    band_view[s].resize(sides[s]->band_size());
-    arc_view[s].resize(sides[s]->num_arcs());
-  }
-  constexpr std::uint64_t kIndexMask = (std::uint64_t{1} << kIndexBits) - 1;
-  for (std::size_t i = 0; i < tags.size(); ++i) {
-    const NodeID global = static_cast<NodeID>(tags[i] >> 32);
-    const auto r = static_cast<Role>((tags[i] >> kIndexBits) & 7);
-    const NodeID index = static_cast<NodeID>(tags[i] & kIndexMask);
-    if (view.to_global.empty() || view.to_global.back() != global) {
-      view.to_global.push_back(global);
-      role.push_back(r);
-      band_index.push_back(index);
+  for (int s = 0; s < 2; ++s) arc_view[s].resize(sides[s]->num_arcs());
+  for (bool resolved = false; !resolved;) {
+    for (int s = 0; s < 2; ++s) lists[kArcA + s] = unlisted[s];
+    view.to_global.clear();
+    role.clear();
+    role_index.clear();
+    std::size_t head[kRoles] = {};
+    for (int r = 0; r < kRoles; ++r) position[r].resize(lists[r].size());
+    while (true) {
+      int min_role = kRoles;
+      for (int r = 0; r < kRoles; ++r) {
+        if (head[r] < lists[r].size() &&
+            (min_role == kRoles ||
+             lists[r][head[r]] < lists[min_role][head[min_role]])) {
+          min_role = r;
+        }
+      }
+      if (min_role == kRoles) break;
+      const std::uint64_t global = lists[min_role][head[min_role]];
+      const NodeID v = static_cast<NodeID>(view.to_global.size());
+      view.to_global.push_back(static_cast<NodeID>(global));
+      role.push_back(static_cast<Role>(min_role));
+      role_index.push_back(static_cast<NodeID>(head[min_role]));
+      for (int r = min_role; r < kRoles; ++r) {
+        if (head[r] < lists[r].size() && lists[r][head[r]] == global) {
+          position[r][head[r]++] = v;
+        }
+      }
     }
-    const NodeID v = static_cast<NodeID>(view.to_global.size() - 1);
-    if (r == kBandA || r == kBandB) band_view[r - kBandA][index] = v;
-    if (r == kArcA || r == kArcB) arc_view[r - kArcA][index] = v;
+
+    // Resolve every arc; a tagged target missing from the view joins its
+    // side's unlisted role and the numbering runs once more.
+    resolved = true;
+    for (int s = 0; s < 2; ++s) {
+      const PairSide& side = *sides[s];
+      const std::uint64_t nband = side.band_size();
+      const std::uint64_t listed = nband + side.fringe_size();
+      for (std::uint64_t e = 0; e < side.num_arcs(); ++e) {
+        const std::uint64_t ref = side.target_ref(e);
+        if (ref < nband) {
+          arc_view[s][e] = position[kBandA + s][ref];
+        } else if (ref < listed) {
+          arc_view[s][e] = position[kFringeA + s][ref - nband];
+        } else {
+          const NodeID global = side.target_global(e);
+          const auto it = std::lower_bound(view.to_global.begin(),
+                                           view.to_global.end(), global);
+          if (it != view.to_global.end() && *it == global) {
+            arc_view[s][e] = static_cast<NodeID>(it - view.to_global.begin());
+          } else {
+            unlisted[s].push_back(global);
+            resolved = false;
+          }
+        }
+      }
+    }
+    for (std::vector<std::uint64_t>& ids : unlisted) {
+      std::sort(ids.begin(), ids.end());
+      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    }
   }
+  const std::vector<NodeID>* band_view = &position[kBandA];
   const NodeID num_view = static_cast<NodeID>(view.to_global.size());
   auto is_band = [&](NodeID v) { return role[v] <= kBandB; };
 
@@ -377,7 +397,7 @@ PairView build_pair_view(const PairSide& side_a, const PairSide& side_b,
     if (is_band(v)) {
       const int s = role[v] == kBandA ? 0 : 1;
       const PairSide& side = *sides[s];
-      const NodeID i = band_index[v];
+      const NodeID i = role_index[v];
       vwgt.push_back(side.band_weight(i));
       view.entry.push_back(s == 0 ? edge.a : edge.b);
       view.movable.push_back(1);
@@ -446,9 +466,10 @@ BlockRowShard::SlotOf slots_of(const DistPartition& partition) {
 
 /// After the §5.2 data distribution of a level: record the store's
 /// members in the partition state (a member of block b is in block b),
-/// fetch the blocks of every resident row's targets from their shard
-/// owners — the working set the quotient construction, the band builders
-/// and the in-pair filters read — and bind the store to the partition
+/// fetch the blocks of the resident rows' targets it does not know yet
+/// from their shard owners — the working set the quotient construction,
+/// the band builders and the in-pair filters read; none at p = 1, where
+/// every node is owned — and bind the store to the partition
 /// state's slots, which resolves every resident arc once and builds the
 /// referrer index. Collective (the fetch rendezvous), so every rank passes
 /// through here in lockstep.
@@ -462,7 +483,9 @@ void sync_partition_with_store(BlockRowShard& store, DistPartition& partition,
   store.for_each_resident_row(
       [&](NodeID, NodeWeight, std::span<const NodeID> targets,
           std::span<const EdgeWeight>) {
-        needed.insert(needed.end(), targets.begin(), targets.end());
+        for (const NodeID t : targets) {
+          if (!partition.knows(t)) needed.push_back(t);
+        }
       });
   std::sort(needed.begin(), needed.end());
   needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
@@ -546,6 +569,7 @@ PairSide build_pair_side(const BlockRowShard& store,
   const BlockID other = side == a ? b : a;
   if (st.stamp.size() < partition.num_slots()) {
     st.stamp.resize(partition.num_slots(), 0);
+    st.index.resize(partition.num_slots());
   }
   if (st.epoch > std::numeric_limits<std::uint32_t>::max() - 4) {
     std::fill(st.stamp.begin(), st.stamp.end(), 0);
@@ -608,6 +632,7 @@ PairSide build_pair_side(const BlockRowShard& store,
     st.order.emplace_back(partition.global_at(slot), slot);
   }
   std::sort(st.order.begin(), st.order.end());
+  for (NodeID i = 0; i < st.order.size(); ++i) st.index[st.order[i].second] = i;
   st.fringe.clear();
   PairSideWriter writer(std::move(header),
                         static_cast<NodeID>(st.order.size()));
@@ -618,15 +643,20 @@ PairSide build_pair_side(const BlockRowShard& store,
       const NodeID t = row.slots[i];
       const BlockID bt = partition.block_at(t);
       if (bt != a && bt != b) continue;
-      writer.add_arc(row.targets[i], row.weights[i]);
-      if (ship_depth > 0 && bt == side && st.stamp[t] != in_band &&
-          st.stamp[t] != in_fringe) {
-        st.stamp[t] = in_fringe;
-        st.fringe.push_back(row.targets[i]);
+      if (st.stamp[t] == in_band) {
+        writer.add_band_arc(st.index[t], row.weights[i]);
+      } else if (ship_depth > 0 && bt == side) {
+        if (st.stamp[t] != in_fringe) {
+          st.stamp[t] = in_fringe;
+          st.index[t] = static_cast<NodeID>(st.fringe.size());
+          st.fringe.push_back(row.targets[i]);
+        }
+        writer.add_fringe_arc(st.index[t], row.weights[i]);
+      } else {
+        writer.add_global_arc(row.targets[i], row.weights[i]);
       }
     }
   }
-  std::sort(st.fringe.begin(), st.fringe.end());
   return writer.finish(st.fringe);
 }
 

@@ -99,19 +99,20 @@ namespace kappa {
 
 /// Scratch of the refiner's pair path, indexed by partition-state slot:
 /// the rows dirtied since the iteration's quotient was taken (the
-/// incremental seed state) and the band BFS stamps.
+/// incremental seed state), the band BFS stamps and the side's indices.
 struct PairPathState {
   std::vector<NodeID> dirty;         ///< each dirty slot once
   std::vector<char> is_dirty;        ///< by slot
   std::size_t journal_seen = 0;      ///< journal prefix folded into dirty
   std::vector<std::uint32_t> stamp;  ///< by slot: band / fringe epochs
+  std::vector<NodeID> index;  ///< by stamped slot: band / fringe index
   std::uint32_t epoch = 0;
   std::vector<NodeID> band;  ///< slots of the last side: seeds first
   std::size_t num_seeds = 0;  ///< band prefix that seeded the BFS
   std::vector<NodeID> frontier;
   std::vector<NodeID> next;
   std::vector<std::pair<NodeID, NodeID>> order;  ///< (global, slot)
-  std::vector<NodeID> fringe;                    ///< global ids
+  std::vector<NodeID> fringe;  ///< global ids, in discovery order
 };
 
 /// Restarts the incremental seed state at the moment a quotient graph is

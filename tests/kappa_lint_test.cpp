@@ -203,6 +203,17 @@ TEST(LintFixtures, HeartbeatLaneIsolationFires) {
   EXPECT_EQ(report.findings.size(), 3u);
 }
 
+TEST(LintFixtures, DenseLevelIdsFire) {
+  const Report report = lint_fixture("dense_ids");
+  EXPECT_EQ(report.exit_code, 1);
+  const auto counts = count_by_rule(report);
+  // A hash_map member and an unordered_set in the coarsening store and a
+  // hash_set in the pair-side codec; the suppressed handle table and the
+  // partition-state cache (outside the rule's files) stay silent.
+  EXPECT_EQ(counts.at("dense-level-ids"), 3);
+  EXPECT_EQ(report.findings.size(), 3u);
+}
+
 TEST(LintFixtures, ValidSuppressionsSilenceFindings) {
   const Report report = lint_fixture("suppress_valid");
   EXPECT_EQ(report.exit_code, 0);
@@ -241,11 +252,12 @@ TEST(LintDriver, SelfCheckEnforcesMinimumTableSize) {
   Options options;
   options.rules_path = tool_dir() + "/rules.kl";
   options.self_check = true;
-  options.min_rules = 14;  // former CI guards + new families + trace + watch
+  // Former CI guards + new families + trace + watch + dense level ids.
+  options.min_rules = 15;
   std::ostringstream diag;
   const Report report = run(options, diag);
   EXPECT_EQ(report.exit_code, 0) << diag.str();
-  EXPECT_GE(report.rules_loaded, 14u);
+  EXPECT_GE(report.rules_loaded, 15u);
 
   options.min_rules = 1000;
   std::ostringstream diag2;

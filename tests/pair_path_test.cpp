@@ -133,9 +133,23 @@ bool expect_side_matches_oracle(const BlockRowShard& store,
     }
     std::vector<std::pair<NodeID, EdgeWeight>> got;
     for (std::uint64_t e = built.row_begin(i); e < built.row_end(i); ++e) {
-      got.emplace_back(built.target(e), built.arc_weight(e));
+      got.emplace_back(built.target_global(e), built.arc_weight(e));
     }
     EXPECT_EQ(got, expected) << where << " row of " << band[i];
+    // Band targets travel as band indices, everything else as tagged ids
+    // or (same-side non-band targets) fringe indices.
+    for (std::uint64_t e = built.row_begin(i); e < built.row_end(i); ++e) {
+      const NodeID t = built.target_global(e);
+      const std::uint64_t ref = built.target_ref(e);
+      if (std::binary_search(band.begin(), band.end(), t)) {
+        EXPECT_LT(ref, built.band_size()) << where << " arc to " << t;
+      } else if (depth > 0 && partition.block(t) == side) {
+        EXPECT_GE(ref, built.band_size()) << where << " arc to " << t;
+        EXPECT_LT(ref, PairSide::kGlobalTag) << where << " arc to " << t;
+      } else {
+        EXPECT_EQ(ref, PairSide::global_ref(t)) << where << " arc to " << t;
+      }
+    }
   }
   const std::vector<std::uint64_t> built_fringe(built.fringe_ids().begin(),
                                                 built.fringe_ids().end());

@@ -8,6 +8,8 @@
 #include <atomic>
 #include <map>
 #include <set>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/partitioner.hpp"
@@ -18,6 +20,7 @@
 #include "parallel/pe_runtime.hpp"
 #include "parallel/shard_graph.hpp"
 #include "parallel/spmd_phases.hpp"
+#include "parallel/transport.hpp"
 #include "parallel/wire_format.hpp"
 #include "util/random.hpp"
 
@@ -62,7 +65,7 @@ TEST(ShardGraph, ResidentLayerIsOwnedPlusOneHopHalo) {
   std::vector<std::uint64_t> owned_count(p, 0);
   runtime.run([&](PEContext& pe) {
     const DistGraph dist(g, num_shards, pe.rank(), p);
-    const ShardGraph shard(g, dist, pe);
+    const ShardGraph shard(finest_shard_parts(g, dist, pe));
     owned_count[pe.rank()] = shard.num_owned();
 
     // Owned set: exactly the union of this rank's shards.
@@ -82,24 +85,24 @@ TEST(ShardGraph, ResidentLayerIsOwnedPlusOneHopHalo) {
     ASSERT_EQ(expected_ghosts.size(), shard.num_ghost());
     EXPECT_LT(shard.footprint().resident_nodes(), g.num_nodes());
 
-    // Owned rows reproduce the replica rows (as multisets — the local
-    // CSR orders core arcs before ghost arcs); ghost weights and
-    // weighted degrees came over the wire and must match the replica.
+    // Owned rows reproduce the replica rows verbatim, arc order included;
+    // ghost weights and weighted degrees came over the wire and must
+    // match the replica.
     for (NodeID local = 0; local < shard.num_local(); ++local) {
       const NodeID global = shard.global_of(local);
       EXPECT_EQ(shard.csr().node_weight(local), g.node_weight(global));
       EXPECT_EQ(shard.weighted_degrees()[local], g.weighted_degree(global));
       EXPECT_EQ(shard.local_of(global), local);
       if (!shard.is_owned(local)) continue;
-      std::multiset<std::pair<NodeID, EdgeWeight>> resident_arcs;
+      std::vector<std::pair<NodeID, EdgeWeight>> resident_arcs;
       for (EdgeID e = shard.csr().first_arc(local);
            e < shard.csr().last_arc(local); ++e) {
-        resident_arcs.emplace(shard.global_of(shard.csr().arc_target(e)),
-                              shard.csr().arc_weight(e));
+        resident_arcs.emplace_back(shard.global_of(shard.csr().arc_target(e)),
+                                   shard.csr().arc_weight(e));
       }
-      std::multiset<std::pair<NodeID, EdgeWeight>> replica_arcs;
+      std::vector<std::pair<NodeID, EdgeWeight>> replica_arcs;
       for (EdgeID e = g.first_arc(global); e < g.last_arc(global); ++e) {
-        replica_arcs.emplace(g.arc_target(e), g.arc_weight(e));
+        replica_arcs.emplace_back(g.arc_target(e), g.arc_weight(e));
       }
       EXPECT_EQ(resident_arcs, replica_arcs) << "node " << global;
     }
@@ -115,7 +118,7 @@ TEST(ShardGraph, SingleRankOwnsEverythingWithoutGhosts) {
   PERuntime runtime(1, 1);
   runtime.run([&](PEContext& pe) {
     const DistGraph dist(g, 4, pe.rank(), 1);
-    const ShardGraph shard(g, dist, pe);
+    const ShardGraph shard(finest_shard_parts(g, dist, pe));
     EXPECT_EQ(shard.num_owned(), g.num_nodes());
     EXPECT_EQ(shard.num_ghost(), 0u);
     EXPECT_EQ(shard.csr().num_arcs(), g.num_arcs());
@@ -128,13 +131,62 @@ TEST(ShardGraph, GhostRefreshIsCountedInCommStats) {
   PERuntime runtime(2, 1);
   const std::vector<CommStats> per_rank = runtime.run([&](PEContext& pe) {
     const DistGraph dist(g, 8, pe.rank(), 2);
-    const ShardGraph shard(g, dist, pe);
+    const ShardGraph shard(finest_shard_parts(g, dist, pe));
     EXPECT_GT(shard.num_ghost(), 0u);
   });
   for (const CommStats& s : per_rank) {
     EXPECT_GT(s.messages_sent, 0u);
     EXPECT_GT(s.words_sent, 0u);
   }
+}
+
+// ------------------------------------------------ checked halo decoding ----
+
+TEST(HaloDecoding, RejectsUnknownWrongKindAndTruncatedRecords) {
+  // A two-rank layer of a 6-node path 0-1-2-3-4-5 cut in the middle:
+  // rank 0 owns {0, 1, 2} and sees 3 as its only ghost.
+  ShardGraphParts parts;
+  parts.owned = {0, 1, 2};
+  parts.owned_rows.ids = parts.owned;
+  parts.owned_rows.xadj = {0, 1, 3, 5};
+  parts.owned_rows.adj = {1, 0, 2, 1, 3};
+  parts.owned_rows.ewgt = {1, 1, 1, 1, 1};
+  parts.owned_rows.vwgt = {1, 1, 1};
+  parts.ghosts = {3};
+  parts.ghost_weights = {1};
+  parts.ghost_weighted_degrees = {2};
+  const ShardGraph shard(std::move(parts));
+
+  EXPECT_EQ(shard.halo_local(1, HaloKind::kOwned), 1u);
+  EXPECT_EQ(shard.halo_local(3, HaloKind::kGhost), 3u);
+  // Unknown ids, resident ids of the wrong kind, ids beyond NodeID.
+  EXPECT_THROW((void)shard.halo_local(4, HaloKind::kOwned), TransportError);
+  EXPECT_THROW((void)shard.halo_local(4, HaloKind::kGhost), TransportError);
+  EXPECT_THROW((void)shard.halo_local(3, HaloKind::kOwned), TransportError);
+  EXPECT_THROW((void)shard.halo_local(2, HaloKind::kGhost), TransportError);
+  EXPECT_THROW((void)shard.halo_local(kInvalidNode, HaloKind::kOwned),
+               TransportError);
+  EXPECT_THROW((void)shard.halo_local(std::uint64_t{1} << 40,
+                                      HaloKind::kGhost),
+               TransportError);
+
+  // Unsealed sorted lists: listed ids only.
+  const std::vector<NodeID> ghosts = {3, 9, 12};
+  EXPECT_EQ(halo_position(ghosts, 9), 1u);
+  EXPECT_THROW((void)halo_position(ghosts, 10), TransportError);
+  EXPECT_THROW((void)halo_position(ghosts, 13), TransportError);
+  EXPECT_THROW((void)halo_position({}, 0), TransportError);
+  EXPECT_THROW((void)halo_position(ghosts, (std::uint64_t{1} << 32) + 9),
+               TransportError);
+
+  // Whole records only.
+  const std::vector<std::uint64_t> payload = {3, 7, 1, 4, 2, 5};
+  EXPECT_EQ(halo_records(payload, 2), 3u);
+  EXPECT_EQ(halo_records(payload, 3), 2u);
+  EXPECT_THROW((void)halo_records(payload, 4), TransportError);
+  EXPECT_THROW(
+      (void)halo_records(std::span(payload).first(5), 2), TransportError);
+  EXPECT_EQ(halo_records({}, 3), 0u);
 }
 
 // -------------------------------------------- rank-filtered DistGraph ----
@@ -331,6 +383,84 @@ TEST(DistHierarchy, LevelsAreShardedNotReplicated) {
       // The owned sets partition the level exactly.
       EXPECT_EQ(total_owned, n_level) << "p=" << p << " level " << l;
     }
+  }
+}
+
+TEST(DistHierarchy, EveryLevelResolvesResidentIdsWithoutHashing) {
+  // Ids are resolved once, when a level is sealed: owned ids by
+  // arithmetic, ghosts by binary search. At every level and for every p,
+  // local_of() must invert global_of() on both kinds, reject every id
+  // that is not resident, and the cross arcs must carry the resolved
+  // endpoints. Level 0's owned rows are the input graph's rows verbatim.
+  const StaticGraph g = make_instance("rgg14", 13);
+  Config config = Config::preset(Preset::kFast, 8);
+  config.seed = 4;
+
+  for (const int p : {1, 2, 3, 4, 7}) {
+    PERuntime runtime(p, config.seed);
+    runtime.run([&](PEContext& pe) {
+      SpmdCoarsener coarsener(config, pe);
+      const DistHierarchy hierarchy = coarsener.coarsen(g);
+      ASSERT_GE(hierarchy.num_levels(), 3u);
+      for (std::size_t l = 0; l < hierarchy.num_levels(); ++l) {
+        const DistLevel& level = hierarchy.level(l);
+        const ShardGraph& shard = level.shard;
+        const std::string where =
+            "p=" + std::to_string(p) + " rank " + std::to_string(pe.rank()) +
+            " level " + std::to_string(l);
+        std::vector<char> resident(level.global_n, 0);
+        for (NodeID local = 0; local < shard.num_local(); ++local) {
+          const NodeID global = shard.global_of(local);
+          ASSERT_LT(global, level.global_n) << where;
+          resident[global] = 1;
+          ASSERT_EQ(shard.local_of(global), local) << where;
+          if (shard.is_owned(local)) {
+            EXPECT_EQ(shard.owned_local(global), local) << where;
+            EXPECT_EQ(shard.ghost_local(global), kInvalidNode) << where;
+            EXPECT_EQ(level.owner_of_local(local, pe.rank()), pe.rank());
+          } else {
+            EXPECT_EQ(shard.owned_local(global), kInvalidNode) << where;
+            EXPECT_EQ(level.owner_of_local(local, pe.rank()),
+                      level.owner_of_node(global, p))
+                << where;
+          }
+        }
+        for (NodeID global = 0; global < level.global_n; ++global) {
+          if (!resident[global]) {
+            ASSERT_EQ(shard.local_of(global), kInvalidNode)
+                << where << " id " << global;
+          }
+        }
+        EXPECT_EQ(shard.local_of(level.global_n), kInvalidNode) << where;
+        EXPECT_EQ(shard.local_of(kInvalidNode - 1), kInvalidNode) << where;
+        for (const GraphShard& shard_s : level.my_shards) {
+          for (const CrossShardArc& arc : shard_s.cross_arcs) {
+            ASSERT_EQ(arc.lu, shard.local_of(arc.u)) << where;
+            ASSERT_EQ(arc.lv, shard.local_of(arc.v)) << where;
+            ASSERT_TRUE(shard.is_owned(arc.lu)) << where;
+          }
+        }
+        if (l != 0) continue;
+        for (NodeID local = 0; local < shard.num_owned(); ++local) {
+          const NodeID global = shard.global_of(local);
+          std::vector<NodeID> targets;
+          std::vector<EdgeWeight> weights;
+          for (EdgeID e = shard.csr().first_arc(local);
+               e < shard.csr().last_arc(local); ++e) {
+            targets.push_back(shard.global_of(shard.csr().arc_target(e)));
+            weights.push_back(shard.csr().arc_weight(e));
+          }
+          const std::vector<NodeID> replica_targets(
+              g.neighbors(global).begin(), g.neighbors(global).end());
+          std::vector<EdgeWeight> replica_weights;
+          for (EdgeID e = g.first_arc(global); e < g.last_arc(global); ++e) {
+            replica_weights.push_back(g.arc_weight(e));
+          }
+          ASSERT_EQ(targets, replica_targets) << where << " node " << global;
+          ASSERT_EQ(weights, replica_weights) << where << " node " << global;
+        }
+      }
+    });
   }
 }
 

@@ -1,6 +1,7 @@
 /// \file wire_codec_test.cpp
 /// \brief Hostile-input corpus for the refiner's wire codecs: the flat
-/// PairSide layout and the shared row codec (decode_row_words).
+/// PairSide layout (with its three kinds of arc target reference) and
+/// the shared row codec (decode_row_words).
 ///
 /// Every payload a peer sends is untrusted. Both decoders check each
 /// count against the remaining payload before reserving or reading, so a
@@ -11,6 +12,7 @@
 /// the sanitizer build, any out-of-bounds access fails the suite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -23,13 +25,35 @@
 namespace kappa {
 namespace {
 
+/// How an arc names its target: by band index, by position in the
+/// fringe list handed to finish(), or by tagged global id.
+enum class RefKind { kBand, kFringe, kGlobal };
+
+struct ArcSpec {
+  RefKind kind;
+  NodeID value;  ///< band index, fringe list position or global id
+  EdgeWeight weight;
+};
+
 struct SideSpec {
   std::vector<std::uint64_t> header;
   std::vector<NodeID> band;
   std::vector<NodeWeight> weights;
-  std::vector<std::vector<std::pair<NodeID, EdgeWeight>>> rows;
-  std::vector<NodeID> fringe;
+  std::vector<std::vector<ArcSpec>> rows;
+  std::vector<NodeID> fringe;  ///< distinct, in the order finish() takes
 };
+
+/// The global id an arc of \p spec names.
+NodeID expected_target(const SideSpec& spec, const ArcSpec& arc) {
+  switch (arc.kind) {
+    case RefKind::kBand:
+      return spec.band[arc.value];
+    case RefKind::kFringe:
+      return spec.fringe[arc.value];
+    default:
+      return arc.value;
+  }
+}
 
 std::vector<NodeID> sorted_ids(Rng& rng, std::size_t count) {
   std::vector<NodeID> ids;
@@ -45,17 +69,30 @@ SideSpec random_side(Rng& rng) {
   SideSpec spec;
   if (rng.bounded(2) == 1) spec.header = {3, rng(), rng()};
   spec.band = sorted_ids(rng, rng.bounded(8));
+  spec.fringe = sorted_ids(rng, rng.bounded(5));
+  // finish() takes the fringe in discovery order, not sorted.
+  for (std::size_t i = spec.fringe.size(); i > 1; --i) {
+    std::swap(spec.fringe[i - 1], spec.fringe[rng.bounded(i)]);
+  }
   for (std::size_t i = 0; i < spec.band.size(); ++i) {
     spec.weights.push_back(static_cast<NodeWeight>(rng.bounded(100)));
-    std::vector<std::pair<NodeID, EdgeWeight>> row;
+    std::vector<ArcSpec> row;
     const std::size_t arcs = rng.bounded(6);
     for (std::size_t j = 0; j < arcs; ++j) {
-      row.emplace_back(static_cast<NodeID>(rng.bounded(64)),
-                       static_cast<EdgeWeight>(1 + rng.bounded(9)));
+      ArcSpec arc{RefKind::kGlobal, static_cast<NodeID>(rng.bounded(64)),
+                  static_cast<EdgeWeight>(1 + rng.bounded(9))};
+      const std::uint64_t kind = rng.bounded(3);
+      if (kind == 0) {
+        arc.kind = RefKind::kBand;
+        arc.value = static_cast<NodeID>(rng.bounded(spec.band.size()));
+      } else if (kind == 1 && !spec.fringe.empty()) {
+        arc.kind = RefKind::kFringe;
+        arc.value = static_cast<NodeID>(rng.bounded(spec.fringe.size()));
+      }
+      row.push_back(arc);
     }
     spec.rows.push_back(std::move(row));
   }
-  spec.fringe = sorted_ids(rng, rng.bounded(5));
   return spec;
 }
 
@@ -63,9 +100,44 @@ PairSide write(const SideSpec& spec) {
   PairSideWriter writer(spec.header, static_cast<NodeID>(spec.band.size()));
   for (std::size_t i = 0; i < spec.band.size(); ++i) {
     writer.begin_row(spec.band[i], spec.weights[i]);
-    for (const auto& [t, w] : spec.rows[i]) writer.add_arc(t, w);
+    for (const ArcSpec& arc : spec.rows[i]) {
+      switch (arc.kind) {
+        case RefKind::kBand:
+          writer.add_band_arc(arc.value, arc.weight);
+          break;
+        case RefKind::kFringe:
+          writer.add_fringe_arc(arc.value, arc.weight);
+          break;
+        default:
+          writer.add_global_arc(arc.value, arc.weight);
+          break;
+      }
+    }
   }
   return writer.finish(spec.fringe);
+}
+
+/// Overwrites one arc reference of a valid encoding with an out-of-range
+/// one: a band or fringe index past the lists, an untagged id, or a
+/// tagged id >= kInvalidNode. Returns false if the side has no arcs.
+bool corrupt_reference(std::vector<std::uint64_t>& words,
+                       std::size_t header_words, Rng& rng) {
+  const std::uint64_t nband = words[header_words];
+  const std::uint64_t nfringe = words[header_words + 1];
+  const std::size_t ends = header_words + 2 + 2 * nband;
+  const std::uint64_t narcs = nband == 0 ? 0 : words[ends + nband - 1];
+  if (narcs == 0) return false;
+  const std::uint64_t listed = nband + nfringe;
+  const std::uint64_t bad[] = {
+      listed,                                         // first index past
+      listed + rng.bounded(1000),                     // further past
+      PairSide::kGlobalTag - 1,                       // untagged, huge
+      PairSide::kGlobalTag + kInvalidNode,            // tagged invalid id
+      PairSide::kGlobalTag + kInvalidNode + rng.bounded(1u << 20),
+      std::numeric_limits<std::uint64_t>::max(),
+  };
+  words[ends + nband + rng.bounded(narcs)] = bad[rng.bounded(6)];
+  return true;
 }
 
 /// Walks every accessor of a parsed side; all reads must stay in bounds.
@@ -76,7 +148,8 @@ std::uint64_t touch_everything(const PairSide& side) {
     EXPECT_LE(side.row_begin(i), side.row_end(i));
     EXPECT_LE(side.row_end(i), side.num_arcs());
     for (std::uint64_t e = side.row_begin(i); e < side.row_end(i); ++e) {
-      sum += side.target(e) + static_cast<std::uint64_t>(side.arc_weight(e));
+      sum += side.target_global(e) +
+             static_cast<std::uint64_t>(side.arc_weight(e));
     }
   }
   for (NodeID i = 0; i < side.fringe_size(); ++i) sum += side.fringe_id(i);
@@ -122,17 +195,39 @@ TEST(PairSideCodec, RoundTripsEverySection) {
         PairSide::parse(std::move(write(spec)).release(), spec.header.size());
     ASSERT_EQ(side.band_size(), spec.band.size());
     ASSERT_EQ(side.fringe_size(), spec.fringe.size());
+    std::vector<NodeID> sorted_fringe = spec.fringe;
+    std::sort(sorted_fringe.begin(), sorted_fringe.end());
     for (NodeID i = 0; i < side.band_size(); ++i) {
       EXPECT_EQ(side.band_id(i), spec.band[i]);
       EXPECT_EQ(side.band_weight(i), spec.weights[i]);
-      std::vector<std::pair<NodeID, EdgeWeight>> row;
-      for (std::uint64_t e = side.row_begin(i); e < side.row_end(i); ++e) {
-        row.emplace_back(side.target(e), side.arc_weight(e));
+      ASSERT_EQ(side.row_end(i) - side.row_begin(i), spec.rows[i].size());
+      for (std::size_t j = 0; j < spec.rows[i].size(); ++j) {
+        const ArcSpec& arc = spec.rows[i][j];
+        const std::uint64_t e = side.row_begin(i) + j;
+        EXPECT_EQ(side.target_global(e), expected_target(spec, arc));
+        EXPECT_EQ(side.arc_weight(e), arc.weight);
+        // Each kind keeps its encoding: band and fringe targets by index
+        // (fringe indices renumbered to the ascending fringe section),
+        // everything else tagged.
+        const std::uint64_t ref = side.target_ref(e);
+        switch (arc.kind) {
+          case RefKind::kBand:
+            EXPECT_EQ(ref, arc.value);
+            break;
+          case RefKind::kFringe:
+            ASSERT_GE(ref, side.band_size());
+            ASSERT_LT(ref - side.band_size(), side.fringe_size());
+            EXPECT_EQ(side.fringe_id(static_cast<NodeID>(ref - side.band_size())),
+                      spec.fringe[arc.value]);
+            break;
+          default:
+            EXPECT_EQ(ref, PairSide::global_ref(arc.value));
+            break;
+        }
       }
-      EXPECT_EQ(row, spec.rows[i]);
     }
     for (NodeID i = 0; i < side.fringe_size(); ++i) {
-      EXPECT_EQ(side.fringe_id(i), spec.fringe[i]);
+      EXPECT_EQ(side.fringe_id(i), sorted_fringe[i]);
     }
   }
 }
@@ -148,13 +243,37 @@ TEST(PairSideCodec, RejectsDegenerateHeaders) {
       {1, 0, 5, 1, kHuge},           // row end claims 2^64 - 1 arcs
       {2, 0, 7, 3, 1, 1, 0, 0},      // band ids not ascending
       {0, 2, 9, 4},                  // fringe ids not ascending
-      {1, 0, 5, 1, 1, 0xffffffff, 1},  // target id out of range
+      {1, 0, 5, 1, 1, 0xffffffff, 1},  // untagged reference past the lists
+      {1, 0, 5, 1, 1, 1, 1},         // band index out of range
+      {1, 1, 5, 1, 1, 2, 1, 9},      // fringe index out of range
+      {1, 0, 5, 1, 1, PairSide::kGlobalTag + kInvalidNode, 1},  // tagged id
+      {1, 0, 5, 1, 1, kHuge, 1},     // tagged id beyond NodeID
   };
   for (const auto& words : payloads) {
     EXPECT_THROW((void)PairSide::parse(words), TransportError);
   }
   EXPECT_THROW((void)PairSide::parse({0, 0}, 3), TransportError);
   EXPECT_NO_THROW((void)PairSide::parse({0, 0}));
+  // One arc of each kind: band index 0, fringe index 0, a tagged id.
+  const PairSide side = PairSide::parse(
+      {1, 1, 5, 1, 3, 0, 1, PairSide::global_ref(7), 1, 1, 1, 9});
+  EXPECT_EQ(side.target_global(0), 5u);
+  EXPECT_EQ(side.target_global(1), 9u);
+  EXPECT_EQ(side.target_global(2), 7u);
+}
+
+TEST(PairSideCodec, OutOfRangeReferencesAreRejected) {
+  Rng rng(77);
+  int corrupted = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const SideSpec spec = random_side(rng);
+    std::vector<std::uint64_t> words = std::move(write(spec)).release();
+    if (!corrupt_reference(words, spec.header.size(), rng)) continue;
+    ++corrupted;
+    EXPECT_THROW((void)PairSide::parse(words, spec.header.size()),
+                 TransportError);
+  }
+  EXPECT_GT(corrupted, 1000);
 }
 
 TEST(PairSideCodec, MutationCorpusRaisesOnlyTransportError) {
@@ -163,6 +282,7 @@ TEST(PairSideCodec, MutationCorpusRaisesOnlyTransportError) {
   for (int trial = 0; trial < 5000; ++trial) {
     const SideSpec spec = random_side(rng);
     std::vector<std::uint64_t> words = std::move(write(spec)).release();
+    if (rng.bounded(4) == 0) corrupt_reference(words, spec.header.size(), rng);
     const int mutations = 1 + static_cast<int>(rng.bounded(3));
     for (int m = 0; m < mutations; ++m) mutate(words, rng);
     try {
