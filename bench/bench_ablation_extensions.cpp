@@ -117,8 +117,8 @@ int main(int argc, char** argv) {
 
   // --- Extension 3b: the same repartitioning workload SPMD on the PE
   // runtime. The partition and migration count are p-invariant; p only
-  // spreads the migrated-node intake (the DynamicOverlay view each rank
-  // materializes for its blocks) and the wire traffic over more PEs. ---
+  // spreads the migrated-node intake (counted by each rank from the row
+  // store of its blocks) and the wire traffic over more PEs. ---
   {
     const StaticGraph g = make_instance("rgg15");
     Config config = Config::preset(Preset::kFast, 16);

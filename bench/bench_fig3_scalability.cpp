@@ -195,17 +195,21 @@ int main(int argc, char** argv) {
     ParallelMatchingStats mstats;
     (void)parallel_matching(g, homes, pes, MatcherAlgo::kGPA, moptions, rng,
                             &mstats);
-    // Distributed coloring of the quotient graph of a pes-way partition.
+    // Distributed coloring of the quotient graph of a pes-way partition,
+    // one block per PE.
     Config config = Config::preset(Preset::kMinimal, pes);
     const PartitionResult result =
         Partitioner(Context::sequential(config)).partition(g);
     const QuotientGraph quotient(g, result.partition);
-    const DistributedColoringResult coloring =
-        distributed_color_quotient_edges(quotient, 1);
+    PERuntime runtime(static_cast<int>(pes));
+    const CommStats coloring =
+        total_comm_stats(runtime.run([&](PEContext& pe) {
+          (void)distributed_color_quotient_edges(quotient, Rng(1), pe);
+        }));
     print_row({std::to_string(pes), std::to_string(mstats.gap_edges),
                std::to_string(mstats.gap_pairs),
-               std::to_string(coloring.comm.messages_sent),
-               std::to_string(coloring.comm.words_sent)});
+               std::to_string(coloring.messages_sent),
+               std::to_string(coloring.words_sent)});
   }
   // The SPMD end-to-end pipeline on the PE runtime: the same partition for
   // every p (deterministic), with the per-PE communication counters the
@@ -359,40 +363,33 @@ int main(int argc, char** argv) {
     }
   }
 
-  // §5.2 pair-shipping volume: whole-block shipping (legacy) vs the
-  // band-limited shipping of the sharded-partition refiner, summed over
+  // §5.2 pair-shipping volume of the band-limited refiner, summed over
   // ranks. rows/pair is the per-pair migration volume the paper bounds by
   // the band; "block rows" is what a whole-block send would have shipped
-  // for the same pairs.
+  // for the same pairs (counted, never shipped).
   {
     const StaticGraph instance = make_instance("rgg15");
     print_table_header(
-        "Pair shipping volume: whole block vs boundary band, rgg15, k=16",
-        {"PEs", "mode", "pairs", "rows", "block rows", "words",
-         "rows/pair", "cut"});
+        "Pair shipping volume: boundary band vs whole block, rgg15, k=16",
+        {"PEs", "pairs", "rows", "block rows", "words", "rows/pair", "cut"});
     for (const int pes : {2, 4, 8, 9}) {
-      for (const bool band : {false, true}) {
-        Config config = Config::preset(Preset::kFast, 16);
-        config.seed = 1;
-        config.band_shipping = band;
-        PERuntime runtime(pes, config.seed);
-        const PartitionResult result =
-            Partitioner(Context::spmd(config, runtime)).partition(instance);
-        PairShipStats total;
-        for (const PairShipStats& s : result.pair_ship_per_pe) total += s;
-        print_row(
-            {!band ? std::to_string(pes) : std::string(),
-             band ? "band" : "whole", std::to_string(total.pairs_shipped),
-             std::to_string(total.rows_shipped),
-             std::to_string(total.whole_block_rows),
-             std::to_string(total.words_shipped),
-             fmt(total.pairs_shipped == 0
-                     ? 0.0
-                     : static_cast<double>(total.rows_shipped) /
-                           static_cast<double>(total.pairs_shipped),
-                 1),
-             std::to_string(result.cut)});
-      }
+      Config config = Config::preset(Preset::kFast, 16);
+      config.seed = 1;
+      PERuntime runtime(pes, config.seed);
+      const PartitionResult result =
+          Partitioner(Context::spmd(config, runtime)).partition(instance);
+      PairShipStats total;
+      for (const PairShipStats& s : result.pair_ship_per_pe) total += s;
+      print_row({std::to_string(pes), std::to_string(total.pairs_shipped),
+                 std::to_string(total.rows_shipped),
+                 std::to_string(total.whole_block_rows),
+                 std::to_string(total.words_shipped),
+                 fmt(total.pairs_shipped == 0
+                         ? 0.0
+                         : static_cast<double>(total.rows_shipped) /
+                               static_cast<double>(total.pairs_shipped),
+                     1),
+                 std::to_string(result.cut)});
     }
   }
 

@@ -39,6 +39,9 @@ struct Config {
 
   // --- Refinement (§5, Table 2 rows 6-12). ---
   QueueSelection queue_selection = QueueSelection::kTopGain;
+  /// Depth of the boundary-band BFS that confines each pair search (§5.2).
+  /// The SPMD refiner's partner owner ships this band plus a one-hop
+  /// fringe of frozen context nodes, never the whole block.
   int bfs_depth = 5;
   /// Stop after this many consecutive global iterations without
   /// improvement (fast: 1 "no change", strong: 2 "2x no change").
@@ -50,26 +53,10 @@ struct Config {
   /// Refine each pair with two seeds and adopt the better result (§5);
   /// in the MPI original this is free because both PEs of a pair work.
   bool duplicate_search = true;
-  /// Worker threads standing in for PEs during refinement (pairs of one
-  /// color class run concurrently). 1 = sequential execution.
+  /// Sequential pipeline only: worker threads standing in for PEs during
+  /// refinement (pairs of one color class run concurrently). 1 =
+  /// sequential execution. SPMD ranks run their pairs one at a time.
   int num_threads = 1;
-  /// §5.2 band shipping in the SPMD refiner: the partner owner ships only
-  /// the boundary band of its block (bounded BFS of depth bfs_depth on
-  /// its resident rows, plus a one-hop fringe of frozen context nodes)
-  /// instead of the whole block, and the pair search is confined to the
-  /// shipped band. Off = legacy whole-block shipping, kept for the
-  /// volume-equivalence property tests ("band depth = infinity reproduces
-  /// whole-block shipping bit for bit").
-  bool band_shipping = true;
-  /// Run the §5.1 coloring protocol *inside* the SPMD refiner: the k
-  /// block-PEs live as virtual PEs on the refiner's p ranks (a nested
-  /// PESubGroup scope) and exchange REQUEST/REPLY bundles point-to-point,
-  /// so the schedule is computed without replicating the greedy coloring
-  /// loop on every rank. Off = replicated greedy. Both draw the identical
-  /// coloring from the same seed (they are one randomized process), so
-  /// this switch never changes the partition — only where the coloring
-  /// work and its communication happen.
-  bool dist_coloring = true;
   /// Asynchronous pair scheduling in the SPMD refiner: instead of running
   /// color classes as global rounds with an all-gathered move delta, a
   /// pair becomes runnable the moment both of its blocks are free

@@ -11,9 +11,7 @@
 #include <utility>
 
 #include "core/phases.hpp"
-#include "graph/dynamic_overlay.hpp"
 #include "graph/metrics.hpp"
-#include "graph/subgraph.hpp"
 #include "parallel/pe_runtime.hpp"
 #include "parallel/spmd_phases.hpp"
 #include "parallel/trace_merge.hpp"
@@ -23,48 +21,6 @@
 #include "util/trace.hpp"
 
 namespace kappa {
-
-/// One PE's post-repartitioning data migration, materialized with the
-/// §5.2 hybrid graph structure: the nodes a rank keeps (same owned block
-/// before and after) form the static CSR core; every node that migrated
-/// *into* one of its blocks lands in the DynamicOverlay's hash-addressed
-/// secondary edge array, with the arcs that connect it to the rank's
-/// view. The overlay's edge accounting is the point: the intake *volume*
-/// (how many adjacency entries accompany the migrated nodes) is not
-/// derivable from the node diff alone. Runs once per repartition.
-MigrationIntake receive_migrated_nodes(const StaticGraph& graph,
-                                       const Partition& before,
-                                       const Partition& after, int rank,
-                                       int num_pes) {
-  std::vector<NodeID> kept;
-  std::vector<NodeID> incoming;
-  for (NodeID u = 0; u < graph.num_nodes(); ++u) {
-    if (BlockRowShard::owner_of_block(after.block(u), num_pes) != rank) {
-      continue;
-    }
-    if (after.block(u) == before.block(u)) {
-      kept.push_back(u);
-    } else {
-      incoming.push_back(u);
-    }
-  }
-
-  const Subgraph core = induced_subgraph(graph, kept);
-  DynamicOverlay view(core.graph, core.local_to_global);
-  for (const NodeID u : incoming) {
-    view.add_migrated_node(u, graph.node_weight(u));
-  }
-  for (const NodeID u : incoming) {
-    for (EdgeID e = graph.first_arc(u); e < graph.last_arc(u); ++e) {
-      const NodeID v = graph.arc_target(e);
-      if (view.contains(v)) {
-        view.add_migrated_edge(u, v, graph.arc_weight(e));
-      }
-    }
-  }
-  return {static_cast<NodeID>(view.num_migrated()),
-          view.num_overlay_edges()};
-}
 
 namespace {
 
@@ -159,7 +115,7 @@ PartitionResult run_spmd(const StaticGraph& graph, const Config& config,
     if (warm != nullptr) {
       WarmStartInitialPartitioner initial(*warm, config.k);
       local = run_multilevel_spmd(graph, config, coarsener, initial, refiner);
-      // Shard-local migration view, sealed from the refiner's
+      // Shard-local migration intake, counted from the refiner's
       // incrementally maintained finest-level store (each block's delta
       // is accounted at its owning rank, with membership read off the
       // store itself).

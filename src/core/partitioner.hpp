@@ -96,8 +96,8 @@ struct PartitionResult {
   /// sub-linearly, tabulated in EXPERIMENTS.md.
   std::vector<ShardFootprint> partition_memory_per_pe;
   /// §5.2 pair-shipping volume per rank: what the refiner's partner-side
-  /// shipments put on the wire (band-limited by default) against the
-  /// whole-block volume the legacy mode would have sent.
+  /// band shipments put on the wire against the whole-block volume the
+  /// same pairs would have needed (a counterfactual; nothing ships it).
   std::vector<PairShipStats> pair_ship_per_pe;
   /// Async refinement only (config.async_refinement): the lock windows of
   /// the pairs each rank executed, indexed by rank. Two events sharing a
@@ -113,19 +113,6 @@ struct MigrationIntake {
   NodeID nodes = 0;       ///< nodes migrated into this rank's blocks
   std::size_t edges = 0;  ///< adjacency entries shipped with them
 };
-
-/// Materializes rank \p rank's data migration between two assignments
-/// (blocks owned round-robin, block b -> rank b mod num_pes) with the
-/// §5.2 hybrid structure — the kept nodes as a static CSR core, every
-/// migrated-in node through the DynamicOverlay's hash-addressed
-/// secondary edge array — and returns the intake volume, which is not
-/// derivable from the node diff alone. The SPMD repartitioner calls it
-/// once per rank; exposed so the overlay test suite can exercise the
-/// ghost-layer intake directly.
-[[nodiscard]] MigrationIntake receive_migrated_nodes(const StaticGraph& graph,
-                                                     const Partition& before,
-                                                     const Partition& after,
-                                                     int rank, int num_pes);
 
 /// Execution context of a Partitioner: the configuration plus where the
 /// pipeline runs. Construct with one of the factories; the config is

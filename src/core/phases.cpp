@@ -132,7 +132,7 @@ PairwiseRefinerOptions rebalance_options(const Config& config,
 
 void rebalance_until_feasible(const StaticGraph& graph, Partition& partition,
                               const Config& config, NodeWeight global_bound,
-                              const Rng& refine_rng, int num_threads) {
+                              const Rng& refine_rng) {
   // Rebalancing insurance: should the finest level still be overloaded
   // (possible with the minimal preset's single shallow iteration, or on
   // road networks where weight must flow through narrow bridges), run
@@ -143,11 +143,11 @@ void rebalance_until_feasible(const StaticGraph& graph, Partition& partition,
   for (int attempt = 0; attempt < kMaxRebalanceAttempts &&
                         !is_balanced(graph, partition, config.eps);
        ++attempt) {
-    PairwiseRefinerOptions options =
-        rebalance_options(config, graph, global_bound, attempt);
-    options.num_threads = num_threads;
     Rng rebalance_rng = refine_rng.fork(100 + attempt);
-    (void)pairwise_refine(graph, partition, options, rebalance_rng);
+    (void)pairwise_refine(
+        graph, partition,
+        rebalance_options(config, graph, global_bound, attempt),
+        rebalance_rng);
   }
 }
 
@@ -231,8 +231,7 @@ void SequentialRefiner::refine(const StaticGraph& graph, Partition& partition,
 
 void SequentialRefiner::rebalance(const StaticGraph& graph,
                                   Partition& partition) {
-  rebalance_until_feasible(graph, partition, config_, global_bound_, rng_,
-                           config_.num_threads);
+  rebalance_until_feasible(graph, partition, config_, global_bound_, rng_);
 }
 
 }  // namespace kappa

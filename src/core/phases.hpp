@@ -121,15 +121,14 @@ class Refiner {
 /// Number of rebalancing attempts granted after the last level.
 inline constexpr int kMaxRebalanceAttempts = 24;
 
-/// The post-uncoarsening rebalancing insurance loop, shared by the
-/// sequential and SPMD refiners: MaxLoad-driven iterations with
-/// escalating band depth (the §5.2 exception rule) until the Lmax bound
-/// holds or attempts run out. The SPMD path runs it replicated on every
-/// PE, which requires a bit-deterministic body — it passes
-/// \p num_threads = 1; the sequential path passes config.num_threads.
+/// The sequential refiner's post-uncoarsening rebalancing insurance loop:
+/// MaxLoad-driven iterations with escalating band depth (the §5.2
+/// exception rule) until the Lmax bound holds or attempts run out.
+/// SpmdRefiner::rebalance() runs the same loop shape and RNG forks on the
+/// distributed finest-level store.
 void rebalance_until_feasible(const StaticGraph& graph, Partition& partition,
                               const Config& config, NodeWeight global_bound,
-                              const Rng& refine_rng, int num_threads);
+                              const Rng& refine_rng);
 
 // ---------------------------------------------------------------------------
 // Sequential phase implementations (the original single-process pipeline).

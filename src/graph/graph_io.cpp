@@ -1,5 +1,6 @@
 #include "graph/graph_io.hpp"
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -34,6 +35,9 @@ bool next_vertex_line(std::istream& in, std::string& line) {
 StaticGraph read_metis_graph(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open graph file: " + path);
+  const auto malformed = [&](const std::string& what) {
+    return std::runtime_error(what + " in graph file: " + path);
+  };
 
   std::string line;
   if (!next_data_line(in, line)) {
@@ -42,13 +46,31 @@ StaticGraph read_metis_graph(const std::string& path) {
   std::istringstream header(line);
   std::uint64_t n = 0;
   std::uint64_t m = 0;
+  if (!(header >> n >> m)) throw malformed("malformed header");
   std::string fmt = "000";
-  header >> n >> m;
   if (header >> fmt) {
+    if (fmt.size() > 3 || fmt.find_first_not_of("01") != std::string::npos) {
+      throw malformed("malformed format code");
+    }
     while (fmt.size() < 3) fmt.insert(fmt.begin(), '0');
   }
-  const bool has_edge_weights = fmt[fmt.size() - 1] == '1';
-  const bool has_node_weights = fmt[fmt.size() - 2] == '1';
+  std::uint64_t ncon = 1;
+  if (fmt[0] == '1' || (header >> ncon && ncon != 1)) {
+    throw malformed("unsupported vertex sizes or multi-constraint weights");
+  }
+  if (!(header >> std::ws).eof()) throw malformed("malformed header");
+  const bool has_edge_weights = fmt[2] == '1';
+  const bool has_node_weights = fmt[1] == '1';
+
+  // Every vertex takes at least one line, hence one byte: a header that
+  // claims more is rejected before anything is allocated for it. (The
+  // byte bound needs a regular file; NodeID bounds n everywhere.)
+  std::error_code size_error;
+  const std::uintmax_t file_bytes =
+      std::filesystem::file_size(path, size_error);
+  if (n >= kInvalidNode || (!size_error && n > file_bytes)) {
+    throw malformed("vertex count " + std::to_string(n) + " out of range");
+  }
 
   GraphBuilder builder(static_cast<NodeID>(n));
   for (NodeID u = 0; u < n; ++u) {
@@ -58,21 +80,20 @@ StaticGraph read_metis_graph(const std::string& path) {
     std::istringstream row(line);
     if (has_node_weights) {
       NodeWeight w = 1;
-      row >> w;
+      if (!(row >> w) || w < 0) throw malformed("bad node weight");
       builder.set_node_weight(u, w);
     }
     std::uint64_t v1 = 0;
     while (row >> v1) {
       EdgeWeight w = 1;
-      if (has_edge_weights && !(row >> w)) {
-        throw std::runtime_error("missing edge weight in: " + path);
+      if (has_edge_weights && !(row >> w && w > 0)) {
+        throw malformed("bad edge weight");
       }
-      if (v1 == 0 || v1 > n) {
-        throw std::runtime_error("neighbor id out of range in: " + path);
-      }
+      if (v1 == 0 || v1 > n) throw malformed("neighbor id out of range");
       const NodeID v = static_cast<NodeID>(v1 - 1);
       if (u < v) builder.add_edge(u, v, w);  // each edge appears twice
     }
+    if (!row.eof()) throw malformed("unparsable vertex line");
   }
   StaticGraph graph = builder.finalize();
   if (graph.num_edges() != m) {

@@ -101,11 +101,11 @@ struct ShardFootprint {
 
 /// Volume of the §5.2 partner-side shipping during SPMD pairwise
 /// refinement, accumulated per rank. Sender-side counters compare what
-/// band shipping put on the wire against the whole block the legacy mode
-/// would have sent for the same pairs; the executor side counts the pairs
-/// it ran. With band shipping on, `rows_shipped` tracks the band (plus
-/// its one-hop fringe stubs), bounded by — and on large blocks far below
-/// — `whole_block_rows`.
+/// band shipping put on the wire against a counterfactual: the whole
+/// block a whole-block send would have needed for the same pairs (counted,
+/// never shipped). The executor side counts the pairs it ran.
+/// `rows_shipped` tracks the band (plus its one-hop fringe stubs), on
+/// large blocks far below `whole_block_rows`.
 struct PairShipStats {
   std::uint64_t pairs_executed = 0;   ///< pairs this rank executed
   std::uint64_t pairs_shipped = 0;    ///< partner sides this rank sent

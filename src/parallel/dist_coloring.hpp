@@ -1,13 +1,14 @@
 /// \file dist_coloring.hpp
 /// \brief The §5.1 edge-coloring protocol, executed on the PE runtime.
 ///
-/// This is the message-passing twin of color_quotient_edges(): one PE per
+/// The message-passing form of color_quotient_edges(): one virtual PE per
 /// block, coin flips, REQUEST(edge, free-list) messages from active PEs,
 /// REPLY(min L ∩ L') from passive PEs, rejection between active PEs,
 /// rounds until a termination all-reduce reports no uncolored edges.
-/// It demonstrates that the coloring needs only *local* synchronization
-/// between collaborating PEs (plus the termination detection), exactly as
-/// the paper claims.
+/// The coloring needs only *local* synchronization between collaborating
+/// PEs (plus the termination detection), exactly as the paper claims.
+/// The SPMD refiner runs it once per global iteration to schedule its
+/// pairs; a runtime of p = k ranks hosts one block per rank.
 #pragma once
 
 #include "graph/quotient_graph.hpp"
@@ -16,19 +17,8 @@
 
 namespace kappa {
 
-/// Colors the quotient edges with one PE (thread) per block. Returns the
-/// coloring plus the aggregated communication statistics of the run.
-struct DistributedColoringResult {
-  EdgeColoring coloring;
-  CommStats comm;
-  std::size_t rounds = 0;
-};
-
-[[nodiscard]] DistributedColoringResult distributed_color_quotient_edges(
-    const QuotientGraph& quotient, std::uint64_t seed);
-
-/// The same protocol nested inside an existing SPMD scope: the k block-PEs
-/// live as virtual PEs on the caller's p ranks (block b on rank
+/// Runs the protocol inside an existing SPMD scope: the k block-PEs live
+/// as virtual PEs on the caller's p ranks (block b on rank
 /// owner_of_block(b, p), the refiner's ownership map) and exchange their
 /// REQUEST/REPLY messages through a PESubGroup, bundled per neighbor rank
 /// and per round. Every rank of \p pe must call this collectively with the

@@ -6,7 +6,6 @@
 #include <numeric>
 #include <tuple>
 
-#include "graph/dynamic_overlay.hpp"
 #include "graph/metrics.hpp"
 #include "parallel/dist_coloring.hpp"
 #include "parallel/wire_format.hpp"
@@ -545,20 +544,19 @@ void restart_pair_path(PairPathState& state, DistPartition& partition) {
 }
 
 /// Builds block \p side's half of the pair {a, b} view at its owner in
-/// one pass over dense ids. With \p ship_depth <= 0 the band is the whole
-/// block (whole-block shipping). Otherwise the §5.2 bounded boundary-band
-/// BFS on the resident rows, seeded by the side's *current* pair boundary
-/// plus the quotient edge's seeds that still sit in this side. The seeds
-/// are exact without scanning the block: a node's pair-boundary status
-/// can only have changed since the quotient was taken if the node or one
-/// of its row's targets was journaled since, so the current boundary is
-/// the quotient's boundary (still in this side) plus the dirty rows that
-/// are boundary now. Every cross-side step of the free two-block band BFS
-/// lands on a current pair-boundary node, so the union of the two
-/// per-side bands equals the band the sequential boundary_band() would
-/// compute on a replica. The row pass then writes each band row's
-/// in-pair arcs and collects the same-side fringe straight into the wire
-/// layout.
+/// one pass over dense ids: the §5.2 bounded boundary-band BFS of depth
+/// \p ship_depth on the resident rows, seeded by the side's *current*
+/// pair boundary plus the quotient edge's seeds that still sit in this
+/// side. The seeds are exact without scanning the block: a node's
+/// pair-boundary status can only have changed since the quotient was
+/// taken if the node or one of its row's targets was journaled since, so
+/// the current boundary is the quotient's boundary (still in this side)
+/// plus the dirty rows that are boundary now. Every cross-side step of
+/// the free two-block band BFS lands on a current pair-boundary node, so
+/// the union of the two per-side bands equals the band the sequential
+/// boundary_band() would compute on a replica. The row pass then writes
+/// each band row's in-pair arcs and collects the same-side fringe
+/// straight into the wire layout.
 PairSide build_pair_side(const BlockRowShard& store,
                          const DistPartition& partition,
                          const QuotientEdge& edge, BlockID side,
@@ -590,41 +588,36 @@ PairSide build_pair_side(const BlockRowShard& store,
     return true;
   };
 
-  st.num_seeds = 0;
-  if (ship_depth <= 0) {
-    for (const NodeID u : store.members(side)) admit(partition.slot_of(u));
-  } else {
-    drain_journal(st, store, partition);
-    for (const NodeID u : edge.boundary) {
-      const NodeID slot = partition.slot_of(u);
-      if (slot != kInvalidNode && partition.block_at(slot) == side) {
+  drain_journal(st, store, partition);
+  for (const NodeID u : edge.boundary) {
+    const NodeID slot = partition.slot_of(u);
+    if (slot != kInvalidNode && partition.block_at(slot) == side) {
+      admit(slot);
+    }
+  }
+  for (const NodeID slot : st.dirty) {
+    const NodeID h = store.handle_at_slot(slot);
+    if (h == kInvalidNode || store.member_block(h) != side ||
+        partition.block_at(slot) != side) {
+      continue;
+    }
+    for (const NodeID t : store.row_at(h).slots) {
+      if (partition.block_at(t) == other) {
         admit(slot);
+        break;
       }
     }
-    for (const NodeID slot : st.dirty) {
-      const NodeID h = store.handle_at_slot(slot);
-      if (h == kInvalidNode || store.member_block(h) != side ||
-          partition.block_at(slot) != side) {
-        continue;
-      }
-      for (const NodeID t : store.row_at(h).slots) {
-        if (partition.block_at(t) == other) {
-          admit(slot);
-          break;
-        }
+  }
+  st.num_seeds = st.band.size();
+  st.frontier = st.band;
+  for (int level = 1; level < ship_depth && !st.frontier.empty(); ++level) {
+    st.next.clear();
+    for (const NodeID u : st.frontier) {
+      for (const NodeID t : store.row_at(store.handle_at_slot(u)).slots) {
+        if (partition.block_at(t) == side && admit(t)) st.next.push_back(t);
       }
     }
-    st.num_seeds = st.band.size();
-    st.frontier = st.band;
-    for (int level = 1; level < ship_depth && !st.frontier.empty(); ++level) {
-      st.next.clear();
-      for (const NodeID u : st.frontier) {
-        for (const NodeID t : store.row_at(store.handle_at_slot(u)).slots) {
-          if (partition.block_at(t) == side && admit(t)) st.next.push_back(t);
-        }
-      }
-      st.frontier.swap(st.next);
-    }
+    st.frontier.swap(st.next);
   }
 
   st.order.clear();
@@ -645,7 +638,7 @@ PairSide build_pair_side(const BlockRowShard& store,
       if (bt != a && bt != b) continue;
       if (st.stamp[t] == in_band) {
         writer.add_band_arc(st.index[t], row.weights[i]);
-      } else if (ship_depth > 0 && bt == side) {
+      } else if (bt == side) {
         if (st.stamp[t] != in_fringe) {
           st.stamp[t] = in_fringe;
           st.index[t] = static_cast<NodeID>(st.fringe.size());
@@ -678,11 +671,8 @@ PairSide SpmdRefiner::build_side(const BlockRowShard& store,
 
 void SpmdRefiner::refine(const DistHierarchy& hierarchy, std::size_t level,
                          DistPartition& partition) {
-  PairwiseRefinerOptions options = level_refine_options(
+  const PairwiseRefinerOptions options = level_refine_options(
       config_, global_bound_, hierarchy.level_max_node_weight(level));
-  // Within a PE the pairs run sequentially; concurrency comes from the
-  // PEs themselves.
-  options.num_threads = 1;
   const BlockID k = partition.k();
   const Rng level_rng = rng_.fork(level);
 
@@ -716,9 +706,6 @@ void SpmdRefiner::run_pairwise(BlockRowShard& store, DistPartition& partition,
                                const PairwiseRefinerOptions& options,
                                const Rng& base_rng) {
   const BlockID k = partition.k();
-  // Band-limited shipping follows the pass's band depth (escalated by the
-  // rebalance insurance); 0 = legacy whole-block shipping.
-  const int ship_depth = config_.band_shipping ? options.bfs_depth : 0;
 
   // Async pays its staleness bill where nodes are heaviest: on the small
   // coarse levels every block sits in an in-flight pair at once and a
@@ -755,10 +742,10 @@ void SpmdRefiner::run_pairwise(BlockRowShard& store, DistPartition& partition,
     NodeWeight my_imbalance_gain = 0;
     if (use_async) {
       run_async_iteration(store, partition, options, base_rng, quotient,
-                          global, ship_depth, my_cut_gain, my_imbalance_gain);
+                          global, my_cut_gain, my_imbalance_gain);
     } else {
       run_color_classes(store, partition, options, base_rng, quotient, global,
-                        ship_depth, my_cut_gain, my_imbalance_gain);
+                        my_cut_gain, my_imbalance_gain);
     }
 
     // Stop rule on the *global* iteration gains (modular arithmetic makes
@@ -789,8 +776,8 @@ void SpmdRefiner::run_pairwise(BlockRowShard& store, DistPartition& partition,
       EdgeWeight polish_cut_gain = 0;
       NodeWeight polish_imbalance_gain = 0;
       run_color_classes(store, partition, options, base_rng, quotient,
-                        options.max_global_iterations, ship_depth,
-                        polish_cut_gain, polish_imbalance_gain);
+                        options.max_global_iterations, polish_cut_gain,
+                        polish_imbalance_gain);
     }
   }
   partition_footprint_.merge_peak(partition.footprint());
@@ -801,23 +788,20 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
                                     const PairwiseRefinerOptions& options,
                                     const Rng& base_rng,
                                     const QuotientGraph& quotient, int global,
-                                    int ship_depth, EdgeWeight& my_cut_gain,
+                                    EdgeWeight& my_cut_gain,
                                     NodeWeight& my_imbalance_gain) {
   const int p = pe_.size();
   const int rank = pe_.rank();
   const BlockID k = partition.k();
+  const int ship_depth = options.bfs_depth;
 
-  // The schedule: an edge coloring of the quotient. Both variants draw
-  // the identical coloring from the same forked stream — the in-refiner
-  // §5.1 protocol (virtual block-PEs nested on the p ranks) fills in only
-  // the colors of edges incident to locally hosted blocks, which is
-  // exactly the executor/partner knowledge the loops below read, while
-  // the replicated greedy twin colors everything on every rank.
-  Rng color_rng = base_rng.fork(coloring_fork_tag(global));
+  // The schedule: an edge coloring of the quotient, computed by the §5.1
+  // protocol with virtual block-PEs nested on the p ranks. It fills in
+  // only the colors of edges incident to locally hosted blocks, which is
+  // exactly the executor/partner knowledge the loops below read.
+  const Rng color_rng = base_rng.fork(coloring_fork_tag(global));
   const EdgeColoring coloring =
-      config_.dist_coloring
-          ? distributed_color_quotient_edges(quotient, color_rng, pe_).coloring
-          : color_quotient_edges(quotient, color_rng);
+      distributed_color_quotient_edges(quotient, color_rng, pe_).coloring;
 
   for (int color = 0; color < coloring.num_colors; ++color) {
     KAPPA_TRACE_SPAN("refine.color_class", static_cast<std::uint64_t>(color));
@@ -1038,11 +1022,12 @@ struct AsyncDelta {
 void SpmdRefiner::run_async_iteration(
     BlockRowShard& store, DistPartition& partition,
     const PairwiseRefinerOptions& options, const Rng& base_rng,
-    const QuotientGraph& quotient, int global, int ship_depth,
-    EdgeWeight& my_cut_gain, NodeWeight& my_imbalance_gain) {
+    const QuotientGraph& quotient, int global, EdgeWeight& my_cut_gain,
+    NodeWeight& my_imbalance_gain) {
   const int p = pe_.size();
   const int rank = pe_.rank();
   const BlockID k = partition.k();
+  const int ship_depth = options.bfs_depth;
   const std::vector<QuotientEdge>& edges = quotient.edges();
   const std::size_t num_pairs = edges.size();
   constexpr int kArbiter = 0;
@@ -1466,10 +1451,9 @@ void SpmdRefiner::rebalance(DistPartition& partition) {
        attempt < kMaxRebalanceAttempts &&
        partition.max_block_weight() > global_bound_;
        ++attempt) {
-    PairwiseRefinerOptions options =
-        rebalance_options(config_, finest_, global_bound_, attempt);
-    options.num_threads = 1;
-    run_pairwise(*finest_store_, partition, options, rng_.fork(100 + attempt));
+    run_pairwise(*finest_store_, partition,
+                 rebalance_options(config_, finest_, global_bound_, attempt),
+                 rng_.fork(100 + attempt));
   }
 }
 
@@ -1477,72 +1461,29 @@ MigrationIntake SpmdRefiner::migration_intake() const {
   assert(warm_ != nullptr && "migration accounting needs the warm input");
   assert(finest_store_.has_value());
   const BlockRowShard& store = *finest_store_;
-  const BlockID k = warm_->k();
 
   // The store was maintained incrementally by the moved-node deltas and
   // row migrations of refine/rebalance, so at this point it holds exactly
-  // the rows of the nodes in this rank's final blocks — the population of
-  // the §5.2 migration view, with block membership read off the member
-  // lists themselves (a member of block b is in block b; no partition
-  // replica is consulted). Seal the view: kept nodes (same block as the
-  // warm input) form the static core, everything else is a migrated-in
-  // node in the overlay's hash-addressed secondary edge array.
-  std::vector<std::pair<NodeID, BlockID>> residents;
-  for (BlockID b = 0; b < k; ++b) {
+  // the rows of the nodes in this rank's final blocks — the §5.2
+  // migration view, with block membership read off the member lists
+  // themselves (a member of block b is in block b; no partition replica
+  // is consulted). A member whose warm-input block differs migrated in;
+  // its row arcs to resident rows are the adjacency shipped with it.
+  MigrationIntake intake;
+  for (BlockID b = 0; b < warm_->k(); ++b) {
     if (!store.owns_block(b)) continue;
-    for (const NodeID u : store.members(b)) residents.emplace_back(u, b);
-  }
-  std::sort(residents.begin(), residents.end());
-
-  std::vector<NodeID> kept;
-  std::vector<NodeID> incoming;
-  for (const auto& [u, b] : residents) {
-    if (b == warm_->block(u)) {
-      kept.push_back(u);
-    } else {
-      incoming.push_back(u);
-    }
-  }
-
-  // Static core: the subgraph induced by the kept nodes, assembled from
-  // resident rows.
-  hash_map<NodeID, NodeID> kept_index;
-  kept_index.reserve(kept.size());
-  for (NodeID i = 0; i < kept.size(); ++i) kept_index.emplace(kept[i], i);
-  std::vector<EdgeID> xadj;
-  xadj.reserve(kept.size() + 1);
-  xadj.push_back(0);
-  std::vector<NodeID> adj;
-  std::vector<EdgeWeight> ewgt;
-  std::vector<NodeWeight> vwgt;
-  vwgt.reserve(kept.size());
-  for (const NodeID u : kept) {
-    const GraphRowView row = store.row_view(u);
-    vwgt.push_back(row.weight);
-    for (std::size_t i = 0; i < row.targets.size(); ++i) {
-      const auto it = kept_index.find(row.targets[i]);
-      if (it == kept_index.end()) continue;
-      adj.push_back(it->second);
-      ewgt.push_back(row.weights[i]);
-    }
-    xadj.push_back(adj.size());
-  }
-  const StaticGraph core(std::move(xadj), std::move(adj), std::move(ewgt),
-                         std::move(vwgt));
-
-  DynamicOverlay view(core, kept);
-  for (const NodeID u : incoming) {
-    view.add_migrated_node(u, store.row_view(u).weight);
-  }
-  for (const NodeID u : incoming) {
-    const GraphRowView row = store.row_view(u);
-    for (std::size_t i = 0; i < row.targets.size(); ++i) {
-      if (view.contains(row.targets[i])) {
-        view.add_migrated_edge(u, row.targets[i], row.weights[i]);
+    for (const NodeID u : store.members(b)) {
+      if (warm_->block(u) == b) continue;
+      ++intake.nodes;
+      for (const NodeID t : store.row_view(u).slots) {
+        const NodeID h = store.handle_at_slot(t);
+        if (h != kInvalidNode && store.member_block(h) != kInvalidBlock) {
+          ++intake.edges;
+        }
       }
     }
   }
-  return {static_cast<NodeID>(view.num_migrated()), view.num_overlay_edges()};
+  return intake;
 }
 
 // ------------------------------------------------------------ SPMD driver ----

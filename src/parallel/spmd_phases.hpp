@@ -33,10 +33,10 @@
 ///       * the color-class oracle (default): rounds follow an edge
 ///         coloring of the quotient — computed by the §5.1 protocol
 ///         running *inside* the refiner (virtual block-PEs nested on the
-///         p ranks, config.dist_coloring) or by the replicated greedy
-///         twin, both drawing the identical coloring from the same seed.
-///         Moved-node deltas (with entry block and weight) plus migrating
-///         rows are exchanged after every color class; every rank applies
+///         p ranks), which draws the same coloring as the greedy
+///         color_quotient_edges() from the same seed. Moved-node deltas
+///         (with entry block and weight) plus migrating rows are
+///         exchanged after every color class; every rank applies
 ///         every delta, which keeps the sharded partition state and the
 ///         replicated O(k) block weights globally consistent.
 ///       * the async scheduler (config.async_refinement): no rounds — an
@@ -53,8 +53,8 @@
 ///         recovers gain-misjudged moves.
 ///
 ///     The rebalancing insurance loop runs through the same machinery on
-///     the retained finest-level store, which also seals the §5.2
-///     migration view on warm starts.
+///     the retained finest-level store, from which warm starts also count
+///     each rank's §5.2 migration intake.
 ///
 /// Determinism: all work units are keyed to *virtual* ids — shards, attempt
 /// indices, quotient-edge indices — and their RNG streams are forked from
@@ -123,10 +123,10 @@ void restart_pair_path(PairPathState& state, DistPartition& partition);
 
 /// Builds block \p side's half of the view of \p edge at the side's owner
 /// (§5.2 band shipping), written after \p header words when it travels
-/// inside a message. With \p ship_depth <= 0 the band is the whole block;
-/// otherwise the bounded BFS from the exact current seeds: the quotient
-/// edge's boundary nodes still in this side plus the rows dirtied since
-/// restart_pair_path() that are pair boundary now — no block is scanned.
+/// inside a message: the BFS of depth \p ship_depth from the exact
+/// current seeds — the quotient edge's boundary nodes still in this side
+/// plus the rows dirtied since restart_pair_path() that are pair boundary
+/// now — plus the one-hop same-side fringe. No block is scanned.
 /// \p store must be bound to \p partition's slots. Exposed for the
 /// pair-path test suite, which checks it against a whole-block scan.
 [[nodiscard]] PairSide build_pair_side(const BlockRowShard& store,
@@ -143,7 +143,7 @@ struct PairSideProbe {
   const DistPartition& partition;
   const QuotientEdge& edge;
   BlockID side = 0;
-  int depth = 0;                     ///< band depth; <= 0: whole block
+  int depth = 0;                     ///< band depth
   std::span<const NodeID> seed_slots;  ///< BFS seeds (partition slots)
   const PairSide& built;
 };
@@ -208,11 +208,12 @@ class SpmdRefiner {
   /// finest-level store.
   void rebalance(DistPartition& partition);
 
-  /// Warm starts only: this rank's §5.2 migration view, sealed from the
-  /// incrementally maintained finest-level store. Block membership is
-  /// read exclusively from the store (a member of block b is in block b —
-  /// no partition replica is consulted); the warm input assignment is the
-  /// resident-by-contract API input.
+  /// Warm starts only: this rank's §5.2 migration intake, counted from
+  /// the incrementally maintained finest-level store — the members of its
+  /// blocks whose warm-input block differs, and their row arcs to resident
+  /// rows. Block membership is read exclusively from the store (a member
+  /// of block b is in block b — no partition replica is consulted); the
+  /// warm input assignment is the resident-by-contract API input.
   [[nodiscard]] MigrationIntake migration_intake() const;
 
   /// Peak resident size of this PE's §5.2 block-row store over all
@@ -270,12 +271,11 @@ class SpmdRefiner {
   /// One oracle iteration: color classes as global rounds, pair execution
   /// at the block-a owner, moved-node delta all-gather and row migration
   /// after every class. The coloring comes from the in-refiner §5.1
-  /// protocol (config_.dist_coloring) or the replicated greedy — the
-  /// identical coloring either way.
+  /// protocol; sides are shipped at band depth options.bfs_depth.
   void run_color_classes(BlockRowShard& store, DistPartition& partition,
                          const PairwiseRefinerOptions& options,
                          const Rng& base_rng, const QuotientGraph& quotient,
-                         int global, int ship_depth, EdgeWeight& my_cut_gain,
+                         int global, EdgeWeight& my_cut_gain,
                          NodeWeight& my_imbalance_gain);
 
   /// One async iteration: the barrier-free event loop with owner-
@@ -284,8 +284,7 @@ class SpmdRefiner {
   void run_async_iteration(BlockRowShard& store, DistPartition& partition,
                            const PairwiseRefinerOptions& options,
                            const Rng& base_rng, const QuotientGraph& quotient,
-                           int global, int ship_depth,
-                           EdgeWeight& my_cut_gain,
+                           int global, EdgeWeight& my_cut_gain,
                            NodeWeight& my_imbalance_gain);
 
   const StaticGraph& finest_;

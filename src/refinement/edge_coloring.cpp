@@ -37,11 +37,11 @@ EdgeColoring color_quotient_edges(const QuotientGraph& quotient,
   coloring.color_of_edge.assign(num_edges, -1);
   if (num_edges == 0 || k == 0) return coloring;
 
-  // One private stream per block, forked exactly like the PE runtime
-  // forks rank streams: block b draws from rng.fork(b). This is what
-  // makes the replicated simulation and the channel protocol
-  // (parallel/dist_coloring) produce the *same* coloring from the same
-  // seed — they are two executions of one randomized process.
+  // One private stream per block: block b draws from rng.fork(b), as
+  // virtual block-PE b does in the message-passing protocol
+  // (parallel/dist_coloring). This is what makes the two produce the
+  // *same* coloring from the same seed — they are two executions of one
+  // randomized process.
   std::vector<Rng> block_rng;
   block_rng.reserve(k);
   for (BlockID b = 0; b < k; ++b) block_rng.push_back(rng.fork(b));

@@ -40,10 +40,11 @@ struct EdgeColoring {
 
 /// Runs the randomized distributed protocol described in §5.1, simulated
 /// round by round with one forked RNG stream per block (block b draws
-/// from rng.fork(b), the same stream the PE runtime hands the protocol's
-/// block-PE b). The channel variants in parallel/dist_coloring execute
-/// the identical process and return the identical coloring for the same
-/// seed — this replicated form is the deterministic oracle. Terminates
+/// from rng.fork(b), the same stream the message-passing protocol in
+/// parallel/dist_coloring hands its virtual block-PE b). That protocol
+/// executes the identical process and returns the identical coloring for
+/// the same seed; this replicated form schedules the sequential refiner
+/// and is the oracle the protocol's tests compare against. Terminates
 /// with certainty because every round with at least one active/passive
 /// pair colors an edge and singleton conflicts are resolved by
 /// re-flipping. The caller's generator is not advanced.

@@ -1,10 +1,9 @@
 /// \file dist_partition_test.cpp
 /// \brief Tests for the sharded partition-state store and the §5.2
 /// band-limited pair shipping: p-invariance/bit-identity over the full
-/// runtime-size range with band shipping on, the depth = infinity /
-/// whole-block equivalence property, the sub-linear per-rank partition
-/// memory, the shipped-volume accounting, and the stale-seed hardening of
-/// the band BFS.
+/// runtime-size range, the sub-linear per-rank partition memory, the
+/// shipped-volume accounting, and the stale-seed hardening of the band
+/// BFS.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,16 +21,15 @@ namespace kappa {
 namespace {
 
 TEST(DistPartitionStore, RepartitionBitIdenticalForP1Through9) {
-  // The acceptance criterion of the sharded partition state: with band
-  // shipping enabled (the default), both workloads stay bit-identical and
-  // p-invariant over the full runtime-size range, including ragged p and
-  // p > k. The from-scratch sweep lives in spmd_pipeline_test; this one
-  // covers the warm-started repartitioner, whose migration view now reads
-  // block membership from the store alone.
+  // The acceptance criterion of the sharded partition state: both
+  // workloads stay bit-identical and p-invariant over the full
+  // runtime-size range, including ragged p and p > k. The from-scratch
+  // sweep lives in spmd_pipeline_test; this one covers the warm-started
+  // repartitioner, whose migration intake reads block membership from
+  // the store alone.
   const StaticGraph g = make_instance("rgg14", 11);
   Config config = Config::preset(Preset::kMinimal, 8);
   config.seed = 42;
-  ASSERT_TRUE(config.band_shipping);
   const PartitionResult fresh =
       Partitioner(Context::sequential(config)).partition(g);
 
@@ -59,61 +57,22 @@ TEST(DistPartitionStore, RepartitionBitIdenticalForP1Through9) {
   }
 }
 
-TEST(BandShipping, InfiniteDepthReproducesWholeBlockShippingBitForBit) {
-  // The volume-correctness property: with the band depth at infinity the
-  // shipped band covers everything a pair search can reach, so the
-  // pipeline must reproduce the legacy whole-block shipping bit for bit —
-  // band shipping only ever removes nodes the search could never touch.
-  const StaticGraph g = make_instance("rgg14", 7);
-  for (const int p : {1, 2, 3}) {
-    Config config = Config::preset(Preset::kMinimal, 6);
-    config.seed = 13;
-    config.bfs_depth = 1 << 20;  // the band BFS runs until its side is dry
-
-    config.band_shipping = false;
-    PERuntime whole_runtime(p, config.seed);
-    const PartitionResult whole =
-        Partitioner(Context::spmd(config, whole_runtime)).partition(g);
-
-    config.band_shipping = true;
-    PERuntime band_runtime(p, config.seed);
-    const PartitionResult band =
-        Partitioner(Context::spmd(config, band_runtime)).partition(g);
-
-    EXPECT_EQ(band.cut, whole.cut) << "p=" << p;
-    for (NodeID u = 0; u < g.num_nodes(); ++u) {
-      ASSERT_EQ(band.partition.block(u), whole.partition.block(u))
-          << "p=" << p << " node " << u;
-    }
-  }
-}
-
 TEST(BandShipping, ShipsBandsNotWholeBlocks) {
   // The §5.2 migration-volume criterion: per pair the shipped rows are
   // the boundary band (plus its one-hop fringe), strictly below the whole
-  // block on a large instance; the legacy mode ships every block row.
+  // blocks the same pairs would have needed on a large instance.
   const StaticGraph g = make_instance("rgg14", 11);
   Config config = Config::preset(Preset::kFast, 16);
   config.seed = 5;
 
-  PairShipStats band_total;
-  PairShipStats whole_total;
-  for (const bool band : {true, false}) {
-    config.band_shipping = band;
-    PERuntime runtime(4, config.seed);
-    const PartitionResult result =
-        Partitioner(Context::spmd(config, runtime)).partition(g);
-    ASSERT_EQ(result.pair_ship_per_pe.size(), 4u);
-    PairShipStats& total = band ? band_total : whole_total;
-    for (const PairShipStats& s : result.pair_ship_per_pe) total += s;
-  }
-  ASSERT_GT(band_total.pairs_shipped, 0u);
-  ASSERT_GT(whole_total.pairs_shipped, 0u);
-  // Legacy mode ships exactly the blocks; band mode ships strictly less.
-  EXPECT_EQ(whole_total.rows_shipped, whole_total.whole_block_rows);
-  EXPECT_LT(band_total.rows_shipped, band_total.whole_block_rows);
-  // The wire volume shrinks accordingly (fewer rows and fewer arcs).
-  EXPECT_LT(band_total.words_shipped, whole_total.words_shipped);
+  PERuntime runtime(4, config.seed);
+  const PartitionResult result =
+      Partitioner(Context::spmd(config, runtime)).partition(g);
+  ASSERT_EQ(result.pair_ship_per_pe.size(), 4u);
+  PairShipStats total;
+  for (const PairShipStats& s : result.pair_ship_per_pe) total += s;
+  ASSERT_GT(total.pairs_shipped, 0u);
+  EXPECT_LT(total.rows_shipped, total.whole_block_rows);
 }
 
 TEST(DistPartitionStore, PartitionMemoryIsShardedNotReplicated) {
@@ -166,7 +125,6 @@ TEST(BandShipping, SpmdRunWithMidLevelMovesStaysValidAndPInvariant) {
   const StaticGraph g = make_instance("road_s", 9);
   Config config = Config::preset(Preset::kFast, 8);
   config.seed = 3;
-  ASSERT_TRUE(config.band_shipping);
 
   PartitionResult reference;
   for (const int p : {1, 3, 5}) {

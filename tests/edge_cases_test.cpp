@@ -14,6 +14,7 @@
 #include "graph/validation.hpp"
 #include "matching/matchers.hpp"
 #include "parallel/dist_coloring.hpp"
+#include "parallel/pe_runtime.hpp"
 #include "refinement/edge_coloring.hpp"
 #include "refinement/twoway_fm.hpp"
 #include "util/random.hpp"
@@ -186,9 +187,9 @@ TEST(FailureInjection, ValidateColoringCatchesConflicts) {
 /// The replicated greedy and the message-passing implementation of the
 /// §5.1 protocol are one randomized process with two executions: block b
 /// always draws from Rng(seed).fork(b). The colorings must therefore be
-/// *identical*, not merely both proper — the property the refiner's
-/// dist_coloring switch rests on (flipping it never changes the
-/// schedule, hence never the partition).
+/// *identical*, not merely both proper — the greedy is the oracle for the
+/// schedule the SPMD refiner computes with the protocol. The protocol
+/// runs on k ranks, one block per rank.
 class ColoringAgreement : public ::testing::TestWithParam<BlockID> {};
 
 TEST_P(ColoringAgreement, ProtocolReproducesGreedyExactly) {
@@ -205,16 +206,26 @@ TEST_P(ColoringAgreement, ProtocolReproducesGreedyExactly) {
   EXPECT_EQ(validate_coloring(q, greedy), "") << "greedy k=" << k;
   EXPECT_LE(greedy.num_colors, 2 * static_cast<int>(q.max_degree()));
 
-  const DistributedColoringResult distributed =
-      distributed_color_quotient_edges(q, 5);
-  EXPECT_EQ(validate_coloring(q, distributed.coloring), "")
-      << "distributed k=" << k;
-  EXPECT_EQ(distributed.coloring.num_colors, greedy.num_colors) << "k=" << k;
-  ASSERT_EQ(distributed.coloring.color_of_edge.size(),
-            greedy.color_of_edge.size());
+  std::vector<RefinerColoringResult> per_rank(k);
+  PERuntime runtime(static_cast<int>(k));
+  runtime.run([&](PEContext& pe) {
+    per_rank[pe.rank()] = distributed_color_quotient_edges(q, Rng(5), pe);
+  });
+  // Each edge's color is known to the ranks of its two endpoints.
+  EdgeColoring distributed;
+  distributed.num_colors = per_rank[0].coloring.num_colors;
+  distributed.color_of_edge.assign(q.edges().size(), -1);
+  for (std::size_t e = 0; e < q.edges().size(); ++e) {
+    const QuotientEdge& edge = q.edges()[e];
+    const int at_a = per_rank[edge.a].coloring.color_of_edge[e];
+    EXPECT_EQ(per_rank[edge.b].coloring.color_of_edge[e], at_a)
+        << "k=" << k << " edge " << e;
+    distributed.color_of_edge[e] = at_a;
+  }
+  EXPECT_EQ(validate_coloring(q, distributed), "") << "distributed k=" << k;
+  EXPECT_EQ(distributed.num_colors, greedy.num_colors) << "k=" << k;
   for (std::size_t e = 0; e < greedy.color_of_edge.size(); ++e) {
-    ASSERT_EQ(distributed.coloring.color_of_edge[e],
-              greedy.color_of_edge[e])
+    ASSERT_EQ(distributed.color_of_edge[e], greedy.color_of_edge[e])
         << "k=" << k << " edge " << e;
   }
 }

@@ -106,6 +106,87 @@ TEST_F(IOTest, RejectsMissingFileAndBadContent) {
   std::remove(path.c_str());
 }
 
+// Hostile input: every malformed file is a clean std::runtime_error, and
+// a header cannot make the reader allocate before the file backs it.
+class MetisRejects : public IOTest {
+ protected:
+  /// Expects a std::runtime_error whose message contains \p reason.
+  void expect_rejected(const std::string& name, const std::string& text,
+                       const std::string& reason = "") {
+    const std::string path = temp_path(name);
+    {
+      std::ofstream out(path);
+      out << text;
+    }
+    try {
+      (void)read_metis_graph(path);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(reason), std::string::npos)
+          << error.what();
+    }
+    std::remove(path.c_str());
+  }
+};
+
+// Both header checks fire before GraphBuilder allocates the vertices.
+TEST_F(MetisRejects, VertexCountBeyondNodeIdRange) {
+  // Truncated to NodeID, 2^32 + 1 would size the graph for one vertex
+  // and the second row's node weight would be written out of bounds.
+  expect_rejected("huge_n.graph", "4294967297 1 10\n1 2\n1 1\n",
+                  "vertex count");
+}
+
+TEST_F(MetisRejects, MoreVerticesThanTheFileHasBytes) {
+  expect_rejected("unbacked_n.graph", "10000000 0\n\n\n", "vertex count");
+}
+
+TEST_F(MetisRejects, UnparsableHeader) {
+  // Read leniently, "garbage header" would be n = 0, an empty graph.
+  expect_rejected("garbage_header.graph", "garbage header\n");
+  expect_rejected("no_m.graph", "2\n2\n1\n");
+  expect_rejected("bad_fmt.graph", "2 1 0x1\n2 1\n1 1\n");
+  expect_rejected("header_tail.graph", "2 1 000 1 x\n2\n1\n");
+}
+
+TEST_F(MetisRejects, UnsupportedFormatFields) {
+  // Vertex sizes and multi-constraint weights would be misread as
+  // neighbor ids.
+  expect_rejected("vertex_sizes.graph", "2 1 100\n4 2\n4 1\n",
+                  "unsupported");
+  expect_rejected("ncon.graph", "2 1 010 2\n1 1 2\n1 1 1\n",
+                  "unsupported");
+}
+
+TEST_F(MetisRejects, GarbageInsideAVertexLine) {
+  // Stopping at "x" would silently drop the edge to vertex 3.
+  expect_rejected("garbage_row.graph", "3 2\n2 x 3\n1\n1\n");
+}
+
+TEST_F(MetisRejects, NonPositiveEdgeWeight) {
+  expect_rejected("negative_edge.graph", "2 1 001\n2 -5\n1 -5\n");
+  expect_rejected("zero_edge.graph", "2 1 001\n2 0\n1 0\n");
+}
+
+TEST_F(MetisRejects, NegativeNodeWeight) {
+  expect_rejected("negative_node.graph", "2 1 010\n-3 2\n1 1\n");
+}
+
+TEST_F(IOTest, ToleratesEdgeCountMismatchAndTrailingWhitespace) {
+  const std::string path = temp_path("loose_header.graph");
+  {
+    std::ofstream out(path);
+    out << "3 7 \n";  // m disagrees with the two edges below
+    out << "2 \n";
+    out << "1 3\r\n";
+    out << "2\n";
+  }
+  const StaticGraph g = read_metis_graph(path);
+  EXPECT_EQ(g.num_nodes(), 3u);
+  EXPECT_EQ(g.num_edges(), 2u);
+  std::remove(path.c_str());
+}
+
 TEST_F(IOTest, PartitionRoundTrip) {
   const StaticGraph g = grid_graph(4, 4);
   Partition p(g.num_nodes(), 4);

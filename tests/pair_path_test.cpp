@@ -92,24 +92,20 @@ bool expect_side_matches_oracle(const BlockRowShard& store,
                                 const std::string& where) {
   const BlockID a = edge.a;
   const BlockID b = edge.b;
-  std::vector<NodeID> band;
-  bool fresh_seed = false;
-  if (depth <= 0) {
-    band = store.members(side);
-  } else {
-    const std::vector<NodeID> oracle = scan_seeds(store, partition, edge, side);
-    std::vector<NodeID> seeds;
-    for (const NodeID slot : seed_slots) {
-      seeds.push_back(partition.global_at(slot));
-    }
-    std::sort(seeds.begin(), seeds.end());
-    EXPECT_EQ(seeds, oracle) << where << " side " << side;
-    for (const NodeID s : oracle) {
-      fresh_seed = fresh_seed || !std::binary_search(edge.boundary.begin(),
-                                                     edge.boundary.end(), s);
-    }
-    band = scan_band(store, partition, side, oracle, depth);
+  const std::vector<NodeID> oracle = scan_seeds(store, partition, edge, side);
+  std::vector<NodeID> seeds;
+  for (const NodeID slot : seed_slots) {
+    seeds.push_back(partition.global_at(slot));
   }
+  std::sort(seeds.begin(), seeds.end());
+  EXPECT_EQ(seeds, oracle) << where << " side " << side;
+  bool fresh_seed = false;
+  for (const NodeID s : oracle) {
+    fresh_seed = fresh_seed || !std::binary_search(edge.boundary.begin(),
+                                                   edge.boundary.end(), s);
+  }
+  const std::vector<NodeID> band =
+      scan_band(store, partition, side, oracle, depth);
 
   const std::vector<std::uint64_t> built_band(built.band_ids().begin(),
                                               built.band_ids().end());
@@ -126,7 +122,7 @@ bool expect_side_matches_oracle(const BlockRowShard& store,
       const BlockID bt = partition.block(row.targets[j]);
       if (bt != a && bt != b) continue;
       expected.emplace_back(row.targets[j], row.weights[j]);
-      if (depth > 0 && bt == side &&
+      if (bt == side &&
           !std::binary_search(band.begin(), band.end(), row.targets[j])) {
         fringe.insert(row.targets[j]);
       }
@@ -143,7 +139,7 @@ bool expect_side_matches_oracle(const BlockRowShard& store,
       const std::uint64_t ref = built.target_ref(e);
       if (std::binary_search(band.begin(), band.end(), t)) {
         EXPECT_LT(ref, built.band_size()) << where << " arc to " << t;
-      } else if (depth > 0 && partition.block(t) == side) {
+      } else if (partition.block(t) == side) {
         EXPECT_GE(ref, built.band_size()) << where << " arc to " << t;
         EXPECT_LT(ref, PairSide::kGlobalTag) << where << " arc to " << t;
       } else {

@@ -227,6 +227,41 @@ TEST(PERuntime, CommStatsCountTraffic) {
 
 // ----------------------------------------------- distributed coloring ----
 
+/// The §5.1 protocol on a runtime of k ranks, one block per rank: the
+/// coloring merged from every rank's hosted edges, the run's summed
+/// communication and its round count.
+struct ProtocolRun {
+  EdgeColoring coloring;
+  CommStats comm;
+  std::size_t rounds = 0;
+};
+
+ProtocolRun run_protocol(const QuotientGraph& q, std::uint64_t seed) {
+  const std::size_t k = q.num_blocks();
+  std::vector<RefinerColoringResult> per_rank(k);
+  PERuntime runtime(static_cast<int>(k));
+  ProtocolRun run;
+  run.comm = total_comm_stats(runtime.run([&](PEContext& pe) {
+    per_rank[pe.rank()] = distributed_color_quotient_edges(q, Rng(seed), pe);
+  }));
+  run.coloring.color_of_edge.assign(q.edges().size(), -1);
+  for (const RefinerColoringResult& rank : per_rank) {
+    EXPECT_EQ(rank.coloring.num_colors, per_rank[0].coloring.num_colors);
+    EXPECT_EQ(rank.rounds, per_rank[0].rounds);
+    for (std::size_t e = 0; e < q.edges().size(); ++e) {
+      const int color = rank.coloring.color_of_edge[e];
+      if (color == -1) continue;
+      int& merged = run.coloring.color_of_edge[e];
+      EXPECT_TRUE(merged == -1 || merged == color)
+          << "the endpoints of edge " << e << " disagree";
+      merged = color;
+    }
+  }
+  run.coloring.num_colors = per_rank[0].coloring.num_colors;
+  run.rounds = per_rank[0].rounds;
+  return run;
+}
+
 TEST(DistributedColoring, MatchesSequentialInvariants) {
   const StaticGraph g = grid_graph(40, 10);
   std::vector<BlockID> assignment(g.num_nodes());
@@ -236,8 +271,7 @@ TEST(DistributedColoring, MatchesSequentialInvariants) {
   const Partition p(g, std::move(assignment), 8);
   const QuotientGraph q(g, p);
 
-  const DistributedColoringResult result =
-      distributed_color_quotient_edges(q, /*seed=*/5);
+  const ProtocolRun result = run_protocol(q, /*seed=*/5);
   EXPECT_EQ(validate_coloring(q, result.coloring), "");
   EXPECT_LE(result.coloring.num_colors,
             2 * static_cast<int>(q.max_degree()));
@@ -256,8 +290,7 @@ TEST(DistributedColoring, DenseQuotientGraph) {
   const QuotientGraph q(g, p);
   ASSERT_GT(q.edges().size(), 30u);
 
-  const DistributedColoringResult result =
-      distributed_color_quotient_edges(q, /*seed=*/7);
+  const ProtocolRun result = run_protocol(q, /*seed=*/7);
   EXPECT_EQ(validate_coloring(q, result.coloring), "");
 }
 
@@ -312,8 +345,7 @@ TEST(DistributedColoring, EmptyQuotient) {
   const StaticGraph g = grid_graph(4, 1);
   const Partition p(g, {0, 0, 0, 0}, 1);
   const QuotientGraph q(g, p);
-  const DistributedColoringResult result =
-      distributed_color_quotient_edges(q, 1);
+  const ProtocolRun result = run_protocol(q, 1);
   EXPECT_EQ(result.coloring.num_colors, 0);
 }
 

@@ -203,6 +203,7 @@ TEST(InprocWatch, PeerHealthReadsTheRegisteredBoard) {
       const ThreadProgressScope bind(&board);
       progress_phase(ProgressPhase::kCoarsen);
       progress_level(5);
+      pe.barrier();  // rank 0 checked the unregistered board
       pe.enable_watch(&board, 100);
       pe.barrier();  // board registered and populated
       pe.barrier();  // rank 0 done reading
@@ -211,6 +212,7 @@ TEST(InprocWatch, PeerHealthReadsTheRegisteredBoard) {
       if (pe.peer_health(1).has_value()) {
         throw std::logic_error("heard from an unregistered peer");
       }
+      pe.barrier();
       pe.barrier();
       const std::optional<PeerHealth> health = pe.peer_health(1);
       if (!health.has_value()) throw std::logic_error("no peer health");
