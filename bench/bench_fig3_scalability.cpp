@@ -21,10 +21,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 
 #include "coarsening/prepartition.hpp"
-#include "core/metrics_export.hpp"
 #include "generators/generators.hpp"
 #include "graph/metrics.hpp"
 #include "graph/quotient_graph.hpp"
@@ -390,79 +388,6 @@ int main(int argc, char** argv) {
                                static_cast<double>(total.pairs_shipped),
                      1),
                  std::to_string(result.cut)});
-    }
-  }
-
-  // Refinement scheduler sweep: the color-class oracle (sync) against the
-  // async block-lock scheduler on the acceptance suite (rgg15, k = 16),
-  // p = 1..9. Reported per run: wall-clock, cut, and each rank's idle
-  // share — the fraction of the run it spent blocked in collectives or
-  // empty-mailbox receives, the barrier bill the async scheduler exists
-  // to kill. Each run's full metrics registry (schema kappa.metrics.v1,
-  // the same document `kappa_cli --metrics-out` writes) is embedded in
-  // BENCH_refinement.json, with the bench-level derived numbers under
-  // bench.* keys (EXPERIMENTS.md records the shape).
-  {
-    const StaticGraph instance = make_instance("rgg15");
-    print_table_header(
-        "Refinement schedulers: color-class oracle (sync) vs async block "
-        "locks, rgg15, k=16",
-        {"PEs", "mode", "time[s]", "cut", "idle mean", "idle max",
-         "rounds waited"});
-    std::ofstream json("BENCH_refinement.json");
-    if (json) {
-      json << "{\n  \"schema\": \"kappa.bench.v1\",\n"
-              "  \"bench\": \"refinement_schedulers\",\n"
-              "  \"instance\": \"rgg15\",\n  \"k\": 16,\n"
-              "  \"preset\": \"fast\",\n  \"seed\": 1,\n"
-              "  \"runs\": [";
-    }
-    bool first_run = true;
-    for (const int pes : {1, 2, 3, 4, 5, 6, 7, 8, 9}) {
-      for (const bool async : {false, true}) {
-        Config config = Config::preset(Preset::kFast, 16);
-        config.seed = 1;
-        config.async_refinement = async;
-        PERuntime runtime(pes, config.seed);
-        Timer timer;
-        const PartitionResult result =
-            Partitioner(Context::spmd(config, runtime)).partition(instance);
-        const double elapsed = timer.elapsed_s();
-        const double wall_ns = elapsed * 1e9;
-        double mean_share = 0.0;
-        double max_share = 0.0;
-        std::uint64_t rounds = 0;
-        std::vector<double> share_per_rank;
-        for (const CommStats& s : result.comm_per_pe) {
-          const double share =
-              wall_ns > 0.0 ? static_cast<double>(s.idle_ns()) / wall_ns : 0.0;
-          share_per_rank.push_back(share);
-          mean_share += share / static_cast<double>(pes);
-          max_share = std::max(max_share, share);
-          rounds += s.rounds_waited;
-        }
-        print_row({!async ? std::to_string(pes) : std::string(),
-                   async ? "async" : "sync", fmt(elapsed, 2),
-                   std::to_string(result.cut), fmt(mean_share, 3),
-                   fmt(max_share, 3), std::to_string(rounds)});
-        if (json) {
-          MetricsRegistry run = metrics_from_result(result, config, "inproc");
-          run.set_str("bench.mode", async ? "async" : "sync");
-          run.set_f64("bench.wall_s", elapsed);
-          run.set_f64("bench.mean_idle_share", mean_share);
-          run.set_f64("bench.max_idle_share", max_share);
-          run.set_f64_list("bench.idle_share_per_rank",
-                           std::move(share_per_rank));
-          json << (first_run ? "\n" : ",\n");
-          run.write_json(json, 4);
-          first_run = false;
-        }
-      }
-    }
-    if (json) {
-      json << "\n  ]\n}\n";
-      json.close();
-      std::printf("\nwrote BENCH_refinement.json\n");
     }
   }
 

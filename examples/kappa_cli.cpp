@@ -8,7 +8,7 @@
 ///             [--eps=0.03] [--seed=1] [--threads=1] [--pes=0]
 ///             [--transport=inproc|tcp] [--rank=R] [--peers=HOST:PORT]
 ///             [--recv-timeout-ms=60000] [--output=out.part]
-///             [--trace-out=FILE] [--metrics-out=FILE] [--async]
+///             [--trace-out=FILE] [--metrics-out=FILE]
 ///             [--watch-out=FILE] [--stall-timeout-ms=N]
 ///
 /// --pes=N > 0 runs the pipeline SPMD on a PE runtime of N PEs (the
@@ -39,10 +39,6 @@
 /// stops advancing for N ms. Observer-only: the partition is
 /// byte-identical with watch on or off. KAPPA_WATCH_OUT and
 /// KAPPA_STALL_TIMEOUT_MS override both.
-///
-/// --async swaps the refiner's color-class oracle for the barrier-free
-/// block-lock scheduler (Config::async_refinement) — mainly for reading
-/// traced timelines of the two schedulers side by side.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -70,13 +66,6 @@ const char* arg_value(int argc, char** argv, const char* key) {
   return nullptr;
 }
 
-bool has_flag(int argc, char** argv, const char* key) {
-  for (int i = 3; i < argc; ++i) {
-    if (std::strcmp(argv[i], key) == 0) return true;
-  }
-  return false;
-}
-
 /// Keeps the merged trace of the run for the export step below.
 struct CaptureTraceSink final : kappa::TraceSink {
   kappa::MergedTrace trace;
@@ -97,7 +86,7 @@ int main(int argc, char** argv) {
                  " [--eps=0.03] [--seed=1] [--threads=1] [--pes=0]"
                  " [--transport=inproc|tcp] [--rank=R] [--peers=HOST:PORT]"
                  " [--recv-timeout-ms=N] [--output=FILE]"
-                 " [--trace-out=FILE] [--metrics-out=FILE] [--async]"
+                 " [--trace-out=FILE] [--metrics-out=FILE]"
                  " [--watch-out=FILE] [--stall-timeout-ms=N]\n",
                  argv[0]);
     return 2;
@@ -142,9 +131,6 @@ int main(int argc, char** argv) {
   int pes = 0;
   if (const char* value = arg_value(argc, argv, "--pes")) {
     pes = std::atoi(value);
-  }
-  if (has_flag(argc, argv, "--async")) {
-    config.async_refinement = true;
   }
   const char* trace_out = arg_value(argc, argv, "--trace-out");
   const char* metrics_out = arg_value(argc, argv, "--metrics-out");

@@ -19,10 +19,6 @@ Config Config::preset(Preset preset, BlockID k, double eps) {
   config.k = k;
   config.eps = eps;
   config.matching_pes = k;  // the paper runs with one PE per block
-  // Every preset keeps the deterministic color-class schedule: the paper's
-  // reproducibility contract (same seed, same partition, any p) is part of
-  // the preset definition. async_refinement is an explicit opt-in.
-  config.async_refinement = false;
   switch (preset) {
     case Preset::kMinimal:
       config.init_repeats = 1;

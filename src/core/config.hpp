@@ -19,6 +19,13 @@ enum class Preset { kMinimal, kFast, kStrong };
 [[nodiscard]] const char* preset_name(Preset preset);
 
 /// All knobs of the partitioner. Defaults equal the fast preset.
+///
+/// Determinism: for every Config, the SPMD partition is a pure function of
+/// (graph, config, seed), identical for every PE count p and every
+/// transport backend. The refiner runs the §5.1 color-class schedule,
+/// every receive names its source, and delivery is FIFO per (source,
+/// lane), so neither thread timing nor the arrival order of messages
+/// from different ranks can reach the partition.
 struct Config {
   BlockID k = 2;         ///< number of blocks (= PEs, as in the paper)
   double eps = 0.03;     ///< allowed imbalance (paper default 3%)
@@ -57,20 +64,6 @@ struct Config {
   /// refinement (pairs of one color class run concurrently). 1 =
   /// sequential execution. SPMD ranks run their pairs one at a time.
   int num_threads = 1;
-  /// Asynchronous pair scheduling in the SPMD refiner: instead of running
-  /// color classes as global rounds with an all-gathered move delta, a
-  /// pair becomes runnable the moment both of its blocks are free
-  /// (owner-arbitrated block locks over channels) and moved-node deltas
-  /// travel point-to-point only to the ranks that own or cache affected
-  /// rows. Targets wall-clock and cut-no-worse, not bit-identity: results
-  /// depend on message arrival order. Engages only on hierarchy levels
-  /// with >= 4096 nodes (the coarse tail keeps the oracle — supernode
-  /// moves are high-stakes there and the barrier savings negligible) and
-  /// ends each level with one color-class polish iteration on consistent
-  /// state. Off = the deterministic color-class oracle, which stays
-  /// bit-identical and p-invariant; all presets default to the oracle,
-  /// async is the opt-in wall-clock mode.
-  bool async_refinement = false;
   /// Extension (§8 future work): add a min-cut pass on the boundary band
   /// of each pair after the FM local iterations, in the sequential
   /// pairwise refiner and in the SPMD band-limited pair views alike. The

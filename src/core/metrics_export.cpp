@@ -165,22 +165,6 @@ MetricsRegistry metrics_from_result(const PartitionResult& result,
                         return f.resident_nodes();
                       }));
 
-  {
-    std::vector<std::uint64_t> pairs;
-    std::vector<std::uint64_t> lock_ns;
-    for (const std::vector<AsyncPairEvent>& events :
-         result.async_pairs_per_pe) {
-      std::uint64_t total_ns = 0;
-      for (const AsyncPairEvent& event : events) {
-        total_ns += event.end_ns - event.begin_ns;
-      }
-      pairs.push_back(events.size());
-      lock_ns.push_back(total_ns);
-    }
-    registry.set_u64_list("async.pairs_per_rank", std::move(pairs));
-    registry.set_u64_list("async.lock_ns_per_rank", std::move(lock_ns));
-  }
-
   return registry;
 }
 

@@ -1,12 +1,12 @@
 /// \file metrics_export.hpp
 /// \brief Builds the unified MetricsRegistry from a PartitionResult: one
 /// named, typed namespace over every ad-hoc counter the result carries
-/// (CommStats, idle times, halo_per_level, PairShipStats, async lock
-/// windows, shard/hierarchy/partition memory).
+/// (CommStats, idle times, halo_per_level, PairShipStats,
+/// shard/hierarchy/partition memory).
 ///
-/// Every consumer — `kappa_cli --metrics-out`, the scalability bench's
-/// BENCH_refinement.json, the registry-equality test — reads these same
-/// names; the schema table in README.md documents them.
+/// Every consumer — `kappa_cli --metrics-out`, kappa-bench, the
+/// registry-equality test — reads these same names; the schema table in
+/// README.md documents them.
 #pragma once
 
 #include <string>

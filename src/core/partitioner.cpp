@@ -70,7 +70,6 @@ PartitionResult run_spmd(const StaticGraph& graph, const Config& config,
   std::vector<ShardFootprint> hierarchy_memory(p);
   std::vector<ShardFootprint> partition_memory(p);
   std::vector<PairShipStats> pair_ship(p);
-  std::vector<std::vector<AsyncPairEvent>> async_pairs(p);
   // Populated by the global rank 0 thread iff tracing (empty elsewhere —
   // on a multi-process fabric only the process hosting rank 0 gets it).
   CollectedTrace collected;
@@ -133,7 +132,6 @@ PartitionResult run_spmd(const StaticGraph& graph, const Config& config,
     hierarchy_memory[pe.rank()] = coarsener.stats().hierarchy_resident;
     partition_memory[pe.rank()] = refiner.partition_footprint();
     pair_ship[pe.rank()] = refiner.ship_stats();
-    async_pairs[pe.rank()] = refiner.async_events();
     // Every rank materializes the identical partition; the runtime's
     // primary (lowest locally hosted) rank keeps it — rank 0 in-process,
     // this process's own rank on a multi-process fabric.
@@ -151,10 +149,6 @@ PartitionResult run_spmd(const StaticGraph& graph, const Config& config,
       snapshot.hierarchy_memory = hierarchy_memory[pe.rank()];
       snapshot.partition_memory = partition_memory[pe.rank()];
       snapshot.pair_ship = pair_ship[pe.rank()];
-      for (const AsyncPairEvent& event : async_pairs[pe.rank()]) {
-        ++snapshot.async_pairs;
-        snapshot.async_lock_ns += event.end_ns - event.begin_ns;
-      }
       CollectedTrace mine = collect_trace(pe, recorder, snapshot);
       if (pe.rank() == 0) collected = std::move(mine);
     }
@@ -167,7 +161,6 @@ PartitionResult run_spmd(const StaticGraph& graph, const Config& config,
   result.hierarchy_memory_per_pe = std::move(hierarchy_memory);
   result.partition_memory_per_pe = std::move(partition_memory);
   result.pair_ship_per_pe = std::move(pair_ship);
-  result.async_pairs_per_pe = std::move(async_pairs);
   if (warm != nullptr) {
     result.migrated_per_pe.reserve(p);
     result.migrated_edges_per_pe.reserve(p);

@@ -99,12 +99,6 @@ struct PartitionResult {
   /// band shipments put on the wire against the whole-block volume the
   /// same pairs would have needed (a counterfactual; nothing ships it).
   std::vector<PairShipStats> pair_ship_per_pe;
-  /// Async refinement only (config.async_refinement): the lock windows of
-  /// the pairs each rank executed, indexed by rank. Two events sharing a
-  /// block never overlap — the externally checkable face of the arbiter's
-  /// lock discipline — and the union of windows against wall time is the
-  /// utilization the scalability bench reports alongside the idle share.
-  std::vector<std::vector<AsyncPairEvent>> async_pairs_per_pe;
 };
 
 /// One rank's post-repartitioning data intake (§5.2): the nodes migrated

@@ -9,12 +9,11 @@
 /// the same "serialize everything into buffers" discipline an MPI
 /// implementation enforces.
 ///
-/// Messages are kept in one queue *per source* plus a global arrival
-/// sequence number: a targeted pop is O(1) at the head of its source
-/// queue, and an any-source pop scans only the queue fronts (O(number of
-/// sources)) for the lowest sequence number. The previous single-deque
-/// design rescanned every pending message from the front on each wakeup,
-/// degrading O(q^2) under the async scheduler's p2p-heavy traffic.
+/// Messages are kept in one FIFO queue *per source*, and every pop names
+/// its source: a pop is O(1) at the head of that source's queue. There is
+/// no any-source receive, so the order in which different sources'
+/// messages arrive is invisible to the receiver — the property that
+/// keeps the SPMD partition independent of thread and network timing.
 #pragma once
 
 #include <chrono>
@@ -23,6 +22,7 @@
 #include <deque>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,14 +41,12 @@ namespace kappa {
 /// either, preserving the original block-forever semantics.
 class Mailbox {
  public:
-  /// Enqueues a message (called by any sending thread). Messages from
-  /// negative sources are rejected by design — source ranks index the
-  /// per-source queues.
+  /// Enqueues a message (called by any sending thread). The source is a
+  /// rank (>= 0): source ranks index the per-source queues.
   void push(Message message) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      SourceQueue& sq = source_queue(message.source);
-      sq.queue.emplace_back(next_seq_++, std::move(message.payload));
+      source_queue(message.source).queue.push_back(std::move(message.payload));
     }
     available_.notify_all();
   }
@@ -61,9 +59,9 @@ class Mailbox {
   }
 
   /// Blocks until a message from \p source arrives, then removes and
-  /// returns it. Pass -1 to accept any source (earliest arrival wins,
-  /// like the single-queue design). Throws TransportError if the mailbox
-  /// failed or the requested source can never deliver again.
+  /// returns it. Throws TransportError if the mailbox failed or the
+  /// source can never deliver again, and std::invalid_argument for a
+  /// negative source (there is no any-source receive).
   Message pop(int source) {
     std::unique_lock<std::mutex> lock(mutex_);
     while (true) {
@@ -91,6 +89,7 @@ class Mailbox {
   }
 
   /// Non-blocking variant; empty optional if no matching message queued.
+  /// Throws like pop().
   std::optional<Message> try_pop(int source) {
     std::lock_guard<std::mutex> lock(mutex_);
     return take_locked(source);
@@ -145,7 +144,7 @@ class Mailbox {
 
  private:
   struct SourceQueue {
-    std::deque<std::pair<std::uint64_t, std::vector<std::uint64_t>>> queue;
+    std::deque<std::vector<std::uint64_t>> queue;
     bool finished = false;
   };
 
@@ -155,57 +154,30 @@ class Mailbox {
     return sources_[index];
   }
 
-  // Removes and returns the matching message with the lowest arrival
-  // sequence number, or nullopt when the caller must keep waiting.
-  // Caller holds mutex_.
+  // Removes and returns the head of \p source's queue, or nullopt when
+  // the caller must keep waiting. Caller holds mutex_.
   std::optional<Message> take_locked(int source) {
+    if (source < 0) {
+      throw std::invalid_argument("receive needs a source rank, got " +
+                                  std::to_string(source));
+    }
     if (failed_) throw TransportError(fail_reason_);
-    if (source >= 0) {
-      const std::size_t index = static_cast<std::size_t>(source);
-      if (index < sources_.size() && !sources_[index].queue.empty()) {
-        Message msg{source, std::move(sources_[index].queue.front().second)};
-        sources_[index].queue.pop_front();
-        return msg;
-      }
-      if (index < sources_.size() && sources_[index].finished) {
-        throw TransportError("receive from rank " + std::to_string(source) +
-                             ": peer already shut down cleanly with no "
-                             "matching message queued");
-      }
-      return std::nullopt;
-    }
-    // Any-source: earliest arrival across the queue fronts.
-    int best = -1;
-    std::uint64_t best_seq = 0;
-    bool all_finished = !sources_.empty();
-    for (std::size_t s = 0; s < sources_.size(); ++s) {
-      if (!sources_[s].queue.empty()) {
-        const std::uint64_t seq = sources_[s].queue.front().first;
-        if (best < 0 || seq < best_seq) {
-          best = static_cast<int>(s);
-          best_seq = seq;
-        }
-      }
-      if (!sources_[s].finished) all_finished = false;
-    }
-    if (best >= 0) {
-      Message msg{best, std::move(sources_[static_cast<std::size_t>(best)]
-                                      .queue.front()
-                                      .second)};
-      sources_[static_cast<std::size_t>(best)].queue.pop_front();
+    const std::size_t index = static_cast<std::size_t>(source);
+    if (index < sources_.size() && !sources_[index].queue.empty()) {
+      Message msg{source, std::move(sources_[index].queue.front())};
+      sources_[index].queue.pop_front();
       return msg;
     }
-    if (all_finished) {
-      throw TransportError(
-          "receive from any source: every peer already shut down cleanly "
-          "with no message queued");
+    if (index < sources_.size() && sources_[index].finished) {
+      throw TransportError("receive from rank " + std::to_string(source) +
+                           ": peer already shut down cleanly with no "
+                           "matching message queued");
     }
     return std::nullopt;
   }
 
   mutable std::mutex mutex_;
   std::condition_variable available_;
-  std::uint64_t next_seq_ = 0;
   std::vector<SourceQueue> sources_;
   bool failed_ = false;
   std::string fail_reason_;

@@ -34,22 +34,22 @@ struct CommStats {
   /// Receive-side twins of the send counters: messages and payload words
   /// this PE took delivery of (point-to-point and collective lanes). In a
   /// closed run Σ messages_received = Σ messages_sent over all ranks —
-  /// the per-rank split exposes asymmetric roles (the async arbiter, a
-  /// broadcast root) that the send counters alone hide.
+  /// the per-rank split exposes asymmetric roles (a broadcast root) that
+  /// the send counters alone hide.
   std::uint64_t messages_received = 0;
   std::uint64_t words_received = 0;
   std::uint64_t barriers = 0;
   /// Nanoseconds this PE spent blocked inside collectives / barriers —
   /// the time a rank waits for the slowest participant instead of doing
   /// pair work. The color-class schedule pays this at every class
-  /// boundary; the async scheduler pays it only at iteration boundaries.
+  /// boundary.
   std::uint64_t collective_idle_ns = 0;
   /// Nanoseconds this PE spent blocked in a point-to-point receive with
   /// an empty mailbox (waiting for work or for a partner's side).
   std::uint64_t recv_idle_ns = 0;
-  /// Scheduling rounds (color classes, or whole async iterations) in
-  /// which this rank neither executed a pair nor shipped a partner side —
-  /// it only waited for the round to pass.
+  /// Scheduling rounds (color classes) in which this rank neither
+  /// executed a pair nor shipped a partner side — it only waited for the
+  /// round to pass.
   std::uint64_t rounds_waited = 0;
   /// Bytes this rank's transport endpoint actually put on / took off the
   /// physical wire during the run (frame headers and collective-lane
@@ -120,19 +120,6 @@ struct PairShipStats {
     words_shipped += other.words_shipped;
     whole_block_rows += other.whole_block_rows;
   }
-};
-
-/// One pair execution of the async scheduler, stamped with the executor's
-/// steady clock. The block-lock safety invariant — no two in-flight pairs
-/// share a block — is observable from these traces: any two executed pairs
-/// that share a block must have disjoint [begin_ns, end_ns) windows, even
-/// across ranks (the arbiter releases a block only after the executor's
-/// completion message, which happens-after end_ns).
-struct AsyncPairEvent {
-  std::uint32_t block_a = 0;
-  std::uint32_t block_b = 0;
-  std::uint64_t begin_ns = 0;  ///< executor started working on the pair
-  std::uint64_t end_ns = 0;    ///< executor reported the pair done
 };
 
 /// Aggregates per-rank counters into one total: messages, words, and idle

@@ -76,7 +76,7 @@ DistPartition DistPartition::from_replica(const Partition& replicated) {
   result.k_ = replicated.k();
   result.cache_slot_.reserve(replicated.num_nodes());
   for (NodeID u = 0; u < replicated.num_nodes(); ++u) {
-    result.cache(u, replicated.block(u), /*always=*/false);
+    result.cache(u, replicated.block(u));
   }
   result.journal_.clear();
   result.block_weight_.reserve(replicated.k());
@@ -86,7 +86,7 @@ DistPartition DistPartition::from_replica(const Partition& replicated) {
   return result;
 }
 
-void DistPartition::cache(NodeID global, BlockID b, bool always) {
+void DistPartition::cache(NodeID global, BlockID b) {
   const auto [it, inserted] =
       cache_slot_.try_emplace(global, static_cast<NodeID>(entries_.size()));
   if (inserted) {
@@ -94,7 +94,7 @@ void DistPartition::cache(NodeID global, BlockID b, bool always) {
     cache_ids_.push_back(global);
     journal_.push_back(it->second);
   } else {
-    write(it->second, b, always);
+    write(it->second, b, /*always=*/false);
   }
 }
 
@@ -104,7 +104,7 @@ void DistPartition::learn(NodeID global, BlockID b) {
     assert(entries_[slot] == b && "learned block contradicts owned entry");
     return;
   }
-  cache(global, b, /*always=*/false);
+  cache(global, b);
 }
 
 void DistPartition::apply_move(NodeID u, BlockID from, BlockID to,
@@ -116,21 +116,6 @@ void DistPartition::apply_move(NodeID u, BlockID from, BlockID to,
   if (slot == kInvalidNode) return;
   assert(entries_[slot] == from && "delta disagrees with held entry");
   write(slot, to, /*always=*/true);
-}
-
-void DistPartition::update_entry(NodeID u, BlockID to) {
-  assert(to < k_);
-  const NodeID slot = slot_of(u);
-  if (slot != kInvalidNode && slot < num_owned_) {
-    write(slot, to, /*always=*/true);
-    return;
-  }
-  cache(u, to, /*always=*/true);
-}
-
-void DistPartition::set_block_weights(std::vector<NodeWeight> weights) {
-  assert(weights.size() == block_weight_.size());
-  block_weight_ = std::move(weights);
 }
 
 void DistPartition::fetch_blocks(std::span<const NodeID> needed,
@@ -145,22 +130,7 @@ void DistPartition::fetch_blocks(std::span<const NodeID> needed,
   rendezvous_lookup(
       std::move(requests), pe,
       [&](NodeID g) { return block(g); },
-      [&](NodeID g, BlockID b) { cache(g, b, /*always=*/false); });
-}
-
-void DistPartition::refresh_blocks(std::span<const NodeID> needed,
-                                   PEContext& pe) {
-  assert(level_ != nullptr && "refreshing needs the level ownership map");
-  std::vector<std::vector<std::uint64_t>> requests(num_pes_);
-  for (const NodeID g : needed) {
-    const int owner = level_->owner_of_node(g, num_pes_);
-    if (owner == rank_) continue;  // authoritative here
-    requests[owner].push_back(g);
-  }
-  rendezvous_lookup(
-      std::move(requests), pe,
-      [&](NodeID g) { return block(g); },
-      [&](NodeID g, BlockID b) { cache(g, b, /*always=*/false); });
+      [&](NodeID g, BlockID b) { cache(g, b); });
 }
 
 DistPartition DistPartition::project(const DistLevel& fine,

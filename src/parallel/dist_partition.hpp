@@ -105,9 +105,9 @@ class DistPartition {
   }
 
   /// The change journal: the slot of every entry write since the last
-  /// clear_journal() — apply_move(), update_entry(), and any learn(),
-  /// fetch or refresh that inserted an entry or changed its value. A slot
-  /// may appear more than once. The refiner clears it when it takes the
+  /// clear_journal() — apply_move(), and any learn() or fetch that
+  /// inserted an entry or changed its value. A slot may appear more than
+  /// once. The refiner clears it when it takes the
   /// quotient graph, so the journal names every node whose block may
   /// differ from the one the quotient's boundary lists saw.
   [[nodiscard]] const std::vector<NodeID>& journal() const { return journal_; }
@@ -126,32 +126,6 @@ class DistPartition {
   /// consistent.
   void apply_move(NodeID u, BlockID from, BlockID to, NodeWeight weight);
 
-  /// Targeted entry update of the async scheduler's point-to-point
-  /// invalidations: overwrites whatever entry this rank holds for \p u
-  /// (owned entry, cached entry, or a fresh cache insert) without touching
-  /// the block weights. Unlike apply_move() it tolerates a stale previous
-  /// value — mid-iteration the async mode keeps entries only *causally*
-  /// current (every invalidation chain for one node is ordered through
-  /// the lock arbiter), not globally synchronized.
-  void update_entry(NodeID u, BlockID to);
-
-  /// Shifts the replicated weight account of one block (async executors
-  /// and partners book their pair's moves; other ranks catch up at the
-  /// iteration-end weight refresh).
-  void adjust_block_weight(BlockID b, NodeWeight delta) {
-    block_weight_[b] += delta;
-  }
-
-  /// Overwrites the replicated O(k) block weights with authoritative
-  /// values (the async iteration-end owner-contribution all-reduce).
-  void set_block_weights(std::vector<NodeWeight> weights);
-
-  /// Shard-owner rank of \p global under this level's ownership map.
-  [[nodiscard]] int shard_owner(NodeID global) const {
-    assert(level_ != nullptr && "ownership map required");
-    return level_->owner_of_node(global, num_pes_);
-  }
-
   [[nodiscard]] NodeWeight block_weight(BlockID b) const {
     return block_weight_[b];
   }
@@ -167,12 +141,6 @@ class DistPartition {
   /// channels) and caches them. Collective in lockstep: every rank must
   /// call, with its own — possibly empty — need list.
   void fetch_blocks(std::span<const NodeID> needed, PEContext& pe);
-
-  /// Like fetch_blocks(), but re-fetches cached ids too: the async
-  /// iteration-end cache refresh, which replaces possibly-stale ghost
-  /// entries with the shard owners' authoritative (post-drain) values.
-  /// Owned ids in \p needed are skipped — they are authoritative here.
-  void refresh_blocks(std::span<const NodeID> needed, PEContext& pe);
 
   /// Shard-local uncoarsening projection: each rank maps its owned nodes
   /// of \p fine through its slice of the contraction map; the few coarse
@@ -208,7 +176,7 @@ class DistPartition {
   }
 
   /// Caches \p b for the non-owned \p global (insert or overwrite).
-  void cache(NodeID global, BlockID b, bool always);
+  void cache(NodeID global, BlockID b);
 
   const DistLevel* level_ = nullptr;  ///< ownership map; null: replica mode
   int num_pes_ = 1;

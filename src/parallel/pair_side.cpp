@@ -25,25 +25,21 @@ bool ascending_ids(std::span<const std::uint64_t> ids) {
 
 }  // namespace
 
-void PairSide::locate(std::size_t header_words) {
-  nband_ = static_cast<NodeID>(words_[header_words]);
-  nfringe_ = static_cast<NodeID>(words_[header_words + 1]);
-  ids_ = header_words + 2;
-  weights_ = ids_ + nband_;
+void PairSide::locate() {
+  nband_ = static_cast<NodeID>(words_[0]);
+  nfringe_ = static_cast<NodeID>(words_[1]);
+  weights_ = kIds + nband_;
   ends_ = weights_ + nband_;
   targets_ = ends_ + nband_;
   narcs_ = nband_ == 0 ? 0 : words_[ends_ + nband_ - 1];
   fringe_ = targets_ + 2 * narcs_;
 }
 
-PairSide PairSide::parse(std::vector<std::uint64_t> words,
-                         std::size_t header_words) {
-  if (header_words > words.size() || words.size() - header_words < 2) {
-    malformed("truncated header");
-  }
-  std::size_t rest = words.size() - header_words - 2;
-  const std::uint64_t nband = words[header_words];
-  const std::uint64_t nfringe = words[header_words + 1];
+PairSide PairSide::parse(std::vector<std::uint64_t> words) {
+  if (words.size() < kIds) malformed("truncated counts");
+  std::size_t rest = words.size() - kIds;
+  const std::uint64_t nband = words[0];
+  const std::uint64_t nfringe = words[1];
   if (nband > rest / 3) malformed("band count exceeds payload");
   rest -= 3 * nband;
   if (nfringe > rest) malformed("fringe count exceeds payload");
@@ -52,9 +48,9 @@ PairSide PairSide::parse(std::vector<std::uint64_t> words,
 
   PairSide side;
   side.words_ = std::move(words);
-  side.locate(header_words);
+  side.locate();
   const std::span<const std::uint64_t> all(side.words_);
-  if (!ascending_ids(all.subspan(side.ids_, side.nband_))) {
+  if (!ascending_ids(all.subspan(kIds, side.nband_))) {
     malformed("band ids not ascending node ids");
   }
   std::uint64_t previous = 0;
@@ -95,19 +91,15 @@ EdgeWeight PairSide::arc_weight(std::uint64_t arc) const {
   return bits_weight(words_[targets_ + narcs_ + arc]);
 }
 
-PairSideWriter::PairSideWriter(std::vector<std::uint64_t> header,
-                               NodeID band_size)
-    : words_(std::move(header)),
-      header_words_(words_.size()),
+PairSideWriter::PairSideWriter(NodeID band_size)
+    : words_(PairSide::kIds + 3 * static_cast<std::size_t>(band_size), 0),
       band_size_(band_size) {
-  words_.push_back(band_size);
-  words_.push_back(0);  // fringe count, set by finish()
-  words_.resize(words_.size() + 3 * static_cast<std::size_t>(band_size), 0);
+  words_[0] = band_size;  // words_[1], the fringe count, is set by finish()
 }
 
 void PairSideWriter::begin_row(NodeID id, NodeWeight weight) {
   assert(row_ < band_size_);
-  const std::size_t ids = header_words_ + 2;
+  constexpr std::size_t ids = PairSide::kIds;
   const std::size_t fixed = ids + 3 * static_cast<std::size_t>(band_size_);
   if (row_ > 0) words_[ids + 2 * band_size_ + row_ - 1] = words_.size() - fixed;
   words_[ids + row_] = id;
@@ -117,10 +109,10 @@ void PairSideWriter::begin_row(NodeID id, NodeWeight weight) {
 
 PairSide PairSideWriter::finish(std::span<const NodeID> fringe) {
   assert(row_ == band_size_);
-  const std::size_t ids = header_words_ + 2;
+  constexpr std::size_t ids = PairSide::kIds;
   const std::size_t fixed = ids + 3 * static_cast<std::size_t>(band_size_);
   if (band_size_ > 0) words_[ids + 3 * band_size_ - 1] = words_.size() - fixed;
-  words_[header_words_ + 1] = fringe.size();
+  words_[1] = fringe.size();
 
   // Fringe references were written as list positions; renumber them to
   // the positions of the ascending fringe section.
@@ -141,7 +133,7 @@ PairSide PairSideWriter::finish(std::span<const NodeID> fringe) {
   for (const auto& [id, position] : order) words_.push_back(id);
   PairSide side;
   side.words_ = std::move(words_);
-  side.locate(header_words_);
+  side.locate();
   return side;
 }
 

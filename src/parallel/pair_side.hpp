@@ -8,7 +8,7 @@
 /// builder's row pass, moved into the message as is, and read in place
 /// by the executor:
 ///
-///   [header words...]  nband  nfringe
+///   nband  nfringe
 ///   band ids     (nband, strictly ascending)
 ///   band weights (nband, weight bits)
 ///   row ends     (nband, cumulative arc counts; narcs = the last one)
@@ -28,12 +28,10 @@
 /// need a search when the executor numbers the view. Still one word per
 /// arc, so the wire volume is that of plain global ids.
 ///
-/// The optional header carries a message's own fields (the async
-/// scheduler's tag, pair index and partner weight) ahead of the side, so
-/// a received payload is parsed without copying. parse() checks every
-/// count and every reference against the payload before reading, so a
-/// truncated, oversized or garbage side raises TransportError instead of
-/// reading out of bounds or allocating without limit.
+/// A received payload is parsed in place, without copying. parse() checks
+/// every count and every reference against the payload before reading,
+/// so a truncated, oversized or garbage side raises TransportError
+/// instead of reading out of bounds or allocating without limit.
 #pragma once
 
 #include <cstdint>
@@ -57,17 +55,16 @@ class PairSide {
 
   PairSide() = default;
 
-  /// Validates \p words as a side starting after \p header_words words
-  /// and takes them over. Throws TransportError on malformed input.
-  [[nodiscard]] static PairSide parse(std::vector<std::uint64_t> words,
-                                      std::size_t header_words = 0);
+  /// Validates \p words as a side and takes them over. Throws
+  /// TransportError on malformed input.
+  [[nodiscard]] static PairSide parse(std::vector<std::uint64_t> words);
 
   [[nodiscard]] NodeID band_size() const { return nband_; }
   [[nodiscard]] NodeID fringe_size() const { return nfringe_; }
   [[nodiscard]] std::uint64_t num_arcs() const { return narcs_; }
 
   [[nodiscard]] NodeID band_id(NodeID i) const {
-    return static_cast<NodeID>(words_[ids_ + i]);
+    return static_cast<NodeID>(words_[kIds + i]);
   }
   [[nodiscard]] NodeWeight band_weight(NodeID i) const;
   [[nodiscard]] std::uint64_t row_begin(NodeID i) const {
@@ -89,13 +86,13 @@ class PairSide {
 
   /// The band and fringe ids as word ranges (ascending).
   [[nodiscard]] std::span<const std::uint64_t> band_ids() const {
-    return {words_.data() + ids_, nband_};
+    return {words_.data() + kIds, nband_};
   }
   [[nodiscard]] std::span<const std::uint64_t> fringe_ids() const {
     return {words_.data() + fringe_, nfringe_};
   }
 
-  /// The whole message, header included.
+  /// The whole message.
   [[nodiscard]] std::size_t num_words() const { return words_.size(); }
   [[nodiscard]] std::vector<std::uint64_t> release() && {
     return std::move(words_);
@@ -104,14 +101,16 @@ class PairSide {
  private:
   friend class PairSideWriter;
 
-  /// Sets the section offsets from the counts at \p header_words.
-  void locate(std::size_t header_words);
+  /// Offset of the band ids: they follow the band and fringe counts.
+  static constexpr std::size_t kIds = 2;
+
+  /// Sets the section offsets from the leading counts.
+  void locate();
 
   std::vector<std::uint64_t> words_;
   NodeID nband_ = 0;
   NodeID nfringe_ = 0;
   std::uint64_t narcs_ = 0;
-  std::size_t ids_ = 0;
   std::size_t weights_ = 0;
   std::size_t ends_ = 0;
   std::size_t targets_ = 0;
@@ -123,7 +122,7 @@ class PairSide {
 /// its kept arcs, and finish() with the fringe.
 class PairSideWriter {
  public:
-  PairSideWriter(std::vector<std::uint64_t> header, NodeID band_size);
+  explicit PairSideWriter(NodeID band_size);
 
   void begin_row(NodeID id, NodeWeight weight);
   /// An arc to the band node at \p index (its rank in the band order).
@@ -151,7 +150,6 @@ class PairSideWriter {
 
   std::vector<std::uint64_t> words_;
   std::vector<std::uint64_t> arc_weights_;
-  std::size_t header_words_ = 0;
   NodeID band_size_ = 0;
   NodeID row_ = 0;
 };

@@ -51,13 +51,15 @@ class PEContext {
   /// Sends a word buffer to \p dest (non-blocking, buffered).
   void send(int dest, std::vector<std::uint64_t> payload);
 
-  /// Blocks until a message from \p source arrives (-1: any source).
-  /// Throws TransportError when the backend reports a dead peer or an
-  /// exceeded receive deadline.
-  [[nodiscard]] Message receive(int source = -1);
+  /// Blocks until a message from \p source arrives. Every receive names
+  /// its source: there is no any-source receive, so arrival order across
+  /// sources can never reach the caller. Throws TransportError when the
+  /// backend reports a dead peer or an exceeded receive deadline, and
+  /// std::invalid_argument for a negative source.
+  [[nodiscard]] Message receive(int source);
 
-  /// Non-blocking receive.
-  [[nodiscard]] std::optional<Message> try_receive(int source = -1);
+  /// Non-blocking receive from \p source.
+  [[nodiscard]] std::optional<Message> try_receive(int source);
 
   /// Synchronizes all PEs.
   void barrier();

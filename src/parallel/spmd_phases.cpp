@@ -11,7 +11,6 @@
 #include "parallel/wire_format.hpp"
 #include "refinement/edge_coloring.hpp"
 #include "util/progress.hpp"
-#include "util/seeded_hash.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
 
@@ -253,9 +252,8 @@ namespace {
 /// and their weights are never read. View ids ascend with global ids and
 /// the block weights are the caller-supplied *global* pair weights, so
 /// the search on the view is a pure function of the pair and the supplied
-/// state — independent of p and of which rank executes. (The oracle path
-/// passes the globally consistent replicated weights; the async path
-/// passes the block owners' authoritative accounts.)
+/// state — independent of p and of which rank executes (the caller passes
+/// the globally consistent replicated weights).
 struct PairView {
   StaticGraph graph;
   Partition partition;
@@ -560,8 +558,7 @@ void restart_pair_path(PairPathState& state, DistPartition& partition) {
 PairSide build_pair_side(const BlockRowShard& store,
                          const DistPartition& partition,
                          const QuotientEdge& edge, BlockID side,
-                         int ship_depth, PairPathState& st,
-                         std::vector<std::uint64_t> header) {
+                         int ship_depth, PairPathState& st) {
   const BlockID a = edge.a;
   const BlockID b = edge.b;
   const BlockID other = side == a ? b : a;
@@ -627,8 +624,7 @@ PairSide build_pair_side(const BlockRowShard& store,
   std::sort(st.order.begin(), st.order.end());
   for (NodeID i = 0; i < st.order.size(); ++i) st.index[st.order[i].second] = i;
   st.fringe.clear();
-  PairSideWriter writer(std::move(header),
-                        static_cast<NodeID>(st.order.size()));
+  PairSideWriter writer(static_cast<NodeID>(st.order.size()));
   for (const auto& [u, slot] : st.order) {
     const GraphRowView row = store.row_at(store.handle_at_slot(slot));
     writer.begin_row(u, row.weight);
@@ -656,10 +652,9 @@ PairSide build_pair_side(const BlockRowShard& store,
 PairSide SpmdRefiner::build_side(const BlockRowShard& store,
                                  const DistPartition& partition,
                                  const QuotientEdge& edge, BlockID side,
-                                 int ship_depth,
-                                 std::vector<std::uint64_t> header) {
-  PairSide built = build_pair_side(store, partition, edge, side, ship_depth,
-                                   pair_state_, std::move(header));
+                                 int ship_depth) {
+  PairSide built =
+      build_pair_side(store, partition, edge, side, ship_depth, pair_state_);
   if (observer_) {
     observer_({store, partition, edge, side, ship_depth,
                std::span<const NodeID>(pair_state_.band.data(),
@@ -705,48 +700,20 @@ void SpmdRefiner::refine(const DistHierarchy& hierarchy, std::size_t level,
 void SpmdRefiner::run_pairwise(BlockRowShard& store, DistPartition& partition,
                                const PairwiseRefinerOptions& options,
                                const Rng& base_rng) {
-  const BlockID k = partition.k();
-
-  // Async pays its staleness bill where nodes are heaviest: on the small
-  // coarse levels every block sits in an in-flight pair at once and a
-  // single gain-misjudged move of a contracted supernode can cost more
-  // cut than the level's refinement wins — while the barrier bill those
-  // levels would save is negligible, their wall-clock share being tiny.
-  // So the async scheduler engages only on levels large enough that
-  // per-move stakes are small and the barrier savings real; the coarse
-  // tail keeps the color-class oracle. The level size is collectively
-  // agreed (an all-reduce over the distributed row counts), so every
-  // rank picks the same scheduler.
-  constexpr std::uint64_t kAsyncMinLevelNodes = 4096;
-  bool use_async = false;
-  if (config_.async_refinement) {
-    std::uint64_t my_rows = 0;
-    for (BlockID b = 0; b < k; ++b) {
-      if (store.owns_block(b)) my_rows += store.members(b).size();
-    }
-    use_async = pe_.all_reduce_sum(my_rows) >= kAsyncMinLevelNodes;
-  }
-
   int no_change_streak = 0;
   for (int global = 0; global < options.max_global_iterations; ++global) {
-    KAPPA_TRACE_SPAN("refine.iteration", static_cast<std::uint64_t>(global),
-                     use_async ? 1 : 0);
+    KAPPA_TRACE_SPAN("refine.iteration", static_cast<std::uint64_t>(global));
     progress_iteration(static_cast<std::uint32_t>(global));
     // Quotient graph from all-gathered per-rank contributions — merged
-    // identically on every PE, so both schedulers below start from the
-    // same pair list in the same order.
+    // identically on every PE, so every rank starts the color classes
+    // from the same pair list in the same order.
     const QuotientGraph quotient = take_quotient(store, partition);
     if (quotient.edges().empty()) break;  // every block is isolated
 
     EdgeWeight my_cut_gain = 0;
     NodeWeight my_imbalance_gain = 0;
-    if (use_async) {
-      run_async_iteration(store, partition, options, base_rng, quotient,
-                          global, my_cut_gain, my_imbalance_gain);
-    } else {
-      run_color_classes(store, partition, options, base_rng, quotient, global,
-                        my_cut_gain, my_imbalance_gain);
-    }
+    run_color_classes(store, partition, options, base_rng, quotient, global,
+                      my_cut_gain, my_imbalance_gain);
 
     // Stop rule on the *global* iteration gains (modular arithmetic makes
     // the unsigned all-reduce exact for signed sums).
@@ -758,26 +725,6 @@ void SpmdRefiner::run_pairwise(BlockRowShard& store, DistPartition& partition,
       no_change_streak = 0;
     } else if (++no_change_streak >= options.stop_no_change) {
       break;
-    }
-  }
-
-  // Async polish: one color-class iteration on the now globally
-  // consistent state. Mid-iteration the async scheduler works against
-  // cached third-block entries that can lag by one invalidation hop, so
-  // an occasional pair move is gain-misjudged; the polish re-runs every
-  // pair with exact state and only improving moves apply, recovering
-  // those moves at the cost of a single synchronized round (instead of
-  // one per iteration, which is the barrier bill this scheduler kills).
-  // All ranks leave the loop in the same iteration (the stop rule is
-  // all-reduced), so the polish collectives stay aligned.
-  if (use_async) {
-    const QuotientGraph quotient = take_quotient(store, partition);
-    if (!quotient.edges().empty()) {
-      EdgeWeight polish_cut_gain = 0;
-      NodeWeight polish_imbalance_gain = 0;
-      run_color_classes(store, partition, options, base_rng, quotient,
-                        options.max_global_iterations, polish_cut_gain,
-                        polish_imbalance_gain);
     }
   }
   partition_footprint_.merge_peak(partition.footprint());
@@ -956,487 +903,6 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
     footprint_.merge_peak(store.footprint());
   }
 }
-
-// ----------------------------------------------- SPMD async refinement ----
-//
-// The barrier-free pair scheduler: rank 0 arbitrates per-block locks, a
-// pair {a, b} is granted the moment both blocks are free, and everything
-// a pair touches travels point-to-point — the partner side, the moved-node
-// deltas, the migrating rows, and targeted cache invalidations to exactly
-// the ranks that own or ghost-cache affected rows. No collective appears
-// between the quotient construction and the iteration-end weight
-// all-reduce (the CI guard greps this section for all_gather).
-//
-// Message flow per granted pair (executor E = owner of a, partner P =
-// owner of b; P == E short-circuits everything locally):
-//
-//   arbiter -> E : GRANT(j)          arbiter -> P : SHIP(j)
-//   P -> E : SIDE(j, weight_b, band)
-//   E refines, applies, books both block weights, then
-//   E -> P : MOVES(j, deltas, departing a-side rows)
-//   E -> * : INVAL(u, to) for a-side movers' interest sets
-//   P applies, books, takes the a-side rows, then
-//   P -> * : INVAL for b-side movers      P -> E : ROWS(j, b-side rows)
-//   E takes the b-side rows and E -> arbiter : DONE(j)
-//
-// Safety rests on three happens-before chains through the mailboxes:
-// (1) pairs sharing a block are serialized by the arbiter (re-grant only
-// after DONE), so each node's invalidation chain is causally ordered;
-// (2) every INVAL is pushed before its pair's DONE is pushed, so when the
-// arbiter has seen every DONE and broadcasts ITER_END, all INVALs already
-// sit ahead of it in the FIFO mailboxes — the loop drains them before it
-// exits; (3) a block's owner books its weight before the block can be
-// re-granted, so the executor always refines with authoritative weights
-// for both blocks. Everything else (third-party ghost caches, third-party
-// weight copies) may go stale mid-iteration and is restored at the
-// iteration seam: one O(k) owner-contribution weight all-reduce plus a
-// ghost-cache refresh against the shard owners.
-
-namespace {
-
-/// Monotonic nanoseconds for the async lock-window events — the
-/// sanctioned trace clock (the timestamps feed the async stats log and
-/// the trace, never partition state).
-std::uint64_t async_now_ns() { return trace_now_ns(); }
-
-// First payload word of every async-scheduler message.
-constexpr std::uint64_t kMsgGrant = 1;    ///< arbiter -> executor: [tag, j]
-constexpr std::uint64_t kMsgShip = 2;     ///< arbiter -> partner: [tag, j]
-constexpr std::uint64_t kMsgSide = 3;     ///< partner -> executor
-constexpr std::uint64_t kMsgMoves = 4;    ///< executor -> partner
-constexpr std::uint64_t kMsgRows = 5;     ///< partner -> executor (the ACK)
-constexpr std::uint64_t kMsgInval = 6;    ///< targeted cache invalidations
-constexpr std::uint64_t kMsgDone = 7;     ///< executor -> arbiter: [tag, j]
-constexpr std::uint64_t kMsgIterEnd = 8;  ///< arbiter -> all: [tag]
-
-/// One committed move of an async pair.
-struct AsyncDelta {
-  NodeID u = 0;
-  BlockID from = 0;
-  BlockID to = 0;
-  NodeWeight w = 0;
-};
-
-}  // namespace
-
-void SpmdRefiner::run_async_iteration(
-    BlockRowShard& store, DistPartition& partition,
-    const PairwiseRefinerOptions& options, const Rng& base_rng,
-    const QuotientGraph& quotient, int global, EdgeWeight& my_cut_gain,
-    NodeWeight& my_imbalance_gain) {
-  const int p = pe_.size();
-  const int rank = pe_.rank();
-  const BlockID k = partition.k();
-  const int ship_depth = options.bfs_depth;
-  const std::vector<QuotientEdge>& edges = quotient.edges();
-  const std::size_t num_pairs = edges.size();
-  constexpr int kArbiter = 0;
-  bool participated = false;
-
-  // --- Arbiter state (rank 0 only): the owner-arbitrated block locks and
-  // the ungranted pairs in quotient order. ---
-  std::vector<char> busy(k, 0);
-  std::vector<std::size_t> ungranted;
-  std::size_t done_pairs = 0;
-  auto grant_ready = [&]() {
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < ungranted.size(); ++r) {
-      const std::size_t j = ungranted[r];
-      const QuotientEdge& e = edges[j];
-      if (busy[e.a] != 0 || busy[e.b] != 0) {
-        ungranted[w++] = ungranted[r];
-        continue;
-      }
-      busy[e.a] = 1;
-      busy[e.b] = 1;
-      const int executor = BlockRowShard::owner_of_block(e.a, p);
-      const int partner_owner = BlockRowShard::owner_of_block(e.b, p);
-      // GRANT is pushed before SHIP, so the executor's FIFO mailbox
-      // always delivers GRANT(j) ahead of the partner's SIDE(j).
-      pe_.send(executor, {kMsgGrant, j});
-      if (partner_owner != executor) pe_.send(partner_owner, {kMsgShip, j});
-    }
-    ungranted.resize(w);
-    // Lock-table summary for kappa-watch stall reports: how many blocks
-    // the arbiter currently holds locked, how many granted pairs are
-    // still in flight, how many are done this iteration.
-    std::uint64_t locked = 0;
-    for (const char b : busy) locked += (b != 0) ? 1u : 0u;
-    progress_aux(ProgressAux::kAsyncLocksHeld, locked);
-    progress_aux(ProgressAux::kAsyncGrantsInFlight,
-                 num_pairs - ungranted.size() - done_pairs);
-    progress_aux(ProgressAux::kAsyncPairsDone, done_pairs);
-  };
-  if (rank == kArbiter) {
-    ungranted.reserve(num_pairs);
-    for (std::size_t j = 0; j < num_pairs; ++j) ungranted.push_back(j);
-    grant_ready();
-  }
-
-  // Queues INVAL(u -> to) for every rank whose state can reference u —
-  // u's shard owner (the authority the iteration-end refresh asks) and
-  // the owners of the blocks of u's row targets (their resident rows have
-  // u as a target, so their quotient contributions and band filters read
-  // block(u)). The two ranks of the pair itself apply the full delta list
-  // and are skipped.
-  auto queue_invals = [&](NodeID u, BlockID to,
-                          std::span<const NodeID> row_targets, int skip,
-                          std::vector<std::vector<std::uint64_t>>& outbox) {
-    std::vector<int> interested;
-    interested.push_back(partition.shard_owner(u));
-    for (const NodeID t : row_targets) {
-      interested.push_back(
-          BlockRowShard::owner_of_block(partition.block(t), p));
-    }
-    std::sort(interested.begin(), interested.end());
-    interested.erase(std::unique(interested.begin(), interested.end()),
-                     interested.end());
-    for (const int q : interested) {
-      if (q == rank || q == skip) continue;
-      if (outbox[static_cast<std::size_t>(q)].empty()) {
-        outbox[static_cast<std::size_t>(q)].push_back(kMsgInval);
-      }
-      outbox[static_cast<std::size_t>(q)].push_back(pack_pair(u, to));
-    }
-  };
-  auto flush_invals = [&](std::vector<std::vector<std::uint64_t>>& outbox) {
-    for (int q = 0; q < p; ++q) {
-      auto& words = outbox[static_cast<std::size_t>(q)];
-      if (!words.empty()) pe_.send(q, std::move(words));
-    }
-  };
-
-  // --- Executor-side in-flight pair state. ---
-  struct InFlight {
-    bool granted = false;
-    bool side_ready = false;
-    PairSide side_b;
-    NodeWeight weight_b = 0;
-  };
-  hash_map<std::size_t, InFlight> inflight;
-  struct AwaitRows {
-    std::vector<AsyncDelta> returning;  ///< this pair's b-side movers
-    std::uint64_t begin_ns = 0;
-  };
-  hash_map<std::size_t, AwaitRows> awaiting;
-
-  // Runs pair j once grant and partner side are in hand: refine on the
-  // pair view, apply the deltas locally (entries plus both blocks' weight
-  // accounts — authoritative for block a here), ship the moves with the
-  // departing a-side rows, and queue the targeted invalidations. With a
-  // remote partner, completion is deferred until its ROWS ACK.
-  auto execute_pair = [&](std::size_t j, InFlight& run) {
-    const QuotientEdge& edge = edges[j];
-    const int partner_owner = BlockRowShard::owner_of_block(edge.b, p);
-    const bool local_partner = partner_owner == rank;
-    participated = true;
-    const std::uint64_t begin_ns = async_now_ns();
-
-    const PairSide side_a =
-        build_side(store, partition, edge, edge.a, ship_depth);
-    if (local_partner) {
-      run.side_b = build_side(store, partition, edge, edge.b, ship_depth);
-      run.weight_b = partition.block_weight(edge.b);
-    } else {
-      // The shipped partner band is this pair's transient intake.
-      ShardFootprint with_intake = store.footprint();
-      with_intake.ghost_nodes +=
-          run.side_b.band_size() + run.side_b.fringe_size();
-      with_intake.arcs += run.side_b.num_arcs();
-      footprint_.merge_peak(with_intake);
-    }
-    PairView view =
-        build_pair_view(side_a, run.side_b, partition.block_weight(edge.a),
-                        run.weight_b, edge, k);
-    ship_stats_.pairs_executed += 1;
-    progress_pair();
-
-    const PairRefineResult result = refine_pair(
-        view.graph, view.partition, edge.a, edge.b, view.seeds, options,
-        base_rng, pair_seed_tag(global, j), /*collect_moves=*/true,
-        &view.movable);
-    my_cut_gain += result.cut_gain;
-    my_imbalance_gain += result.imbalance_gain;
-
-    std::vector<AsyncDelta> deltas;
-    for (const auto& [vu, to] : result.moves) {
-      const BlockID from = view.entry[vu];
-      if (from == static_cast<BlockID>(to)) continue;
-      deltas.push_back({view.to_global[vu], from, static_cast<BlockID>(to),
-                        view.graph.node_weight(vu)});
-    }
-    for (const AsyncDelta& d : deltas) {
-      partition.update_entry(d.u, d.to);
-      partition.adjust_block_weight(d.from, -d.w);
-      partition.adjust_block_weight(d.to, d.w);
-    }
-
-    std::vector<std::vector<std::uint64_t>> inval(
-        static_cast<std::size_t>(p));
-    if (local_partner) {
-      for (const AsyncDelta& d : deltas) {
-        queue_invals(d.u, d.to, store.row_view(d.u).targets, /*skip=*/-1,
-                     inval);
-        store.apply_move(d.u, d.from, d.to, nullptr);
-      }
-      flush_invals(inval);
-      footprint_.merge_peak(store.footprint());
-      const std::uint64_t end_ns = async_now_ns();
-      async_events_.push_back({edge.a, edge.b, begin_ns, end_ns});
-      if (TraceRecorder* recorder = thread_trace()) {
-        recorder->span("async.pair", begin_ns, end_ns, edge.a, edge.b);
-      }
-      pe_.send(kArbiter, {kMsgDone, j});
-      return;
-    }
-
-    // MOVES carries the delta list followed by the departing a-side rows
-    // (each with its targets' blocks, like the oracle's row migration).
-    std::vector<std::uint64_t> moves{kMsgMoves, j, deltas.size()};
-    AwaitRows wait;
-    wait.begin_ns = begin_ns;
-    for (const AsyncDelta& d : deltas) {
-      moves.push_back(pack_pair(d.u, d.to));
-      moves.push_back(weight_bits(d.w));
-      moves.push_back(d.from);
-    }
-    for (const AsyncDelta& d : deltas) {
-      if (d.from != edge.a) {
-        wait.returning.push_back(d);
-        continue;
-      }
-      const GraphRow row = store.apply_move(d.u, d.from, d.to, nullptr);
-      queue_invals(d.u, d.to, row.targets, partner_owner, inval);
-      append_row_words(moves, d.u, {row.weight, row.targets, row.weights},
-                       [](NodeID) { return true; });
-      for (const NodeID t : row.targets) {
-        moves.push_back(partition.block(t));
-      }
-    }
-    // INVALs before MOVES: the partner's ROWS (and with it this pair's
-    // DONE) can only follow, which is what keeps every INVAL ahead of
-    // ITER_END in its destination mailbox.
-    flush_invals(inval);
-    pe_.send(partner_owner, std::move(moves));
-    awaiting.emplace(j, std::move(wait));
-  };
-
-  // Partner side of MOVES: apply the executor's deltas (entries plus both
-  // weight accounts — authoritative for block b here), take over the
-  // a-side rows, then invalidate for the departing b-side movers and ship
-  // their rows back as the completion ACK.
-  auto handle_moves = [&](const Message& msg) {
-    std::size_t cursor = 1;
-    const std::size_t j = msg.payload[cursor++];
-    const QuotientEdge& edge = edges[j];
-    KAPPA_TRACE_SPAN("async.moves", edge.a, edge.b);
-    const int executor = BlockRowShard::owner_of_block(edge.a, p);
-    const std::size_t num_deltas = msg.payload[cursor++];
-    std::vector<AsyncDelta> deltas(num_deltas);
-    for (AsyncDelta& d : deltas) {
-      const auto [u, to] = unpack_pair(msg.payload[cursor++]);
-      d.u = static_cast<NodeID>(u);
-      d.to = static_cast<BlockID>(to);
-      d.w = bits_weight(msg.payload[cursor++]);
-      d.from = static_cast<BlockID>(msg.payload[cursor++]);
-    }
-    for (const AsyncDelta& d : deltas) {
-      partition.update_entry(d.u, d.to);
-      partition.adjust_block_weight(d.from, -d.w);
-      partition.adjust_block_weight(d.to, d.w);
-    }
-    for (const AsyncDelta& d : deltas) {
-      if (d.from != edge.a) continue;
-      GraphRow row;
-      const NodeID id = decode_row_words(msg.payload, cursor, row);
-      assert(id == d.u);
-      (void)id;
-      const std::span<const std::uint64_t> blocks =
-          target_blocks(msg.payload, cursor, row);
-      for (std::size_t i = 0; i < row.targets.size(); ++i) {
-        // Fill-if-unknown: the shipped word may be staler than a block
-        // this rank already tracks causally (u's own entry was just set
-        // from the delta list above).
-        if (!partition.knows(row.targets[i])) {
-          partition.update_entry(row.targets[i],
-                                 static_cast<BlockID>(blocks[i]));
-        }
-      }
-      store.apply_move(d.u, d.from, d.to, &row, slots_of(partition));
-    }
-    std::vector<std::vector<std::uint64_t>> inval(
-        static_cast<std::size_t>(p));
-    std::vector<std::uint64_t> rows{kMsgRows, j};
-    for (const AsyncDelta& d : deltas) {
-      if (d.from != edge.b) continue;
-      const GraphRow row = store.apply_move(d.u, d.from, d.to, nullptr);
-      queue_invals(d.u, d.to, row.targets, executor, inval);
-      append_row_words(rows, d.u, {row.weight, row.targets, row.weights},
-                       [](NodeID) { return true; });
-      for (const NodeID t : row.targets) {
-        rows.push_back(partition.block(t));
-      }
-    }
-    flush_invals(inval);  // before the ACK — see the ordering note above
-    pe_.send(executor, std::move(rows));
-    footprint_.merge_peak(store.footprint());
-  };
-
-  // Executor side of ROWS: take over the returning b-side rows, then
-  // report the pair done.
-  auto handle_rows = [&](const Message& msg) {
-    std::size_t cursor = 1;
-    const std::size_t j = msg.payload[cursor++];
-    const QuotientEdge& edge = edges[j];
-    AwaitRows wait = std::move(awaiting.at(j));
-    awaiting.erase(j);
-    for (const AsyncDelta& d : wait.returning) {
-      GraphRow row;
-      const NodeID id = decode_row_words(msg.payload, cursor, row);
-      assert(id == d.u);
-      (void)id;
-      const std::span<const std::uint64_t> blocks =
-          target_blocks(msg.payload, cursor, row);
-      for (std::size_t i = 0; i < row.targets.size(); ++i) {
-        if (!partition.knows(row.targets[i])) {
-          partition.update_entry(row.targets[i],
-                                 static_cast<BlockID>(blocks[i]));
-        }
-      }
-      store.apply_move(d.u, d.from, d.to, &row, slots_of(partition));
-    }
-    footprint_.merge_peak(store.footprint());
-    const std::uint64_t end_ns = async_now_ns();
-    async_events_.push_back({edge.a, edge.b, wait.begin_ns, end_ns});
-    if (TraceRecorder* recorder = thread_trace()) {
-      recorder->span("async.pair", wait.begin_ns, end_ns, edge.a, edge.b);
-    }
-    pe_.send(kArbiter, {kMsgDone, j});
-  };
-
-  // --- The event loop: blocking any-source receives, dispatch on the
-  // tag. The arbiter exits once every pair reported DONE (its mailbox is
-  // provably drained at that point); everyone else exits on ITER_END,
-  // behind which no INVAL can hide. ---
-  bool iter_done = num_pairs == 0;  // caller guards this; exit everywhere
-  while (!iter_done) {
-    Message msg = pe_.receive(-1);
-    switch (msg.payload[0]) {
-      case kMsgGrant: {
-        const std::size_t j = msg.payload[1];
-        KAPPA_TRACE_INSTANT("async.grant", j);
-        InFlight& run = inflight[j];
-        run.granted = true;
-        const bool local_partner =
-            BlockRowShard::owner_of_block(edges[j].b, p) == rank;
-        if (local_partner || run.side_ready) {
-          execute_pair(j, run);
-          inflight.erase(j);
-        }
-        break;
-      }
-      case kMsgShip: {
-        const std::size_t j = msg.payload[1];
-        const QuotientEdge& edge = edges[j];
-        KAPPA_TRACE_SPAN("async.ship", edge.a, edge.b);
-        const int executor = BlockRowShard::owner_of_block(edge.a, p);
-        PairSide side = build_side(
-            store, partition, edge, edge.b, ship_depth,
-            {kMsgSide, j, weight_bits(partition.block_weight(edge.b))});
-        ship_stats_.pairs_shipped += 1;
-        ship_stats_.rows_shipped += side.band_size() + side.fringe_size();
-        ship_stats_.words_shipped += side.num_words();
-        ship_stats_.whole_block_rows += store.members(edge.b).size();
-        participated = true;
-        pe_.send(executor, std::move(side).release());
-        break;
-      }
-      case kMsgSide: {
-        const std::size_t j = msg.payload[1];
-        InFlight& run = inflight[j];
-        run.weight_b = bits_weight(msg.payload[2]);
-        run.side_b = PairSide::parse(std::move(msg.payload), 3);
-        run.side_ready = true;
-        if (run.granted) {
-          execute_pair(j, run);
-          inflight.erase(j);
-        }
-        break;
-      }
-      case kMsgMoves:
-        handle_moves(msg);
-        break;
-      case kMsgRows:
-        handle_rows(msg);
-        break;
-      case kMsgInval:
-        for (std::size_t i = 1; i < msg.payload.size(); ++i) {
-          const auto [u, to] = unpack_pair(msg.payload[i]);
-          partition.update_entry(static_cast<NodeID>(u),
-                                 static_cast<BlockID>(to));
-        }
-        break;
-      case kMsgDone: {
-        assert(rank == kArbiter);
-        const std::size_t j = msg.payload[1];
-        busy[edges[j].a] = 0;
-        busy[edges[j].b] = 0;
-        ++done_pairs;
-        grant_ready();
-        if (done_pairs == num_pairs) {
-          for (int q = 0; q < p; ++q) {
-            if (q != rank) pe_.send(q, {kMsgIterEnd});
-          }
-          iter_done = true;
-        }
-        break;
-      }
-      case kMsgIterEnd:
-        iter_done = true;
-        break;
-    }
-  }
-  assert(inflight.empty() && awaiting.empty() && ungranted.empty());
-  if (rank == kArbiter) {
-    progress_aux(ProgressAux::kAsyncLocksHeld, 0);
-    progress_aux(ProgressAux::kAsyncGrantsInFlight, 0);
-  }
-  if (!participated && num_pairs > 0) pe_.count_idle_round();
-
-  // --- Iteration seam: restore global consistency. Authoritative O(k)
-  // block weights from the owners' member lists (every move is booked at
-  // both owners before ITER_END, so the member lists are final), then a
-  // ghost-cache refresh against the shard owners — whose entries are
-  // exact because every mover's interest set includes its shard owner and
-  // all INVALs drained before the loop exited. ---
-  std::vector<std::uint64_t> partial(k, 0);
-  for (BlockID b = 0; b < k; ++b) {
-    if (!store.owns_block(b)) continue;
-    for (const NodeID u : store.members(b)) {
-      partial[b] += static_cast<std::uint64_t>(store.row_view(u).weight);
-    }
-  }
-  const std::vector<std::uint64_t> sums =
-      pe_.all_reduce_sum_vec(std::move(partial));
-  std::vector<NodeWeight> weights;
-  weights.reserve(k);
-  for (const std::uint64_t w : sums) {
-    weights.push_back(static_cast<NodeWeight>(w));
-  }
-  partition.set_block_weights(std::move(weights));
-
-  std::vector<NodeID> needed;
-  store.for_each_resident_row(
-      [&](NodeID, NodeWeight, std::span<const NodeID> targets,
-          std::span<const EdgeWeight>) {
-        needed.insert(needed.end(), targets.begin(), targets.end());
-      });
-  std::sort(needed.begin(), needed.end());
-  needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
-  partition.refresh_blocks(needed, pe_);
-}
-
-// ------------------------------------------- end SPMD async refinement ----
 
 void SpmdRefiner::rebalance(DistPartition& partition) {
   assert(finest_store_.has_value() &&

@@ -28,29 +28,15 @@
 ///     boundary-band BFS on its resident rows and ships only the band
 ///     plus a one-hop fringe of frozen context nodes — the pair search is
 ///     confined to the band, with exact gains, and migration volume drops
-///     from |block| to |band| per pair. Two schedulers drive the pairs:
-///
-///       * the color-class oracle (default): rounds follow an edge
-///         coloring of the quotient — computed by the §5.1 protocol
-///         running *inside* the refiner (virtual block-PEs nested on the
-///         p ranks), which draws the same coloring as the greedy
-///         color_quotient_edges() from the same seed. Moved-node deltas
-///         (with entry block and weight) plus migrating rows are
-///         exchanged after every color class; every rank applies
-///         every delta, which keeps the sharded partition state and the
-///         replicated O(k) block weights globally consistent.
-///       * the async scheduler (config.async_refinement): no rounds — an
-///         arbiter rank hands out owner-arbitrated block locks, a pair
-///         runs the moment both blocks are free, and the deltas travel
-///         point-to-point only to the executor/partner pair plus the
-///         ranks that own or ghost-cache affected rows (targeted
-///         invalidations). One O(k) weight all-reduce and a ghost-cache
-///         refresh per iteration restore global consistency at the seam.
-///         It engages only on levels above a size threshold — the coarse
-///         tail, where supernode moves are high-stakes and the barrier
-///         bill negligible, keeps the oracle — and finishes with one
-///         color-class polish iteration on consistent state that
-///         recovers gain-misjudged moves.
+///     from |block| to |band| per pair. The pairs run in the §5.1
+///     schedule: rounds follow an edge coloring of the quotient, computed
+///     by the §5.1 protocol running *inside* the refiner (virtual
+///     block-PEs nested on the p ranks), which draws the same coloring as
+///     the greedy color_quotient_edges() from the same seed. Moved-node
+///     deltas (with entry block and weight) plus migrating rows are
+///     exchanged after every color class; every rank applies every
+///     delta, which keeps the sharded partition state and the replicated
+///     O(k) block weights globally consistent.
 ///
 ///     The rebalancing insurance loop runs through the same machinery on
 ///     the retained finest-level store, from which warm starts also count
@@ -62,11 +48,12 @@
 /// globally consistent store + partition state. The physical PE count p
 /// only decides which PE executes which unit, so a fixed seed yields the
 /// identical partition for every p (verified by spmd_pipeline_test and
-/// dist_partition_test, p = 1..9 incl. ragged p and p > k). The async
-/// scheduler deliberately trades this bit-identity for wall-clock: its
-/// outcome depends on message arrival order (verified no worse on cut by
-/// async_refinement_test), while the oracle keeps the reproducibility
-/// contract for every preset.
+/// dist_partition_test, p = 1..9 incl. ragged p and p > k). Every receive
+/// names its source, and delivery is FIFO per (source, lane) only, so the
+/// arrival order across sources cannot reach the partition either
+/// (pair_path_test replays a run under randomly delayed sends): the
+/// partition is a pure function of (graph, config, seed) for every p and
+/// every transport backend.
 #pragma once
 
 #include <cstdint>
@@ -122,8 +109,7 @@ struct PairPathState {
 void restart_pair_path(PairPathState& state, DistPartition& partition);
 
 /// Builds block \p side's half of the view of \p edge at the side's owner
-/// (§5.2 band shipping), written after \p header words when it travels
-/// inside a message: the BFS of depth \p ship_depth from the exact
+/// (§5.2 band shipping): the BFS of depth \p ship_depth from the exact
 /// current seeds — the quotient edge's boundary nodes still in this side
 /// plus the rows dirtied since restart_pair_path() that are pair boundary
 /// now — plus the one-hop same-side fringe. No block is scanned.
@@ -132,8 +118,7 @@ void restart_pair_path(PairPathState& state, DistPartition& partition);
 [[nodiscard]] PairSide build_pair_side(const BlockRowShard& store,
                                        const DistPartition& partition,
                                        const QuotientEdge& edge, BlockID side,
-                                       int ship_depth, PairPathState& state,
-                                       std::vector<std::uint64_t> header = {});
+                                       int ship_depth, PairPathState& state);
 
 /// One pair side as the refiner built it, handed to a test observer
 /// (SpmdRefiner::set_pair_side_observer) right after the build — enough
@@ -235,22 +220,13 @@ class SpmdRefiner {
     observer_ = std::move(observer);
   }
 
-  /// Async mode only: the lock windows of the pairs this rank executed
-  /// (execution start to completion ACK). Events sharing a block never
-  /// overlap — the observable form of the arbiter's lock discipline,
-  /// pinned by the lock-safety test and plotted by the wall-clock bench.
-  [[nodiscard]] const std::vector<AsyncPairEvent>& async_events() const {
-    return async_events_;
-  }
-
  private:
   /// One pairwise_refine()-shaped run on the distributed store: global
-  /// iterations over the merged quotient, each executed by the scheduler
-  /// config_ selects (color-class oracle or async block locks), with the
-  /// shared stop rule on the all-reduced iteration gains. In oracle mode
-  /// the outcome mirrors the replicated implementation's loop, RNG forks
-  /// and stop rules exactly — a pure function of (store content,
-  /// partition state, options, rng), independent of p.
+  /// iterations over the merged quotient, each run as color classes, with
+  /// the stop rule on the all-reduced iteration gains. The outcome mirrors
+  /// the replicated implementation's loop, RNG forks and stop rules
+  /// exactly — a pure function of (store content, partition state,
+  /// options, rng), independent of p.
   void run_pairwise(BlockRowShard& store, DistPartition& partition,
                     const PairwiseRefinerOptions& options, const Rng& base_rng);
 
@@ -265,10 +241,9 @@ class SpmdRefiner {
   [[nodiscard]] PairSide build_side(const BlockRowShard& store,
                                     const DistPartition& partition,
                                     const QuotientEdge& edge, BlockID side,
-                                    int ship_depth,
-                                    std::vector<std::uint64_t> header = {});
+                                    int ship_depth);
 
-  /// One oracle iteration: color classes as global rounds, pair execution
+  /// One iteration: color classes as global rounds, pair execution
   /// at the block-a owner, moved-node delta all-gather and row migration
   /// after every class. The coloring comes from the in-refiner §5.1
   /// protocol; sides are shipped at band depth options.bfs_depth.
@@ -277,15 +252,6 @@ class SpmdRefiner {
                          const Rng& base_rng, const QuotientGraph& quotient,
                          int global, EdgeWeight& my_cut_gain,
                          NodeWeight& my_imbalance_gain);
-
-  /// One async iteration: the barrier-free event loop with owner-
-  /// arbitrated block locks and point-to-point deltas (see the .cpp
-  /// section marked "SPMD async refinement").
-  void run_async_iteration(BlockRowShard& store, DistPartition& partition,
-                           const PairwiseRefinerOptions& options,
-                           const Rng& base_rng, const QuotientGraph& quotient,
-                           int global, EdgeWeight& my_cut_gain,
-                           NodeWeight& my_imbalance_gain);
 
   const StaticGraph& finest_;
   const Config& config_;
@@ -296,7 +262,6 @@ class SpmdRefiner {
   ShardFootprint footprint_;
   ShardFootprint partition_footprint_;
   PairShipStats ship_stats_;
-  std::vector<AsyncPairEvent> async_events_;
   PairPathState pair_state_;
   PairSideObserver observer_;
   /// The finest level's store, retained after refine(level 0) for the

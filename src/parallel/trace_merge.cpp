@@ -56,8 +56,6 @@ void encode_snapshot(const RankSnapshot& s, std::vector<std::uint64_t>& out) {
   out.push_back(s.pair_ship.rows_shipped);
   out.push_back(s.pair_ship.words_shipped);
   out.push_back(s.pair_ship.whole_block_rows);
-  out.push_back(s.async_pairs);
-  out.push_back(s.async_lock_ns);
 }
 
 RankSnapshot decode_snapshot(const std::vector<std::uint64_t>& in,
@@ -89,8 +87,6 @@ RankSnapshot decode_snapshot(const std::vector<std::uint64_t>& in,
   s.pair_ship.rows_shipped = in.at(pos++);
   s.pair_ship.words_shipped = in.at(pos++);
   s.pair_ship.whole_block_rows = in.at(pos++);
-  s.async_pairs = in.at(pos++);
-  s.async_lock_ns = in.at(pos++);
   return s;
 }
 

@@ -36,8 +36,6 @@ struct RankSnapshot {
   ShardFootprint hierarchy_memory;
   ShardFootprint partition_memory;
   PairShipStats pair_ship;
-  std::uint64_t async_pairs = 0;    ///< async lock windows this rank ran
-  std::uint64_t async_lock_ns = 0;  ///< summed width of those windows
 };
 
 /// Result of collect_trace(): populated on global rank 0, empty (zero

@@ -20,9 +20,11 @@
 /// Lanes keep collective traffic and application point-to-point traffic
 /// from being confused: a collective implemented as p2p messages must
 /// never satisfy an application receive(source) and vice versa. Within
-/// one (source, lane) pair delivery is FIFO; the SPMD discipline (every
-/// rank executes the same global sequence of collective operations)
-/// makes positional matching on the collective lane sound.
+/// one (source, lane) pair delivery is FIFO, and that is the only order a
+/// backend guarantees: every receive names its source, so the relative
+/// arrival order of different sources is never observable. The SPMD
+/// discipline (every rank executes the same global sequence of collective
+/// operations) makes positional matching on the collective lane sound.
 #pragma once
 
 #include <cstddef>
@@ -111,9 +113,10 @@ class Transport {
   /// Sends a word buffer to \p dest on \p lane (non-blocking, buffered).
   virtual void send(int dest, Lane lane, std::vector<std::uint64_t> payload) = 0;
 
-  /// Blocks until a message from \p source (-1: any source) arrives on
+  /// Blocks until a message from \p source (a rank, >= 0) arrives on
   /// \p lane. Throws TransportError when the peer died or the backend's
-  /// receive deadline passed — a failure is reported, never a hang.
+  /// receive deadline passed — a failure is reported, never a hang — and
+  /// std::invalid_argument for a negative source.
   [[nodiscard]] virtual Message receive(int source, Lane lane) = 0;
 
   /// Non-blocking receive; empty optional if nothing matching is queued.

@@ -292,19 +292,27 @@ class TcpTransport final : public Transport {
       for (Mailbox& inbox : inbox_) inbox.register_source(q);
     }
     establish_mesh();
-    for (int q = 0; q < options.num_ranks; ++q) {
-      if (q == options.rank) continue;
-      receivers_.emplace_back([this, q] { receive_loop(q); });
+    try {
+      for (int q = 0; q < options.num_ranks; ++q) {
+        if (q == options.rank) continue;
+        receivers_.emplace_back([this, q] { receive_loop(q); });
+      }
+      // One full synchronization before handing the endpoint out: every
+      // rank's mesh and receiver threads are live, so the first real
+      // message can never race the rendezvous.
+      barrier();
+    } catch (...) {
+      // A constructor that throws runs no destructor, and a joinable
+      // std::thread member would std::terminate as it is destroyed: a
+      // peer dying between the mesh and the barrier must surface as the
+      // barrier's TransportError instead.
+      stop_receivers();
+      throw;
     }
-    // One full synchronization before handing the endpoint out: every
-    // rank's mesh and receiver threads are live, so the first real
-    // message can never race the rendezvous.
-    barrier();
   }
 
   ~TcpTransport() override {
     disable_watch();  // join the heartbeat thread before touching the fds
-    stopping_.store(true, std::memory_order_release);
     const std::uint64_t bye[2] = {kFrameBye, 0};
     for (std::size_t q = 0; q < fds_.size(); ++q) {
       const int fd = fds_[q];
@@ -316,10 +324,7 @@ class TcpTransport final : public Transport {
         // The peer is already gone; nothing left to say.
       }
     }
-    for (std::thread& t : receivers_) t.join();
-    for (const int fd : fds_) {
-      if (fd >= 0) ::close(fd);
-    }
+    stop_receivers();
   }
 
   [[nodiscard]] int rank() const override { return options_.rank; }
@@ -357,8 +362,7 @@ class TcpTransport final : public Transport {
         Clock::now() + std::chrono::milliseconds(options_.recv_timeout_ms));
     if (!msg) {
       throw TransportError(
-          "tcp receive from rank " +
-          (source < 0 ? std::string("any") : std::to_string(source)) +
+          "tcp receive from rank " + std::to_string(source) +
           " timed out after " + std::to_string(options_.recv_timeout_ms) +
           " ms — peer hung, deadlocked, or fell behind the deadline");
     }
@@ -663,6 +667,16 @@ class TcpTransport final : public Transport {
     } catch (const TransportError& error) {
       mark_peer_dead(q);
       fail_all(error.what());
+    }
+  }
+
+  /// Local teardown: flags the receiver threads to stop, joins them (each
+  /// returns within the teardown grace) and closes every mesh socket.
+  void stop_receivers() {
+    stopping_.store(true, std::memory_order_release);
+    for (std::thread& t : receivers_) t.join();
+    for (const int fd : fds_) {
+      if (fd >= 0) ::close(fd);
     }
   }
 

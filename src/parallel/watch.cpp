@@ -143,15 +143,25 @@ RankWatch::RankWatch(PEContext& pe, const ProgressBoard& board,
                      WatchOptions options, WatchSink* sink, bool run_sampler)
     : pe_(pe), board_(board), options_(std::move(options)), sink_(sink) {
   pe_.enable_watch(&board_, options_.heartbeat_interval_ms);
-  if (options_.stall_timeout_ms > 0) {
-    watchdog_ = std::thread([this] { watchdog_loop(); });
-  }
-  if (run_sampler && sink_ != nullptr && !options_.snapshot_path.empty()) {
-    sampler_ = std::thread([this] { sampler_loop(); });
+  try {
+    if (options_.stall_timeout_ms > 0) {
+      watchdog_ = std::thread([this] { watchdog_loop(); });
+    }
+    if (run_sampler && sink_ != nullptr && !options_.snapshot_path.empty()) {
+      sampler_ = std::thread([this] { sampler_loop(); });
+    }
+  } catch (...) {
+    // A constructor that throws runs no destructor, and a joinable
+    // std::thread member would std::terminate as it is destroyed: stop
+    // whatever already started before the exception leaves.
+    stop();
+    throw;
   }
 }
 
-RankWatch::~RankWatch() {
+RankWatch::~RankWatch() { stop(); }
+
+void RankWatch::stop() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
@@ -298,13 +308,6 @@ void RankWatch::emit_stall_report(const ProgressSnapshot& snap,
     }
   }
   json += "],";
-  json += "\"async\":{";
-  json += j_u64("locks_held", board_.aux(ProgressAux::kAsyncLocksHeld)) + ',';
-  json += j_u64("grants_in_flight",
-                board_.aux(ProgressAux::kAsyncGrantsInFlight)) +
-          ',';
-  json += j_u64("pairs_done", board_.aux(ProgressAux::kAsyncPairsDone));
-  json += "},";
   json += "\"peers\":" + rank_table_json(now_ns);
   json += '}';
   if (sink_ != nullptr) sink_->append(json);
@@ -340,13 +343,7 @@ void RankWatch::emit_stall_report(const ProgressSnapshot& snap,
     }
     if (!any) text += " (empty)";
   }
-  text += "\n  async: locks_held=" +
-          std::to_string(board_.aux(ProgressAux::kAsyncLocksHeld)) +
-          " grants_in_flight=" +
-          std::to_string(board_.aux(ProgressAux::kAsyncGrantsInFlight)) +
-          " pairs_done=" +
-          std::to_string(board_.aux(ProgressAux::kAsyncPairsDone)) + "\n";
-  text += "  peers:";
+  text += "\n  peers:";
   {
     const std::uint64_t timeout_ns =
         static_cast<std::uint64_t>(options_.stall_timeout_ms) * 1000000ull;

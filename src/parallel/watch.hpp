@@ -104,6 +104,9 @@ class RankWatch {
   }
 
  private:
+  /// Joins the watchdog and sampler threads (whichever run) and disables
+  /// the transport's watch hooks.
+  void stop();
   void watchdog_loop();
   void sampler_loop();
   void emit_stall_report(const ProgressSnapshot& snap, std::uint64_t now_ns,

@@ -96,11 +96,6 @@ void ProgressBoard::pop_span(std::uint64_t now_ns) {
   advance(now_ns);
 }
 
-void ProgressBoard::set_aux(ProgressAux slot, std::uint64_t value) {
-  aux_[static_cast<std::size_t>(slot)].store(value,
-                                             std::memory_order_relaxed);
-}
-
 void ProgressBoard::touch(std::uint64_t now_ns) { advance(now_ns); }
 
 ProgressSnapshot ProgressBoard::snapshot() const {
@@ -113,11 +108,6 @@ ProgressSnapshot ProgressBoard::snapshot() const {
   snap.advances = advances_.load(std::memory_order_acquire);
   snap.last_advance_ns = last_advance_ns_.load(std::memory_order_relaxed);
   return snap;
-}
-
-std::uint64_t ProgressBoard::aux(ProgressAux slot) const {
-  return aux_[static_cast<std::size_t>(slot)].load(
-      std::memory_order_relaxed);
 }
 
 std::vector<const char*> ProgressBoard::open_spans() const {
@@ -200,12 +190,6 @@ void progress_iteration(std::uint32_t iteration) {
 void progress_pair() {
   if (ProgressBoard* board = g_thread_board) {
     board->count_pair(trace_now_ns());
-  }
-}
-
-void progress_aux(ProgressAux slot, std::uint64_t value) {
-  if (ProgressBoard* board = g_thread_board) {
-    board->set_aux(slot, value);
   }
 }
 

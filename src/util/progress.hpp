@@ -59,15 +59,6 @@ struct ProgressSnapshot {
   std::uint64_t last_advance_ns = 0; ///< trace_now_ns() of the newest one
 };
 
-/// Named auxiliary counter slots — the async-arbiter lock-table summary
-/// the §5.2 barrier-free scheduler publishes for stall reports.
-enum class ProgressAux : std::uint8_t {
-  kAsyncLocksHeld = 0,     ///< blocks currently locked by in-flight pairs
-  kAsyncGrantsInFlight = 1, ///< pairs granted but not yet reported done
-  kAsyncPairsDone = 2,     ///< pairs completed this iteration
-  kCount = 3,
-};
-
 /// One rank's progress board. Writer: the rank thread only. Readers: any.
 class ProgressBoard {
  public:
@@ -86,14 +77,12 @@ class ProgressBoard {
   /// kMaxSpanDepth is counted but not stored.
   void push_span(const char* name, std::uint64_t now_ns);
   void pop_span(std::uint64_t now_ns);
-  void set_aux(ProgressAux slot, std::uint64_t value);
   /// Bumps the advance counter without changing any field — "still alive,
   /// still moving" evidence from sites with nothing structured to report.
   void touch(std::uint64_t now_ns);
 
   // --- reader side (any thread) ------------------------------------------
   [[nodiscard]] ProgressSnapshot snapshot() const;
-  [[nodiscard]] std::uint64_t aux(ProgressAux slot) const;
   /// Open span names, outermost first. Best-effort under concurrent
   /// writes: entries are individually atomic, the stack as a whole is not.
   [[nodiscard]] std::vector<const char*> open_spans() const;
@@ -124,9 +113,6 @@ class ProgressBoard {
   std::atomic<std::uint32_t> recent_head_{0};
   std::array<std::atomic<const char*>, kRecentEvents> recent_name_{};
   std::array<std::atomic<std::uint64_t>, kRecentEvents> recent_ns_{};
-  std::array<std::atomic<std::uint64_t>,
-             static_cast<std::size_t>(ProgressAux::kCount)>
-      aux_{};
 };
 
 /// The board bound to the current thread (one per watched SPMD rank), or
@@ -153,6 +139,5 @@ void progress_phase(ProgressPhase phase);
 void progress_level(std::uint32_t level);
 void progress_iteration(std::uint32_t iteration);
 void progress_pair();
-void progress_aux(ProgressAux slot, std::uint64_t value);
 
 }  // namespace kappa

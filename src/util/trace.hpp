@@ -67,7 +67,7 @@ class TraceRecorder {
   explicit TraceRecorder(std::size_t capacity = kDefaultCapacity);
 
   /// Records a completed interval with explicit bounds (already-measured
-  /// windows like the async scheduler's lock spans).
+  /// windows like a blocked receive).
   void span(const char* name, std::uint64_t start_ns, std::uint64_t end_ns,
             std::uint64_t arg0 = 0, std::uint64_t arg1 = 0);
 

@@ -10,16 +10,20 @@
 /// seeds still in the side, expanded by a plain BFS over the store's
 /// rows. Both the seeds and every built side (band,
 /// rows, fringe) must equal the oracle's element for element — under the
-/// real schedulers (every write path of the pipeline) and under seeded
-/// random move sequences applied directly to the stores.
+/// real color-class schedule (every write path of the pipeline) and under
+/// seeded random move sequences applied directly to the stores. The
+/// golden partitions must also survive randomly delayed message delivery:
+/// arrival order across ranks must never reach the partition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
-#include <tuple>
+#include <thread>
 #include <vector>
 
 #include "core/partitioner.hpp"
@@ -29,6 +33,7 @@
 #include "parallel/pe_runtime.hpp"
 #include "parallel/shard_graph.hpp"
 #include "parallel/spmd_phases.hpp"
+#include "parallel/transport_inproc.hpp"
 #include "util/random.hpp"
 
 namespace kappa {
@@ -157,18 +162,16 @@ bool expect_side_matches_oracle(const BlockRowShard& store,
 
 // ------------------------------------------- the pipeline's write paths ----
 
-/// (async scheduler, p): every side the refiner builds in a full run —
-/// all levels, all iterations, the rebalance loop — equals the oracle.
-class PairPathPipeline
-    : public ::testing::TestWithParam<std::tuple<bool, int>> {};
+/// Per p: every side the refiner builds in a full run — all levels, all
+/// iterations, the rebalance loop — equals the oracle.
+class PairPathPipeline : public ::testing::TestWithParam<int> {};
 
 TEST_P(PairPathPipeline, EveryBuiltSideEqualsWholeBlockOracle) {
-  const auto [async, p] = GetParam();
+  const int p = GetParam();
   const StaticGraph g = make_instance("rgg14", 5);
   for (const std::uint64_t seed : {1u, 2u}) {
     Config config = Config::preset(Preset::kFast, 8);
     config.seed = seed;
-    config.async_refinement = async;
     std::atomic<std::uint64_t> sides{0};
     std::atomic<std::uint64_t> fresh{0};
     PERuntime runtime(p, seed);
@@ -201,21 +204,20 @@ TEST_P(PairPathPipeline, EveryBuiltSideEqualsWholeBlockOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SchedulersAndPeCounts, PairPathPipeline,
-    ::testing::Combine(::testing::Bool(), ::testing::Values(1, 2, 3, 4, 7)),
-    [](const ::testing::TestParamInfo<std::tuple<bool, int>>& info) {
-      return std::string(std::get<0>(info.param) ? "async" : "oracle") +
-             "_p" + std::to_string(std::get<1>(info.param));
+    PeCounts, PairPathPipeline, ::testing::Values(1, 2, 3, 4, 7),
+    [](const ::testing::TestParamInfo<int>& info) {
+      std::string name = "p";
+      name += std::to_string(info.param);
+      return name;
     });
 
 // ------------------------------------------- seeded random move sequences ----
 
 /// Stores and partition states driven by hand: the quotient is taken
-/// once, then rounds of seeded random moves are applied — color-class
-/// style (apply_move on every rank, rows migrating with their blocks) or
-/// async style (update_entry at the ranks that hold the node) — and after
-/// every round each rank rebuilds the sides of the blocks it owns at
-/// several depths against the stale quotient.
+/// once, then rounds of seeded random moves are applied the way the color
+/// classes apply them (apply_move on every rank, rows migrating with
+/// their blocks), and after every round each rank rebuilds the sides of
+/// the blocks it owns at several depths against the stale quotient.
 class PairPathRandomMoves : public ::testing::TestWithParam<int> {};
 
 TEST_P(PairPathRandomMoves, SeedsAndBandsEqualOracleAfterEveryRound) {
@@ -245,7 +247,6 @@ TEST_P(PairPathRandomMoves, SeedsAndBandsEqualOracleAfterEveryRound) {
     Rng rng(77);
     bool fresh = false;
     for (int round = 0; round < 12; ++round) {
-      const bool async_style = round % 2 == 1;
       for (int m = 0; m < 40; ++m) {
         // A random boundary node moves to one of its neighbors' blocks.
         const NodeID u = static_cast<NodeID>(rng.bounded(g.num_nodes()));
@@ -257,13 +258,7 @@ TEST_P(PairPathRandomMoves, SeedsAndBandsEqualOracleAfterEveryRound) {
         if (to == from) continue;
         assignment[u] = to;
         const NodeWeight w = g.node_weight(u);
-        if (async_style) {
-          partition.update_entry(u, to);
-          partition.adjust_block_weight(from, -w);
-          partition.adjust_block_weight(to, w);
-        } else {
-          partition.apply_move(u, from, to, w);
-        }
+        partition.apply_move(u, from, to, w);
         const bool from_mine = store.owns_block(from);
         const bool to_mine = store.owns_block(to);
         if (!from_mine && !to_mine) continue;
@@ -318,28 +313,126 @@ std::uint64_t assignment_hash(const Partition& partition) {
 /// Reference partitions (k = 16, fast preset, seed 1, instance seed 1).
 /// The pair path only changes how views are built, never what they
 /// contain, so every byte of every partition must match.
+struct Golden {
+  const char* instance;
+  EdgeWeight cut;
+  std::uint64_t hash;
+};
+constexpr Golden kGoldens[] = {
+    {"rgg14", 945, 0xa3504b6d2dd5e0d5ull},
+    {"delaunay14", 2872, 0xa37f94e5d3200e61ull},
+    {"rmat_12", 9926, 0xed7679514e6a8931ull},
+};
+
+Config golden_config() {
+  Config config = Config::preset(Preset::kFast, 16);
+  config.seed = 1;
+  return config;
+}
+
 TEST(PairPathGolden, PartitionsUnchangedForP1AndP4) {
-  struct Golden {
-    const char* instance;
-    EdgeWeight cut;
-    std::uint64_t hash;
-  };
-  const Golden goldens[] = {
-      {"rgg14", 945, 0xa3504b6d2dd5e0d5ull},
-      {"delaunay14", 2872, 0xa37f94e5d3200e61ull},
-      {"rmat_12", 9926, 0xed7679514e6a8931ull},
-  };
-  for (const Golden& golden : goldens) {
+  for (const Golden& golden : kGoldens) {
     const StaticGraph g = make_instance(golden.instance, 1);
     for (const int p : {1, 4}) {
-      Config config = Config::preset(Preset::kFast, 16);
-      config.seed = 1;
+      const Config config = golden_config();
       PERuntime runtime(p, config.seed);
       const PartitionResult result =
           Partitioner(Context::spmd(config, runtime)).partition(g);
       EXPECT_EQ(result.cut, golden.cut) << golden.instance << " p=" << p;
       EXPECT_EQ(assignment_hash(result.partition), golden.hash)
           << golden.instance << " p=" << p;
+    }
+  }
+}
+
+/// An in-process endpoint that delays some of its sends, on both lanes:
+/// driven by a per-rank seeded Rng, a send first sleeps 0-50 µs, yields,
+/// or goes straight through. One thread drives each endpoint and every
+/// send is forwarded before the next one starts, so delivery stays FIFO
+/// per (source, lane) — the whole transport contract — while the arrival
+/// order across sources changes from seed to seed.
+class JitterTransport final : public Transport {
+ public:
+  JitterTransport(Transport& inner, std::uint64_t seed)
+      : inner_(inner),
+        rng_(Rng(seed).fork(static_cast<std::uint64_t>(inner.rank()))) {}
+
+  [[nodiscard]] int rank() const override { return inner_.rank(); }
+  [[nodiscard]] int size() const override { return inner_.size(); }
+
+  void send(int dest, Lane lane, std::vector<std::uint64_t> payload) override {
+    switch (rng_.bounded(4)) {
+      case 0:
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(rng_.bounded(51)));
+        break;
+      case 1:
+        std::this_thread::yield();
+        break;
+      default:
+        break;
+    }
+    inner_.send(dest, lane, std::move(payload));
+  }
+
+  [[nodiscard]] Message receive(int source, Lane lane) override {
+    return inner_.receive(source, lane);
+  }
+
+  [[nodiscard]] std::optional<Message> try_receive(int source,
+                                                   Lane lane) override {
+    return inner_.try_receive(source, lane);
+  }
+
+  void barrier() override { inner_.barrier(); }
+
+ private:
+  Transport& inner_;
+  Rng rng_;
+};
+
+/// The in-process fabric with every endpoint wrapped in a JitterTransport.
+class JitterFabric final : public TransportFabric {
+ public:
+  JitterFabric(int num_pes, std::uint64_t seed)
+      : inner_(make_inproc_fabric(num_pes)) {
+    for (int rank = 0; rank < num_pes; ++rank) {
+      endpoints_.push_back(
+          std::make_unique<JitterTransport>(inner_->endpoint(rank), seed));
+    }
+  }
+
+  [[nodiscard]] int size() const override { return inner_->size(); }
+  [[nodiscard]] std::vector<int> local_ranks() const override {
+    return inner_->local_ranks();
+  }
+  [[nodiscard]] Transport& endpoint(int rank) override {
+    return *endpoints_.at(static_cast<std::size_t>(rank));
+  }
+  [[nodiscard]] const char* name() const override { return "inproc-jitter"; }
+
+ private:
+  std::unique_ptr<TransportFabric> inner_;
+  std::vector<std::unique_ptr<JitterTransport>> endpoints_;
+};
+
+TEST(PairPathGolden, DelayedSendsCannotReachThePartition) {
+  // The partition is a pure function of (graph, config, seed): reordering
+  // arrivals across ranks, within the per-(source, lane) FIFO contract,
+  // must reproduce the golden partition byte for byte.
+  const Golden& golden = kGoldens[0];
+  const StaticGraph g = make_instance(golden.instance, 1);
+  const Config config = golden_config();
+  for (const int p : {2, 3, 4}) {
+    for (const std::uint64_t jitter_seed : {1u, 2u, 3u, 4u}) {
+      PERuntime runtime(std::make_unique<JitterFabric>(p, jitter_seed),
+                        config.seed);
+      const PartitionResult result =
+          Partitioner(Context::spmd(config, runtime)).partition(g);
+      EXPECT_EQ(result.cut, golden.cut)
+          << "p=" << p << " jitter seed " << jitter_seed;
+      EXPECT_EQ(assignment_hash(result.partition), golden.hash)
+          << "p=" << p << " jitter seed " << jitter_seed;
     }
   }
 }

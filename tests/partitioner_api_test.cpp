@@ -179,9 +179,6 @@ TEST(SpmdRepartition, IncrementalMigrationViewMatchesPostHocComputation) {
   // The refiner counts each rank's migration intake from its
   // incrementally maintained finest-level store; the numbers must equal
   // what the post-hoc computation derives from the final assignment.
-  // Under the async scheduler (engaged on rgg14's finest level) the store
-  // is kept current by point-to-point row migrations instead of the
-  // per-class delta exchange, so both schedulers are checked.
   const StaticGraph g = make_instance("rgg14", 5);
   Config config = Config::preset(Preset::kFast, 8);
   config.seed = 4;
@@ -189,24 +186,20 @@ TEST(SpmdRepartition, IncrementalMigrationViewMatchesPostHocComputation) {
       Partitioner(Context::sequential(config)).partition(g);
   const Partition perturbed = perturb(g, fresh.partition, 8, 29);
 
-  for (const bool async : {false, true}) {
-    config.async_refinement = async;
-    for (const int p : {1, 2, 3, 4, 7}) {
-      PERuntime runtime(p, config.seed);
-      const PartitionResult result =
-          Partitioner(Context::spmd(config, runtime))
-              .repartition(g, perturbed);
-      ASSERT_EQ(result.migrated_per_pe.size(), static_cast<std::size_t>(p));
-      ASSERT_EQ(result.migrated_edges_per_pe.size(),
-                static_cast<std::size_t>(p));
-      for (int rank = 0; rank < p; ++rank) {
-        const MigrationIntake oracle =
-            expected_intake(g, perturbed, result.partition, rank, p);
-        EXPECT_EQ(result.migrated_per_pe[rank], oracle.nodes)
-            << "async=" << async << " p=" << p << " rank " << rank;
-        EXPECT_EQ(result.migrated_edges_per_pe[rank], oracle.edges)
-            << "async=" << async << " p=" << p << " rank " << rank;
-      }
+  for (const int p : {1, 2, 3, 4, 7}) {
+    PERuntime runtime(p, config.seed);
+    const PartitionResult result =
+        Partitioner(Context::spmd(config, runtime)).repartition(g, perturbed);
+    ASSERT_EQ(result.migrated_per_pe.size(), static_cast<std::size_t>(p));
+    ASSERT_EQ(result.migrated_edges_per_pe.size(),
+              static_cast<std::size_t>(p));
+    for (int rank = 0; rank < p; ++rank) {
+      const MigrationIntake oracle =
+          expected_intake(g, perturbed, result.partition, rank, p);
+      EXPECT_EQ(result.migrated_per_pe[rank], oracle.nodes)
+          << "p=" << p << " rank " << rank;
+      EXPECT_EQ(result.migrated_edges_per_pe[rank], oracle.edges)
+          << "p=" << p << " rank " << rank;
     }
   }
 }

@@ -61,7 +61,7 @@ TEST(PERuntime, ManyToOneGather) {
       pe.send(0, {static_cast<std::uint64_t>(pe.rank())});
     } else {
       std::uint64_t sum = 0;
-      for (int i = 1; i < 8; ++i) sum += pe.receive(-1).payload[0];
+      for (int q = 1; q < 8; ++q) sum += pe.receive(q).payload[0];
       EXPECT_EQ(sum, 1u + 2 + 3 + 4 + 5 + 6 + 7);
     }
   });
@@ -208,7 +208,7 @@ TEST(PERuntime, CommStatsCountTraffic) {
       pe.send(2, {4});
     }
     pe.barrier();
-    if (pe.rank() != 0) (void)pe.try_receive(-1);
+    if (pe.rank() != 0) (void)pe.try_receive(0);
   });
   // run() surfaces the counters per rank: all traffic of this program
   // originates at rank 0, but every rank passes the barrier.

@@ -237,6 +237,28 @@ TEST(SpmdPipeline, SurfacesCommunicationStats) {
   EXPECT_EQ(words, result.comm.words_sent);
 }
 
+TEST(SpmdPipeline, IdleCountersAreSurfacedPerRank) {
+  // Each rank counts the time it spends blocked (collectives plus
+  // empty-mailbox receives); the counters ride the per-PE CommStats into
+  // the result.
+  const StaticGraph g = make_instance("rgg14", 11);
+  Config config = Config::preset(Preset::kMinimal, 8);
+  config.seed = 42;
+  PERuntime runtime(4, config.seed);
+  const PartitionResult result =
+      Partitioner(Context::spmd(config, runtime)).partition(g);
+  ASSERT_EQ(result.comm_per_pe.size(), 4u);
+  std::uint64_t total_idle = 0;
+  for (const CommStats& s : result.comm_per_pe) {
+    EXPECT_EQ(s.idle_ns(), s.collective_idle_ns + s.recv_idle_ns);
+    total_idle += s.idle_ns();
+  }
+  // Four ranks synchronizing a multilevel pipeline cannot all have
+  // waited zero nanoseconds.
+  EXPECT_GT(total_idle, 0u);
+  EXPECT_EQ(result.comm.idle_ns(), total_idle);
+}
+
 TEST(SpmdPipeline, ResidentGraphMemoryIsShardedNotReplicated) {
   // The data-sharding acceptance criterion: each rank's peak resident
   // graph data (owned CSR + one-hop ghost halo, across the matcher's

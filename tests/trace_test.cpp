@@ -452,8 +452,6 @@ TEST(MetricsRegistry, MatchesLegacyResultCounters) {
   EXPECT_EQ(registry.u64("ship.rows_shipped"), ship_total.rows_shipped);
 
   EXPECT_EQ(registry.u64_list("memory.shard.owned_per_rank").size(), 4u);
-  EXPECT_EQ(registry.u64_list("async.pairs_per_rank").size(),
-            result.async_pairs_per_pe.size());
 
   // In a closed run every delivered message was sent by someone: the
   // receive-side totals mirror the send-side totals over all ranks.

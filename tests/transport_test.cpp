@@ -50,19 +50,6 @@ TEST(Mailbox, FifoPerSource) {
   EXPECT_EQ(box.size(), 0u);
 }
 
-TEST(Mailbox, AnySourcePopsInArrivalOrder) {
-  // The per-source queues must preserve the single-queue semantics for
-  // any-source receives: global arrival order, not source order.
-  Mailbox box;
-  box.push({3, {30}});
-  box.push({0, {1}});
-  box.push({3, {31}});
-  box.push({1, {10}});
-  std::vector<int> sources;
-  for (int i = 0; i < 4; ++i) sources.push_back(box.pop(-1).source);
-  EXPECT_EQ(sources, (std::vector<int>{3, 0, 3, 1}));
-}
-
 TEST(Mailbox, PopUntilTimesOutEmpty) {
   Mailbox box;
   const auto deadline =
@@ -78,8 +65,6 @@ TEST(Mailbox, FinishedSourceDrainsThenThrows) {
   box.finish_source(0);
   EXPECT_EQ(box.pop(0).payload, (std::vector<std::uint64_t>{7}));
   EXPECT_THROW((void)box.pop(0), TransportError);
-  // Any-source: every registered source finished and empty also throws.
-  EXPECT_THROW((void)box.pop(-1), TransportError);
 }
 
 TEST(Mailbox, FailPoisonsEveryPop) {
@@ -87,7 +72,17 @@ TEST(Mailbox, FailPoisonsEveryPop) {
   box.push({0, {7}});
   box.fail("peer died");
   EXPECT_THROW((void)box.pop(0), TransportError);
-  EXPECT_THROW((void)box.try_pop(-1), TransportError);
+  EXPECT_THROW((void)box.try_pop(0), TransportError);
+}
+
+TEST(Mailbox, NegativeSourceIsRejectedNotAnySource) {
+  // Every receive names its source; -1 is an argument error, raised at
+  // once instead of blocking or matching whichever message came first.
+  Mailbox box;
+  box.push({0, {7}});
+  EXPECT_THROW((void)box.try_pop(-1), std::invalid_argument);
+  EXPECT_THROW((void)box.pop(-1), std::invalid_argument);
+  EXPECT_EQ(box.size(), 1u);
 }
 
 // ------------------------------------- fail-fast runtime construction ----
@@ -339,6 +334,69 @@ TEST(TcpTransport, DeadPeerSurfacesAsErrorNotHang) {
     Transport& pe = fabric->endpoint(0);
     (void)pe.receive(1, Lane::kApp);  // never sent -> peer-death error
     return 1;                         // unreachable
+  });
+  EXPECT_EQ(codes[0], 42);  // TransportError
+  EXPECT_EQ(codes[1], 0);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(60));
+}
+
+/// Rendezvous half of a TCP rank, for a fake rank 1 of a two-rank run:
+/// sends the 5-word hello {magic, protocol version, rank, num_ranks,
+/// listen port} to rank 0, reads its 4-word address table and returns the
+/// connected socket — or -1 if rank 0 never showed up.
+int fake_rank1_rendezvous(std::uint16_t port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  for (int attempt = 0; attempt < 400; ++attempt) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) return -1;
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+      ::close(fd);
+      ::usleep(50 * 1000);  // rank 0 is not listening yet
+      continue;
+    }
+    const std::uint64_t hello[5] = {0x6b6150506154ull, 1, 1, 2, 0};
+    std::uint64_t table[4];
+    if (::send(fd, hello, sizeof hello, MSG_NOSIGNAL) !=
+        static_cast<ssize_t>(sizeof hello)) {
+      ::close(fd);
+      return -1;
+    }
+    std::size_t got = 0;
+    while (got < sizeof table) {
+      const ssize_t n =
+          ::recv(fd, reinterpret_cast<char*>(table) + got, sizeof table - got,
+                 0);
+      if (n <= 0) {
+        ::close(fd);
+        return -1;
+      }
+      got += static_cast<std::size_t>(n);
+    }
+    return fd;
+  }
+  return -1;
+}
+
+TEST(TcpTransport, PeerLostBeforeRendezvousBarrierIsAnError) {
+  // Rank 1 completes the rendezvous and closes before its barrier pulse,
+  // so rank 0's constructor fails in its closing barrier — after its
+  // receiver threads started. That must surface as TransportError, not
+  // as std::terminate on the half-built endpoint's joinable threads.
+  const std::uint16_t port = pick_free_port();
+  const auto start = std::chrono::steady_clock::now();
+  const auto codes = spawn_ranks(2, [port](int rank) -> int {
+    if (rank == 1) {
+      const int fd = fake_rank1_rendezvous(port);
+      if (fd < 0) return 1;
+      ::close(fd);
+      return 0;
+    }
+    const auto fabric = make_tcp_fabric(local_options(0, 2, port));
+    return 2;  // the constructor must have thrown
   });
   EXPECT_EQ(codes[0], 42);  // TransportError
   EXPECT_EQ(codes[1], 0);

@@ -116,7 +116,7 @@ TEST(ProgressBoard, TraceSpansPublishToTheBoundBoard) {
   EXPECT_TRUE(saw_inner);
 }
 
-TEST(ProgressBoard, RecentRingIsBoundedAndAuxSlotsHold) {
+TEST(ProgressBoard, RecentRingIsBounded) {
   ProgressBoard board;
   for (int i = 0; i < 40; ++i) {
     board.push_span("watch.loop", static_cast<std::uint64_t>(i));
@@ -124,13 +124,6 @@ TEST(ProgressBoard, RecentRingIsBoundedAndAuxSlotsHold) {
   }
   EXPECT_LE(board.recent_events().size(), ProgressBoard::kRecentEvents);
   EXPECT_TRUE(board.open_spans().empty());
-
-  board.set_aux(ProgressAux::kAsyncLocksHeld, 4);
-  board.set_aux(ProgressAux::kAsyncGrantsInFlight, 2);
-  board.set_aux(ProgressAux::kAsyncPairsDone, 9);
-  EXPECT_EQ(board.aux(ProgressAux::kAsyncLocksHeld), 4u);
-  EXPECT_EQ(board.aux(ProgressAux::kAsyncGrantsInFlight), 2u);
-  EXPECT_EQ(board.aux(ProgressAux::kAsyncPairsDone), 9u);
 }
 
 // -------------------------------------------------------- WatchOptions ----

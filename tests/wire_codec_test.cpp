@@ -36,7 +36,6 @@ struct ArcSpec {
 };
 
 struct SideSpec {
-  std::vector<std::uint64_t> header;
   std::vector<NodeID> band;
   std::vector<NodeWeight> weights;
   std::vector<std::vector<ArcSpec>> rows;
@@ -67,7 +66,6 @@ std::vector<NodeID> sorted_ids(Rng& rng, std::size_t count) {
 
 SideSpec random_side(Rng& rng) {
   SideSpec spec;
-  if (rng.bounded(2) == 1) spec.header = {3, rng(), rng()};
   spec.band = sorted_ids(rng, rng.bounded(8));
   spec.fringe = sorted_ids(rng, rng.bounded(5));
   // finish() takes the fringe in discovery order, not sorted.
@@ -97,7 +95,7 @@ SideSpec random_side(Rng& rng) {
 }
 
 PairSide write(const SideSpec& spec) {
-  PairSideWriter writer(spec.header, static_cast<NodeID>(spec.band.size()));
+  PairSideWriter writer(static_cast<NodeID>(spec.band.size()));
   for (std::size_t i = 0; i < spec.band.size(); ++i) {
     writer.begin_row(spec.band[i], spec.weights[i]);
     for (const ArcSpec& arc : spec.rows[i]) {
@@ -120,11 +118,10 @@ PairSide write(const SideSpec& spec) {
 /// Overwrites one arc reference of a valid encoding with an out-of-range
 /// one: a band or fringe index past the lists, an untagged id, or a
 /// tagged id >= kInvalidNode. Returns false if the side has no arcs.
-bool corrupt_reference(std::vector<std::uint64_t>& words,
-                       std::size_t header_words, Rng& rng) {
-  const std::uint64_t nband = words[header_words];
-  const std::uint64_t nfringe = words[header_words + 1];
-  const std::size_t ends = header_words + 2 + 2 * nband;
+bool corrupt_reference(std::vector<std::uint64_t>& words, Rng& rng) {
+  const std::uint64_t nband = words[0];
+  const std::uint64_t nfringe = words[1];
+  const std::size_t ends = 2 + 2 * nband;
   const std::uint64_t narcs = nband == 0 ? 0 : words[ends + nband - 1];
   if (narcs == 0) return false;
   const std::uint64_t listed = nband + nfringe;
@@ -192,7 +189,7 @@ TEST(PairSideCodec, RoundTripsEverySection) {
   for (int trial = 0; trial < 200; ++trial) {
     const SideSpec spec = random_side(rng);
     const PairSide side =
-        PairSide::parse(std::move(write(spec)).release(), spec.header.size());
+        PairSide::parse(std::move(write(spec)).release());
     ASSERT_EQ(side.band_size(), spec.band.size());
     ASSERT_EQ(side.fringe_size(), spec.fringe.size());
     std::vector<NodeID> sorted_fringe = spec.fringe;
@@ -252,7 +249,6 @@ TEST(PairSideCodec, RejectsDegenerateHeaders) {
   for (const auto& words : payloads) {
     EXPECT_THROW((void)PairSide::parse(words), TransportError);
   }
-  EXPECT_THROW((void)PairSide::parse({0, 0}, 3), TransportError);
   EXPECT_NO_THROW((void)PairSide::parse({0, 0}));
   // One arc of each kind: band index 0, fringe index 0, a tagged id.
   const PairSide side = PairSide::parse(
@@ -268,10 +264,9 @@ TEST(PairSideCodec, OutOfRangeReferencesAreRejected) {
   for (int trial = 0; trial < 2000; ++trial) {
     const SideSpec spec = random_side(rng);
     std::vector<std::uint64_t> words = std::move(write(spec)).release();
-    if (!corrupt_reference(words, spec.header.size(), rng)) continue;
+    if (!corrupt_reference(words, rng)) continue;
     ++corrupted;
-    EXPECT_THROW((void)PairSide::parse(words, spec.header.size()),
-                 TransportError);
+    EXPECT_THROW((void)PairSide::parse(words), TransportError);
   }
   EXPECT_GT(corrupted, 1000);
 }
@@ -282,11 +277,11 @@ TEST(PairSideCodec, MutationCorpusRaisesOnlyTransportError) {
   for (int trial = 0; trial < 5000; ++trial) {
     const SideSpec spec = random_side(rng);
     std::vector<std::uint64_t> words = std::move(write(spec)).release();
-    if (rng.bounded(4) == 0) corrupt_reference(words, spec.header.size(), rng);
+    if (rng.bounded(4) == 0) corrupt_reference(words, rng);
     const int mutations = 1 + static_cast<int>(rng.bounded(3));
     for (int m = 0; m < mutations; ++m) mutate(words, rng);
     try {
-      const PairSide side = PairSide::parse(words, spec.header.size());
+      const PairSide side = PairSide::parse(words);
       (void)touch_everything(side);
     } catch (const TransportError&) {
       ++rejected;

@@ -32,8 +32,7 @@ delta counters are non-negative integers. A stall report in the stream
 FAILS the check — a clean run has none — unless --allow-stalls is
 given; --expect-stall inverts that: at least one stall report must be
 present and each is shape-checked (progress word, non-empty open-span
-stack, recent-event ring, queue depths, async-arbiter table, peer
-table).
+stack, recent-event ring, queue depths, peer table).
 """
 import json
 import sys
@@ -217,12 +216,6 @@ def check_stall(record, ranks, line_no):
                 or depth.get("lane") not in VALID_LANES \
                 or not is_u64(depth.get("depth")):
             fail(f"{where}: bad queue depth {depth!r}")
-    async_table = record.get("async")
-    if not isinstance(async_table, dict):
-        fail(f"{where}: async table missing")
-    for key in ("locks_held", "grants_in_flight", "pairs_done"):
-        if not is_u64(async_table.get(key)):
-            fail(f"{where}: async {key!r} bad: {async_table!r}")
     check_rank_table(record.get("peers"), ranks, where)
 
 

@@ -1,6 +1,6 @@
 // Fixture: one forbidden gather per section — coarsening (above the
-// initial-partitioning marker), refinement (untagged), and the async
-// section (unsuppressible even with an allow()).
+// initial-partitioning marker; unsuppressible even with an allow()) and
+// refinement (untagged).
 #include <vector>
 
 #include "parallel/pe_runtime.hpp"
@@ -8,7 +8,8 @@
 namespace kappa {
 
 void coarsen(PEContext& pe) {
-  const auto maps = pe.all_gather_vectors({});  // fires: no-coarsening-gathers
+  // kappa-lint: allow(no-coarsening-gathers, "an allow() must not silence this")
+  const auto maps = pe.all_gather_vectors({});  // fires: unsuppressible
   (void)maps;
 }
 
@@ -25,15 +26,5 @@ void refine(PEContext& pe) {
   const auto blocks = pe.all_gather_vectors({});  // fires: untagged
   (void)blocks;
 }
-
-// ----------------------------------------------- SPMD async refinement ----
-
-void async_refine(PEContext& pe) {
-  // kappa-lint: allow(no-async-gathers, "an allow() must not silence this")
-  const auto locks = pe.all_gather(0);  // fires: unsuppressible
-  (void)locks;
-}
-
-// ------------------------------------------- end SPMD async refinement ----
 
 }  // namespace kappa
