@@ -112,9 +112,9 @@ int main(int argc, char** argv) {
                   line, sizeof line, "%lld %.4f %llu %llu\n",
                   static_cast<long long>(result.cut), elapsed,
                   static_cast<unsigned long long>(
-                      result.comm.wire_bytes_sent),
+                      result.comm_per_pe[0].wire_bytes_sent),
                   static_cast<unsigned long long>(
-                      result.comm.wire_bytes_received));
+                      result.comm_per_pe[0].wire_bytes_received));
               (void)!::write(fds[1], line, std::strlen(line));
             }
             code = 0;
@@ -201,9 +201,9 @@ int main(int argc, char** argv) {
     const QuotientGraph quotient(g, result.partition);
     PERuntime runtime(static_cast<int>(pes));
     const CommStats coloring =
-        total_comm_stats(runtime.run([&](PEContext& pe) {
+        fold_counters(runtime.run([&](PEContext& pe) {
           (void)distributed_color_quotient_edges(quotient, Rng(1), pe);
-        }));
+        })).comm;
     print_row({std::to_string(pes), std::to_string(mstats.gap_edges),
                std::to_string(mstats.gap_pairs),
                std::to_string(coloring.messages_sent),
@@ -376,8 +376,8 @@ int main(int argc, char** argv) {
       PERuntime runtime(pes, config.seed);
       const PartitionResult result =
           Partitioner(Context::spmd(config, runtime)).partition(instance);
-      PairShipStats total;
-      for (const PairShipStats& s : result.pair_ship_per_pe) total += s;
+      const PairShipStats total =
+          fold_counters(result.counters_per_pe).pair_ship;
       print_row({std::to_string(pes), std::to_string(total.pairs_shipped),
                  std::to_string(total.rows_shipped),
                  std::to_string(total.whole_block_rows),

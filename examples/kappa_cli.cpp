@@ -27,8 +27,11 @@
 /// fabric the flag must be passed to every rank (the tracing decision is
 /// collective); the merged file appears on the rank-0 process only.
 /// --metrics-out=FILE dumps the unified metrics registry
-/// (schema kappa.metrics.v1); TCP ranks > 0 write their local view to
-/// FILE.rank<R> so the per-process files never race.
+/// (schema kappa.metrics.v2) without turning tracing on: every SPMD run
+/// gathers every rank's counters, so the document lists all ranks on
+/// every backend. TCP ranks > 0 write the same complete document to
+/// FILE.rank<R> so the per-process files never race; trace.* keys appear
+/// only when --trace-out is given too.
 ///
 /// --watch-out=FILE turns on kappa-watch: rank 0 streams kappa.snapshot.v1
 /// JSONL snapshots (metrics deltas + per-rank liveness) to FILE while the
@@ -134,9 +137,7 @@ int main(int argc, char** argv) {
   }
   const char* trace_out = arg_value(argc, argv, "--trace-out");
   const char* metrics_out = arg_value(argc, argv, "--metrics-out");
-  if (trace_out != nullptr || metrics_out != nullptr) {
-    config.trace_enabled = true;
-  }
+  if (trace_out != nullptr) config.trace_enabled = true;
   if (const char* value = arg_value(argc, argv, "--watch-out")) {
     config.watch_out = value;
   }
@@ -238,12 +239,12 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(result.comm.barriers));
   }
   if (tcp) {
+    const CommStats& mine =
+        result.comm_per_pe[static_cast<std::size_t>(tcp_options.rank)];
     std::printf("wire     rank %d: %llu bytes sent, %llu bytes received\n",
                 tcp_options.rank,
-                static_cast<unsigned long long>(
-                    result.comm.wire_bytes_sent),
-                static_cast<unsigned long long>(
-                    result.comm.wire_bytes_received));
+                static_cast<unsigned long long>(mine.wire_bytes_sent),
+                static_cast<unsigned long long>(mine.wire_bytes_received));
   }
 
   if (trace_out != nullptr && trace_sink.fired) {
@@ -273,8 +274,8 @@ int main(int argc, char** argv) {
       registry.set_u64_list("trace.dropped_per_rank",
                             trace_sink.trace.dropped_per_rank);
     }
-    // TCP ranks > 0 hold a local view only (and would race for one
-    // path); suffix theirs so rank 0's file is THE metrics document.
+    // Every TCP rank holds the complete document, and one path would be
+    // raced for: ranks > 0 suffix theirs, so rank 0's file is THE one.
     std::string metrics_path = metrics_out;
     if (tcp && !write_output) {
       metrics_path += ".rank" + std::to_string(tcp_options.rank);

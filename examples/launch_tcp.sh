@@ -10,9 +10,10 @@
 #                                 --trace-out (the tracing decision is
 #                                 collective); rank 0 writes the single
 #                                 merged Chrome-trace JSON here
-#   KAPPA_METRICS_OUT=m.json      metrics: rank 0 writes the merged
-#                                 document here, ranks > 0 their local
-#                                 view to m.json.rank<R>
+#   KAPPA_METRICS_OUT=m.json      metrics, traced or not: rank 0 writes
+#                                 the document here, ranks > 0 the same
+#                                 complete document (every rank's
+#                                 counters) to m.json.rank<R>
 #   KAPPA_WATCH_OUT=watch.jsonl   kappa-watch: rank 0 streams live
 #                                 kappa.snapshot.v1 snapshots here (watch
 #                                 them with tools/kappa_top.py); ranks > 0
@@ -45,8 +46,9 @@ fi
 # Observability plumbing: the flags must reach EVERY rank — tracing is a
 # collective decision (rank 0 gathers every rank's span buffer at the end
 # of the run), so a rank launched without them would leave the gather
-# hanging. Rank 0 ends up with the one merged trace/metrics file; ranks
-# > 0 suffix their metrics dump with .rank<R> themselves.
+# hanging. Rank 0 ends up with the one merged trace and the metrics
+# file; ranks > 0 suffix their complete metrics dumps with .rank<R>
+# themselves.
 obs_flags=()
 if [ -n "${KAPPA_TRACE_OUT:-}" ]; then
   obs_flags+=(--trace-out="$KAPPA_TRACE_OUT")

@@ -1,12 +1,8 @@
 /// \file metrics_export.hpp
-/// \brief Builds the unified MetricsRegistry from a PartitionResult: one
-/// named, typed namespace over every ad-hoc counter the result carries
-/// (CommStats, idle times, halo_per_level, PairShipStats,
-/// shard/hierarchy/partition memory).
-///
-/// Every consumer — `kappa_cli --metrics-out`, kappa-bench, the
-/// registry-equality test — reads these same names; the schema table in
-/// README.md documents them.
+/// \brief Builds the unified MetricsRegistry from a PartitionResult: run
+/// identity, quality, phase times, the per-level halo breakdown, and one
+/// declared counter per row of the counter table (parallel/comm_stats.hpp)
+/// over the result's RankCounters records. README.md documents the names.
 #pragma once
 
 #include <string>

@@ -1,7 +1,7 @@
 /// \file partitioner.cpp
 /// \brief The unified entry point: both workloads (from-scratch and
-/// warm-started) in both execution contexts (sequential and SPMD) through
-/// the one shared run_multilevel() driver.
+/// warm-started) in both execution contexts — sequential through
+/// run_multilevel(), SPMD through run_multilevel_spmd().
 #include "core/partitioner.hpp"
 
 #include <cassert>
@@ -65,14 +65,9 @@ PartitionResult run_spmd(const StaticGraph& graph, const Config& config,
   const int p = runtime.num_pes();
   const bool tracing = trace_run_enabled(config.trace_enabled);
   PartitionResult result;
-  std::vector<MigrationIntake> intake(p);
-  std::vector<ShardFootprint> footprints(p);
-  std::vector<ShardFootprint> hierarchy_memory(p);
-  std::vector<ShardFootprint> partition_memory(p);
-  std::vector<PairShipStats> pair_ship(p);
-  // Populated by the global rank 0 thread iff tracing (empty elsewhere —
-  // on a multi-process fabric only the process hosting rank 0 gets it).
-  CollectedTrace collected;
+  // Filled by the global rank 0 thread iff tracing (empty elsewhere — on
+  // a multi-process fabric only the process hosting rank 0 gets it).
+  MergedTrace trace;
 
   // kappa-watch: boards live in THIS scope, outside the per-rank lambda,
   // because rank q's thread may finish while another rank's sampler is
@@ -93,7 +88,7 @@ PartitionResult run_spmd(const StaticGraph& graph, const Config& config,
   const std::unique_ptr<WatchSink> watch_sink =
       watch.enabled() ? std::make_unique<WatchSink>(watch_path) : nullptr;
 
-  const std::vector<CommStats> per_pe = runtime.run([&](PEContext& pe) {
+  (void)runtime.run([&](PEContext& pe) {
     TraceRecorder recorder(tracing ? trace_buffer_capacity() : 1);
     const ThreadTraceScope bind_trace(tracing ? &recorder : nullptr);
     ProgressBoard* board =
@@ -114,81 +109,47 @@ PartitionResult run_spmd(const StaticGraph& graph, const Config& config,
     if (warm != nullptr) {
       WarmStartInitialPartitioner initial(*warm, config.k);
       local = run_multilevel_spmd(graph, config, coarsener, initial, refiner);
-      // Shard-local migration intake, counted from the refiner's
-      // incrementally maintained finest-level store (each block's delta
-      // is accounted at its owning rank, with membership read off the
-      // store itself).
-      intake[pe.rank()] = refiner.migration_intake();
     } else {
       SpmdInitialPartitioner initial(config, pe);
       local = run_multilevel_spmd(graph, config, coarsener, initial, refiner);
     }
-    // Peak resident graph data of this rank across both sharded phases,
-    // plus the resident hierarchy store (all levels stay sharded) and the
-    // sharded partition state.
-    ShardFootprint footprint = coarsener.stats().footprint;
-    footprint.merge_peak(refiner.footprint());
-    footprints[pe.rank()] = footprint;
-    hierarchy_memory[pe.rank()] = coarsener.stats().hierarchy_resident;
-    partition_memory[pe.rank()] = refiner.partition_footprint();
-    pair_ship[pe.rank()] = refiner.ship_stats();
-    // Every rank materializes the identical partition; the runtime's
-    // primary (lowest locally hosted) rank keeps it — rank 0 in-process,
-    // this process's own rank on a multi-process fabric.
-    if (pe.rank() == runtime.primary_rank()) result = std::move(local);
+    // The partition is materialized: the counters stop here, and the
+    // record gather and trace collection below are observation that can
+    // neither be counted nor feed back into the partition.
+    const std::vector<std::vector<std::uint64_t>> records =
+        pe.all_gather_vectors(encode_counters(pe.counters()));
+    // Every rank materializes the identical partition and gathers the
+    // identical records; the runtime's primary (lowest locally hosted)
+    // rank keeps them — rank 0 in-process, this process's own rank on a
+    // multi-process fabric.
+    if (pe.rank() == runtime.primary_rank()) {
+      result = std::move(local);
+      for (const std::vector<std::uint64_t>& words : records) {
+        result.counters_per_pe.push_back(decode_counters(words));
+      }
+    }
     if (tracing) {
-      // The partition is already materialized — everything from here on
-      // is observation and cannot feed back into it.
-      RankSnapshot snapshot;
-      snapshot.comm = pe.stats();
-      snapshot.comm.wire_bytes_sent = pe.wire_bytes_sent();
-      snapshot.comm.wire_bytes_received = pe.wire_bytes_received();
-      snapshot.comm.heartbeat_frames_sent = pe.heartbeat_frames_sent();
-      snapshot.comm.heartbeat_words_sent = pe.heartbeat_words_sent();
-      snapshot.shard_memory = footprints[pe.rank()];
-      snapshot.hierarchy_memory = hierarchy_memory[pe.rank()];
-      snapshot.partition_memory = partition_memory[pe.rank()];
-      snapshot.pair_ship = pair_ship[pe.rank()];
-      CollectedTrace mine = collect_trace(pe, recorder, snapshot);
-      if (pe.rank() == 0) collected = std::move(mine);
+      MergedTrace merged = collect_trace(pe, recorder);
+      if (pe.rank() == 0) trace = std::move(merged);
     }
   });
 
   result.num_pes = p;
-  result.comm = total_comm_stats(per_pe);
-  result.comm_per_pe = per_pe;
-  result.shard_memory_per_pe = std::move(footprints);
-  result.hierarchy_memory_per_pe = std::move(hierarchy_memory);
-  result.partition_memory_per_pe = std::move(partition_memory);
-  result.pair_ship_per_pe = std::move(pair_ship);
-  if (warm != nullptr) {
-    result.migrated_per_pe.reserve(p);
-    result.migrated_edges_per_pe.reserve(p);
-    for (const MigrationIntake& i : intake) {
-      result.migrated_per_pe.push_back(i.nodes);
-      result.migrated_edges_per_pe.push_back(i.edges);
+  for (const RankCounters& counters : result.counters_per_pe) {
+    result.comm_per_pe.push_back(counters.comm);
+    result.shard_memory_per_pe.push_back(counters.shard_memory);
+    result.hierarchy_memory_per_pe.push_back(counters.hierarchy_memory);
+    result.partition_memory_per_pe.push_back(counters.partition_memory);
+    result.pair_ship_per_pe.push_back(counters.pair_ship);
+    if (warm != nullptr) {
+      result.migrated_per_pe.push_back(
+          static_cast<NodeID>(counters.migration.nodes));
+      result.migrated_edges_per_pe.push_back(
+          static_cast<std::size_t>(counters.migration.edges));
     }
   }
-  if (tracing && !collected.ranks.empty()) {
-    // Multi-process fabrics only observe their local ranks; the gathered
-    // snapshots fill the slots of remotely hosted ranks, so rank 0's
-    // result (and any metrics built from it) is as complete as an
-    // in-process run's. Locally observed slots stay authoritative.
-    for (int q = 0; q < p; ++q) {
-      const std::size_t slot = static_cast<std::size_t>(q);
-      const CommStats& have = result.comm_per_pe[slot];
-      if (have.messages_sent != 0 || have.barriers != 0) continue;
-      result.comm_per_pe[slot] = collected.ranks[slot].comm;
-      result.shard_memory_per_pe[slot] = collected.ranks[slot].shard_memory;
-      result.hierarchy_memory_per_pe[slot] =
-          collected.ranks[slot].hierarchy_memory;
-      result.partition_memory_per_pe[slot] =
-          collected.ranks[slot].partition_memory;
-      result.pair_ship_per_pe[slot] = collected.ranks[slot].pair_ship;
-    }
-    result.comm = total_comm_stats(result.comm_per_pe);
-    if (sink != nullptr) sink->on_trace(collected.trace);
-  }
+  result.comm = fold_counters(result.counters_per_pe).comm;
+  if (sink != nullptr && trace.num_ranks > 0) sink->on_trace(trace);
   return result;
 }
 

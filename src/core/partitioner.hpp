@@ -7,13 +7,12 @@
 /// — and a Partitioner exposes *what* runs: partition() builds a k-way
 /// partition from scratch, repartition() improves an existing assignment
 /// (§8: repartitioning of adaptive meshes as the natural generalization of
-/// the multilevel pipeline). Both workloads drive the same phase
-/// interfaces (core/phases.hpp) through the shared run_multilevel()
-/// driver, so both inherit the SPMD path: repartitioning warm-starts the
-/// pipeline (block-respecting contraction + an initial "partitioner" that
-/// projects the current assignment to the coarsest level) and then runs
-/// the ordinary refinement phase — sequential or shard-local with
-/// moved-node delta exchange.
+/// the multilevel pipeline). Each context has its own driver —
+/// run_multilevel() (core/phases.hpp) and run_multilevel_spmd()
+/// (parallel/spmd_phases.hpp) — and both warm-start: block-respecting
+/// contraction, an initial "partitioner" that projects the current
+/// assignment to the coarsest level, then the ordinary refinement phase —
+/// sequential or shard-local with moved-node delta exchange.
 ///
 /// Every run returns one PartitionResult; fields that a particular
 /// workload does not produce stay at their zero defaults (e.g. the SPMD
@@ -50,7 +49,7 @@ struct PartitionResult {
   NodeID migrated_nodes = 0;   ///< nodes whose block changed vs. the input
   /// SPMD repartitioning only: nodes migrated *into* the blocks owned by
   /// each rank (blocks are owned round-robin, block b -> rank b mod p).
-  /// Sums to migrated_nodes.
+  /// Sums to migrated_nodes. Copied from counters_per_pe[q].migration.
   std::vector<NodeID> migrated_per_pe;
   /// SPMD repartitioning only: adjacency entries each rank receives with
   /// its migrated nodes — the §5.2 overlay-edge volume of the data
@@ -71,8 +70,13 @@ struct PartitionResult {
   std::vector<NodeID> hierarchy_level_nodes;
 
   // SPMD run shape (zero/empty on sequential runs).
-  int num_pes = 0;                     ///< PEs of the runtime that ran this
-  CommStats comm;                      ///< aggregate communication volume
+  int num_pes = 0;  ///< PEs of the runtime that ran this
+  /// Every rank's counter record, indexed by rank — the same gathered
+  /// records on every process of the run, counted up to materialization.
+  /// The per-part vectors below are copies of these records' parts.
+  std::vector<RankCounters> counters_per_pe;
+  /// Aggregate communication volume: the fold of the records' comm parts.
+  CommStats comm;
   std::vector<CommStats> comm_per_pe;  ///< per-PE counters, indexed by rank
   /// Peak resident footprint of any single data-sharded graph structure
   /// per rank (one level's §3.3 owned+ghost CSR, the §5.2 block-row
@@ -99,13 +103,6 @@ struct PartitionResult {
   /// band shipments put on the wire against the whole-block volume the
   /// same pairs would have needed (a counterfactual; nothing ships it).
   std::vector<PairShipStats> pair_ship_per_pe;
-};
-
-/// One rank's post-repartitioning data intake (§5.2): the nodes migrated
-/// into its blocks plus the adjacency entries shipped with them.
-struct MigrationIntake {
-  NodeID nodes = 0;       ///< nodes migrated into this rank's blocks
-  std::size_t edges = 0;  ///< adjacency entries shipped with them
 };
 
 /// Execution context of a Partitioner: the configuration plus where the

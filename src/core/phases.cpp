@@ -15,9 +15,9 @@
 namespace kappa {
 
 PartitionResult run_multilevel(const StaticGraph& graph, const Config& config,
-                               Coarsener& coarsener,
+                               SequentialCoarsener& coarsener,
                                InitialPartitioner& initial,
-                               Refiner& refiner) {
+                               SequentialRefiner& refiner) {
   Timer total_timer;
   PartitionResult result;
 

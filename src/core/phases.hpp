@@ -1,23 +1,23 @@
 /// \file phases.hpp
-/// \brief Phase interfaces of the multilevel pipeline and the shared driver.
+/// \brief The sequential multilevel pipeline: its phases and driver, plus
+/// the phase pieces the SPMD pipeline shares with it.
 ///
 /// The KaPPa pipeline is the composition of three phases — contraction,
-/// initial partitioning, uncoarsening with refinement (§2) — and the paper
-/// runs every phase SPMD across PEs. To let the sequential and the SPMD
-/// implementation share one driver body, each phase is an interface:
+/// initial partitioning, uncoarsening with refinement (§2):
 ///
-///   Coarsener          builds the contraction hierarchy,
-///   InitialPartitioner partitions the coarsest graph,
-///   Refiner            improves one level during uncoarsening and
-///                      restores feasibility at the finest level.
+///   SequentialCoarsener builds the contraction hierarchy,
+///   InitialPartitioner  partitions the coarsest graph,
+///   SequentialRefiner   improves one level during uncoarsening and
+///                       restores feasibility at the finest level.
 ///
 /// run_multilevel() wires them together: it owns projection between
-/// levels, the phase timers and the final quality metrics. A sequential
-/// Partitioner instantiates the Sequential* classes below; an SPMD
-/// Partitioner instantiates the Spmd* classes from
-/// parallel/spmd_phases.hpp — every PE executes the same driver on its
-/// replica and the phases synchronize internally. Repartitioning swaps in
-/// the WarmStartInitialPartitioner and the warm-start coarsening policy,
+/// levels, the phase timers and the final quality metrics. The SPMD
+/// pipeline has its own driver, run_multilevel_spmd(), over the Spmd*
+/// phases of parallel/spmd_phases.hpp. The two share the
+/// InitialPartitioner interface — whose warm-start implementation serves
+/// both, and whose SPMD implementation runs on PEs — and the Config ->
+/// options translation below. Repartitioning swaps in the
+/// WarmStartInitialPartitioner and the warm-start coarsening policy,
 /// reusing everything else.
 #pragma once
 
@@ -33,15 +33,6 @@
 namespace kappa {
 
 class DistHierarchy;
-
-/// Contraction phase (§3): graph -> multilevel hierarchy.
-class Coarsener {
- public:
-  virtual ~Coarsener() = default;
-
-  /// Builds the hierarchy whose finest level is \p graph.
-  [[nodiscard]] virtual Hierarchy coarsen(const StaticGraph& graph) = 0;
-};
 
 /// Initial partitioning phase (§4): coarsest graph -> k-way partition.
 class InitialPartitioner {
@@ -59,30 +50,6 @@ class InitialPartitioner {
 
   [[nodiscard]] virtual Partition partition(const StaticGraph& coarsest) = 0;
 };
-
-/// Refinement phase (§5): improves the projected partition level by level.
-class Refiner {
- public:
-  virtual ~Refiner() = default;
-
-  /// Refines \p partition on the graph of one hierarchy \p level in place.
-  /// Called once per level, coarsest first, finest (level 0) last.
-  virtual void refine(const StaticGraph& graph, Partition& partition,
-                      std::size_t level) = 0;
-
-  /// Post-pass on the finest graph: the §5.2 exception rule applied until
-  /// the Lmax bound holds (or attempts run out).
-  virtual void rebalance(const StaticGraph& graph, Partition& partition) = 0;
-};
-
-/// Runs the multilevel pipeline with the given phase implementations.
-/// This is the single code body behind every Partitioner workload —
-/// sequential or SPMD, from-scratch or warm-started.
-[[nodiscard]] PartitionResult run_multilevel(const StaticGraph& graph,
-                                             const Config& config,
-                                             Coarsener& coarsener,
-                                             InitialPartitioner& initial,
-                                             Refiner& refiner);
 
 // ---------------------------------------------------------------------------
 // Shared per-phase option builders. Sequential and SPMD implementations
@@ -138,13 +105,14 @@ void rebalance_until_feasible(const StaticGraph& graph, Partition& partition,
 /// matching scheme simulated in-process when config.matching_pes > 1).
 /// A non-null \p warm_start restricts contraction to intra-block pairs of
 /// that assignment (the repartitioning coarsening policy).
-class SequentialCoarsener final : public Coarsener {
+class SequentialCoarsener {
  public:
   SequentialCoarsener(const Config& config, Rng rng,
                       const Partition* warm_start = nullptr)
       : config_(config), rng_(rng), warm_start_(warm_start) {}
 
-  [[nodiscard]] Hierarchy coarsen(const StaticGraph& graph) override;
+  /// Builds the hierarchy whose finest level is \p graph.
+  [[nodiscard]] Hierarchy coarsen(const StaticGraph& graph);
 
  private:
   const Config& config_;
@@ -190,19 +158,32 @@ class WarmStartInitialPartitioner final : public InitialPartitioner {
 };
 
 /// Wraps pairwise_refine() per level plus the rebalancing insurance loop.
-class SequentialRefiner final : public Refiner {
+class SequentialRefiner {
  public:
   /// \p finest is the input graph; it determines the global Lmax bound.
   SequentialRefiner(const StaticGraph& finest, const Config& config, Rng rng);
 
+  /// Refines \p partition on the graph of one hierarchy \p level in place.
+  /// Called once per level, coarsest first, finest (level 0) last.
   void refine(const StaticGraph& graph, Partition& partition,
-              std::size_t level) override;
-  void rebalance(const StaticGraph& graph, Partition& partition) override;
+              std::size_t level);
+
+  /// Post-pass on the finest graph: the §5.2 exception rule applied until
+  /// the Lmax bound holds (or attempts run out).
+  void rebalance(const StaticGraph& graph, Partition& partition);
 
  private:
   const Config& config_;
   Rng rng_;
   NodeWeight global_bound_;
 };
+
+/// Runs the sequential multilevel pipeline, from scratch or warm-started
+/// (with a WarmStartInitialPartitioner and a warm-start coarsener).
+[[nodiscard]] PartitionResult run_multilevel(const StaticGraph& graph,
+                                             const Config& config,
+                                             SequentialCoarsener& coarsener,
+                                             InitialPartitioner& initial,
+                                             SequentialRefiner& refiner);
 
 }  // namespace kappa

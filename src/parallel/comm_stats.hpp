@@ -1,13 +1,19 @@
 /// \file comm_stats.hpp
-/// \brief Per-PE communication counters of the SPMD runtime.
+/// \brief Per-rank counters of an SPMD run: the counter structs, the one
+/// record (RankCounters) that carries all of them per rank, and the table
+/// (kRankCounters) that declares each scalar counter once — name, unit,
+/// aggregation. The fold, the record's wire codec, the metrics export and,
+/// through the metrics document's `counters` declaration, its validator
+/// all walk the table: a new counter is one struct field plus one row.
 ///
 /// A standalone header so that result types (core/partitioner.hpp) can
-/// carry communication statistics without pulling in the whole thread
-/// runtime — entry points forward-declare PERuntime instead.
+/// carry the counters without pulling in the whole thread runtime —
+/// entry points forward-declare PERuntime instead.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 namespace kappa {
@@ -68,11 +74,6 @@ struct CommStats {
   /// Per-coarsening-level halo-exchange breakdown (subset of the totals
   /// above), indexed by level; empty outside the SPMD coarsening path.
   std::vector<LevelHaloStats> halo_per_level;
-
-  /// Total nanoseconds blocked (collectives plus empty-mailbox receives).
-  [[nodiscard]] std::uint64_t idle_ns() const {
-    return collective_idle_ns + recv_idle_ns;
-  }
 };
 
 /// Peak resident footprint of the data-sharded SPMD graph structures on
@@ -112,49 +113,129 @@ struct PairShipStats {
   std::uint64_t rows_shipped = 0;     ///< band rows + fringe stubs sent
   std::uint64_t words_shipped = 0;    ///< wire words of the sent sides
   std::uint64_t whole_block_rows = 0; ///< rows a whole-block send needed
+};
 
-  void operator+=(const PairShipStats& other) {
-    pairs_executed += other.pairs_executed;
-    pairs_shipped += other.pairs_shipped;
-    rows_shipped += other.rows_shipped;
-    words_shipped += other.words_shipped;
-    whole_block_rows += other.whole_block_rows;
+/// One rank's post-repartitioning data intake (§5.2): the nodes migrated
+/// into its blocks plus the adjacency entries shipped with them. Zero on
+/// from-scratch runs.
+struct MigrationIntake {
+  std::uint64_t nodes = 0;  ///< nodes migrated into this rank's blocks
+  std::uint64_t edges = 0;  ///< adjacency entries shipped with them
+};
+
+/// §3 matching shape of the SPMD coarsening on one rank, over all levels.
+struct MatchStats {
+  std::uint64_t local_pairs = 0;  ///< pairs this rank matched in its shards
+  std::uint64_t gap_pairs = 0;    ///< cross-shard pairs this rank decided
+  std::uint64_t gap_rounds = 0;   ///< locally-heaviest gap-graph rounds
+};
+
+/// Every counter of one rank over one run. The rank's PEContext holds the
+/// live record the SPMD phases count into; the run captures it once,
+/// right after the partition is materialized — before the record gather
+/// and trace collection, so observation traffic is never counted.
+struct RankCounters {
+  CommStats comm;
+  ShardFootprint shard_memory;      ///< peak single sharded structure
+  ShardFootprint hierarchy_memory;  ///< whole distributed hierarchy store
+  ShardFootprint partition_memory;  ///< sharded partition state
+  PairShipStats pair_ship;
+  MigrationIntake migration;
+  MatchStats matching;
+};
+
+/// How a counter aggregates over ranks: volumes add up; synchronization
+/// points every rank passes together (barriers, gap rounds) and peak
+/// footprints take the maximum.
+enum class CounterFold { kSum, kMax };
+
+/// One row of the counter table. In the metrics document the aggregate
+/// is `<group>.<name>` and the per-rank list `<group>.per_rank.<name>`.
+struct CounterField {
+  const char* group;
+  const char* name;
+  const char* unit;
+  CounterFold fold;
+  std::uint64_t& (*ref)(RankCounters&);
+
+  /// The field in \p c.
+  [[nodiscard]] std::uint64_t& of(RankCounters& c) const { return ref(c); }
+  [[nodiscard]] std::uint64_t of(const RankCounters& c) const {
+    return ref(const_cast<RankCounters&>(c));
   }
 };
 
-/// Aggregates per-rank counters into one total: messages, words, and idle
-/// time add up; barriers are synchronization points every rank passes
-/// together, so the aggregate is the maximum, not the sum.
-///
-/// Covers EVERY CommStats field — the pinned aggregation test in
-/// trace_test.cpp static-asserts on sizeof(CommStats), so a new field
-/// cannot land without either being aggregated here or being explicitly
-/// exempted there.
-[[nodiscard]] inline CommStats total_comm_stats(
-    const std::vector<CommStats>& per_rank) {
-  CommStats total;
-  for (const CommStats& s : per_rank) {
-    total.messages_sent += s.messages_sent;
-    total.words_sent += s.words_sent;
-    total.messages_received += s.messages_received;
-    total.words_received += s.words_received;
-    total.barriers = std::max(total.barriers, s.barriers);
-    total.collective_idle_ns += s.collective_idle_ns;
-    total.recv_idle_ns += s.recv_idle_ns;
-    total.rounds_waited += s.rounds_waited;
-    total.wire_bytes_sent += s.wire_bytes_sent;
-    total.wire_bytes_received += s.wire_bytes_received;
-    total.heartbeat_frames_sent += s.heartbeat_frames_sent;
-    total.heartbeat_words_sent += s.heartbeat_words_sent;
-    if (s.halo_per_level.size() > total.halo_per_level.size()) {
-      total.halo_per_level.resize(s.halo_per_level.size());
-    }
-    for (std::size_t l = 0; l < s.halo_per_level.size(); ++l) {
-      total.halo_per_level[l].messages += s.halo_per_level[l].messages;
-      total.halo_per_level[l].words += s.halo_per_level[l].words;
-    }
-  }
-  return total;
+/// The field \p Field of the record part \p Part.
+template <auto Part, auto Field>
+std::uint64_t& counter_ref(RankCounters& c) {
+  return (c.*Part).*Field;
 }
+
+#define KAPPA_ROW(group, part, field, unit, fold)                    \
+  CounterField {                                                     \
+    group, #field, unit, CounterFold::fold,                          \
+        &counter_ref<&RankCounters::part,                            \
+                     &decltype(RankCounters::part)::field>           \
+  }
+
+/// The counter table: every scalar field of RankCounters, once.
+inline constexpr CounterField kRankCounters[] = {
+    KAPPA_ROW("comm", comm, messages_sent, "messages", kSum),
+    KAPPA_ROW("comm", comm, words_sent, "words", kSum),
+    KAPPA_ROW("comm", comm, messages_received, "messages", kSum),
+    KAPPA_ROW("comm", comm, words_received, "words", kSum),
+    KAPPA_ROW("comm", comm, barriers, "barriers", kMax),
+    KAPPA_ROW("comm", comm, collective_idle_ns, "ns", kSum),
+    KAPPA_ROW("comm", comm, recv_idle_ns, "ns", kSum),
+    KAPPA_ROW("comm", comm, rounds_waited, "rounds", kSum),
+    KAPPA_ROW("comm", comm, wire_bytes_sent, "bytes", kSum),
+    KAPPA_ROW("comm", comm, wire_bytes_received, "bytes", kSum),
+    KAPPA_ROW("comm", comm, heartbeat_frames_sent, "frames", kSum),
+    KAPPA_ROW("comm", comm, heartbeat_words_sent, "words", kSum),
+    KAPPA_ROW("memory.shard", shard_memory, owned_nodes, "nodes", kMax),
+    KAPPA_ROW("memory.shard", shard_memory, ghost_nodes, "nodes", kMax),
+    KAPPA_ROW("memory.shard", shard_memory, arcs, "arcs", kMax),
+    KAPPA_ROW("memory.hierarchy", hierarchy_memory, owned_nodes, "nodes", kMax),
+    KAPPA_ROW("memory.hierarchy", hierarchy_memory, ghost_nodes, "nodes", kMax),
+    KAPPA_ROW("memory.hierarchy", hierarchy_memory, arcs, "arcs", kMax),
+    KAPPA_ROW("memory.partition", partition_memory, owned_nodes, "nodes", kMax),
+    KAPPA_ROW("memory.partition", partition_memory, ghost_nodes, "nodes", kMax),
+    KAPPA_ROW("memory.partition", partition_memory, arcs, "arcs", kMax),
+    KAPPA_ROW("ship", pair_ship, pairs_executed, "pairs", kSum),
+    KAPPA_ROW("ship", pair_ship, pairs_shipped, "pairs", kSum),
+    KAPPA_ROW("ship", pair_ship, rows_shipped, "rows", kSum),
+    KAPPA_ROW("ship", pair_ship, words_shipped, "words", kSum),
+    KAPPA_ROW("ship", pair_ship, whole_block_rows, "rows", kSum),
+    KAPPA_ROW("migration", migration, nodes, "nodes", kSum),
+    KAPPA_ROW("migration", migration, edges, "arcs", kSum),
+    KAPPA_ROW("coarsening", matching, local_pairs, "pairs", kSum),
+    KAPPA_ROW("coarsening", matching, gap_pairs, "pairs", kSum),
+    KAPPA_ROW("coarsening", matching, gap_rounds, "rounds", kMax),
+};
+
+#undef KAPPA_ROW
+
+// Coverage guard: RankCounters is the table's scalars plus the halo
+// vector, nothing else — a field added without a row trips this.
+static_assert(sizeof(RankCounters) ==
+                  std::size(kRankCounters) * sizeof(std::uint64_t) +
+                      sizeof(std::vector<LevelHaloStats>),
+              "RankCounters changed shape: give every new scalar counter a "
+              "row in kRankCounters");
+
+/// Aggregates per-rank records into one: each table field by its fold,
+/// the halo breakdown level by level.
+[[nodiscard]] RankCounters fold_counters(
+    const std::vector<RankCounters>& per_rank);
+
+/// Wire encoding of one record: the table's field count, the fields in
+/// table order, the halo level count, then (messages, words) per level.
+[[nodiscard]] std::vector<std::uint64_t> encode_counters(
+    const RankCounters& counters);
+
+/// Inverse of encode_counters(). Throws TransportError on a truncated,
+/// extended or otherwise malformed record.
+[[nodiscard]] RankCounters decode_counters(
+    const std::vector<std::uint64_t>& words);
 
 }  // namespace kappa

@@ -105,11 +105,10 @@ BlockID DistLevel::shard_of(NodeID global) const {
 
 DistHierarchy::DistHierarchy(const StaticGraph& finest,
                              const CoarseningOptions& options, const Rng& rng,
-                             PEContext& pe, SpmdCoarseningStats* stats)
+                             PEContext& pe)
     : finest_(&finest),
       pe_(pe),
       warm_(options.warm_start != nullptr),
-      stats_(stats),
       rng_(rng) {
   const MatchingOptions match_options = hierarchy_match_options(finest, options);
 
@@ -169,10 +168,9 @@ DistHierarchy::DistHierarchy(const StaticGraph& finest,
 }
 
 void DistHierarchy::account_level(const DistLevel& level) {
-  if (stats_ == nullptr) return;
   const ShardFootprint fp = level.footprint();
-  stats_->footprint.merge_peak(fp);
-  accumulate(stats_->hierarchy_resident, fp);
+  pe_.record().shard_memory.merge_peak(fp);
+  accumulate(pe_.record().hierarchy_memory, fp);
 }
 
 DistLevel DistHierarchy::build_finest_level(const CoarseningOptions& options) {
@@ -278,10 +276,8 @@ std::vector<NodeID> DistHierarchy::match_level(
       partner[v] = u;
     }
   }
-  if (stats_ != nullptr) {
-    for (NodeID u = 0; u < num_owned; ++u) {
-      if (partner[u] != u && u < partner[u]) ++stats_->local_pairs;
-    }
+  for (NodeID u = 0; u < num_owned; ++u) {
+    if (partner[u] != u && u < partner[u]) ++pe_.record().matching.local_pairs;
   }
 
   // Rating of the tentative local match at each owned node (0 if
@@ -409,7 +405,7 @@ std::vector<NodeID> DistHierarchy::match_level(
            edge_key(cands[b].u_global, cands[b].v_global);
   };
   while (true) {
-    if (stats_ != nullptr) ++stats_->gap_rounds;
+    ++pe_.record().matching.gap_rounds;
     for (const NodeID x : endpoints) {
       std::size_t b = kNone;
       if (!taken[x]) {
@@ -500,7 +496,7 @@ std::vector<NodeID> DistHierarchy::match_level(
         alive[i] = 0;
         if (v_mine || cands[i].u_global < cands[i].v_global) {
           ++matched_here;  // count each pair once globally
-          if (stats_ != nullptr) ++stats_->gap_pairs;
+          ++pe_.record().matching.gap_pairs;
         }
       }
     }
@@ -935,13 +931,11 @@ const StaticGraph& DistHierarchy::coarsest() {
     }
     coarsest_replica_.emplace(std::move(xadj), std::move(adj), std::move(ewgt),
                               std::move(vwgt));
-    if (stats_ != nullptr) {
-      ShardFootprint replica;
-      replica.owned_nodes = num_owned;
-      replica.ghost_nodes = L.global_n - num_owned;
-      replica.arcs = coarsest_replica_->num_arcs();
-      stats_->footprint.merge_peak(replica);
-    }
+    ShardFootprint replica;
+    replica.owned_nodes = num_owned;
+    replica.ghost_nodes = L.global_n - num_owned;
+    replica.arcs = coarsest_replica_->num_arcs();
+    pe_.record().shard_memory.merge_peak(replica);
   }
   return *coarsest_replica_;
 }

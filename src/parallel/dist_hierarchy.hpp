@@ -55,22 +55,6 @@ namespace kappa {
 
 class DistPartition;
 
-/// Matching/contraction shape of the distributed coarsening, accumulated
-/// over all levels on one PE (this PE's contribution, not a global total).
-struct SpmdCoarseningStats {
-  NodeID local_pairs = 0;      ///< pairs this PE matched inside its shards
-  NodeID gap_pairs = 0;        ///< cross-shard pairs this PE decided
-  std::size_t gap_rounds = 0;  ///< locally-heaviest rounds over all levels
-  /// Peak resident size of any single per-level structure on this PE
-  /// (owned + one-hop halo of one level; the gathered coarsest counts
-  /// its remote share as ghosts).
-  ShardFootprint footprint;
-  /// Resident size of the whole hierarchy store on this PE: the sum of
-  /// the per-level footprints, Σ_levels (n_level / p + halo) — all
-  /// levels stay resident through uncoarsening.
-  ShardFootprint hierarchy_resident;
-};
-
 /// One rank's resident share of one hierarchy level.
 struct DistLevel {
   // --- replicated level metadata (O(num_shards) for coarse levels) ---
@@ -146,11 +130,12 @@ class DistHierarchy {
   /// Builds the full hierarchy SPMD: every PE of \p pe's runtime calls
   /// this with identical arguments; the build synchronizes internally.
   /// \p options.warm_start (if set) restricts matching to intra-block
-  /// pairs via the matchers' block constraint. \p stats (optional)
-  /// accumulates this rank's coarsening shape.
+  /// pairs via the matchers' block constraint. The build counts its
+  /// matching shape and resident footprints into \p pe's record: the
+  /// peak single level (the gathered coarsest counts its remote share as
+  /// ghosts) and the whole store, Σ_levels (n_level / p + halo).
   DistHierarchy(const StaticGraph& finest, const CoarseningOptions& options,
-                const Rng& rng, PEContext& pe,
-                SpmdCoarseningStats* stats = nullptr);
+                const Rng& rng, PEContext& pe);
 
   /// Number of levels including the finest input level.
   [[nodiscard]] std::size_t num_levels() const { return levels_.size(); }
@@ -230,7 +215,7 @@ class DistHierarchy {
   /// Builds the finest DistLevel from the input graph's prepartition.
   [[nodiscard]] DistLevel build_finest_level(const CoarseningOptions& options);
 
-  /// Records a freshly built level in the coarsening stats (peak single
+  /// Records a freshly built level in the PE's record (peak single
   /// structure and resident hierarchy sum).
   void account_level(const DistLevel& level);
 
@@ -244,7 +229,6 @@ class DistHierarchy {
   std::vector<DistLevel> levels_;
   std::optional<StaticGraph> coarsest_replica_;  ///< gathered once
   bool warm_ = false;
-  SpmdCoarseningStats* stats_ = nullptr;
   Rng rng_;
 };
 

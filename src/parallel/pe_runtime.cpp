@@ -29,18 +29,35 @@ std::uint64_t fnv1a(const std::vector<int>& words) {
 PEContext::PEContext(Transport& transport, std::uint64_t seed)
     : transport_(transport),
       rank_(transport.rank()),
-      rng_(Rng(seed).fork(rank_)) {}
+      rng_(Rng(seed).fork(rank_)),
+      wire_sent_base_(transport.wire_bytes_sent()),
+      wire_received_base_(transport.wire_bytes_received()),
+      heartbeat_frames_base_(transport.heartbeat_frames_sent()),
+      heartbeat_words_base_(transport.heartbeat_words_sent()) {}
+
+RankCounters PEContext::counters() const {
+  RankCounters counters = record_;
+  CommStats& comm = counters.comm;
+  comm.wire_bytes_sent = transport_.wire_bytes_sent() - wire_sent_base_;
+  comm.wire_bytes_received =
+      transport_.wire_bytes_received() - wire_received_base_;
+  comm.heartbeat_frames_sent =
+      transport_.heartbeat_frames_sent() - heartbeat_frames_base_;
+  comm.heartbeat_words_sent =
+      transport_.heartbeat_words_sent() - heartbeat_words_base_;
+  return counters;
+}
 
 void PEContext::send(int dest, std::vector<std::uint64_t> payload) {
-  ++stats_.messages_sent;
-  stats_.words_sent += payload.size();
+  ++record_.comm.messages_sent;
+  record_.comm.words_sent += payload.size();
   if (halo_level_ >= 0) {
     const std::size_t level = static_cast<std::size_t>(halo_level_);
-    if (stats_.halo_per_level.size() <= level) {
-      stats_.halo_per_level.resize(level + 1);
+    if (record_.comm.halo_per_level.size() <= level) {
+      record_.comm.halo_per_level.resize(level + 1);
     }
-    ++stats_.halo_per_level[level].messages;
-    stats_.halo_per_level[level].words += payload.size();
+    ++record_.comm.halo_per_level[level].messages;
+    record_.comm.halo_per_level[level].words += payload.size();
   }
   KAPPA_TRACE_SPAN("net.send", static_cast<std::uint64_t>(dest),
                    payload.size() * sizeof(std::uint64_t));
@@ -51,39 +68,39 @@ Message PEContext::receive(int source) {
   // Only time the genuinely blocking path: a receive that is satisfied
   // immediately is work, not idleness.
   if (auto ready = transport_.try_receive(source, Lane::kApp)) {
-    ++stats_.messages_received;
-    stats_.words_received += ready->payload.size();
+    ++record_.comm.messages_received;
+    record_.comm.words_received += ready->payload.size();
     return std::move(*ready);
   }
   const std::uint64_t start = trace_now_ns();
   Message msg = transport_.receive(source, Lane::kApp);
   const std::uint64_t end = trace_now_ns();
-  stats_.recv_idle_ns += end - start;
+  record_.comm.recv_idle_ns += end - start;
   if (TraceRecorder* recorder = thread_trace()) {
     recorder->span("net.recv.wait", start, end,
                    static_cast<std::uint64_t>(msg.source),
                    msg.payload.size() * sizeof(std::uint64_t));
   }
-  ++stats_.messages_received;
-  stats_.words_received += msg.payload.size();
+  ++record_.comm.messages_received;
+  record_.comm.words_received += msg.payload.size();
   return msg;
 }
 
 std::optional<Message> PEContext::try_receive(int source) {
   auto msg = transport_.try_receive(source, Lane::kApp);
   if (msg) {
-    ++stats_.messages_received;
-    stats_.words_received += msg->payload.size();
+    ++record_.comm.messages_received;
+    record_.comm.words_received += msg->payload.size();
   }
   return msg;
 }
 
 void PEContext::barrier() {
-  ++stats_.barriers;
+  ++record_.comm.barriers;
   const std::uint64_t start = trace_now_ns();
   transport_.barrier();
   const std::uint64_t end = trace_now_ns();
-  stats_.collective_idle_ns += end - start;
+  record_.comm.collective_idle_ns += end - start;
   if (TraceRecorder* recorder = thread_trace()) {
     recorder->span("net.barrier", start, end);
   }
@@ -122,21 +139,21 @@ std::uint64_t PEContext::heartbeat_words_sent() const {
 
 Message PEContext::collective_receive(int source) {
   if (auto ready = transport_.try_receive(source, Lane::kCollective)) {
-    ++stats_.messages_received;
-    stats_.words_received += ready->payload.size();
+    ++record_.comm.messages_received;
+    record_.comm.words_received += ready->payload.size();
     return std::move(*ready);
   }
   const std::uint64_t start = trace_now_ns();
   Message msg = transport_.receive(source, Lane::kCollective);
   const std::uint64_t end = trace_now_ns();
-  stats_.collective_idle_ns += end - start;
+  record_.comm.collective_idle_ns += end - start;
   if (TraceRecorder* recorder = thread_trace()) {
     recorder->span("net.collective.wait", start, end,
                    static_cast<std::uint64_t>(msg.source),
                    msg.payload.size() * sizeof(std::uint64_t));
   }
-  ++stats_.messages_received;
-  stats_.words_received += msg.payload.size();
+  ++record_.comm.messages_received;
+  record_.comm.words_received += msg.payload.size();
   return msg;
 }
 
@@ -176,9 +193,9 @@ std::uint64_t PEContext::all_reduce_max(std::uint64_t value) {
 std::vector<std::uint64_t> PEContext::all_gather(std::uint64_t value) {
   const int p = size();
   const std::uint64_t destinations = static_cast<std::uint64_t>(p - 1);
-  ++stats_.barriers;  // a collective is a synchronization point
-  stats_.messages_sent += destinations;
-  stats_.words_sent += destinations;
+  ++record_.comm.barriers;  // a collective is a synchronization point
+  record_.comm.messages_sent += destinations;
+  record_.comm.words_sent += destinations;
   std::vector<std::uint64_t> result(static_cast<std::size_t>(p));
   result[static_cast<std::size_t>(rank_)] = value;
   for (int offset = 1; offset < p; ++offset) {
@@ -196,9 +213,9 @@ std::vector<std::vector<std::uint64_t>> PEContext::all_gather_vectors(
     std::vector<std::uint64_t> payload) {
   const int p = size();
   const std::uint64_t destinations = static_cast<std::uint64_t>(p - 1);
-  ++stats_.barriers;  // a collective is a synchronization point
-  stats_.messages_sent += destinations;
-  stats_.words_sent += destinations * payload.size();
+  ++record_.comm.barriers;  // a collective is a synchronization point
+  record_.comm.messages_sent += destinations;
+  record_.comm.words_sent += destinations * payload.size();
   std::vector<std::vector<std::uint64_t>> result(static_cast<std::size_t>(p));
   for (int offset = 1; offset < p; ++offset) {
     transport_.send((rank_ + offset) % p, Lane::kCollective, payload);
@@ -215,12 +232,12 @@ std::vector<std::vector<std::uint64_t>> PEContext::all_gather_vectors(
 std::vector<std::uint64_t> PEContext::broadcast(
     const std::vector<std::uint64_t>& payload, int root) {
   const int p = size();
-  ++stats_.barriers;  // a collective is a synchronization point
+  ++record_.comm.barriers;  // a collective is a synchronization point
   if (rank_ == root) {
     // Only the root puts data on the wire: one copy per destination rank.
     const std::uint64_t destinations = static_cast<std::uint64_t>(p - 1);
-    stats_.messages_sent += destinations;
-    stats_.words_sent += destinations * payload.size();
+    record_.comm.messages_sent += destinations;
+    record_.comm.words_sent += destinations * payload.size();
     for (int offset = 1; offset < p; ++offset) {
       transport_.send((rank_ + offset) % p, Lane::kCollective, payload);
     }
@@ -391,10 +408,10 @@ int PERuntime::primary_rank() const {
 
 const char* PERuntime::backend() const { return fabric_->name(); }
 
-std::vector<CommStats> PERuntime::run(
+std::vector<RankCounters> PERuntime::run(
     const std::function<void(PEContext&)>& program) {
   const std::vector<int> locals = fabric_->local_ranks();
-  std::vector<CommStats> stats(static_cast<std::size_t>(num_pes()));
+  std::vector<RankCounters> stats(static_cast<std::size_t>(num_pes()));
   std::vector<std::exception_ptr> errors(locals.size());
   std::vector<std::thread> threads;
   threads.reserve(locals.size());
@@ -402,28 +419,9 @@ std::vector<CommStats> PERuntime::run(
     const int rank = locals[i];
     threads.emplace_back([this, &program, &stats, &errors, i, rank]() {
       try {
-        Transport& endpoint = fabric_->endpoint(rank);
-        // Wire bytes accumulate over the endpoint's lifetime; report this
-        // run's delta.
-        const std::uint64_t wire_sent_before = endpoint.wire_bytes_sent();
-        const std::uint64_t wire_received_before =
-            endpoint.wire_bytes_received();
-        const std::uint64_t hb_frames_before =
-            endpoint.heartbeat_frames_sent();
-        const std::uint64_t hb_words_before =
-            endpoint.heartbeat_words_sent();
-        PEContext context(endpoint, seed_);
+        PEContext context(fabric_->endpoint(rank), seed_);
         program(context);
-        CommStats& out = stats[static_cast<std::size_t>(rank)];
-        out = context.stats();
-        out.wire_bytes_sent =
-            endpoint.wire_bytes_sent() - wire_sent_before;
-        out.wire_bytes_received =
-            endpoint.wire_bytes_received() - wire_received_before;
-        out.heartbeat_frames_sent =
-            endpoint.heartbeat_frames_sent() - hb_frames_before;
-        out.heartbeat_words_sent =
-            endpoint.heartbeat_words_sent() - hb_words_before;
+        stats[static_cast<std::size_t>(rank)] = context.counters();
       } catch (...) {
         errors[i] = std::current_exception();
       }

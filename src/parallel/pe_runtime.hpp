@@ -91,14 +91,19 @@ class PEContext {
   [[nodiscard]] std::vector<std::uint64_t> broadcast(
       const std::vector<std::uint64_t>& payload, int root);
 
-  /// Communication counters of this PE.
-  [[nodiscard]] const CommStats& stats() const { return stats_; }
+  /// This rank's counter record since the context was created (one run):
+  /// the communication counters this context keeps, with the endpoint's
+  /// wire bytes and heartbeats taken against the run-start baselines,
+  /// and whatever the phases counted into record().
+  [[nodiscard]] RankCounters counters() const;
+
+  /// The record the SPMD phases count into (shipping, memory, matching,
+  /// idle rounds); its wire and heartbeat fields are filled by counters().
+  [[nodiscard]] RankCounters& record() { return record_; }
 
   /// Bytes this rank's transport endpoint has put on / taken off the
   /// physical wire so far (endpoint-lifetime totals, zero on the
-  /// in-process backend). The trace collector snapshots these mid-run
-  /// for the per-rank metrics; PERuntime::run still reports the exact
-  /// per-run delta in its returned CommStats.
+  /// in-process backend; counters() reports this run's share).
   [[nodiscard]] std::uint64_t wire_bytes_sent() const;
   [[nodiscard]] std::uint64_t wire_bytes_received() const;
 
@@ -119,7 +124,7 @@ class PEContext {
   /// Inbound queue depths per (source, lane) of this rank's endpoint.
   [[nodiscard]] std::vector<LaneQueueDepth> queue_depths() const;
   /// Heartbeat frames / words this endpoint sent (lifetime totals, like
-  /// wire_bytes_*; PERuntime::run reports the per-run delta).
+  /// wire_bytes_*; counters() reports this run's share).
   [[nodiscard]] std::uint64_t heartbeat_frames_sent() const;
   [[nodiscard]] std::uint64_t heartbeat_words_sent() const;
 
@@ -127,10 +132,6 @@ class PEContext {
   /// counters of coarsening level \p level (see CommStats::halo_per_level);
   /// pass -1 to stop attributing. The totals always count everything.
   void set_halo_level(int level) { halo_level_ = level; }
-
-  /// Records a scheduling round this rank sat out (no pair executed, no
-  /// side shipped) — see CommStats::rounds_waited.
-  void count_idle_round() { ++stats_.rounds_waited; }
 
  private:
   /// Receive on the collective lane, idle time charged to
@@ -140,8 +141,13 @@ class PEContext {
   Transport& transport_;
   int rank_;
   Rng rng_;
-  CommStats stats_;
+  RankCounters record_;
   int halo_level_ = -1;
+  // The endpoint's lifetime counters when this run started.
+  std::uint64_t wire_sent_base_;
+  std::uint64_t wire_received_base_;
+  std::uint64_t heartbeat_frames_base_;
+  std::uint64_t heartbeat_words_base_;
 };
 
 /// One virtual-PE message delivered by PESubGroup::exchange().
@@ -218,11 +224,12 @@ class PERuntime {
   ~PERuntime();
 
   /// Executes \p program on every locally hosted PE (one thread each) and
-  /// joins. Returns the communication statistics indexed by *global*
-  /// rank; only locally hosted slots are populated (aggregate with
-  /// total_comm_stats()). A PE whose program throws rethrows here after
-  /// all local PEs finished.
-  std::vector<CommStats> run(const std::function<void(PEContext&)>& program);
+  /// joins. Returns each PE's PEContext::counters() at the end of its
+  /// program, indexed by *global* rank; only locally hosted slots are
+  /// populated (aggregate with fold_counters()). A PE whose program
+  /// throws rethrows here after all local PEs finished.
+  std::vector<RankCounters> run(
+      const std::function<void(PEContext&)>& program);
 
   /// Total PEs of the run, across all processes.
   [[nodiscard]] int num_pes() const;

@@ -30,7 +30,7 @@ DistHierarchy SpmdCoarsener::coarsen(const StaticGraph& graph) {
   if (warm_start_ != nullptr) {
     options.max_pair_weight_cap = repartition_pair_weight_cap(graph, config_);
   }
-  return DistHierarchy(graph, options, rng_, pe_, &stats_);
+  return DistHierarchy(graph, options, rng_, pe_);
 }
 
 // ------------------------------------------------ SPMD initial partition ----
@@ -683,18 +683,18 @@ void SpmdRefiner::refine(const DistHierarchy& hierarchy, std::size_t level,
   if (level == 0) {
     finest_store_.emplace(hierarchy.distribute_block_rows(0, partition, k));
     sync_partition_with_store(*finest_store_, partition, k, pe_);
-    partition_footprint_.merge_peak(partition.footprint());
-    footprint_.merge_peak(finest_store_->footprint());
+    pe_.record().partition_memory.merge_peak(partition.footprint());
+    pe_.record().shard_memory.merge_peak(finest_store_->footprint());
     run_pairwise(*finest_store_, partition, options, level_rng);
-    partition_footprint_.merge_peak(partition.footprint());
+    pe_.record().partition_memory.merge_peak(partition.footprint());
     return;
   }
   BlockRowShard store = hierarchy.distribute_block_rows(level, partition, k);
   sync_partition_with_store(store, partition, k, pe_);
-  partition_footprint_.merge_peak(partition.footprint());
-  footprint_.merge_peak(store.footprint());
+  pe_.record().partition_memory.merge_peak(partition.footprint());
+  pe_.record().shard_memory.merge_peak(store.footprint());
   run_pairwise(store, partition, options, level_rng);
-  partition_footprint_.merge_peak(partition.footprint());
+  pe_.record().partition_memory.merge_peak(partition.footprint());
 }
 
 void SpmdRefiner::run_pairwise(BlockRowShard& store, DistPartition& partition,
@@ -727,7 +727,7 @@ void SpmdRefiner::run_pairwise(BlockRowShard& store, DistPartition& partition,
       break;
     }
   }
-  partition_footprint_.merge_peak(partition.footprint());
+  pe_.record().partition_memory.merge_peak(partition.footprint());
 }
 
 void SpmdRefiner::run_color_classes(BlockRowShard& store,
@@ -741,6 +741,7 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
   const int rank = pe_.rank();
   const BlockID k = partition.k();
   const int ship_depth = options.bfs_depth;
+  PairShipStats& ship = pe_.record().pair_ship;
 
   // The schedule: an edge coloring of the quotient, computed by the §5.1
   // protocol with virtual block-PEs nested on the p ranks. It fills in
@@ -772,10 +773,10 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
       if (partner_owner == rank && executor != rank) {
         KAPPA_TRACE_SPAN("pair.ship", edge.a, edge.b);
         PairSide side = build_side(store, partition, edge, edge.b, ship_depth);
-        ship_stats_.pairs_shipped += 1;
-        ship_stats_.rows_shipped += side.band_size() + side.fringe_size();
-        ship_stats_.words_shipped += side.num_words();
-        ship_stats_.whole_block_rows += store.members(edge.b).size();
+        ship.pairs_shipped += 1;
+        ship.rows_shipped += side.band_size() + side.fringe_size();
+        ship.words_shipped += side.num_words();
+        ship.whole_block_rows += store.members(edge.b).size();
         participated = true;
         pe_.send(executor, std::move(side).release());
       }
@@ -796,7 +797,7 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
       PairView view =
           build_pair_view(side_a, side_b, partition.block_weight(edge.a),
                           partition.block_weight(edge.b), edge, k);
-      ship_stats_.pairs_executed += 1;
+      ship.pairs_executed += 1;
       progress_pair();
       participated = true;
       if (partner_owner != rank) {
@@ -804,7 +805,7 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
         ShardFootprint with_intake = store.footprint();
         with_intake.ghost_nodes += side_b.band_size() + side_b.fringe_size();
         with_intake.arcs += side_b.num_arcs();
-        footprint_.merge_peak(with_intake);
+        pe_.record().shard_memory.merge_peak(with_intake);
       }
 
       const PairRefineResult result = refine_pair(
@@ -819,7 +820,7 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
         delta_words.push_back(view.entry[vu]);
       }
     }
-    if (!participated) pe_.count_idle_round();
+    if (!participated) ++pe_.record().comm.rounds_waited;
 
     // Moved-node delta exchange: deltas carry (node, to), weight and
     // the entry block, so every PE can apply the gathered moves to the
@@ -900,7 +901,7 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
       }
       store.apply_move(m.u, m.from, m.to, &row, slots_of(partition));
     }
-    footprint_.merge_peak(store.footprint());
+    pe_.record().shard_memory.merge_peak(store.footprint());
   }
 }
 
@@ -921,6 +922,7 @@ void SpmdRefiner::rebalance(DistPartition& partition) {
                  rebalance_options(config_, finest_, global_bound_, attempt),
                  rng_.fork(100 + attempt));
   }
+  if (warm_ != nullptr) pe_.record().migration = migration_intake();
 }
 
 MigrationIntake SpmdRefiner::migration_intake() const {

@@ -149,14 +149,11 @@ class SpmdCoarsener {
   /// Builds the distributed hierarchy store of \p graph.
   [[nodiscard]] DistHierarchy coarsen(const StaticGraph& graph);
 
-  [[nodiscard]] const SpmdCoarseningStats& stats() const { return stats_; }
-
  private:
   const Config& config_;
   PEContext& pe_;
   Rng rng_;
   const Partition* warm_start_;
-  SpmdCoarseningStats stats_;
 };
 
 class SpmdInitialPartitioner final : public InitialPartitioner {
@@ -175,7 +172,10 @@ class SpmdInitialPartitioner final : public InitialPartitioner {
 class SpmdRefiner {
  public:
   /// \p warm is the repartitioning input assignment (nullptr on
-  /// from-scratch runs); it anchors the migration view.
+  /// from-scratch runs); it anchors the migration view. The refiner
+  /// counts its §5.2 shipping volume (band vs. whole block) and the peak
+  /// resident block-row store (partner-band intake as ghosts) and
+  /// partition state into \p pe's record.
   SpmdRefiner(const StaticGraph& finest, const Config& config, PEContext& pe,
               const Partition* warm = nullptr);
 
@@ -190,9 +190,16 @@ class SpmdRefiner {
   /// Post-pass on the finest level: the §5.2 exception rule applied until
   /// the Lmax bound holds (or attempts run out), running through the same
   /// distributed color-class machinery as refine() on the retained
-  /// finest-level store.
+  /// finest-level store. Warm starts then count this rank's §5.2
+  /// migration intake into the PE's record.
   void rebalance(DistPartition& partition);
 
+  /// Test hook: \p observer sees every pair side this rank builds.
+  void set_pair_side_observer(PairSideObserver observer) {
+    observer_ = std::move(observer);
+  }
+
+ private:
   /// Warm starts only: this rank's §5.2 migration intake, counted from
   /// the incrementally maintained finest-level store — the members of its
   /// blocks whose warm-input block differs, and their row arcs to resident
@@ -201,26 +208,6 @@ class SpmdRefiner {
   /// warm input assignment is the resident-by-contract API input.
   [[nodiscard]] MigrationIntake migration_intake() const;
 
-  /// Peak resident size of this PE's §5.2 block-row store over all
-  /// levels, including the transient partner-band intake of pair
-  /// searches (reported as the ghost component).
-  [[nodiscard]] const ShardFootprint& footprint() const { return footprint_; }
-
-  /// Peak resident size of this PE's sharded partition state over all
-  /// levels (owned entries + ghost-block cache).
-  [[nodiscard]] const ShardFootprint& partition_footprint() const {
-    return partition_footprint_;
-  }
-
-  /// This rank's §5.2 pair-shipping volume (band vs. whole block).
-  [[nodiscard]] const PairShipStats& ship_stats() const { return ship_stats_; }
-
-  /// Test hook: \p observer sees every pair side this rank builds.
-  void set_pair_side_observer(PairSideObserver observer) {
-    observer_ = std::move(observer);
-  }
-
- private:
   /// One pairwise_refine()-shaped run on the distributed store: global
   /// iterations over the merged quotient, each run as color classes, with
   /// the stop rule on the all-reduced iteration gains. The outcome mirrors
@@ -259,9 +246,6 @@ class SpmdRefiner {
   Rng rng_;
   NodeWeight global_bound_;
   const Partition* warm_;
-  ShardFootprint footprint_;
-  ShardFootprint partition_footprint_;
-  PairShipStats ship_stats_;
   PairPathState pair_state_;
   PairSideObserver observer_;
   /// The finest level's store, retained after refine(level 0) for the

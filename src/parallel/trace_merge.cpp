@@ -1,6 +1,6 @@
 /// \file trace_merge.cpp
-/// \brief Snapshot/event wire codecs, the clock-offset handshake, and the
-/// rank-0 merge.
+/// \brief The event-buffer wire codec, the clock-offset handshake, and
+/// the rank-0 merge.
 #include "parallel/trace_merge.hpp"
 
 #include <algorithm>
@@ -12,83 +12,6 @@ namespace kappa {
 namespace {
 
 constexpr int kOffsetRounds = 4;
-
-void encode_footprint(const ShardFootprint& f,
-                      std::vector<std::uint64_t>& out) {
-  out.push_back(f.owned_nodes);
-  out.push_back(f.ghost_nodes);
-  out.push_back(f.arcs);
-}
-
-ShardFootprint decode_footprint(const std::vector<std::uint64_t>& in,
-                                std::size_t& pos) {
-  ShardFootprint f;
-  f.owned_nodes = in.at(pos++);
-  f.ghost_nodes = in.at(pos++);
-  f.arcs = in.at(pos++);
-  return f;
-}
-
-void encode_snapshot(const RankSnapshot& s, std::vector<std::uint64_t>& out) {
-  const CommStats& c = s.comm;
-  out.push_back(c.messages_sent);
-  out.push_back(c.words_sent);
-  out.push_back(c.messages_received);
-  out.push_back(c.words_received);
-  out.push_back(c.barriers);
-  out.push_back(c.collective_idle_ns);
-  out.push_back(c.recv_idle_ns);
-  out.push_back(c.rounds_waited);
-  out.push_back(c.wire_bytes_sent);
-  out.push_back(c.wire_bytes_received);
-  out.push_back(c.heartbeat_frames_sent);
-  out.push_back(c.heartbeat_words_sent);
-  out.push_back(c.halo_per_level.size());
-  for (const LevelHaloStats& h : c.halo_per_level) {
-    out.push_back(h.messages);
-    out.push_back(h.words);
-  }
-  encode_footprint(s.shard_memory, out);
-  encode_footprint(s.hierarchy_memory, out);
-  encode_footprint(s.partition_memory, out);
-  out.push_back(s.pair_ship.pairs_executed);
-  out.push_back(s.pair_ship.pairs_shipped);
-  out.push_back(s.pair_ship.rows_shipped);
-  out.push_back(s.pair_ship.words_shipped);
-  out.push_back(s.pair_ship.whole_block_rows);
-}
-
-RankSnapshot decode_snapshot(const std::vector<std::uint64_t>& in,
-                             std::size_t& pos) {
-  RankSnapshot s;
-  CommStats& c = s.comm;
-  c.messages_sent = in.at(pos++);
-  c.words_sent = in.at(pos++);
-  c.messages_received = in.at(pos++);
-  c.words_received = in.at(pos++);
-  c.barriers = in.at(pos++);
-  c.collective_idle_ns = in.at(pos++);
-  c.recv_idle_ns = in.at(pos++);
-  c.rounds_waited = in.at(pos++);
-  c.wire_bytes_sent = in.at(pos++);
-  c.wire_bytes_received = in.at(pos++);
-  c.heartbeat_frames_sent = in.at(pos++);
-  c.heartbeat_words_sent = in.at(pos++);
-  c.halo_per_level.resize(in.at(pos++));
-  for (LevelHaloStats& h : c.halo_per_level) {
-    h.messages = in.at(pos++);
-    h.words = in.at(pos++);
-  }
-  s.shard_memory = decode_footprint(in, pos);
-  s.hierarchy_memory = decode_footprint(in, pos);
-  s.partition_memory = decode_footprint(in, pos);
-  s.pair_ship.pairs_executed = in.at(pos++);
-  s.pair_ship.pairs_shipped = in.at(pos++);
-  s.pair_ship.rows_shipped = in.at(pos++);
-  s.pair_ship.words_shipped = in.at(pos++);
-  s.pair_ship.whole_block_rows = in.at(pos++);
-  return s;
-}
 
 /// Appends the recorder's buffer: per-rank name table, then the events
 /// referencing it by index.
@@ -139,11 +62,10 @@ std::uint64_t shift_ns(std::uint64_t ns, std::int64_t offset) {
 
 }  // namespace
 
-CollectedTrace collect_trace(PEContext& pe, const TraceRecorder& recorder,
-                             const RankSnapshot& mine) {
+MergedTrace collect_trace(PEContext& pe, const TraceRecorder& recorder) {
   const int p = pe.size();
   const int rank = pe.rank();
-  CollectedTrace collected;
+  MergedTrace merged;
 
   if (rank != 0) {
     // Handshake: echo rank-local time for each of rank 0's pings.
@@ -152,10 +74,9 @@ CollectedTrace collect_trace(PEContext& pe, const TraceRecorder& recorder,
       pe.send(0, {trace_now_ns()});
     }
     std::vector<std::uint64_t> buffer;
-    encode_snapshot(mine, buffer);
     encode_buffer(recorder, buffer);
     pe.send(0, std::move(buffer));
-    return collected;
+    return merged;
   }
 
   // Rank 0: estimate each rank's clock offset (minimum-RTT midpoint),
@@ -180,19 +101,14 @@ CollectedTrace collect_trace(PEContext& pe, const TraceRecorder& recorder,
     }
   }
 
-  MergedTrace& merged = collected.trace;
   merged.num_ranks = p;
   merged.dropped_per_rank.assign(static_cast<std::size_t>(p), 0);
   merged.clock_offset_ns = offsets;
-  collected.ranks.assign(static_cast<std::size_t>(p), RankSnapshot{});
-  collected.ranks[0] = mine;
   std::map<std::string, std::uint32_t> table;
 
   for (int q = 1; q < p; ++q) {
     const Message msg = pe.receive(q);
     std::size_t pos = 0;
-    collected.ranks[static_cast<std::size_t>(q)] =
-        decode_snapshot(msg.payload, pos);
     merged.dropped_per_rank[static_cast<std::size_t>(q)] =
         msg.payload.at(pos++);
     std::vector<std::uint32_t> local_names;
@@ -237,7 +153,7 @@ CollectedTrace collect_trace(PEContext& pe, const TraceRecorder& recorder,
                      }
                      return a.dur_ns > b.dur_ns;
                    });
-  return collected;
+  return merged;
 }
 
 }  // namespace kappa

@@ -49,6 +49,11 @@ constexpr std::uint64_t kFrameHeartbeat = 3;
 /// flag, and therefore the upper bound on teardown latency per peer.
 constexpr int kReceiverPollMs = 200;
 
+/// Largest piece of a frame payload a receiver thread allocates and reads
+/// at once (512 KiB): the buffer grows only as payload bytes arrive, so a
+/// hostile length prefix cannot allocate ahead of the data.
+constexpr std::size_t kPayloadChunkWords = std::size_t{1} << 16;
+
 /// After local teardown begins, how long a receiver thread waits for the
 /// peer's BYE/EOF before abandoning the connection. Our own BYE is
 /// already on the wire by then, so an abandoned peer still shuts down
@@ -634,22 +639,29 @@ class TcpTransport final : public Transport {
                    std::to_string(header[1]));
           return;
         }
-        std::vector<std::uint64_t> payload(header[1]);
-        if (!payload.empty()) {
-          // The header arrived; the payload must follow. A mid-frame EOF
-          // throws inside read_full; local teardown aborts the wait so a
-          // half-frame from a hung peer cannot block the destructor.
+        // The header arrived; the payload must follow, chunk by chunk. An
+        // EOF anywhere after the header is an error; local teardown aborts
+        // the wait so a half-frame from a hung peer cannot block the
+        // destructor.
+        std::vector<std::uint64_t> payload;
+        const auto aborted = [this] {
+          return stopping_.load(std::memory_order_acquire);
+        };
+        while (payload.size() < header[1]) {
+          const std::size_t have = payload.size();
+          const std::size_t chunk = static_cast<std::size_t>(
+              std::min<std::uint64_t>(header[1] - have, kPayloadChunkWords));
+          payload.resize(have + chunk);
           ReadStatus body = ReadStatus::kTimeout;
-          const auto aborted = [this] {
-            return stopping_.load(std::memory_order_acquire);
-          };
           while (body == ReadStatus::kTimeout) {
-            body = read_full(fd, payload.data(),
-                             payload.size() * sizeof(std::uint64_t), what,
-                             aborted);
+            body = read_full(fd, payload.data() + have,
+                             chunk * sizeof(std::uint64_t), what, aborted);
             if (body == ReadStatus::kTimeout && aborted()) {
               throw TransportError(what + ": teardown during frame");
             }
+          }
+          if (body == ReadStatus::kEof) {
+            throw TransportError(what + ": connection closed after a header");
           }
         }
         bytes_received_.fetch_add(
@@ -667,6 +679,10 @@ class TcpTransport final : public Transport {
     } catch (const TransportError& error) {
       mark_peer_dead(q);
       fail_all(error.what());
+    } catch (const std::exception& error) {
+      // Anything else (an allocation failure, say) must still reach the
+      // rank as a TransportError, not std::terminate this thread.
+      fail_all(what + ": " + error.what());
     }
   }
 

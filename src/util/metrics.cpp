@@ -53,6 +53,15 @@ void MetricsRegistry::set_f64_list(const std::string& name,
   metrics_[name] = std::move(v);
 }
 
+void MetricsRegistry::set_counter(const CounterField& field,
+                                  std::uint64_t total,
+                                  std::vector<std::uint64_t> per_rank) {
+  counters_.push_back(&field);
+  const std::string group = field.group;
+  set_u64(group + "." + field.name, total);
+  set_u64_list(group + ".per_rank." + field.name, std::move(per_rank));
+}
+
 bool MetricsRegistry::contains(const std::string& name) const {
   return metrics_.count(name) != 0;
 }
@@ -151,7 +160,16 @@ void write_f64(std::ostream& out, double value) {
 void MetricsRegistry::write_json(std::ostream& out, int indent) const {
   const std::string pad(static_cast<std::size_t>(indent), ' ');
   out << pad << "{\n" << pad << "  \"schema\": \"" << kMetricsSchema
-      << "\",\n" << pad << "  \"metrics\": {";
+      << "\",\n" << pad << "  \"counters\": [";
+  for (std::size_t i = 0; i < counters_.size(); ++i) {
+    const CounterField& field = *counters_[i];
+    out << (i == 0 ? "" : ",") << '\n' << pad << "    {\"group\": \""
+        << field.group << "\", \"name\": \"" << field.name
+        << "\", \"unit\": \"" << field.unit << "\", \"fold\": \""
+        << (field.fold == CounterFold::kSum ? "sum" : "max") << "\"}";
+  }
+  out << (counters_.empty() ? "" : "\n" + pad + "  ") << "],\n"
+      << pad << "  \"metrics\": {";
   bool first = true;
   for (const auto& [name, value] : metrics_) {
     if (!first) out << ',';

@@ -6,10 +6,13 @@
 /// PartitionResult — every consumer (CLI `--metrics-out`, benches,
 /// tests) reads the same names with the same types instead of
 /// hand-formatting its own JSON. Keys are dot-separated namespaces
-/// ("comm.words_sent", "memory.shard.owned_per_rank"); the document is
-/// sorted by key, so two runs diff cleanly. The schema identifier only
-/// changes when the value model changes incompatibly, not when keys are
-/// added.
+/// ("comm.words_sent", "memory.shard.per_rank.owned_nodes"); the document
+/// is sorted by key, so two runs diff cleanly. Per-rank counters are
+/// declared: set_counter() writes a counter's aggregate under
+/// `<group>.<name>` and its per-rank list under `<group>.per_rank.<name>`
+/// and lists it in the document's `counters` declaration, against which
+/// a validator checks the values. The schema identifier only changes
+/// when the value model changes incompatibly, not when keys are added.
 #pragma once
 
 #include <cstdint>
@@ -18,10 +21,12 @@
 #include <string>
 #include <vector>
 
+#include "parallel/comm_stats.hpp"
+
 namespace kappa {
 
 /// Schema identifier written into every metrics dump.
-inline constexpr const char* kMetricsSchema = "kappa.metrics.v1";
+inline constexpr const char* kMetricsSchema = "kappa.metrics.v2";
 
 /// Named, typed metrics of one run. Setting a name again overwrites it
 /// (types may change; last writer wins).
@@ -34,6 +39,15 @@ class MetricsRegistry {
   void set_u64_list(const std::string& name,
                     std::vector<std::uint64_t> values);
   void set_f64_list(const std::string& name, std::vector<double> values);
+  /// Declares the counter-table row \p field (static storage) and sets
+  /// its aggregate and per-rank list.
+  void set_counter(const CounterField& field, std::uint64_t total,
+                   std::vector<std::uint64_t> per_rank);
+
+  /// The declared counters, in declaration order.
+  [[nodiscard]] const std::vector<const CounterField*>& counters() const {
+    return counters_;
+  }
 
   [[nodiscard]] bool contains(const std::string& name) const;
   [[nodiscard]] std::size_t size() const { return metrics_.size(); }
@@ -52,10 +66,11 @@ class MetricsRegistry {
       const std::string& name) const;
 
   /// Writes the stable-schema document:
-  ///   { "schema": "kappa.metrics.v1",
+  ///   { "schema": "kappa.metrics.v2",
+  ///     "counters": [ {"group", "name", "unit", "fold"}, ... ],
   ///     "metrics": { "<name>": {"type": "<t>", "value": <v>}, ... } }
-  /// sorted by name. \p indent shifts every line right (embedding a run
-  /// inside a bench's run array).
+  /// with the metrics sorted by name. \p indent shifts every line right
+  /// (embedding a run inside a bench's run array).
   void write_json(std::ostream& out, int indent = 0) const;
 
  private:
@@ -74,6 +89,7 @@ class MetricsRegistry {
   const Value& at(const std::string& name, Type type) const;
 
   std::map<std::string, Value> metrics_;
+  std::vector<const CounterField*> counters_;
 };
 
 }  // namespace kappa

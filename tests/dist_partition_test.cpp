@@ -69,8 +69,7 @@ TEST(BandShipping, ShipsBandsNotWholeBlocks) {
   const PartitionResult result =
       Partitioner(Context::spmd(config, runtime)).partition(g);
   ASSERT_EQ(result.pair_ship_per_pe.size(), 4u);
-  PairShipStats total;
-  for (const PairShipStats& s : result.pair_ship_per_pe) total += s;
+  const PairShipStats total = fold_counters(result.counters_per_pe).pair_ship;
   ASSERT_GT(total.pairs_shipped, 0u);
   EXPECT_LT(total.rows_shipped, total.whole_block_rows);
 }

@@ -122,11 +122,11 @@ TEST(PERuntime, AllGatherVectorsRepeatsStayConsistent) {
 
 TEST(PERuntime, AllGatherVectorsCountsTraffic) {
   PERuntime runtime(2);
-  const std::vector<CommStats> per_rank = runtime.run([&](PEContext& pe) {
+  const std::vector<RankCounters> per_rank = runtime.run([&](PEContext& pe) {
     (void)pe.all_gather_vectors({1, 2, 3});
   });
   // Every PE delivers its 3-word contribution to the one other rank.
-  const CommStats stats = total_comm_stats(per_rank);
+  const CommStats stats = fold_counters(per_rank).comm;
   EXPECT_EQ(stats.words_sent, 6u);
   EXPECT_EQ(stats.messages_sent, 2u);
 }
@@ -136,7 +136,7 @@ TEST(PERuntime, CollectivesCountPerDestinationRank) {
   // message plus one payload copy per *destination* rank (3 here), never
   // one per call.
   PERuntime runtime(4);
-  const std::vector<CommStats> per_rank = runtime.run([&](PEContext& pe) {
+  const std::vector<RankCounters> per_rank = runtime.run([&](PEContext& pe) {
     (void)pe.all_gather(7);  // 1 word to each of 3 destinations
     (void)pe.all_gather_vectors(
         std::vector<std::uint64_t>(static_cast<std::size_t>(pe.rank()), 1));
@@ -149,22 +149,22 @@ TEST(PERuntime, CollectivesCountPerDestinationRank) {
     const std::uint64_t rank = static_cast<std::uint64_t>(r);
     const std::uint64_t root_msgs = r == 2 ? 3u : 0u;
     const std::uint64_t root_words = r == 2 ? 15u : 0u;
-    EXPECT_EQ(per_rank[r].messages_sent, 6u + root_msgs) << "rank " << r;
-    EXPECT_EQ(per_rank[r].words_sent, 3u + 3u * rank + root_words)
+    EXPECT_EQ(per_rank[r].comm.messages_sent, 6u + root_msgs) << "rank " << r;
+    EXPECT_EQ(per_rank[r].comm.words_sent, 3u + 3u * rank + root_words)
         << "rank " << r;
   }
 }
 
 TEST(PERuntime, SinglePeCollectivesPutNothingOnTheWire) {
   PERuntime runtime(1);
-  const std::vector<CommStats> per_rank = runtime.run([&](PEContext& pe) {
+  const std::vector<RankCounters> per_rank = runtime.run([&](PEContext& pe) {
     (void)pe.all_gather(1);
     (void)pe.all_gather_vectors({1, 2});
     (void)pe.broadcast({3}, 0);
     EXPECT_EQ(pe.all_reduce_sum(5), 5u);
   });
-  EXPECT_EQ(per_rank[0].messages_sent, 0u);
-  EXPECT_EQ(per_rank[0].words_sent, 0u);
+  EXPECT_EQ(per_rank[0].comm.messages_sent, 0u);
+  EXPECT_EQ(per_rank[0].comm.words_sent, 0u);
 }
 
 TEST(PERuntime, BroadcastFromEveryRoot) {
@@ -202,7 +202,7 @@ TEST(PERuntime, RngStreamsDifferAcrossPEsButReplayDeterministically) {
 
 TEST(PERuntime, CommStatsCountTraffic) {
   PERuntime runtime(3);
-  const std::vector<CommStats> per_rank = runtime.run([&](PEContext& pe) {
+  const std::vector<RankCounters> per_rank = runtime.run([&](PEContext& pe) {
     if (pe.rank() == 0) {
       pe.send(1, {1, 2, 3});
       pe.send(2, {4});
@@ -213,13 +213,13 @@ TEST(PERuntime, CommStatsCountTraffic) {
   // run() surfaces the counters per rank: all traffic of this program
   // originates at rank 0, but every rank passes the barrier.
   ASSERT_EQ(per_rank.size(), 3u);
-  EXPECT_EQ(per_rank[0].messages_sent, 2u);
-  EXPECT_EQ(per_rank[0].words_sent, 4u);
-  EXPECT_EQ(per_rank[1].messages_sent, 0u);
-  EXPECT_EQ(per_rank[2].messages_sent, 0u);
-  for (const CommStats& s : per_rank) EXPECT_GE(s.barriers, 1u);
+  EXPECT_EQ(per_rank[0].comm.messages_sent, 2u);
+  EXPECT_EQ(per_rank[0].comm.words_sent, 4u);
+  EXPECT_EQ(per_rank[1].comm.messages_sent, 0u);
+  EXPECT_EQ(per_rank[2].comm.messages_sent, 0u);
+  for (const RankCounters& s : per_rank) EXPECT_GE(s.comm.barriers, 1u);
 
-  const CommStats stats = total_comm_stats(per_rank);
+  const CommStats stats = fold_counters(per_rank).comm;
   EXPECT_EQ(stats.messages_sent, 2u);
   EXPECT_EQ(stats.words_sent, 4u);
   EXPECT_GE(stats.barriers, 1u);
@@ -241,9 +241,9 @@ ProtocolRun run_protocol(const QuotientGraph& q, std::uint64_t seed) {
   std::vector<RefinerColoringResult> per_rank(k);
   PERuntime runtime(static_cast<int>(k));
   ProtocolRun run;
-  run.comm = total_comm_stats(runtime.run([&](PEContext& pe) {
+  run.comm = fold_counters(runtime.run([&](PEContext& pe) {
     per_rank[pe.rank()] = distributed_color_quotient_edges(q, Rng(seed), pe);
-  }));
+  })).comm;
   run.coloring.color_of_edge.assign(q.edges().size(), -1);
   for (const RefinerColoringResult& rank : per_rank) {
     EXPECT_EQ(rank.coloring.num_colors, per_rank[0].coloring.num_colors);

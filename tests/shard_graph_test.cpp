@@ -129,14 +129,14 @@ TEST(ShardGraph, GhostRefreshIsCountedInCommStats) {
   Rng rng(3);
   const StaticGraph g = random_geometric_graph(1500, rng);
   PERuntime runtime(2, 1);
-  const std::vector<CommStats> per_rank = runtime.run([&](PEContext& pe) {
+  const std::vector<RankCounters> per_rank = runtime.run([&](PEContext& pe) {
     const DistGraph dist(g, 8, pe.rank(), 2);
     const ShardGraph shard(finest_shard_parts(g, dist, pe));
     EXPECT_GT(shard.num_ghost(), 0u);
   });
-  for (const CommStats& s : per_rank) {
-    EXPECT_GT(s.messages_sent, 0u);
-    EXPECT_GT(s.words_sent, 0u);
+  for (const RankCounters& s : per_rank) {
+    EXPECT_GT(s.comm.messages_sent, 0u);
+    EXPECT_GT(s.comm.words_sent, 0u);
   }
 }
 

@@ -250,13 +250,13 @@ TEST(SpmdPipeline, IdleCountersAreSurfacedPerRank) {
   ASSERT_EQ(result.comm_per_pe.size(), 4u);
   std::uint64_t total_idle = 0;
   for (const CommStats& s : result.comm_per_pe) {
-    EXPECT_EQ(s.idle_ns(), s.collective_idle_ns + s.recv_idle_ns);
-    total_idle += s.idle_ns();
+    total_idle += s.collective_idle_ns + s.recv_idle_ns;
   }
   // Four ranks synchronizing a multilevel pipeline cannot all have
   // waited zero nanoseconds.
   EXPECT_GT(total_idle, 0u);
-  EXPECT_EQ(result.comm.idle_ns(), total_idle);
+  EXPECT_EQ(result.comm.collective_idle_ns + result.comm.recv_idle_ns,
+            total_idle);
 }
 
 TEST(SpmdPipeline, ResidentGraphMemoryIsShardedNotReplicated) {

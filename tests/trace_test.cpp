@@ -1,10 +1,10 @@
 /// \file trace_test.cpp
 /// \brief Tests of the observability layer: the per-rank span recorder,
 /// the merged Chrome-trace export, the unified metrics registry, and the
-/// two guarantees the layer makes — CommStats aggregation covers every
-/// field, and tracing is observer-only (a traced and an untraced run
-/// produce byte-identical partitions, in-process and across forked TCP
-/// processes).
+/// guarantees the layer makes — the counter table covers every field of
+/// the per-rank record, and tracing is observer-only (a traced and an
+/// untraced run produce byte-identical partitions and equal counters,
+/// in-process and across forked TCP processes).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -13,6 +13,7 @@
 #include <netinet/in.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
@@ -287,6 +288,29 @@ TEST(TracedRun, ObserverOnlyPartitionByteIdentical) {
     ASSERT_EQ(traced.partition.block(u), plain.partition.block(u))
         << "node " << u;
   }
+  // The counters stop at materialization, before trace collection: a
+  // traced run counts exactly what an untraced one does, idle time aside.
+  ASSERT_EQ(traced.counters_per_pe.size(), 4u);
+  ASSERT_EQ(plain.counters_per_pe.size(), 4u);
+  for (std::size_t r = 0; r < 4; ++r) {
+    const RankCounters& a = traced.counters_per_pe[r];
+    const RankCounters& b = plain.counters_per_pe[r];
+    for (const CounterField& field : kRankCounters) {
+      const std::string name = field.name;
+      if (name == "collective_idle_ns" || name == "recv_idle_ns") continue;
+      EXPECT_EQ(field.of(a), field.of(b))
+          << "rank " << r << " " << field.group << "." << name;
+    }
+    ASSERT_EQ(a.comm.halo_per_level.size(), b.comm.halo_per_level.size());
+    for (std::size_t l = 0; l < a.comm.halo_per_level.size(); ++l) {
+      EXPECT_EQ(a.comm.halo_per_level[l].messages,
+                b.comm.halo_per_level[l].messages);
+      EXPECT_EQ(a.comm.halo_per_level[l].words,
+                b.comm.halo_per_level[l].words);
+    }
+  }
+  EXPECT_EQ(traced.comm.messages_sent, plain.comm.messages_sent);
+  EXPECT_EQ(traced.comm.words_sent, plain.comm.words_sent);
 }
 
 // -------------------------------------------------- forked TCP tracing ----
@@ -431,104 +455,95 @@ TEST(MetricsRegistry, MatchesLegacyResultCounters) {
   EXPECT_EQ(registry.u64_list("hierarchy.level_nodes").size(),
             result.hierarchy_level_nodes.size());
 
-  EXPECT_EQ(registry.u64("comm.messages_sent"), result.comm.messages_sent);
-  EXPECT_EQ(registry.u64("comm.words_sent"), result.comm.words_sent);
-  EXPECT_EQ(registry.u64("comm.messages_received"),
-            result.comm.messages_received);
-  EXPECT_EQ(registry.u64("comm.words_received"), result.comm.words_received);
-  EXPECT_EQ(registry.u64("comm.barriers"), result.comm.barriers);
-  const std::vector<std::uint64_t>& words_per_rank =
-      registry.u64_list("comm.per_rank.words_sent");
-  ASSERT_EQ(words_per_rank.size(), 4u);
-  for (std::size_t r = 0; r < 4; ++r) {
-    EXPECT_EQ(words_per_rank[r], result.comm_per_pe[r].words_sent);
+  // Every declared counter, against the per-part result fields: rank q's
+  // record reassembled from comm_per_pe[q], shard_memory_per_pe[q], ...
+  ASSERT_EQ(result.counters_per_pe.size(), 4u);
+  std::vector<RankCounters> from_fields(4);
+  for (std::size_t q = 0; q < 4; ++q) {
+    RankCounters& r = from_fields[q];
+    r.comm = result.comm_per_pe.at(q);
+    r.shard_memory = result.shard_memory_per_pe.at(q);
+    r.hierarchy_memory = result.hierarchy_memory_per_pe.at(q);
+    r.partition_memory = result.partition_memory_per_pe.at(q);
+    r.pair_ship = result.pair_ship_per_pe.at(q);
+    r.matching = result.counters_per_pe[q].matching;  // no per-part field
   }
+  ASSERT_EQ(registry.counters().size(), std::size(kRankCounters));
+  for (std::size_t f = 0; f < std::size(kRankCounters); ++f) {
+    const CounterField& field = kRankCounters[f];
+    EXPECT_EQ(registry.counters()[f], &field);
+    const std::string key = std::string(field.group) + "." + field.name;
+    const std::vector<std::uint64_t>& per_rank = registry.u64_list(
+        std::string(field.group) + ".per_rank." + field.name);
+    ASSERT_EQ(per_rank.size(), 4u) << key;
+    std::uint64_t fold = 0;
+    for (std::size_t q = 0; q < 4; ++q) {
+      EXPECT_EQ(per_rank[q], field.of(from_fields[q])) << key << " rank " << q;
+      fold = field.fold == CounterFold::kSum ? fold + per_rank[q]
+                                             : std::max(fold, per_rank[q]);
+    }
+    EXPECT_EQ(registry.u64(key), fold) << key;
+  }
+  EXPECT_EQ(registry.u64("comm.messages_sent"), result.comm.messages_sent);
+  EXPECT_EQ(registry.u64("comm.barriers"), result.comm.barriers);
   EXPECT_EQ(registry.u64_list("comm.halo.messages_per_level").size(),
             result.comm.halo_per_level.size());
 
-  PairShipStats ship_total;
-  for (const PairShipStats& s : result.pair_ship_per_pe) ship_total += s;
-  EXPECT_EQ(registry.u64("ship.pairs_executed"), ship_total.pairs_executed);
-  EXPECT_EQ(registry.u64("ship.rows_shipped"), ship_total.rows_shipped);
-
-  EXPECT_EQ(registry.u64_list("memory.shard.owned_per_rank").size(), 4u);
-
   // In a closed run every delivered message was sent by someone: the
   // receive-side totals mirror the send-side totals over all ranks.
-  std::uint64_t sent = 0;
-  std::uint64_t received = 0;
-  for (const CommStats& s : result.comm_per_pe) {
-    sent += s.messages_sent;
-    received += s.messages_received;
-  }
-  EXPECT_EQ(sent, received);
+  EXPECT_EQ(registry.u64("comm.messages_sent"),
+            registry.u64("comm.messages_received"));
 
   std::ostringstream out;
   registry.write_json(out);
   EXPECT_TRUE(json_balanced(out.str()));
+  EXPECT_NE(out.str().find("\"schema\": \"kappa.metrics.v2\""),
+            std::string::npos);
+  EXPECT_NE(out.str().find("{\"group\": \"coarsening\", \"name\": "
+                           "\"gap_rounds\", \"unit\": \"rounds\", "
+                           "\"fold\": \"max\"}"),
+            std::string::npos);
 }
 
-// ----------------------------------------------- CommStats aggregation ----
+// --------------------------------------------------------- counter table ----
 
-// Pinned completeness guard: total_comm_stats must cover every field. The
-// static_assert trips whenever CommStats grows, forcing whoever adds a
-// field to extend the aggregation (comm_stats.hpp) AND this test.
-static_assert(sizeof(CommStats) ==
-                  12 * sizeof(std::uint64_t) +
-                      sizeof(std::vector<LevelHaloStats>),
-              "CommStats changed shape: update total_comm_stats() and "
-              "TotalCommStats.AggregatesEveryField");
+TEST(CounterTable, FoldAggregatesEveryField) {
+  // Rank r's record holds 100 * r + f + 1 in table row f. The static_assert
+  // next to the table guarantees the rows cover every scalar of the
+  // record; distinct values read back here guarantee no two rows alias.
+  std::vector<RankCounters> ranks(3);
+  for (std::size_t r = 0; r < ranks.size(); ++r) {
+    for (std::size_t f = 0; f < std::size(kRankCounters); ++f) {
+      kRankCounters[f].of(ranks[r]) = 100 * r + f + 1;
+    }
+  }
+  for (std::size_t f = 0; f < std::size(kRankCounters); ++f) {
+    EXPECT_EQ(kRankCounters[f].of(ranks[1]), 100 + f + 1)
+        << kRankCounters[f].name << " aliases another row";
+  }
+  ranks[0].comm.halo_per_level = {{100, 200}};
+  ranks[2].comm.halo_per_level = {{1000, 2000}, {1, 2}};
+  // Rank 1 holds the largest barrier count: max, not the last or a sum.
+  kRankCounters[4].of(ranks[1]) = 999;
+  ASSERT_STREQ(kRankCounters[4].name, "barriers");
 
-TEST(TotalCommStats, AggregatesEveryField) {
-  CommStats a;
-  a.messages_sent = 1;
-  a.words_sent = 2;
-  a.messages_received = 3;
-  a.words_received = 4;
-  a.barriers = 5;
-  a.collective_idle_ns = 6;
-  a.recv_idle_ns = 7;
-  a.rounds_waited = 8;
-  a.wire_bytes_sent = 9;
-  a.wire_bytes_received = 10;
-  a.heartbeat_frames_sent = 11;
-  a.heartbeat_words_sent = 12;
-  a.halo_per_level = {{100, 200}};
-
-  CommStats b;
-  b.messages_sent = 10;
-  b.words_sent = 20;
-  b.messages_received = 30;
-  b.words_received = 40;
-  b.barriers = 3;  // fewer than a's: barriers aggregate by max, not sum
-  b.collective_idle_ns = 60;
-  b.recv_idle_ns = 70;
-  b.rounds_waited = 80;
-  b.wire_bytes_sent = 90;
-  b.wire_bytes_received = 100;
-  b.heartbeat_frames_sent = 110;
-  b.heartbeat_words_sent = 120;
-  b.halo_per_level = {{1000, 2000}, {1, 2}};
-
-  const CommStats total = total_comm_stats({a, b});
-  EXPECT_EQ(total.messages_sent, 11u);
-  EXPECT_EQ(total.words_sent, 22u);
-  EXPECT_EQ(total.messages_received, 33u);
-  EXPECT_EQ(total.words_received, 44u);
-  EXPECT_EQ(total.barriers, 5u);  // max: ranks pass each barrier together
-  EXPECT_EQ(total.collective_idle_ns, 66u);
-  EXPECT_EQ(total.recv_idle_ns, 77u);
-  EXPECT_EQ(total.idle_ns(), 143u);
-  EXPECT_EQ(total.rounds_waited, 88u);
-  EXPECT_EQ(total.wire_bytes_sent, 99u);
-  EXPECT_EQ(total.wire_bytes_received, 110u);
-  EXPECT_EQ(total.heartbeat_frames_sent, 121u);
-  EXPECT_EQ(total.heartbeat_words_sent, 132u);
-  ASSERT_EQ(total.halo_per_level.size(), 2u);
-  EXPECT_EQ(total.halo_per_level[0].messages, 1100u);
-  EXPECT_EQ(total.halo_per_level[0].words, 2200u);
-  EXPECT_EQ(total.halo_per_level[1].messages, 1u);
-  EXPECT_EQ(total.halo_per_level[1].words, 2u);
+  const RankCounters total = fold_counters(ranks);
+  for (std::size_t f = 0; f < std::size(kRankCounters); ++f) {
+    const CounterField& field = kRankCounters[f];
+    const std::uint64_t expected =
+        field.fold == CounterFold::kSum
+            ? field.of(ranks[0]) + field.of(ranks[1]) + field.of(ranks[2])
+            : std::max({field.of(ranks[0]), field.of(ranks[1]),
+                        field.of(ranks[2])});
+    EXPECT_EQ(field.of(total), expected) << field.group << "." << field.name;
+  }
+  EXPECT_EQ(total.comm.barriers, 999u);
+  ASSERT_EQ(total.comm.halo_per_level.size(), 2u);
+  EXPECT_EQ(total.comm.halo_per_level[0].messages, 1100u);
+  EXPECT_EQ(total.comm.halo_per_level[0].words, 2200u);
+  EXPECT_EQ(total.comm.halo_per_level[1].messages, 1u);
+  EXPECT_EQ(total.comm.halo_per_level[1].words, 2u);
+  EXPECT_EQ(fold_counters({}).comm.messages_sent, 0u);
 }
 
 }  // namespace

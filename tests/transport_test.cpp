@@ -2,21 +2,25 @@
 /// \brief Tests of the pluggable transport layer: the per-source mailbox,
 /// fail-fast runtime construction, and the TCP socket backend — including
 /// the cross-backend acceptance criterion (same seed, byte-identical
-/// partition from the in-process fabric and four localhost processes) and
-/// the failure-surfacing guarantees (a dead or silent peer becomes a
-/// TransportError within the configured deadline, never a hang).
+/// partition and equal modeled counters for every rank on every process,
+/// from the in-process fabric and four localhost processes) and the
+/// failure-surfacing guarantees (a dead or silent peer, or a hostile
+/// frame, becomes a TransportError within the configured deadline, never
+/// a hang or an abort).
 ///
 /// The multi-process tests fork() before any thread exists in the child:
 /// each child builds its own TCP fabric (whose receiver threads are
 /// process-private) and reports through its exit status or a temp file.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 
 #include <netinet/in.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -30,6 +34,7 @@
 #include "generators/generators.hpp"
 #include "graph/validation.hpp"
 #include "parallel/channel.hpp"
+#include "parallel/comm_stats.hpp"
 #include "parallel/pe_runtime.hpp"
 #include "parallel/transport_tcp.hpp"
 
@@ -214,7 +219,7 @@ TEST(TcpTransport, PingPongCollectivesAndWireBytes) {
   const auto codes = spawn_ranks(2, [port](int rank) -> int {
     PERuntime runtime(make_tcp_fabric(local_options(rank, 2, port)),
                       /*seed=*/7);
-    const std::vector<CommStats> stats =
+    const std::vector<RankCounters> stats =
         runtime.run([](PEContext& pe) {
           // Point-to-point ping-pong on the application lane.
           if (pe.rank() == 0) {
@@ -252,7 +257,7 @@ TEST(TcpTransport, PingPongCollectivesAndWireBytes) {
           pe.barrier();
         });
     // Only this process's rank is populated; real socket traffic flowed.
-    const CommStats& mine = stats[static_cast<std::size_t>(rank)];
+    const CommStats& mine = stats[static_cast<std::size_t>(rank)].comm;
     if (mine.wire_bytes_sent == 0 || mine.wire_bytes_received == 0) {
       return 44;
     }
@@ -262,10 +267,84 @@ TEST(TcpTransport, PingPongCollectivesAndWireBytes) {
   EXPECT_EQ(codes, (std::vector<int>{0, 0}));
 }
 
+/// Rank \p q's counter record as the per-part result slots hold it
+/// (comm_per_pe[q], shard_memory_per_pe[q], ..., migrated_per_pe[q] on
+/// warm starts; the matching counters have no per-part slot and come
+/// from the record itself).
+RankCounters slot_record(const PartitionResult& result, std::size_t q) {
+  RankCounters r;
+  r.comm = result.comm_per_pe.at(q);
+  r.shard_memory = result.shard_memory_per_pe.at(q);
+  r.hierarchy_memory = result.hierarchy_memory_per_pe.at(q);
+  r.partition_memory = result.partition_memory_per_pe.at(q);
+  r.pair_ship = result.pair_ship_per_pe.at(q);
+  if (!result.migrated_per_pe.empty()) {
+    r.migration = {result.migrated_per_pe.at(q),
+                   result.migrated_edges_per_pe.at(q)};
+  }
+  r.matching = result.counters_per_pe.at(q).matching;
+  return r;
+}
+
+/// The first modeled counter (messages, words, barriers, rounds,
+/// shipping, memory, coarsening, halo levels) on which \p a and \p b
+/// differ, or "" if none does. Idle nanoseconds and wire bytes measure
+/// the machine and the backend, so they are skipped.
+std::string modeled_difference(const RankCounters& a, const RankCounters& b) {
+  for (const CounterField& field : kRankCounters) {
+    const std::string unit = field.unit;
+    if (unit == "ns" || unit == "bytes") continue;
+    if (field.of(a) != field.of(b)) {
+      return std::string(field.group) + "." + field.name;
+    }
+  }
+  const std::vector<LevelHaloStats>& x = a.comm.halo_per_level;
+  const std::vector<LevelHaloStats>& y = b.comm.halo_per_level;
+  if (x.size() != y.size()) return "comm.halo_per_level";
+  for (std::size_t l = 0; l < x.size(); ++l) {
+    if (x[l].messages != y[l].messages || x[l].words != y[l].words) {
+      return "comm.halo_per_level";
+    }
+  }
+  return "";
+}
+
+/// Exit code of a TCP rank whose result must report \p expected's
+/// modeled counters for every rank, in every slot and in the aggregate,
+/// plus non-zero wire bytes for every rank: 0, or the failed check.
+int check_every_slot(const PartitionResult& result,
+                     const PartitionResult& expected, int rank) {
+  const std::size_t p = expected.counters_per_pe.size();
+  if (result.counters_per_pe.size() != p || result.comm_per_pe.size() != p) {
+    return 60;
+  }
+  for (std::size_t q = 0; q < p; ++q) {
+    for (const RankCounters& got :
+         {result.counters_per_pe[q], slot_record(result, q)}) {
+      const std::string diff =
+          modeled_difference(got, expected.counters_per_pe[q]);
+      if (!diff.empty()) {
+        std::fprintf(stderr, "rank %d: slot %zu differs on %s\n", rank, q,
+                     diff.c_str());
+        return 61;
+      }
+    }
+    if (result.comm_per_pe[q].wire_bytes_sent == 0) return 62;
+  }
+  RankCounters total;
+  total.comm = result.comm;
+  RankCounters expected_total;
+  expected_total.comm = expected.comm;
+  if (!modeled_difference(total, expected_total).empty()) return 63;
+  return 0;
+}
+
 TEST(TcpTransport, PartitionBitIdenticalToInprocAcrossProcesses) {
   // The cross-backend acceptance criterion: one seed, one instance — the
   // in-process fabric at p = 4 and four localhost processes over TCP must
-  // produce byte-identical partitions and identical modeled comm totals.
+  // produce byte-identical partitions, and every process must report the
+  // in-process run's modeled counters for every rank. The run is
+  // untraced: gathering the counters is not tied to tracing.
   const StaticGraph g = make_instance("rgg14", 11);
   Config config = Config::preset(Preset::kMinimal, 8);
   config.seed = 42;
@@ -276,9 +355,6 @@ TEST(TcpTransport, PartitionBitIdenticalToInprocAcrossProcesses) {
   ASSERT_EQ(validate_partition(g, inproc.partition), "");
 
   const std::uint16_t port = pick_free_port();
-  const std::string path =
-      ::testing::TempDir() + "transport_bit_identity." +
-      std::to_string(::getpid());
   const auto codes = spawn_ranks(4, [&](int rank) -> int {
     PERuntime runtime(
         make_tcp_fabric(local_options(rank, 4, port, /*recv_timeout_ms=*/
@@ -286,39 +362,89 @@ TEST(TcpTransport, PartitionBitIdenticalToInprocAcrossProcesses) {
         config.seed);
     const PartitionResult result =
         Partitioner(Context::spmd(config, runtime)).partition(g);
-    // Every rank holds the full result; rank 0 reports it to the parent.
-    if (rank != 0) return 0;
-    std::FILE* out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) return 46;
-    std::fprintf(out, "%lld %llu %llu\n", static_cast<long long>(result.cut),
-                 static_cast<unsigned long long>(result.comm.messages_sent),
-                 static_cast<unsigned long long>(result.comm.words_sent));
+    if (result.cut != inproc.cut) return 46;
     for (NodeID u = 0; u < g.num_nodes(); ++u) {
-      std::fprintf(out, "%u\n", result.partition.block(u));
+      if (result.partition.block(u) != inproc.partition.block(u)) return 47;
     }
-    std::fclose(out);
-    return 0;
+    return check_every_slot(result, inproc, rank);
   });
   EXPECT_EQ(codes, (std::vector<int>{0, 0, 0, 0}));
+}
 
-  std::FILE* in = std::fopen(path.c_str(), "r");
-  ASSERT_NE(in, nullptr);
-  long long cut = -1;
-  unsigned long long messages = 0;
-  unsigned long long words = 0;
-  ASSERT_EQ(std::fscanf(in, "%lld %llu %llu", &cut, &messages, &words), 3);
-  EXPECT_EQ(cut, static_cast<long long>(inproc.cut));
-  for (NodeID u = 0; u < g.num_nodes(); ++u) {
-    unsigned block = 0;
-    ASSERT_EQ(std::fscanf(in, "%u", &block), 1) << "node " << u;
-    ASSERT_EQ(block, inproc.partition.block(u)) << "node " << u;
+TEST(TcpTransport, RepartitionReportsEveryRanksMigration) {
+  // Every process reports every rank's migration intake, equal to the
+  // in-process run's, and the split sums to the migrated total.
+  const StaticGraph g = make_instance("rgg14", 11);
+  Config config = Config::preset(Preset::kMinimal, 8);
+  config.seed = 42;
+  Partition input =
+      Partitioner(Context::sequential(config)).partition(g).partition;
+  for (NodeID u = 0; u < g.num_nodes(); u += 17) {
+    input.move(u, (input.block(u) + 1) % config.k, g.node_weight(u));
   }
-  std::fclose(in);
-  std::remove(path.c_str());
-  // The wire model is backend-independent: rank 0's modeled counters must
-  // match the in-process run's rank 0 exactly.
-  EXPECT_EQ(messages, inproc.comm_per_pe[0].messages_sent);
-  EXPECT_EQ(words, inproc.comm_per_pe[0].words_sent);
+
+  PERuntime inproc_runtime(4, config.seed);
+  const PartitionResult inproc = Partitioner(Context::spmd(config,
+                                                           inproc_runtime))
+                                     .repartition(g, input);
+  ASSERT_EQ(inproc.migrated_per_pe.size(), 4u);
+  NodeID split = 0;
+  for (const NodeID n : inproc.migrated_per_pe) split += n;
+  ASSERT_EQ(split, inproc.migrated_nodes);
+  ASSERT_GT(inproc.migrated_nodes, 0u);
+
+  const std::uint16_t port = pick_free_port();
+  const auto codes = spawn_ranks(4, [&](int rank) -> int {
+    PERuntime runtime(
+        make_tcp_fabric(local_options(rank, 4, port, /*recv_timeout_ms=*/
+                                      120000)),
+        config.seed);
+    const PartitionResult result =
+        Partitioner(Context::spmd(config, runtime)).repartition(g, input);
+    if (result.migrated_nodes != inproc.migrated_nodes) return 46;
+    if (result.migrated_per_pe != inproc.migrated_per_pe) return 47;
+    if (result.migrated_edges_per_pe != inproc.migrated_edges_per_pe) {
+      return 48;
+    }
+    return check_every_slot(result, inproc, rank);
+  });
+  EXPECT_EQ(codes, (std::vector<int>{0, 0, 0, 0}));
+}
+
+TEST(TcpTransport, ReusedRuntimeReportsPerRunWireBytesForEveryRank) {
+  // Two runs on one TCP runtime: every slot reports this run's wire bytes
+  // (the same in both runs), never the endpoint's lifetime total. Bytes
+  // received are left out: a fast peer's record frame may land before
+  // this rank captures its counters.
+  const StaticGraph g = make_instance("rgg14", 11);
+  Config config = Config::preset(Preset::kMinimal, 8);
+  config.seed = 42;
+  const std::uint16_t port = pick_free_port();
+  const auto codes = spawn_ranks(3, [&](int rank) -> int {
+    PERuntime runtime(
+        make_tcp_fabric(local_options(rank, 3, port, /*recv_timeout_ms=*/
+                                      120000)),
+        config.seed);
+    const Partitioner partitioner(Context::spmd(config, runtime));
+    const PartitionResult first = partitioner.partition(g);
+    const PartitionResult second = partitioner.partition(g);
+    if (first.comm_per_pe.size() != 3 || second.comm_per_pe.size() != 3) {
+      return 46;
+    }
+    for (std::size_t q = 0; q < 3; ++q) {
+      const std::uint64_t sent = first.comm_per_pe[q].wire_bytes_sent;
+      if (sent == 0) return 47;
+      if (second.comm_per_pe[q].wire_bytes_sent != sent) {
+        std::fprintf(stderr, "rank %d: slot %zu sent %llu then %llu\n",
+                     rank, q, static_cast<unsigned long long>(sent),
+                     static_cast<unsigned long long>(
+                         second.comm_per_pe[q].wire_bytes_sent));
+        return 48;
+      }
+    }
+    return 0;
+  });
+  EXPECT_EQ(codes, (std::vector<int>{0, 0, 0}));
 }
 
 TEST(TcpTransport, DeadPeerSurfacesAsErrorNotHang) {
@@ -402,6 +528,83 @@ TEST(TcpTransport, PeerLostBeforeRendezvousBarrierIsAnError) {
   EXPECT_EQ(codes[1], 0);
   EXPECT_LT(std::chrono::steady_clock::now() - start,
             std::chrono::seconds(60));
+}
+
+/// Fake rank 1 of a two-rank run that completes the rendezvous and its
+/// barrier pulse, then sends one application-frame header claiming
+/// \p words payload words and closes without sending any of them. It
+/// reads rank 0's pulse first, so the close is a clean EOF, not a reset.
+int fake_rank1_header_then_eof(std::uint16_t port, std::uint64_t words) {
+  const int fd = fake_rank1_rendezvous(port);
+  if (fd < 0) return 1;
+  const timeval timeout{30, 0};
+  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  std::uint64_t pulse[2];
+  std::size_t got = 0;
+  while (got < sizeof pulse) {
+    const ssize_t n = ::recv(fd, reinterpret_cast<char*>(pulse) + got,
+                             sizeof pulse - got, 0);
+    if (n <= 0) {
+      ::close(fd);
+      return 2;
+    }
+    got += static_cast<std::size_t>(n);
+  }
+  // Frame headers {tag, payload words}: tag 1 is the collective lane
+  // (the barrier pulse), tag 0 the application lane.
+  const std::uint64_t frames[4] = {1, 0, 0, words};
+  const bool sent = ::send(fd, frames, sizeof frames, MSG_NOSIGNAL) ==
+                    static_cast<ssize_t>(sizeof frames);
+  ::close(fd);
+  return sent ? 0 : 3;
+}
+
+/// Caps this process's address space at its current size (from
+/// /proc/self/statm) plus \p extra bytes.
+bool limit_address_space(std::uint64_t extra) {
+  std::FILE* statm = std::fopen("/proc/self/statm", "r");
+  if (statm == nullptr) return false;
+  unsigned long long pages = 0;
+  const bool read = std::fscanf(statm, "%llu", &pages) == 1;
+  std::fclose(statm);
+  rlimit limit{};
+  if (!read || ::getrlimit(RLIMIT_AS, &limit) != 0) return false;
+  const std::uint64_t cap =
+      pages * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE)) + extra;
+  limit.rlim_cur = std::min<rlim_t>(static_cast<rlim_t>(cap), limit.rlim_max);
+  return ::setrlimit(RLIMIT_AS, &limit) == 0;
+}
+
+TEST(TcpTransport, OversizedFrameHeaderIsAnErrorNotAnAllocation) {
+  // A header claiming 2^32 words (32 GiB) must not make rank 0 allocate
+  // ahead of the bytes: under a 4 GiB address-space headroom the EOF
+  // that follows must surface as TransportError, not std::bad_alloc.
+  const std::uint16_t port = pick_free_port();
+  const auto codes = spawn_ranks(2, [port](int rank) -> int {
+    if (rank == 1) {
+      return fake_rank1_header_then_eof(port, std::uint64_t{1} << 32);
+    }
+    if (!limit_address_space(std::uint64_t{4} << 30)) return 3;
+    const auto fabric = make_tcp_fabric(local_options(0, 2, port));
+    (void)fabric->endpoint(0).receive(1, Lane::kApp);
+    return 2;  // a message was delivered
+  });
+  EXPECT_EQ(codes[0], 42);  // TransportError
+  EXPECT_EQ(codes[1], 0);
+}
+
+TEST(TcpTransport, EofAfterFrameHeaderIsAnErrorNotAMessage) {
+  // The peer closes right after a 3-word header: the zero-filled payload
+  // must never be delivered as a message.
+  const std::uint16_t port = pick_free_port();
+  const auto codes = spawn_ranks(2, [port](int rank) -> int {
+    if (rank == 1) return fake_rank1_header_then_eof(port, 3);
+    const auto fabric = make_tcp_fabric(local_options(0, 2, port));
+    (void)fabric->endpoint(0).receive(1, Lane::kApp);
+    return 2;  // a message was delivered
+  });
+  EXPECT_EQ(codes[0], 42);  // TransportError
+  EXPECT_EQ(codes[1], 0);
 }
 
 TEST(TcpTransport, SilentPeerHitsReceiveDeadline) {

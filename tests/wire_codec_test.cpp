@@ -1,9 +1,10 @@
 /// \file wire_codec_test.cpp
-/// \brief Hostile-input corpus for the refiner's wire codecs: the flat
-/// PairSide layout (with its three kinds of arc target reference) and
-/// the shared row codec (decode_row_words).
+/// \brief Hostile-input corpus for the wire codecs: the refiner's flat
+/// PairSide layout (with its three kinds of arc target reference), the
+/// shared row codec (decode_row_words), and the per-rank counter record
+/// every SPMD run gathers (decode_counters).
 ///
-/// Every payload a peer sends is untrusted. Both decoders check each
+/// Every payload a peer sends is untrusted. The decoders check each
 /// count against the remaining payload before reserving or reading, so a
 /// truncated, oversized or garbage payload must raise TransportError —
 /// never read out of bounds, never allocate without limit. The corpus is
@@ -17,6 +18,7 @@
 #include <limits>
 #include <vector>
 
+#include "parallel/comm_stats.hpp"
 #include "parallel/pair_side.hpp"
 #include "parallel/shard_graph.hpp"
 #include "parallel/transport.hpp"
@@ -337,6 +339,63 @@ TEST(RowCodec, RoundTripsAndRejectsMalformedRows) {
   EXPECT_THROW((void)decode_row_words(oversized, cursor, row), TransportError);
   cursor = 9;
   EXPECT_THROW((void)decode_row_words(oversized, cursor, row), TransportError);
+}
+
+/// A record with every table field and 0-4 halo levels drawn from \p rng.
+RankCounters random_counters(Rng& rng) {
+  RankCounters counters;
+  for (const CounterField& field : kRankCounters) field.of(counters) = rng();
+  counters.comm.halo_per_level.resize(rng.bounded(5));
+  for (LevelHaloStats& level : counters.comm.halo_per_level) {
+    level = {rng(), rng()};
+  }
+  return counters;
+}
+
+TEST(CounterRecordCodec, RoundTripsAndRejectsMalformedRecords) {
+  constexpr std::uint64_t kHuge = std::numeric_limits<std::uint64_t>::max();
+  Rng rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    const RankCounters counters = random_counters(rng);
+    const std::vector<std::uint64_t> words = encode_counters(counters);
+    EXPECT_EQ(encode_counters(decode_counters(words)), words);
+
+    std::vector<std::uint64_t> truncated = words;
+    truncated.resize(rng.bounded(words.size()));
+    EXPECT_THROW((void)decode_counters(truncated), TransportError);
+    std::vector<std::uint64_t> extended = words;
+    extended.push_back(rng());
+    EXPECT_THROW((void)decode_counters(extended), TransportError);
+    // Out of range: a field count this build does not have, or a halo
+    // level count past the record.
+    std::vector<std::uint64_t> fields = words;
+    fields[0] = rng.bounded(2) == 0 ? fields[0] + 1 : kHuge;
+    EXPECT_THROW((void)decode_counters(fields), TransportError);
+    std::vector<std::uint64_t> levels = words;
+    levels[std::size(kRankCounters) + 1] =
+        rng.bounded(2) == 0 ? levels[std::size(kRankCounters) + 1] + 1
+                            : kHuge / 2;
+    EXPECT_THROW((void)decode_counters(levels), TransportError);
+  }
+  EXPECT_THROW((void)decode_counters({}), TransportError);
+}
+
+TEST(CounterRecordCodec, MutationCorpusRaisesOnlyTransportError) {
+  Rng rng(99);
+  int rejected = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<std::uint64_t> words = encode_counters(random_counters(rng));
+    const int mutations = 1 + static_cast<int>(rng.bounded(3));
+    for (int m = 0; m < mutations; ++m) mutate(words, rng);
+    try {
+      (void)decode_counters(words);
+    } catch (const TransportError&) {
+      ++rejected;
+    }
+  }
+  // Counter values take any word, so only the structural mutations —
+  // truncation, extension, an inflated count — are rejected.
+  EXPECT_GT(rejected, 500);
 }
 
 }  // namespace

@@ -17,11 +17,18 @@ dropped/clock-offset arrays of the right length. A nonzero ring-overflow
 drop count FAILS the check — the trace silently lost events, so the
 buffer (KAPPA_TRACE_BUFFER) must grow.
 
-metrics — schema kappa.metrics.v1: a {"schema", "metrics"} document
-whose entries are {"type", "value"} pairs with the value's JSON shape
-matching the declared type; the core key set partition.cut /
-run.num_pes / comm.words_sent must be present and run.num_pes must equal
-the expected rank count.
+metrics — schema kappa.metrics.v2: a {"schema", "counters", "metrics"}
+document whose entries are {"type", "value"} pairs with the value's JSON
+shape matching the declared type; the run keys partition.cut /
+run.num_pes / time.total_s / run.backend must be present and run.num_pes
+must equal the expected rank count. The counters are checked against
+the document's own `counters` declaration, not a key list kept here:
+every declared counter {group G, name N, unit, fold} has a u64 total
+G.N and a u64[] per-rank list G.per_rank.N with run.num_pes entries, and
+the total equals the fold (sum or max) of the list. With more than one
+rank, two cross-rank invariants catch a rank reported as silent zeros:
+every rank passed the same non-zero number of barriers, and the messages
+sent over all ranks equal the messages received.
 
 watch — a kappa-watch JSONL stream (one JSON object per line) mixing
 kappa.snapshot.v1 periodic snapshots and kappa.stall.v1 stall reports.
@@ -39,8 +46,9 @@ import sys
 
 VALID_PH = {"M", "X", "C", "i"}
 REQUIRED_SPANS = ("phase.coarsen", "phase.initial", "phase.refine")
-REQUIRED_METRICS = ("partition.cut", "run.num_pes", "comm.words_sent",
-                    "time.total_s", "run.backend")
+REQUIRED_METRICS = ("partition.cut", "run.num_pes", "time.total_s",
+                    "run.backend")
+FOLDS = {"sum": sum, "max": lambda values: max(values, default=0)}
 
 
 def fail(message):
@@ -99,8 +107,8 @@ def check_trace(path, ranks):
 def check_metrics(path, ranks):
     with open(path) as handle:
         doc = json.load(handle)
-    if doc.get("schema") != "kappa.metrics.v1":
-        fail(f"schema {doc.get('schema')!r}, expected kappa.metrics.v1")
+    if doc.get("schema") != "kappa.metrics.v2":
+        fail(f"schema {doc.get('schema')!r}, expected kappa.metrics.v2")
     metrics = doc.get("metrics")
     if not isinstance(metrics, dict) or not metrics:
         fail("metrics missing or empty")
@@ -129,8 +137,57 @@ def check_metrics(path, ranks):
     num_pes = metrics["run.num_pes"]["value"]
     if num_pes != ranks:
         fail(f"run.num_pes {num_pes}, expected {ranks}")
+    per_rank = check_counters(doc.get("counters"), metrics, num_pes)
+    if num_pes > 1:
+        barriers = per_rank.get(("comm", "barriers"))
+        sent = per_rank.get(("comm", "messages_sent"))
+        received = per_rank.get(("comm", "messages_received"))
+        if barriers is None or sent is None or received is None:
+            fail("comm barriers / messages_sent / messages_received "
+                 "not declared")
+        if len(set(barriers)) != 1 or barriers[0] == 0:
+            fail(f"comm.per_rank.barriers {barriers}: every rank passes "
+                 f"the same non-zero number of barriers")
+        if sum(sent) != sum(received):
+            fail(f"messages sent {sum(sent)} != received {sum(received)} "
+                 f"over all ranks ({sent} vs {received})")
     print(f"check_obs_json: metrics ok — {len(metrics)} entries, "
-          f"{ranks} ranks")
+          f"{len(per_rank)} declared counters, {ranks} ranks")
+
+
+def check_counters(counters, metrics, num_pes):
+    """Checks every declared counter's total and per-rank list; returns
+    {(group, name): per-rank list}."""
+    if not isinstance(counters, list) or not counters:
+        fail("counters declaration missing or empty")
+    per_rank = {}
+    for decl in counters:
+        if not isinstance(decl, dict) \
+                or set(decl) != {"group", "name", "unit", "fold"} \
+                or not all(isinstance(v, str) and v for v in decl.values()):
+            fail(f"bad counter declaration {decl!r}")
+        if decl["fold"] not in FOLDS:
+            fail(f"counter {decl!r} has unknown fold {decl['fold']!r}")
+        key = (decl["group"], decl["name"])
+        if key in per_rank:
+            fail(f"counter {key} declared twice")
+        total_name = f"{decl['group']}.{decl['name']}"
+        list_name = f"{decl['group']}.per_rank.{decl['name']}"
+        total = metrics.get(total_name)
+        values = metrics.get(list_name)
+        if total is None or total["type"] != "u64":
+            fail(f"declared counter {total_name} has no u64 total")
+        if values is None or values["type"] != "u64[]":
+            fail(f"declared counter {list_name} has no u64[] per-rank list")
+        if len(values["value"]) != num_pes:
+            fail(f"{list_name} has {len(values['value'])} entries, "
+                 f"run.num_pes is {num_pes}")
+        folded = FOLDS[decl["fold"]](values["value"])
+        if total["value"] != folded:
+            fail(f"{total_name} = {total['value']}, but the {decl['fold']} "
+                 f"of {list_name} {values['value']} is {folded}")
+        per_rank[key] = values["value"]
+    return per_rank
 
 
 VALID_STATES = {"alive", "stalled", "dead", "unknown"}
