@@ -6,11 +6,12 @@
 /// (a) KaPPa's total time growing gently with k while staying within an
 /// order of magnitude, (b) parMetis hitting its scalability limit around
 /// 100 PEs, (c) the KaPPa variants ordered strong > fast > minimal in
-/// time at every k. On one machine we sweep k with p = k worker threads
-/// (oversubscribed beyond the core count), and additionally report the
-/// machine-independent communication shape of the parallel phases:
-/// gap-graph size from the parallel matching and message/word counters
-/// from the distributed coloring protocol.
+/// time at every k. On one machine we sweep k with the SPMD pipeline on
+/// p = min(k, 16) in-process ranks (oversubscribed beyond the core
+/// count), and additionally report the machine-independent communication
+/// shape of the parallel phases: gap-graph size from the parallel
+/// matching and message/word counters from the distributed coloring
+/// protocol.
 #include <sys/socket.h>
 #include <sys/wait.h>
 
@@ -168,9 +169,10 @@ int main(int argc, char** argv) {
       std::vector<std::string> cells = {std::to_string(k)};
       for (const Preset preset :
            {Preset::kStrong, Preset::kFast, Preset::kMinimal}) {
-        Config config = Config::preset(preset, k);
-        config.num_threads = static_cast<int>(std::min<BlockID>(k, 16));
-        cells.push_back(fmt(run_kappa(g, config, reps).avg_time(), 2));
+        PERuntime runtime(static_cast<int>(std::min<BlockID>(k, 16)));
+        cells.push_back(fmt(
+            run_kappa(g, Config::preset(preset, k), reps, &runtime).avg_time(),
+            2));
       }
       for (const std::string tool : {"scotch", "kmetis", "parmetis"}) {
         cells.push_back(fmt(run_tool(tool, g, k, 0.03, reps).avg_time(), 2));

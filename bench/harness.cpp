@@ -32,12 +32,15 @@ const std::vector<std::string>& large_suite() {
   return suite;
 }
 
-RunAggregate run_kappa(const StaticGraph& graph, Config config, int reps) {
+RunAggregate run_kappa(const StaticGraph& graph, Config config, int reps,
+                       PERuntime* runtime) {
   RunAggregate aggregate;
   for (int rep = 1; rep <= reps; ++rep) {
     config.seed = static_cast<std::uint64_t>(rep);
-    const PartitionResult result =
-        Partitioner(Context::sequential(config)).partition(graph);
+    const Context context = runtime != nullptr
+                                ? Context::spmd(config, *runtime)
+                                : Context::sequential(config);
+    const PartitionResult result = Partitioner(context).partition(graph);
     aggregate.add(static_cast<double>(result.cut), result.balance,
                   result.total_time);
   }

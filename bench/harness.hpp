@@ -29,8 +29,10 @@ const std::vector<std::string>& small_suite();
 /// geometric, FEM, road, social families).
 const std::vector<std::string>& large_suite();
 
-/// Runs KaPPa `reps` times with seeds 1..reps and aggregates.
-RunAggregate run_kappa(const StaticGraph& graph, Config config, int reps);
+/// Runs KaPPa `reps` times with seeds 1..reps and aggregates: SPMD on
+/// \p runtime when given, else the sequential pipeline.
+RunAggregate run_kappa(const StaticGraph& graph, Config config, int reps,
+                       PERuntime* runtime = nullptr);
 
 /// Baseline tools by name: "scotch", "kmetis", "parmetis".
 RunAggregate run_tool(const std::string& tool, const StaticGraph& graph,

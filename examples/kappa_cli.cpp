@@ -5,7 +5,7 @@
 ///
 /// Usage:
 ///   kappa_cli <graph.metis> <k> [--preset=fast|strong|minimal]
-///             [--eps=0.03] [--seed=1] [--threads=1] [--pes=0]
+///             [--eps=0.03] [--seed=1] [--pes=0]
 ///             [--transport=inproc|tcp] [--rank=R] [--peers=HOST:PORT]
 ///             [--recv-timeout-ms=60000] [--output=out.part]
 ///             [--trace-out=FILE] [--metrics-out=FILE]
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
   if (argc < 3) {
     std::fprintf(stderr,
                  "usage: %s <graph.metis> <k> [--preset=fast|strong|minimal]"
-                 " [--eps=0.03] [--seed=1] [--threads=1] [--pes=0]"
+                 " [--eps=0.03] [--seed=1] [--pes=0]"
                  " [--transport=inproc|tcp] [--rank=R] [--peers=HOST:PORT]"
                  " [--recv-timeout-ms=N] [--output=FILE]"
                  " [--trace-out=FILE] [--metrics-out=FILE]"
@@ -127,9 +127,6 @@ int main(int argc, char** argv) {
   Config config = Config::preset(preset, k, eps);
   if (const char* value = arg_value(argc, argv, "--seed")) {
     config.seed = std::strtoull(value, nullptr, 10);
-  }
-  if (const char* value = arg_value(argc, argv, "--threads")) {
-    config.num_threads = std::atoi(value);
   }
   int pes = 0;
   if (const char* value = arg_value(argc, argv, "--pes")) {

@@ -31,9 +31,8 @@ MatchingOptions hierarchy_match_options(const StaticGraph& graph,
   return match_options;
 }
 
-Hierarchy build_hierarchy_with(const StaticGraph& graph,
-                               const CoarseningOptions& options,
-                               const LevelMatcher& matcher) {
+Hierarchy build_hierarchy(const StaticGraph& graph,
+                          const CoarseningOptions& options, Rng& rng) {
   Hierarchy hierarchy(graph);
 
   MatchingOptions match_options = hierarchy_match_options(graph, options);
@@ -54,7 +53,18 @@ Hierarchy build_hierarchy_with(const StaticGraph& graph,
     // a boundary node picks its best intra-block partner instead of
     // losing its matched edge to a post-matching dissolve.
     match_options.blocks = warm_blocks.empty() ? nullptr : &warm_blocks;
-    std::vector<NodeID> partner = matcher(current, match_options, level);
+    Rng level_rng = rng.fork(level);
+    std::vector<NodeID> partner;
+    if (options.matching_pes > 1 &&
+        current.num_nodes() > 4 * options.matching_pes) {
+      const std::vector<BlockID> homes =
+          prepartition(current, options.matching_pes);
+      partner = parallel_matching(current, homes, options.matching_pes,
+                                  options.matcher, match_options, level_rng);
+    } else {
+      partner = compute_matching(current, options.matcher, match_options,
+                                 level_rng);
+    }
 #ifndef NDEBUG
     for (NodeID u = 0; !warm_blocks.empty() && u < current.num_nodes(); ++u) {
       assert((partner[u] == u || warm_blocks[u] == warm_blocks[partner[u]]) &&
@@ -88,25 +98,6 @@ Hierarchy build_hierarchy_with(const StaticGraph& graph,
     if (shrink < options.min_shrink_factor) break;
   }
   return hierarchy;
-}
-
-Hierarchy build_hierarchy(const StaticGraph& graph,
-                          const CoarseningOptions& options, Rng& rng) {
-  return build_hierarchy_with(
-      graph, options,
-      [&](const StaticGraph& current, const MatchingOptions& match_options,
-          std::size_t level) {
-        Rng level_rng = rng.fork(level);
-        if (options.matching_pes > 1 &&
-            current.num_nodes() > 4 * options.matching_pes) {
-          const std::vector<BlockID> homes =
-              prepartition(current, options.matching_pes);
-          return parallel_matching(current, homes, options.matching_pes,
-                                   options.matcher, match_options, level_rng);
-        }
-        return compute_matching(current, options.matcher, match_options,
-                                level_rng);
-      });
 }
 
 }  // namespace kappa

@@ -8,7 +8,6 @@
 /// (Table 2 fixes alpha = 60).
 #pragma once
 
-#include <functional>
 #include <limits>
 #include <vector>
 
@@ -92,13 +91,6 @@ class Hierarchy {
   std::vector<std::vector<NodeID>> maps_;
 };
 
-/// Computes a matching of one hierarchy level. Implementations: the
-/// in-process dispatch inside build_hierarchy(), and the SPMD matcher of
-/// parallel/spmd_phases.cpp.
-using LevelMatcher = std::function<std::vector<NodeID>(
-    const StaticGraph& current, const MatchingOptions& options,
-    std::size_t level)>;
-
 /// Matching knobs shared by every level of one hierarchy build: the
 /// rating plus the max-pair-weight bound derived from the *input* graph
 /// (so it is identical on every level and every PE). The per-level block
@@ -107,16 +99,11 @@ using LevelMatcher = std::function<std::vector<NodeID>(
 [[nodiscard]] MatchingOptions hierarchy_match_options(
     const StaticGraph& graph, const CoarseningOptions& options);
 
-/// Builds the hierarchy by iterated match-and-contract with a caller-
-/// supplied per-level matcher. Owns everything both the sequential and
-/// the SPMD coarsener must agree on: the max-pair-weight bound, the
-/// contraction-limit / zero-matching / minimum-shrink stop rules.
-[[nodiscard]] Hierarchy build_hierarchy_with(const StaticGraph& graph,
-                                             const CoarseningOptions& options,
-                                             const LevelMatcher& matcher);
-
-/// Builds the hierarchy with the in-process matchers (sequential, or the
-/// simulated two-phase parallel scheme when options.matching_pes > 1).
+/// Builds the hierarchy by iterated match-and-contract with the
+/// in-process matchers (sequential, or the simulated two-phase parallel
+/// scheme when options.matching_pes > 1), one RNG fork of \p rng per
+/// level, until the contraction-limit, zero-matching or minimum-shrink
+/// stop rule fires.
 [[nodiscard]] Hierarchy build_hierarchy(const StaticGraph& graph,
                                         const CoarseningOptions& options,
                                         Rng& rng);

@@ -60,10 +60,6 @@ struct Config {
   /// Refine each pair with two seeds and adopt the better result (§5);
   /// in the MPI original this is free because both PEs of a pair work.
   bool duplicate_search = true;
-  /// Sequential pipeline only: worker threads standing in for PEs during
-  /// refinement (pairs of one color class run concurrently). 1 =
-  /// sequential execution. SPMD ranks run their pairs one at a time.
-  int num_threads = 1;
   /// Extension (§8 future work): add a min-cut pass on the boundary band
   /// of each pair after the FM local iterations, in the sequential
   /// pairwise refiner and in the SPMD band-limited pair views alike. The

@@ -17,7 +17,6 @@
 #include "parallel/trace_merge.hpp"
 #include "parallel/watch.hpp"
 #include "util/progress.hpp"
-#include "util/random.hpp"
 #include "util/trace.hpp"
 
 namespace kappa {
@@ -42,17 +41,7 @@ PartitionResult run_sequential(const StaticGraph& graph, const Config& config,
   const bool tracing = trace_run_enabled(config.trace_enabled);
   TraceRecorder recorder(tracing ? trace_buffer_capacity() : 1);
   const ThreadTraceScope bind_trace(tracing ? &recorder : nullptr);
-  const Rng rng(config.seed);
-  SequentialCoarsener coarsener(config, rng, warm);
-  SequentialRefiner refiner(graph, config, rng);
-  PartitionResult result;
-  if (warm != nullptr) {
-    WarmStartInitialPartitioner initial(*warm, config.k);
-    result = run_multilevel(graph, config, coarsener, initial, refiner);
-  } else {
-    SequentialInitialPartitioner initial(config, rng);
-    result = run_multilevel(graph, config, coarsener, initial, refiner);
-  }
+  PartitionResult result = run_multilevel(graph, config, warm);
   if (tracing && sink != nullptr) {
     sink->on_trace(merge_local_trace(recorder, /*rank=*/0, /*num_ranks=*/1));
   }
@@ -103,16 +92,7 @@ PartitionResult run_spmd(const StaticGraph& graph, const Config& config,
       rank_watch.emplace(pe, *board, watch, watch_sink.get(),
                          /*run_sampler=*/pe.rank() == 0);
     }
-    SpmdCoarsener coarsener(config, pe, warm);
-    SpmdRefiner refiner(graph, config, pe, warm);
-    PartitionResult local;
-    if (warm != nullptr) {
-      WarmStartInitialPartitioner initial(*warm, config.k);
-      local = run_multilevel_spmd(graph, config, coarsener, initial, refiner);
-    } else {
-      SpmdInitialPartitioner initial(config, pe);
-      local = run_multilevel_spmd(graph, config, coarsener, initial, refiner);
-    }
+    PartitionResult local = run_multilevel_spmd(graph, config, pe, warm);
     // The partition is materialized: the counters stop here, and the
     // record gather and trace collection below are observation that can
     // neither be counted nor feed back into the partition.

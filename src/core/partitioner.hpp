@@ -9,10 +9,11 @@
 /// (§8: repartitioning of adaptive meshes as the natural generalization of
 /// the multilevel pipeline). Each context has its own driver —
 /// run_multilevel() (core/phases.hpp) and run_multilevel_spmd()
-/// (parallel/spmd_phases.hpp) — and both warm-start: block-respecting
-/// contraction, an initial "partitioner" that projects the current
-/// assignment to the coarsest level, then the ordinary refinement phase —
-/// sequential or shard-local with moved-node delta exchange.
+/// (parallel/spmd_phases.hpp) — and both warm-start from the current
+/// assignment: block-respecting contraction, the assignment projected to
+/// the coarsest level in place of initial partitioning, then the ordinary
+/// refinement phase — sequential or shard-local with moved-node delta
+/// exchange.
 ///
 /// Every run returns one PartitionResult; fields that a particular
 /// workload does not produce stay at their zero defaults (e.g. the SPMD
@@ -110,8 +111,7 @@ struct PartitionResult {
 /// copied, the runtime (if any) is borrowed and must outlive the context.
 class Context {
  public:
-  /// Runs the pipeline in-process (config.num_threads worker threads may
-  /// still execute independent refinement pairs concurrently).
+  /// Runs the sequential pipeline in-process, on the calling thread.
   [[nodiscard]] static Context sequential(Config config) {
     return Context(config, nullptr);
   }

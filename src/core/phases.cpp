@@ -7,41 +7,77 @@
 
 #include "graph/contraction.hpp"
 #include "graph/metrics.hpp"
-#include "parallel/dist_hierarchy.hpp"
+#include "initial/initial_partitioner.hpp"
 #include "util/logging.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
 
 namespace kappa {
 
+namespace {
+
+/// The warm input projected onto the coarsest level of a hierarchy built
+/// with the block-respecting policy. Composes the per-level maps into
+/// finest -> coarsest ids and reads the blocks off the input: every
+/// coarse node is pure, so the last write per coarse node wins harmlessly
+/// (all writers agree).
+Partition project_warm_start(const Hierarchy& hierarchy,
+                             const Partition& warm, BlockID k) {
+  const NodeID n = hierarchy.graph(0).num_nodes();
+  assert(warm.num_nodes() == n);
+  std::vector<NodeID> coarse_id(n);
+  std::iota(coarse_id.begin(), coarse_id.end(), NodeID{0});
+  for (std::size_t level = 0; level + 1 < hierarchy.num_levels(); ++level) {
+    const std::vector<NodeID>& map = hierarchy.map(level);
+    for (NodeID u = 0; u < n; ++u) coarse_id[u] = map[coarse_id[u]];
+  }
+  std::vector<BlockID> blocks(hierarchy.coarsest().num_nodes(), 0);
+  for (NodeID u = 0; u < n; ++u) {
+    assert(warm.block(u) < k);
+    blocks[coarse_id[u]] = warm.block(u);
+  }
+  return Partition(hierarchy.coarsest(), std::move(blocks), k);
+}
+
+}  // namespace
+
 PartitionResult run_multilevel(const StaticGraph& graph, const Config& config,
-                               SequentialCoarsener& coarsener,
-                               InitialPartitioner& initial,
-                               SequentialRefiner& refiner) {
+                               const Partition* warm) {
   Timer total_timer;
   PartitionResult result;
+  const Rng rng(config.seed);
 
   // --- Phase 1: contraction (§3). ---
   Timer phase_timer;
   const Hierarchy hierarchy = [&] {
     KAPPA_TRACE_SPAN("phase.coarsen");
-    return coarsener.coarsen(graph);
+    Rng coarsen_rng = rng.fork(1);
+    return build_hierarchy(graph, coarsening_options(graph, config, warm),
+                           coarsen_rng);
   }();
   result.coarsening_time = phase_timer.elapsed_s();
   result.hierarchy_levels = hierarchy.num_levels();
   result.coarsest_nodes = hierarchy.coarsest().num_nodes();
 
-  // --- Phase 2: initial partitioning (§4). ---
+  // --- Phase 2: initial partitioning (§4), or the projected warm input. ---
   phase_timer.restart();
   Partition partition = [&] {
     KAPPA_TRACE_SPAN("phase.initial");
-    initial.observe_hierarchy(hierarchy);
-    return initial.partition(hierarchy.coarsest());
+    if (warm != nullptr) return project_warm_start(hierarchy, *warm, config.k);
+    InitialPartitionOptions initial;
+    initial.eps = config.eps;
+    initial.repeats = config.init_repeats;
+    Rng initial_rng = rng.fork(2);
+    return initial_partition(hierarchy.coarsest(), config.k, initial,
+                             initial_rng);
   }();
   result.initial_time = phase_timer.elapsed_s();
 
   // --- Phase 3: uncoarsening with pairwise refinement (§5). ---
   phase_timer.restart();
+  const Rng refine_rng = rng.fork(3);
+  const NodeWeight global_bound =
+      max_block_weight_bound(graph, config.k, config.eps);
   {
     KAPPA_TRACE_SPAN("phase.refine");
     for (std::size_t level = hierarchy.num_levels(); level-- > 0;) {
@@ -51,10 +87,23 @@ PartitionResult run_multilevel(const StaticGraph& graph, const Config& config,
         partition =
             project_partition(current, hierarchy.map(level), partition);
       }
-      refiner.refine(current, partition, level);
+      Rng level_rng = refine_rng.fork(level);
+      const PairwiseRefineReport report = pairwise_refine(
+          current, partition,
+          level_refine_options(config, global_bound,
+                               current.max_node_weight()),
+          level_rng);
+      if (log_level() >= LogLevel::kDebug) {
+        std::ostringstream msg;
+        msg << "refine level " << level << ": cut gain "
+            << report.total_cut_gain << " in " << report.global_iterations
+            << " global iterations";
+        log_debug(msg.str());
+      }
     }
     KAPPA_TRACE_SPAN("phase.rebalance");
-    refiner.rebalance(graph, partition);
+    rebalance_until_feasible(graph, partition, config, global_bound,
+                             refine_rng);
   }
   result.refinement_time = phase_timer.elapsed_s();
 
@@ -67,13 +116,18 @@ PartitionResult run_multilevel(const StaticGraph& graph, const Config& config,
 }
 
 CoarseningOptions coarsening_options(const StaticGraph& graph,
-                                     const Config& config) {
+                                     const Config& config,
+                                     const Partition* warm) {
   CoarseningOptions coarsening;
   coarsening.rating = config.rating;
   coarsening.matcher = config.matcher;
   coarsening.contraction_limit = contraction_stop_threshold(
       graph.num_nodes(), config.k, config.stop_alpha);
   coarsening.matching_pes = config.matching_pes;
+  coarsening.warm_start = warm;
+  if (warm != nullptr) {
+    coarsening.max_pair_weight_cap = repartition_pair_weight_cap(graph, config);
+  }
   return coarsening;
 }
 
@@ -102,7 +156,6 @@ PairwiseRefinerOptions level_refine_options(const Config& config,
   refine.local_iterations = config.local_iterations;
   refine.max_global_iterations = config.max_global_iterations;
   refine.stop_no_change = config.stop_no_change;
-  refine.num_threads = config.num_threads;
   refine.duplicate_search = config.duplicate_search;
   refine.use_flow = config.enable_flow_refinement;
   return refine;
@@ -126,7 +179,6 @@ PairwiseRefinerOptions rebalance_options(const Config& config,
       std::min(64, std::max(config.bfs_depth, 5) * (1 + attempt / 2));
   rebalance.local_iterations = 1;
   rebalance.max_global_iterations = 2;
-  rebalance.num_threads = config.num_threads;
   return rebalance;
 }
 
@@ -149,89 +201,6 @@ void rebalance_until_feasible(const StaticGraph& graph, Partition& partition,
         rebalance_options(config, graph, global_bound, attempt),
         rebalance_rng);
   }
-}
-
-// ------------------------------------------------------------ sequential ----
-
-Hierarchy SequentialCoarsener::coarsen(const StaticGraph& graph) {
-  Rng coarsen_rng = rng_.fork(1);
-  CoarseningOptions options = coarsening_options(graph, config_);
-  options.warm_start = warm_start_;
-  if (warm_start_ != nullptr) {
-    options.max_pair_weight_cap = repartition_pair_weight_cap(graph, config_);
-  }
-  return build_hierarchy(graph, options, coarsen_rng);
-}
-
-void WarmStartInitialPartitioner::observe_hierarchy(
-    const Hierarchy& hierarchy) {
-  // Compose the per-level maps into finest -> coarsest ids, then read the
-  // coarsest assignment off the input. Block-respecting contraction makes
-  // every coarse node pure, so the last write per coarse node wins
-  // harmlessly (all writers agree).
-  const NodeID n = hierarchy.graph(0).num_nodes();
-  assert(current_->num_nodes() == n);
-  std::vector<NodeID> coarse_id(n);
-  std::iota(coarse_id.begin(), coarse_id.end(), NodeID{0});
-  for (std::size_t level = 0; level + 1 < hierarchy.num_levels(); ++level) {
-    const std::vector<NodeID>& map = hierarchy.map(level);
-    for (NodeID u = 0; u < n; ++u) coarse_id[u] = map[coarse_id[u]];
-  }
-  projected_.assign(hierarchy.coarsest().num_nodes(), 0);
-  for (NodeID u = 0; u < n; ++u) {
-    assert(current_->block(u) < k_);
-    projected_[coarse_id[u]] = current_->block(u);
-  }
-}
-
-void WarmStartInitialPartitioner::observe_hierarchy(
-    const DistHierarchy& hierarchy) {
-  // The distributed store keeps the projection chain sharded: every rank
-  // walks its own ownership chain (coarse ownership is inherited from the
-  // canonical endpoint, so the chain never leaves the rank) and only the
-  // O(coarsest) result is gathered — no per-level map replica exists.
-  projected_ = hierarchy.coarsest_warm_assignment();
-}
-
-Partition WarmStartInitialPartitioner::partition(const StaticGraph& coarsest) {
-  assert(projected_.size() == coarsest.num_nodes() &&
-         "observe_hierarchy() must run before partition()");
-  return Partition(coarsest, projected_, k_);
-}
-
-Partition SequentialInitialPartitioner::partition(
-    const StaticGraph& coarsest) {
-  InitialPartitionOptions initial;
-  initial.eps = config_.eps;
-  initial.repeats = config_.init_repeats;
-  Rng initial_rng = rng_.fork(2);
-  return initial_partition(coarsest, config_.k, initial, initial_rng);
-}
-
-SequentialRefiner::SequentialRefiner(const StaticGraph& finest,
-                                     const Config& config, Rng rng)
-    : config_(config),
-      rng_(rng.fork(3)),
-      global_bound_(max_block_weight_bound(finest, config.k, config.eps)) {}
-
-void SequentialRefiner::refine(const StaticGraph& graph, Partition& partition,
-                               std::size_t level) {
-  const PairwiseRefinerOptions options =
-      level_refine_options(config_, global_bound_, graph.max_node_weight());
-  Rng level_rng = rng_.fork(level);
-  const PairwiseRefineReport report =
-      pairwise_refine(graph, partition, options, level_rng);
-  if (log_level() >= LogLevel::kDebug) {
-    std::ostringstream msg;
-    msg << "refine level " << level << ": cut gain " << report.total_cut_gain
-        << " in " << report.global_iterations << " global iterations";
-    log_debug(msg.str());
-  }
-}
-
-void SequentialRefiner::rebalance(const StaticGraph& graph,
-                                  Partition& partition) {
-  rebalance_until_feasible(graph, partition, config_, global_bound_, rng_);
 }
 
 }  // namespace kappa

@@ -34,14 +34,11 @@ DistGraph::DistGraph(const StaticGraph& graph, BlockID num_shards, int rank,
   for (NodeID u = 0; u < n; ++u) {
     const BlockID su = node_to_shard_[u];
     if (!materializes(su, rank, num_pes)) continue;
-    bool is_boundary = false;
     for (EdgeID e = graph.first_arc(u); e < graph.last_arc(u); ++e) {
       const NodeID v = graph.arc_target(e);
       if (node_to_shard_[v] == su) continue;
       shards_[su].cross_arcs.push_back({u, v, graph.arc_weight(e)});
-      is_boundary = true;
     }
-    if (is_boundary) shards_[su].boundary_nodes.push_back(u);
   }
 }
 

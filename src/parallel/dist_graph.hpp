@@ -5,8 +5,8 @@
 /// nodes, chosen by the geometric pre-partition when coordinates exist and
 /// by the initial numbering otherwise ("its main purpose is to increase
 /// locality"). This class computes that sharding and exposes, per shard,
-/// the owned node set, the induced local subgraph and the cross-shard
-/// (boundary) arcs — everything a PE's local computation may touch.
+/// the owned node set and the cross-shard (boundary) arcs — everything a
+/// PE's local computation may touch.
 ///
 /// Shards are *virtual*: their count is fixed by the algorithm (one per
 /// block, as the paper identifies PEs with blocks), not by the physical
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "graph/static_graph.hpp"
-#include "graph/subgraph.hpp"
 #include "util/types.hpp"
 
 namespace kappa {
@@ -47,13 +46,6 @@ struct CrossShardArc {
 struct GraphShard {
   std::vector<NodeID> nodes;            ///< owned nodes (global ids, sorted)
   std::vector<CrossShardArc> cross_arcs;  ///< arcs leaving the shard
-  std::vector<NodeID> boundary_nodes;   ///< owned nodes with a cross arc
-
-  /// Induced subgraph over \p nodes with global<->local mappings; local
-  /// matching runs on this.
-  [[nodiscard]] Subgraph induced(const StaticGraph& graph) const {
-    return induced_subgraph(graph, nodes);
-  }
 };
 
 /// Shards \p graph into \p num_shards parts via the pre-partitioner

@@ -752,7 +752,6 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
       rows.ids.push_back(c);
       rows.vwgt.push_back(weight);
       EdgeWeight wdeg = 0;
-      bool boundary = false;
       for (std::size_t j = 0; j < acc.size(); ++j) {
         if (j > 0 && acc[j].first == rows.adj.back()) {
           rows.ewgt.back() += acc[j].second;  // merge parallel coarse arcs
@@ -766,13 +765,11 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
         const NodeID ct = rows.adj[e];
         if (ct < shard_begin[s] || ct >= shard_begin[s + 1]) {
           coarse_shard.cross_arcs.push_back({c, ct, rows.ewgt[e]});
-          boundary = true;
         }
       }
       rows.xadj.push_back(rows.adj.size());
       owned_wdeg.push_back(wdeg);
       if (warm_) owned_warm.push_back(fine.warm_blocks[lu]);
-      if (boundary) coarse_shard.boundary_nodes.push_back(c);
     }
     coarse_shard.nodes.resize(shard_begin[s + 1] - shard_begin[s]);
     std::iota(coarse_shard.nodes.begin(), coarse_shard.nodes.end(),

@@ -165,8 +165,8 @@ class DistHierarchy {
 
   /// Warm-started builds: the coarsest-level block assignment, projected
   /// down the sharded hierarchy (each rank walks its own ownership chain;
-  /// only the O(coarsest) result is gathered). Feeds
-  /// WarmStartInitialPartitioner::observe_hierarchy.
+  /// only the O(coarsest) result is gathered). run_multilevel_spmd() seeds
+  /// the coarsest partition with it in place of initial partitioning.
   [[nodiscard]] std::vector<BlockID> coarsest_warm_assignment() const;
 
   /// Seeds the sharded partition state of the coarsest level from the

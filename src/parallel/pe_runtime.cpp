@@ -1,7 +1,9 @@
 #include "parallel/pe_runtime.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <latch>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -413,20 +415,36 @@ std::vector<RankCounters> PERuntime::run(
   const std::vector<int> locals = fabric_->local_ranks();
   std::vector<RankCounters> stats(static_cast<std::size_t>(num_pes()));
   std::vector<std::exception_ptr> errors(locals.size());
+  // Start gate: no program runs before every thread has started. A rank
+  // that ran ahead of a failed start would wait in its first collective
+  // for a rank that never comes, and could never be joined.
+  std::latch start(1);
+  std::atomic<bool> aborted{false};
   std::vector<std::thread> threads;
   threads.reserve(locals.size());
-  for (std::size_t i = 0; i < locals.size(); ++i) {
-    const int rank = locals[i];
-    threads.emplace_back([this, &program, &stats, &errors, i, rank]() {
-      try {
-        PEContext context(fabric_->endpoint(rank), seed_);
-        program(context);
-        stats[static_cast<std::size_t>(rank)] = context.counters();
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    });
+  try {
+    for (std::size_t i = 0; i < locals.size(); ++i) {
+      const int rank = locals[i];
+      threads.emplace_back([this, &program, &stats, &errors, &start,
+                            &aborted, i, rank]() {
+        start.wait();
+        if (aborted.load()) return;
+        try {
+          PEContext context(fabric_->endpoint(rank), seed_);
+          program(context);
+          stats[static_cast<std::size_t>(rank)] = context.counters();
+        } catch (...) {
+          errors[i] = std::current_exception();
+        }
+      });
+    }
+  } catch (...) {
+    aborted.store(true);
+    start.count_down();
+    for (auto& thread : threads) thread.join();
+    throw;
   }
+  start.count_down();
   for (auto& thread : threads) thread.join();
   for (const std::exception_ptr& error : errors) {
     if (error) std::rethrow_exception(error);

@@ -227,7 +227,10 @@ class PERuntime {
   /// joins. Returns each PE's PEContext::counters() at the end of its
   /// program, indexed by *global* rank; only locally hosted slots are
   /// populated (aggregate with fold_counters()). A PE whose program
-  /// throws rethrows here after all local PEs finished.
+  /// throws rethrows here after all local PEs finished. No program starts
+  /// before every local thread has: if a thread fails to start, the
+  /// started ones exit without running, are joined, and the start error
+  /// (std::system_error) is rethrown.
   std::vector<RankCounters> run(
       const std::function<void(PEContext&)>& program);
 

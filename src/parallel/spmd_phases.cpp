@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "graph/metrics.hpp"
+#include "initial/initial_partitioner.hpp"
 #include "parallel/dist_coloring.hpp"
 #include "parallel/wire_format.hpp"
 #include "refinement/edge_coloring.hpp"
@@ -16,30 +17,15 @@
 
 namespace kappa {
 
-// -------------------------------------------------------- SPMD coarsening ----
-//
-// The whole coarsening phase lives in the distributed hierarchy store
-// (parallel/dist_hierarchy.cpp): shard-local matching, gap resolution over
-// peer channels, owner-computes contraction with halo exchange. Nothing in
-// this section may gather contraction maps or level graphs — the CI guard
-// checks that no all_gather appears above the initial-partitioning marker.
-
-DistHierarchy SpmdCoarsener::coarsen(const StaticGraph& graph) {
-  CoarseningOptions options = coarsening_options(graph, config_);
-  options.warm_start = warm_start_;
-  if (warm_start_ != nullptr) {
-    options.max_pair_weight_cap = repartition_pair_weight_cap(graph, config_);
-  }
-  return DistHierarchy(graph, options, rng_, pe_);
-}
-
 // ------------------------------------------------ SPMD initial partition ----
 
-Partition SpmdInitialPartitioner::partition(const StaticGraph& coarsest) {
-  const BlockID k = config_.k;
-  const int p = pe_.size();
-  const int rank = pe_.rank();
+Partition spmd_initial_partition(const StaticGraph& coarsest,
+                                 const Config& config, PEContext& pe) {
+  const BlockID k = config.k;
+  const int p = pe.size();
+  const int rank = pe.rank();
   const NodeID n = coarsest.num_nodes();
+  const Rng rng = Rng(config.seed).fork(2);
 
   // Attempt pool: the paper repeats initial partitioning "init. repeats"
   // times on each of its p = k PEs. Attempts are keyed by index — not by
@@ -47,11 +33,11 @@ Partition SpmdInitialPartitioner::partition(const StaticGraph& coarsest) {
   // count; the cap keeps huge k from turning this cheap phase into a
   // bottleneck.
   const int attempts =
-      std::max(config_.init_repeats,
-               std::min(config_.init_repeats * static_cast<int>(k), 32));
+      std::max(config.init_repeats,
+               std::min(config.init_repeats * static_cast<int>(k), 32));
 
   InitialPartitionOptions options;
-  options.eps = config_.eps;
+  options.eps = config.eps;
   options.repeats = 1;
 
   // My share of the attempts, each with its private stream (§4: "each with
@@ -62,10 +48,10 @@ Partition SpmdInitialPartitioner::partition(const StaticGraph& coarsest) {
   std::uint64_t best_attempt = kWorst;
   Partition best;
   for (int a = rank; a < attempts; a += p) {
-    Rng attempt_rng = rng_.fork(static_cast<std::uint64_t>(a));
+    Rng attempt_rng = rng.fork(static_cast<std::uint64_t>(a));
     Partition candidate = initial_partition(coarsest, k, options, attempt_rng);
     const std::uint64_t infeasible =
-        is_balanced(coarsest, candidate, config_.eps) ? 0 : 1;
+        is_balanced(coarsest, candidate, config.eps) ? 0 : 1;
     const std::uint64_t cut =
         static_cast<std::uint64_t>(edge_cut(coarsest, candidate));
     const std::uint64_t attempt = static_cast<std::uint64_t>(a);
@@ -81,7 +67,7 @@ Partition SpmdInitialPartitioner::partition(const StaticGraph& coarsest) {
   // All-reduce the winner: lexicographic (feasibility, cut, attempt) —
   // the attempt index makes the pick unique and p-invariant.
   const auto entries =
-      pe_.all_gather_vectors({best_infeasible, best_cut, best_attempt});
+      pe.all_gather_vectors({best_infeasible, best_cut, best_attempt});
   int winner = 0;
   for (int q = 1; q < p; ++q) {
     if (std::tie(entries[q][0], entries[q][1], entries[q][2]) <
@@ -98,7 +84,7 @@ Partition SpmdInitialPartitioner::partition(const StaticGraph& coarsest) {
     for (NodeID u = 0; u < n; ++u) words.push_back(best.block(u));
   }
   const std::vector<std::uint64_t> assignment_words =
-      pe_.broadcast(words, winner);
+      pe.broadcast(words, winner);
   std::vector<BlockID> assignment(n);
   for (NodeID u = 0; u < n; ++u) {
     assignment[u] = static_cast<BlockID>(assignment_words[u]);
@@ -446,13 +432,15 @@ PairView build_pair_view(const PairSide& side_a, const PairSide& side_b,
 }  // namespace
 
 SpmdRefiner::SpmdRefiner(const StaticGraph& finest, const Config& config,
-                         PEContext& pe, const Partition* warm)
+                         PEContext& pe, const Partition* warm,
+                         PairSideObserver observer)
     : finest_(finest),
       config_(config),
       pe_(pe),
       rng_(Rng(config.seed).fork(3)),
       global_bound_(max_block_weight_bound(finest, config.k, config.eps)),
-      warm_(warm) {}
+      warm_(warm),
+      observer_(std::move(observer)) {}
 
 namespace {
 
@@ -957,10 +945,9 @@ MigrationIntake SpmdRefiner::migration_intake() const {
 // ------------------------------------------------------------ SPMD driver ----
 
 PartitionResult run_multilevel_spmd(const StaticGraph& graph,
-                                    const Config& config,
-                                    SpmdCoarsener& coarsener,
-                                    InitialPartitioner& initial,
-                                    SpmdRefiner& refiner) {
+                                    const Config& config, PEContext& pe,
+                                    const Partition* warm,
+                                    PairSideObserver observer) {
   Timer total_timer;
   PartitionResult result;
 
@@ -969,7 +956,8 @@ PartitionResult run_multilevel_spmd(const StaticGraph& graph,
   progress_phase(ProgressPhase::kCoarsen);
   DistHierarchy hierarchy = [&] {
     KAPPA_TRACE_SPAN("phase.coarsen");
-    return coarsener.coarsen(graph);
+    return DistHierarchy(graph, coarsening_options(graph, config, warm),
+                         Rng(config.seed).fork(1), pe);
   }();
   result.coarsening_time = phase_timer.elapsed_s();
   result.hierarchy_levels = hierarchy.num_levels();
@@ -979,13 +967,19 @@ PartitionResult run_multilevel_spmd(const StaticGraph& graph,
     result.hierarchy_level_nodes.push_back(hierarchy.level_nodes(l));
   }
 
-  // --- Phase 2: initial partitioning on the once-gathered coarsest (§4). ---
+  // --- Phase 2: initial partitioning on the once-gathered coarsest (§4),
+  // or the warm input projected down the sharded hierarchy (each rank
+  // walks its own ownership chain; only the O(coarsest) result is
+  // gathered, before the coarsest graph itself). ---
   phase_timer.restart();
   progress_phase(ProgressPhase::kInitial);
   Partition coarsest_partition = [&] {
     KAPPA_TRACE_SPAN("phase.initial");
-    initial.observe_hierarchy(hierarchy);
-    return initial.partition(hierarchy.coarsest());
+    if (warm != nullptr) {
+      std::vector<BlockID> projected = hierarchy.coarsest_warm_assignment();
+      return Partition(hierarchy.coarsest(), std::move(projected), config.k);
+    }
+    return spmd_initial_partition(hierarchy.coarsest(), config, pe);
   }();
   result.initial_time = phase_timer.elapsed_s();
 
@@ -995,6 +989,7 @@ PartitionResult run_multilevel_spmd(const StaticGraph& graph,
   // views, and materialized exactly once for the result. ---
   phase_timer.restart();
   progress_phase(ProgressPhase::kRefine);
+  SpmdRefiner refiner(graph, config, pe, warm, std::move(observer));
   DistPartition partition = [&] {
     KAPPA_TRACE_SPAN("phase.refine");
     DistPartition refined = hierarchy.lift(coarsest_partition);

@@ -1,24 +1,24 @@
 /// \file spmd_phases.hpp
-/// \brief SPMD implementations of the three pipeline phases (§3-§5).
+/// \brief The SPMD pipeline (§3-§5) and its driver.
 ///
-/// Every PE of the runtime constructs its own phase instances inside the
-/// SPMD program and runs the shared run_multilevel_spmd() driver. The
-/// graph *data* is sharded end to end: every coarsening level exists only
-/// as per-PE shards of the distributed hierarchy store
-/// (parallel/dist_hierarchy.hpp), and the partition *state* is sharded
-/// too (parallel/dist_partition.hpp) — each rank holds block ids only for
-/// its shard-owned nodes plus a ghost-block cache maintained by the
-/// moved-node deltas. The phases synchronize internally:
+/// Every PE of the runtime calls run_multilevel_spmd() with identical
+/// arguments; the phases synchronize internally. The graph *data* is
+/// sharded end to end: every coarsening level exists only as per-PE
+/// shards of the distributed hierarchy store (parallel/dist_hierarchy.hpp),
+/// and the partition *state* is sharded too (parallel/dist_partition.hpp)
+/// — each rank holds block ids only for its shard-owned nodes plus a
+/// ghost-block cache maintained by the moved-node deltas. The driver calls
+/// the phases directly:
 ///
-///   SpmdCoarsener          — builds the DistHierarchy: shard-local
-///     matching with gap resolution over peer channels, owner-computes
-///     contraction with halo exchange of boundary match decisions and
-///     coarse-edge contributions (§3.3). No contraction map and no level
-///     graph is ever gathered.
-///   SpmdInitialPartitioner — best-of-p on the once-gathered coarsest
+///   DistHierarchy          — shard-local matching with gap resolution
+///     over peer channels, owner-computes contraction with halo exchange
+///     of boundary match decisions and coarse-edge contributions (§3.3).
+///     No contraction map and no level graph is ever gathered.
+///   spmd_initial_partition — best-of-p on the once-gathered coarsest
 ///     graph: the attempts (each with a private RNG stream) are
 ///     distributed over the PEs, an all-reduce picks the winner and the
-///     owning PE broadcasts the partition (§4).
+///     owning PE broadcasts the partition (§4). Warm starts use the
+///     store's coarsest_warm_assignment() instead.
 ///   SpmdRefiner            — per level, the rows travel from their shard
 ///     owners to the owners of their nodes' blocks (§5.2 BlockRowShard
 ///     data distribution, each row with its block word); the quotient
@@ -121,8 +121,8 @@ void restart_pair_path(PairPathState& state, DistPartition& partition);
                                        int ship_depth, PairPathState& state);
 
 /// One pair side as the refiner built it, handed to a test observer
-/// (SpmdRefiner::set_pair_side_observer) right after the build — enough
-/// state to recompute the side from a whole-block scan and compare.
+/// (passed to run_multilevel_spmd) right after the build — enough state
+/// to recompute the side from a whole-block scan and compare.
 struct PairSideProbe {
   const BlockRowShard& store;
   const DistPartition& partition;
@@ -134,40 +134,13 @@ struct PairSideProbe {
 };
 using PairSideObserver = std::function<void(const PairSideProbe&)>;
 
-class SpmdCoarsener {
- public:
-  /// A non-null \p warm_start restricts contraction to intra-block pairs
-  /// of that assignment (the repartitioning coarsening policy) by giving
-  /// the matchers the block constraint.
-  SpmdCoarsener(const Config& config, PEContext& pe,
-                const Partition* warm_start = nullptr)
-      : config_(config),
-        pe_(pe),
-        rng_(Rng(config.seed).fork(1)),
-        warm_start_(warm_start) {}
-
-  /// Builds the distributed hierarchy store of \p graph.
-  [[nodiscard]] DistHierarchy coarsen(const StaticGraph& graph);
-
- private:
-  const Config& config_;
-  PEContext& pe_;
-  Rng rng_;
-  const Partition* warm_start_;
-};
-
-class SpmdInitialPartitioner final : public InitialPartitioner {
- public:
-  SpmdInitialPartitioner(const Config& config, PEContext& pe)
-      : config_(config), pe_(pe), rng_(Rng(config.seed).fork(2)) {}
-
-  [[nodiscard]] Partition partition(const StaticGraph& coarsest) override;
-
- private:
-  const Config& config_;
-  PEContext& pe_;
-  Rng rng_;
-};
+/// Initial partitioning on the gathered coarsest graph (§4): the attempt
+/// pool, keyed by attempt index and spread over the PEs, with an
+/// all-reduced winner that its PE broadcasts. Every PE returns the same
+/// partition, independent of p.
+[[nodiscard]] Partition spmd_initial_partition(const StaticGraph& coarsest,
+                                               const Config& config,
+                                               PEContext& pe);
 
 class SpmdRefiner {
  public:
@@ -175,9 +148,10 @@ class SpmdRefiner {
   /// from-scratch runs); it anchors the migration view. The refiner
   /// counts its §5.2 shipping volume (band vs. whole block) and the peak
   /// resident block-row store (partner-band intake as ghosts) and
-  /// partition state into \p pe's record.
+  /// partition state into \p pe's record. \p observer (a test hook, may
+  /// be empty) sees every pair side this rank builds.
   SpmdRefiner(const StaticGraph& finest, const Config& config, PEContext& pe,
-              const Partition* warm = nullptr);
+              const Partition* warm, PairSideObserver observer);
 
   /// Refines the sharded \p partition on hierarchy level \p level in
   /// place. The level's rows are distributed into this rank's block-row
@@ -193,11 +167,6 @@ class SpmdRefiner {
   /// finest-level store. Warm starts then count this rank's §5.2
   /// migration intake into the PE's record.
   void rebalance(DistPartition& partition);
-
-  /// Test hook: \p observer sees every pair side this rank builds.
-  void set_pair_side_observer(PairSideObserver observer) {
-    observer_ = std::move(observer);
-  }
 
  private:
   /// Warm starts only: this rank's §5.2 migration intake, counted from
@@ -254,16 +223,15 @@ class SpmdRefiner {
 };
 
 /// The SPMD twin of run_multilevel(): coarsen into the distributed
-/// hierarchy store, initial-partition the once-gathered coarsest graph,
-/// then project and refine level by level through the sharded contraction
-/// maps and the sharded partition state, and run the distributed
-/// rebalancing insurance. The full assignment is materialized exactly
-/// once, for the returned PartitionResult. Every PE calls this with
-/// identical arguments; the phases synchronize internally.
-[[nodiscard]] PartitionResult run_multilevel_spmd(const StaticGraph& graph,
-                                                  const Config& config,
-                                                  SpmdCoarsener& coarsener,
-                                                  InitialPartitioner& initial,
-                                                  SpmdRefiner& refiner);
+/// hierarchy store, initial-partition the once-gathered coarsest graph
+/// (or, with a non-null \p warm, project the repartitioning input onto
+/// it), then project and refine level by level through the sharded
+/// contraction maps and the sharded partition state, and run the
+/// distributed rebalancing insurance. The full assignment is materialized
+/// exactly once, for the returned PartitionResult. Every PE calls this
+/// with identical arguments; \p observer is the refiner's test hook.
+[[nodiscard]] PartitionResult run_multilevel_spmd(
+    const StaticGraph& graph, const Config& config, PEContext& pe,
+    const Partition* warm = nullptr, PairSideObserver observer = {});
 
 }  // namespace kappa

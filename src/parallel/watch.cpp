@@ -7,48 +7,14 @@
 #include <string>
 #include <vector>
 
+#include "util/json.hpp"
 #include "util/trace.hpp"
 
 namespace kappa {
 namespace {
 
-/// Minimal JSON string escaping — span names are identifier-like
-/// literals, but paths and env-provided strings may carry anything.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string j_str(const char* key, const std::string& value) {
-  return std::string("\"") + key + "\":\"" + json_escape(value) + "\"";
+  return std::string("\"") + key + "\":" + json_string(value);
 }
 
 std::string j_u64(const char* key, std::uint64_t value) {
@@ -285,7 +251,7 @@ void RankWatch::emit_stall_report(const ProgressSnapshot& snap,
   json += "\"open_spans\":[";
   for (std::size_t i = 0; i < spans.size(); ++i) {
     if (i > 0) json += ',';
-    json += '"' + json_escape(spans[i]) + '"';
+    json += json_string(spans[i]);
   }
   json += "],";
   json += "\"recent\":[";

@@ -1,8 +1,6 @@
 #include "refinement/pairwise_refiner.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -191,52 +189,27 @@ PairwiseRefineReport pairwise_refine(const StaticGraph& graph,
     const EdgeColoring coloring = color_quotient_edges(quotient, color_rng);
     report.colors_last_iteration = coloring.num_colors;
 
-    std::atomic<EdgeWeight> iteration_cut_gain{0};
-    std::atomic<NodeWeight> iteration_imbalance_gain{0};
-
+    // The pairs of one color class are block-disjoint; they run one after
+    // another, in class order.
+    EdgeWeight iteration_cut_gain = 0;
+    NodeWeight iteration_imbalance_gain = 0;
     for (int color = 0; color < coloring.num_colors; ++color) {
-      const std::vector<std::size_t> pairs = coloring.color_class(color);
-      if (pairs.empty()) continue;
-
-      // One task per independent pair of this color class.
-      auto run_pair = [&](std::size_t pair_index, std::uint64_t seed_tag) {
-        const QuotientEdge& edge = quotient.edges()[pairs[pair_index]];
+      for (const std::size_t e : coloring.color_class(color)) {
+        const QuotientEdge& edge = quotient.edges()[e];
         const PairRefineResult result =
             refine_pair(graph, partition, edge.a, edge.b, edge.boundary,
-                        options, rng, seed_tag, /*collect_moves=*/false);
+                        options, rng, pair_seed_tag(global, e),
+                        /*collect_moves=*/false);
         iteration_cut_gain += result.cut_gain;
         iteration_imbalance_gain += result.imbalance_gain;
-      };
-
-      const std::size_t threads = std::min<std::size_t>(
-          std::max(options.num_threads, 1), pairs.size());
-      if (threads <= 1) {
-        for (std::size_t i = 0; i < pairs.size(); ++i) {
-          run_pair(i, pair_seed_tag(global, pairs[i]));
-        }
-      } else {
-        // Pairs of one color class are block-disjoint, so the concurrent
-        // FM searches touch disjoint partition entries and block weights.
-        std::vector<std::thread> pool;
-        pool.reserve(threads);
-        for (std::size_t t = 0; t < threads; ++t) {
-          pool.emplace_back([&, t]() {
-            for (std::size_t i = t; i < pairs.size(); i += threads) {
-              run_pair(i, pair_seed_tag(global, pairs[i]));
-            }
-          });
-        }
-        for (auto& worker : pool) worker.join();
       }
     }
 
-    report.total_cut_gain += iteration_cut_gain.load();
-    report.total_imbalance_gain += iteration_imbalance_gain.load();
+    report.total_cut_gain += iteration_cut_gain;
+    report.total_imbalance_gain += iteration_imbalance_gain;
     report.global_iterations = global + 1;
 
-    const bool improved =
-        iteration_cut_gain.load() > 0 || iteration_imbalance_gain.load() > 0;
-    if (improved) {
+    if (iteration_cut_gain > 0 || iteration_imbalance_gain > 0) {
       no_change_streak = 0;
     } else if (++no_change_streak >= options.stop_no_change) {
       break;

@@ -4,11 +4,13 @@
 /// The driving loop of KaPPa's refinement: at any time each PE works on
 /// one pair of neighboring blocks, running two-way FM restricted to the
 /// boundary band. Pairs are scheduled color class by color class of an
-/// edge coloring of the quotient graph, so the pairs being refined at the
-/// same time are independent. The nested loop structure (innermost FM,
-/// local iterations, global iterations over all colors) and its
-/// termination rules ("no improvement" / "no improvement twice in a row" /
-/// iteration caps) follow §5 and Table 2.
+/// edge coloring of the quotient graph, so the pairs of one class are
+/// independent. pairwise_refine() runs them one after another in one
+/// process; the SPMD refiner (parallel/spmd_phases.hpp) runs each on the
+/// PE that owns its first block, with the same seeds. The nested loop
+/// structure (innermost FM, local iterations, global iterations over all
+/// colors) and its termination rules ("no improvement" / "no improvement
+/// twice in a row" / iteration caps) follow §5 and Table 2.
 #pragma once
 
 #include "graph/partition.hpp"
@@ -33,9 +35,6 @@ struct PairwiseRefinerOptions {
   /// improvement (fast: 1, strong: 2; ignored by the minimal preset whose
   /// iteration cap is 1 anyway).
   int stop_no_change = 1;
-  /// Threads executing independent pairs of one color class concurrently
-  /// (stands in for the PEs of the MPI implementation).
-  int num_threads = 1;
   /// Both PEs of a matched pair search with different seeds and the better
   /// result is adopted (§5: "both corresponding PEs will refine the
   /// partitions u and v using different seeds ... the better partitioning

@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/json.hpp"
+
 namespace kappa {
 
 void MetricsRegistry::set_u64(const std::string& name, std::uint64_t value) {
@@ -113,34 +115,6 @@ const std::vector<double>& MetricsRegistry::f64_list(
 
 namespace {
 
-void write_json_string(std::ostream& out, const std::string& text) {
-  out << '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
 /// Round-trippable double without locale surprises.
 void write_f64(std::ostream& out, double value) {
   char buffer[40];
@@ -175,7 +149,7 @@ void MetricsRegistry::write_json(std::ostream& out, int indent) const {
     if (!first) out << ',';
     first = false;
     out << '\n' << pad << "    ";
-    write_json_string(out, name);
+    out << json_string(name);
     out << ": {\"type\": \"";
     switch (value.type) {
       case Type::kU64:
@@ -190,7 +164,7 @@ void MetricsRegistry::write_json(std::ostream& out, int indent) const {
         break;
       case Type::kStr:
         out << "str\", \"value\": ";
-        write_json_string(out, value.str);
+        out << json_string(value.str);
         break;
       case Type::kU64List: {
         out << "u64[]\", \"value\": [";

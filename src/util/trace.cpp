@@ -8,6 +8,8 @@
 #include <map>
 #include <ostream>
 
+#include "util/json.hpp"
+
 namespace kappa {
 
 std::uint64_t trace_now_ns() {
@@ -109,34 +111,6 @@ MergedTrace merge_local_trace(const TraceRecorder& recorder, int rank,
 
 namespace {
 
-void write_json_string(std::ostream& out, const std::string& text) {
-  out << '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
 /// Microseconds with nanosecond precision kept as a decimal fraction.
 void write_ts_us(std::ostream& out, std::uint64_t ns) {
   out << ns / 1000 << '.' << static_cast<char>('0' + (ns / 100) % 10)
@@ -184,8 +158,8 @@ void write_chrome_trace(const MergedTrace& trace, std::ostream& out) {
       write_ts_us(out, event.dur_ns);
     }
     out << ",\"name\":";
-    write_json_string(out,
-                      trace.names[static_cast<std::size_t>(event.name_index)]);
+    out << json_string(
+        trace.names[static_cast<std::size_t>(event.name_index)]);
     if (event.kind == TraceEventKind::kCounter) {
       out << ",\"args\":{\"value\":" << event.arg0 << '}';
     } else {

@@ -1,11 +1,10 @@
 /// \file extensions_test.cpp
-/// \brief Tests for the §8 future-work extensions: bucket PQ, Dinic
-/// max-flow, flow-based pairwise refinement, the graph-theoretic BFS
-/// prepartitioner and repartitioning.
+/// \brief Tests for the §8 future-work extensions: Dinic max-flow,
+/// flow-based pairwise refinement, the graph-theoretic BFS prepartitioner
+/// and repartitioning.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 
 #include "coarsening/prepartition.hpp"
 #include "core/partitioner.hpp"
@@ -18,92 +17,10 @@
 #include "refinement/flow_refiner.hpp"
 #include "refinement/max_flow.hpp"
 #include "refinement/pairwise_refiner.hpp"
-#include "util/bucket_pq.hpp"
 #include "util/random.hpp"
 
 namespace kappa {
 namespace {
-
-// ------------------------------------------------------------ BucketPQ ----
-
-TEST(BucketPQ, BasicOrderAndNegativeKeys) {
-  BucketPQ<NodeID> pq(8, 10);
-  pq.push(0, -5);
-  pq.push(1, 3);
-  pq.push(2, 10);
-  pq.push(3, -10);
-  EXPECT_EQ(pq.top(), 2u);
-  EXPECT_EQ(pq.top_key(), 10);
-  EXPECT_EQ(pq.pop(), 2u);
-  EXPECT_EQ(pq.pop(), 1u);
-  EXPECT_EQ(pq.pop(), 0u);
-  EXPECT_EQ(pq.pop(), 3u);
-  EXPECT_TRUE(pq.empty());
-}
-
-TEST(BucketPQ, UpdateAndErase) {
-  BucketPQ<NodeID> pq(4, 100);
-  pq.push(0, 1);
-  pq.push(1, 2);
-  pq.update_key(0, 50);
-  EXPECT_EQ(pq.top(), 0u);
-  EXPECT_EQ(pq.key(0), 50);
-  pq.erase(0);
-  EXPECT_FALSE(pq.contains(0));
-  EXPECT_EQ(pq.top(), 1u);
-}
-
-/// Property sweep: the bucket queue agrees with the binary heap under
-/// random workloads across key ranges.
-class BucketPQProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(BucketPQProperty, MatchesReference) {
-  const int range = GetParam();
-  Rng rng(static_cast<std::uint64_t>(range) * 13);
-  BucketPQ<NodeID> pq(64, range);
-  std::map<NodeID, std::ptrdiff_t> reference;
-  for (int step = 0; step < 3000; ++step) {
-    const NodeID id = static_cast<NodeID>(rng.bounded(64));
-    const std::ptrdiff_t key =
-        static_cast<std::ptrdiff_t>(rng.bounded(2 * range + 1)) - range;
-    switch (rng.bounded(4)) {
-      case 0:
-        if (!pq.contains(id)) {
-          pq.push(id, key);
-          reference[id] = key;
-        }
-        break;
-      case 1:
-        if (pq.contains(id)) {
-          pq.update_key(id, key);
-          reference[id] = key;
-        }
-        break;
-      case 2:
-        if (pq.contains(id)) {
-          pq.erase(id);
-          reference.erase(id);
-        }
-        break;
-      default:
-        if (!pq.empty()) {
-          const auto max_key =
-              std::max_element(reference.begin(), reference.end(),
-                               [](const auto& a, const auto& b) {
-                                 return a.second < b.second;
-                               })
-                  ->second;
-          ASSERT_EQ(pq.top_key(), max_key);
-          reference.erase(pq.pop());
-        }
-        break;
-    }
-    ASSERT_EQ(pq.size(), reference.size());
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Ranges, BucketPQProperty,
-                         ::testing::Values(1, 4, 32, 1000));
 
 // ------------------------------------------------------------ max flow ----
 

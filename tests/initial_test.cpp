@@ -127,7 +127,7 @@ TEST_P(RecursiveBisectionProperty, FeasiblePartition) {
 INSTANTIATE_TEST_SUITE_P(Ks, RecursiveBisectionProperty,
                          ::testing::Values(2, 3, 4, 5, 7, 8, 12, 16));
 
-TEST(InitialPartitioner, MoreRepeatsNeverHurt) {
+TEST(InitialPartition, MoreRepeatsNeverHurt) {
   Rng graph_rng(13);
   const StaticGraph g = random_geometric_graph(1200, 0.06, graph_rng);
   InitialPartitionOptions one;
@@ -155,7 +155,7 @@ TEST(InitialPartitioner, MoreRepeatsNeverHurt) {
       << "overload " << o5 << " vs " << o1;
 }
 
-TEST(InitialPartitioner, WorksOnCoarseWeightedGraphs) {
+TEST(InitialPartition, WorksOnCoarseWeightedGraphs) {
   // Simulate a coarsest graph: few nodes, heavy weights.
   GraphBuilder builder(12);
   Rng rng(3);

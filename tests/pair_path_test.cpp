@@ -176,10 +176,7 @@ TEST_P(PairPathPipeline, EveryBuiltSideEqualsWholeBlockOracle) {
     std::atomic<std::uint64_t> fresh{0};
     PERuntime runtime(p, seed);
     runtime.run([&](PEContext& pe) {
-      SpmdCoarsener coarsener(config, pe);
-      SpmdInitialPartitioner initial(config, pe);
-      SpmdRefiner refiner(g, config, pe);
-      refiner.set_pair_side_observer([&](const PairSideProbe& probe) {
+      const auto check_side = [&](const PairSideProbe& probe) {
         const std::string where = "seed " + std::to_string(seed) + " rank " +
                                   std::to_string(pe.rank()) + " pair (" +
                                   std::to_string(probe.edge.a) + "," +
@@ -191,9 +188,9 @@ TEST_P(PairPathPipeline, EveryBuiltSideEqualsWholeBlockOracle) {
           fresh.fetch_add(1);
         }
         sides.fetch_add(1);
-      });
+      };
       const PartitionResult result =
-          run_multilevel_spmd(g, config, coarsener, initial, refiner);
+          run_multilevel_spmd(g, config, pe, nullptr, check_side);
       EXPECT_TRUE(result.balanced);
     });
     EXPECT_GT(sides.load(), 100u);
@@ -341,6 +338,78 @@ TEST(PairPathGolden, PartitionsUnchangedForP1AndP4) {
       EXPECT_EQ(result.cut, golden.cut) << golden.instance << " p=" << p;
       EXPECT_EQ(assignment_hash(result.partition), golden.hash)
           << golden.instance << " p=" << p;
+    }
+  }
+}
+
+/// The rest of the flows through the two drivers, on the same instances
+/// and config: the sequential pipeline from scratch, and repartitioning —
+/// sequential, and SPMD at p = 1 and 4 — of a deterministic perturbation
+/// of that pipeline's own fresh partition. These pin the sequential
+/// pipeline byte for byte, and the warm-start path of both.
+struct Pin {
+  EdgeWeight cut;
+  std::uint64_t hash;
+};
+struct FlowGolden {
+  const char* instance;
+  Pin sequential;
+  Pin sequential_repartition;
+  Pin spmd_repartition;
+};
+constexpr FlowGolden kFlowGoldens[] = {
+    {"rgg14",
+     {935, 0xfa03553480066e89ull},
+     {923, 0x0e3b0581dc377483ull},
+     {936, 0x9d4f26432fd3d0ecull}},
+    {"delaunay14",
+     {2932, 0x703efec183bb215bull},
+     {2898, 0x7328445691c4c36aull},
+     {2884, 0xe693f876e2161613ull}},
+    {"rmat_12",
+     {9939, 0x68e82ce57316e1e7ull},
+     {9899, 0x8eaab815c86424bbull},
+     {9882, 0x6e1e3362b712f801ull}},
+};
+
+/// Moves n/20 seeded random nodes to seeded random blocks.
+Partition perturb(const StaticGraph& g, const Partition& partition) {
+  Partition perturbed = partition;
+  Rng rng(13);
+  for (NodeID i = 0; i < g.num_nodes() / 20; ++i) {
+    const NodeID u = static_cast<NodeID>(rng.bounded(g.num_nodes()));
+    const BlockID to = static_cast<BlockID>(rng.bounded(partition.k()));
+    if (perturbed.block(u) != to) perturbed.move(u, to, g.node_weight(u));
+  }
+  return perturbed;
+}
+
+void expect_pin(const PartitionResult& result, const Pin& pin,
+                const std::string& where) {
+  EXPECT_EQ(result.cut, pin.cut) << where;
+  EXPECT_EQ(assignment_hash(result.partition), pin.hash) << where;
+}
+
+TEST(PairPathGolden, SequentialAndRepartitionFlowsUnchanged) {
+  const Config config = golden_config();
+  for (const FlowGolden& golden : kFlowGoldens) {
+    const StaticGraph g = make_instance(golden.instance, 1);
+    const std::string name = golden.instance;
+    const Partitioner sequential(Context::sequential(config));
+    const PartitionResult fresh = sequential.partition(g);
+    expect_pin(fresh, golden.sequential, name + " sequential");
+    expect_pin(sequential.repartition(g, perturb(g, fresh.partition)),
+               golden.sequential_repartition,
+               name + " sequential repartition");
+
+    PERuntime single(1, config.seed);
+    const Partitioner spmd(Context::spmd(config, single));
+    const Partition warm = perturb(g, spmd.partition(g).partition);
+    for (const int p : {1, 4}) {
+      PERuntime runtime(p, config.seed);
+      const Partitioner repartitioner(Context::spmd(config, runtime));
+      expect_pin(repartitioner.repartition(g, warm), golden.spmd_repartition,
+                 name + " spmd repartition p=" + std::to_string(p));
     }
   }
 }

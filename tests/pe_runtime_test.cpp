@@ -3,8 +3,16 @@
 /// the distributed edge-coloring protocol running on it.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <new>
 #include <numeric>
+#include <system_error>
 
 #include "generators/generators.hpp"
 #include "graph/quotient_graph.hpp"
@@ -223,6 +231,58 @@ TEST(PERuntime, CommStatsCountTraffic) {
   EXPECT_EQ(stats.messages_sent, 2u);
   EXPECT_EQ(stats.words_sent, 4u);
   EXPECT_GE(stats.barriers, 1u);
+}
+
+/// Caps this process's address space at its current size (from
+/// /proc/self/statm) plus \p extra bytes.
+bool limit_address_space(std::uint64_t extra) {
+  std::FILE* statm = std::fopen("/proc/self/statm", "r");
+  if (statm == nullptr) return false;
+  unsigned long long pages = 0;
+  const bool read = std::fscanf(statm, "%llu", &pages) == 1;
+  std::fclose(statm);
+  rlimit limit{};
+  if (!read || ::getrlimit(RLIMIT_AS, &limit) != 0) return false;
+  const std::uint64_t cap =
+      pages * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE)) + extra;
+  limit.rlim_cur = std::min<rlim_t>(static_cast<rlim_t>(cap), limit.rlim_max);
+  return ::setrlimit(RLIMIT_AS, &limit) == 0;
+}
+
+TEST(PERuntime, FailedThreadStartThrowsInsteadOfTerminating) {
+  // run() starts one thread per rank. Under a tight address-space cap a
+  // later start fails after earlier ones succeeded: the started ranks
+  // must not be inside their program (they would wait in the first
+  // collective for the rank that never started), and the run must join
+  // them and throw rather than destroy joinable threads (std::terminate).
+  // The headroom sweep covers no start, some starts and every start with
+  // 8 MiB thread stacks; each child exits normally or the test fails.
+  for (const std::uint64_t headroom_mb : {4, 8, 12, 16, 20, 40}) {
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      ::alarm(30);  // a hung run dies by SIGALRM, reported below
+      int code = 3;
+      try {
+        PERuntime runtime(4);
+        if (!limit_address_space(headroom_mb << 20)) ::_exit(4);
+        runtime.run([](PEContext& pe) { pe.barrier(); });
+        code = 0;
+      } catch (const std::system_error&) {
+        code = 1;
+      } catch (const std::bad_alloc&) {
+        code = 2;
+      } catch (...) {
+      }
+      ::_exit(code);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_FALSE(WIFSIGNALED(status))
+        << "+" << headroom_mb << " MiB: killed by signal " << WTERMSIG(status);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_LE(WEXITSTATUS(status), 2) << "+" << headroom_mb << " MiB";
+  }
 }
 
 // ----------------------------------------------- distributed coloring ----

@@ -155,17 +155,6 @@ TEST(Pipeline, StrongNotWorseThanMinimalOnAverage) {
   EXPECT_LT(strong_total, minimal_total);
 }
 
-TEST(Pipeline, ThreadedRefinementIsValid) {
-  const StaticGraph g = make_instance("rgg14", 6);
-  Config config = Config::preset(Preset::kFast, 16);
-  config.num_threads = 4;
-  config.seed = 9;
-  const PartitionResult result =
-      Partitioner(Context::sequential(config)).partition(g);
-  EXPECT_EQ(validate_partition(g, result.partition), "");
-  EXPECT_TRUE(result.balanced);
-}
-
 TEST(Pipeline, HandlesDisconnectedGraph) {
   // Two separate grids.
   GraphBuilder builder(200);

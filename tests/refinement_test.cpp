@@ -281,28 +281,6 @@ TEST(PairwiseRefiner, ImprovesStripedGridPartition) {
   EXPECT_TRUE(is_balanced(g, p, 0.03));
 }
 
-TEST(PairwiseRefiner, ThreadedMatchesInvariants) {
-  Rng graph_rng(9);
-  const StaticGraph g = random_geometric_graph(2500, 0.04, graph_rng);
-  std::vector<BlockID> assignment(g.num_nodes());
-  Rng arng(2);
-  for (auto& b : assignment) b = static_cast<BlockID>(arng.bounded(8));
-  Partition p(g, std::move(assignment), 8);
-  const EdgeWeight before = edge_cut(g, p);
-
-  PairwiseRefinerOptions options;
-  options.fm.max_block_weight = max_block_weight_bound(g, 8, 0.03);
-  options.fm.patience_alpha = 0.2;
-  options.num_threads = 4;  // concurrent independent pairs
-  options.max_global_iterations = 6;
-  Rng rng(3);
-  const PairwiseRefineReport report = pairwise_refine(g, p, options, rng);
-
-  EXPECT_EQ(validate_partition(g, p), "");
-  EXPECT_EQ(before - edge_cut(g, p), report.total_cut_gain);
-  EXPECT_GT(report.total_cut_gain, 0);
-}
-
 TEST(PairwiseRefiner, DuplicateSearchNotWorseThanSingle) {
   const StaticGraph g = grid_graph(24, 24);
   Partition p1 = striped_partition(g, 24, 4);

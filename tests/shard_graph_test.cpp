@@ -203,8 +203,6 @@ TEST(DistGraph, RankFilteredBuildMaterializesOwnShardsOnly) {
         EXPECT_EQ(filtered.shard(s).nodes, full.shard(s).nodes);
         EXPECT_EQ(filtered.shard(s).cross_arcs.size(),
                   full.shard(s).cross_arcs.size());
-        EXPECT_EQ(filtered.shard(s).boundary_nodes,
-                  full.shard(s).boundary_nodes);
       } else {
         EXPECT_TRUE(filtered.shard(s).nodes.empty());
         EXPECT_TRUE(filtered.shard(s).cross_arcs.empty());
@@ -353,8 +351,8 @@ TEST(DistHierarchy, LevelsAreShardedNotReplicated) {
     std::vector<std::vector<ShardFootprint>> per_rank(p);
     std::vector<std::vector<NodeID>> level_nodes(p);
     runtime.run([&](PEContext& pe) {
-      SpmdCoarsener coarsener(config, pe);
-      const DistHierarchy hierarchy = coarsener.coarsen(g);
+      const DistHierarchy hierarchy(g, coarsening_options(g, config),
+                                    Rng(config.seed).fork(1), pe);
       for (std::size_t l = 0; l < hierarchy.num_levels(); ++l) {
         per_rank[pe.rank()].push_back(hierarchy.level(l).footprint());
         level_nodes[pe.rank()].push_back(hierarchy.level_nodes(l));
@@ -399,8 +397,8 @@ TEST(DistHierarchy, EveryLevelResolvesResidentIdsWithoutHashing) {
   for (const int p : {1, 2, 3, 4, 7}) {
     PERuntime runtime(p, config.seed);
     runtime.run([&](PEContext& pe) {
-      SpmdCoarsener coarsener(config, pe);
-      const DistHierarchy hierarchy = coarsener.coarsen(g);
+      const DistHierarchy hierarchy(g, coarsening_options(g, config),
+                                    Rng(config.seed).fork(1), pe);
       ASSERT_GE(hierarchy.num_levels(), 3u);
       for (std::size_t l = 0; l < hierarchy.num_levels(); ++l) {
         const DistLevel& level = hierarchy.level(l);
@@ -479,8 +477,8 @@ TEST(DistHierarchy, GatheredCoarsestIsConsistentAcrossPeCounts) {
     std::vector<NodeID> nodes(p, 0);
     std::vector<EdgeID> arcs(p, 0);
     runtime.run([&](PEContext& pe) {
-      SpmdCoarsener coarsener(config, pe);
-      DistHierarchy hierarchy = coarsener.coarsen(g);
+      DistHierarchy hierarchy(g, coarsening_options(g, config),
+                              Rng(config.seed).fork(1), pe);
       const StaticGraph& coarsest = hierarchy.coarsest();
       nodes[pe.rank()] = coarsest.num_nodes();
       arcs[pe.rank()] = coarsest.num_arcs();

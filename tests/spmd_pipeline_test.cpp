@@ -53,9 +53,6 @@ TEST(DistGraph, CrossArcsAreExactlyTheShardBoundary) {
       EXPECT_NE(dist.shard_of(arc.v), s);
     }
     listed += dist.shard(s).cross_arcs.size();
-    for (const NodeID u : dist.shard(s).boundary_nodes) {
-      EXPECT_EQ(dist.shard_of(u), s);
-    }
   }
   EXPECT_EQ(listed, cross);
 }

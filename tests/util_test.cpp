@@ -8,6 +8,7 @@
 #include <set>
 
 #include "util/addressable_pq.hpp"
+#include "util/json.hpp"
 #include "util/random.hpp"
 #include "util/stats.hpp"
 
@@ -218,6 +219,16 @@ TEST(Stats, RunAggregateTracksColumns) {
   EXPECT_NEAR(agg.avg_balance(), 1.03, 1e-12);
   EXPECT_NEAR(agg.avg_time(), 3.0, 1e-12);
   EXPECT_EQ(agg.count(), 3u);
+}
+
+TEST(JsonString, QuotesAndEscapesEveryControlCharacter) {
+  EXPECT_EQ(json_string("phase.coarsen"), "\"phase.coarsen\"");
+  EXPECT_EQ(json_string(""), "\"\"");
+  EXPECT_EQ(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
+  EXPECT_EQ(json_string("x\ny\tz"), "\"x\\ny\\tz\"");
+  EXPECT_EQ(json_string(std::string("\r\x01\x1f\0", 4)),
+            "\"\\u000d\\u0001\\u001f\\u0000\"");
+  EXPECT_EQ(json_string("caf\xc3\xa9"), "\"caf\xc3\xa9\"");  // UTF-8 as is
 }
 
 }  // namespace
