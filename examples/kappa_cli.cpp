@@ -11,6 +11,9 @@
 ///             [--trace-out=FILE] [--metrics-out=FILE]
 ///             [--watch-out=FILE] [--stall-timeout-ms=N]
 ///
+/// Any other argument after <k> is an error: the usage line goes to
+/// stderr and the tool exits with status 2 before reading the graph.
+///
 /// --pes=N > 0 runs the pipeline SPMD on a PE runtime of N PEs (the
 /// result is identical for every N under a fixed seed; N changes wall
 /// time and the communication counters printed at the end).
@@ -59,6 +62,44 @@
 
 namespace {
 
+/// Every option the tool knows; each takes a value (--name=value).
+constexpr const char* kOptions[] = {
+    "--preset",    "--eps",         "--seed",        "--pes",
+    "--transport", "--rank",        "--peers",       "--recv-timeout-ms",
+    "--output",    "--trace-out",   "--metrics-out", "--watch-out",
+    "--stall-timeout-ms"};
+
+void print_usage(const char* program) {
+  std::fprintf(stderr,
+               "usage: %s <graph.metis> <k> [--preset=fast|strong|minimal]"
+               " [--eps=0.03] [--seed=1] [--pes=0]"
+               " [--transport=inproc|tcp] [--rank=R] [--peers=HOST:PORT]"
+               " [--recv-timeout-ms=N] [--output=FILE]"
+               " [--trace-out=FILE] [--metrics-out=FILE]"
+               " [--watch-out=FILE] [--stall-timeout-ms=N]\n",
+               program);
+}
+
+/// The first argument after <graph> <k> that is not a known
+/// --name=value option, or nullptr. Empty arguments (an empty array
+/// expanded by a launcher script) are ignored.
+const char* unknown_option(int argc, char** argv) {
+  for (int i = 3; i < argc; ++i) {
+    const char* arg = argv[i];
+    if (arg[0] == '\0') continue;
+    const char* eq = std::strchr(arg, '=');
+    const std::size_t len =
+        eq == nullptr ? 0 : static_cast<std::size_t>(eq - arg);
+    bool known = false;
+    for (const char* option : kOptions) {
+      known = known || (std::strlen(option) == len &&
+                        std::strncmp(arg, option, len) == 0);
+    }
+    if (!known) return arg;
+  }
+  return nullptr;
+}
+
 const char* arg_value(int argc, char** argv, const char* key) {
   const std::size_t len = std::strlen(key);
   for (int i = 3; i < argc; ++i) {
@@ -84,14 +125,14 @@ struct CaptureTraceSink final : kappa::TraceSink {
 int main(int argc, char** argv) {
   using namespace kappa;
   if (argc < 3) {
+    print_usage(argv[0]);
+    return 2;
+  }
+  if (const char* option = unknown_option(argc, argv)) {
     std::fprintf(stderr,
-                 "usage: %s <graph.metis> <k> [--preset=fast|strong|minimal]"
-                 " [--eps=0.03] [--seed=1] [--pes=0]"
-                 " [--transport=inproc|tcp] [--rank=R] [--peers=HOST:PORT]"
-                 " [--recv-timeout-ms=N] [--output=FILE]"
-                 " [--trace-out=FILE] [--metrics-out=FILE]"
-                 " [--watch-out=FILE] [--stall-timeout-ms=N]\n",
-                 argv[0]);
+                 "error: unknown option '%s' (options are --name=value)\n",
+                 option);
+    print_usage(argv[0]);
     return 2;
   }
 

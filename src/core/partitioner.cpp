@@ -4,9 +4,9 @@
 /// run_multilevel(), SPMD through run_multilevel_spmd().
 #include "core/partitioner.hpp"
 
-#include <cassert>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -145,7 +145,18 @@ PartitionResult Partitioner::partition(const StaticGraph& graph) const {
 
 PartitionResult Partitioner::repartition(const StaticGraph& graph,
                                          const Partition& current) const {
-  assert(current.k() == context_.config().k);
+  if (current.k() != context_.config().k) {
+    throw std::invalid_argument(
+        "repartition: the current partition has " +
+        std::to_string(current.k()) + " blocks, the config asks for k = " +
+        std::to_string(context_.config().k));
+  }
+  if (current.num_nodes() != graph.num_nodes()) {
+    throw std::invalid_argument(
+        "repartition: the current partition covers " +
+        std::to_string(current.num_nodes()) + " nodes, the graph has " +
+        std::to_string(graph.num_nodes()));
+  }
   const EdgeWeight input_cut = edge_cut(graph, current);
   PartitionResult result =
       context_.is_spmd()

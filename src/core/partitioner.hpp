@@ -167,13 +167,14 @@ class Partitioner {
   /// contraction, initial partitioning, uncoarsening with refinement.
   [[nodiscard]] PartitionResult partition(const StaticGraph& graph) const;
 
-  /// Improves \p current (must have k = config.k blocks) with the
-  /// warm-started pipeline: contraction only matches nodes of the same
-  /// current block (so the assignment projects exactly onto every level),
-  /// the coarsest partition is the projected assignment, and refinement
-  /// proceeds as usual. The cut improves, feasibility is restored, and —
-  /// the point of the exercise — far fewer nodes migrate than under a
-  /// from-scratch run.
+  /// Improves \p current with the warm-started pipeline: contraction only
+  /// matches nodes of the same current block (so the assignment projects
+  /// exactly onto every level), the coarsest partition is the projected
+  /// assignment, and refinement proceeds as usual. The cut improves,
+  /// feasibility is restored, and — the point of the exercise — far fewer
+  /// nodes migrate than under a from-scratch run. Throws
+  /// std::invalid_argument, before any work, unless \p current has
+  /// config.k blocks and one entry per node of \p graph.
   [[nodiscard]] PartitionResult repartition(const StaticGraph& graph,
                                             const Partition& current) const;
 

@@ -91,6 +91,11 @@ class StaticGraph {
     return {adj_.data() + xadj_[u], adj_.data() + xadj_[u + 1]};
   }
 
+  /// Weights of u's arcs, parallel to neighbors(u).
+  [[nodiscard]] std::span<const EdgeWeight> neighbor_weights(NodeID u) const {
+    return {ewgt_.data() + xadj_[u], ewgt_.data() + xadj_[u + 1]};
+  }
+
   /// Sum of all node weights c(V).
   [[nodiscard]] NodeWeight total_node_weight() const {
     return total_node_weight_;

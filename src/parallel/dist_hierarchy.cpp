@@ -998,6 +998,9 @@ BlockRowShard DistHierarchy::distribute_block_rows(
       const Message msg = pe_.receive(q);
       for (const std::uint64_t word : msg.payload) {
         const auto [u, b] = unpack_pair(word);
+        if (u >= finest_->num_nodes() || b >= k) {
+          throw TransportError("malformed row distribution: (node, block)");
+        }
         mine.push_back(static_cast<NodeID>(u));
         mine_blocks.push_back(static_cast<BlockID>(b));
       }
@@ -1019,18 +1022,26 @@ BlockRowShard DistHierarchy::distribute_block_rows(
 
   // §5.2 data distribution: rows move from shard owners to block owners,
   // each preceded by its block word (the receiver holds no assignment).
-  struct Incoming {
+  // The store's core is written once, in id order: an index of
+  // (id, source) is sorted first, then each local row is copied from the
+  // resident CSR and each received row decoded from its payload.
+  struct Source {
     NodeID id;
     BlockID block;
-    GraphRow row;
+    int from;        ///< sending rank; this rank for a local row
+    std::size_t at;  ///< local: owned index; received: payload offset
   };
-  std::vector<Incoming> incoming;
+  std::vector<Source> index;
   std::vector<std::vector<std::uint64_t>> outbox(p);
   GraphRow scratch;
   for (NodeID i = 0; i < num_owned; ++i) {
     const NodeID u = L.shard.global_of(i);
     const BlockID b = partition.block(u);
     const int dest = BlockRowShard::owner_of_block(b, p);
+    if (dest == rank) {
+      index.push_back({u, b, rank, i});
+      continue;
+    }
     scratch.weight = resident.node_weight(i);
     scratch.targets.clear();
     scratch.weights.clear();
@@ -1038,48 +1049,55 @@ BlockRowShard DistHierarchy::distribute_block_rows(
       scratch.targets.push_back(L.shard.global_of(resident.arc_target(e)));
       scratch.weights.push_back(resident.arc_weight(e));
     }
-    if (dest == rank) {
-      incoming.push_back({u, b, scratch});
-    } else {
-      outbox[dest].push_back(b);
-      append_row_words(outbox[dest], u,
-                       {scratch.weight, scratch.targets, scratch.weights},
-                       [](NodeID) { return true; });
-    }
+    outbox[dest].push_back(b);
+    append_row_words(outbox[dest], u,
+                     {scratch.weight, scratch.targets, scratch.weights},
+                     [](NodeID) { return true; });
   }
   // Deterministic all-to-all rendezvous: one (possibly empty) message to
   // every other rank, one receive from each.
   for (int q = 0; q < p; ++q) {
     if (q != rank) pe_.send(q, std::move(outbox[q]));
   }
+  std::vector<std::vector<std::uint64_t>> inbox(p);
   for (int q = 0; q < p; ++q) {
     if (q == rank) continue;
-    const Message msg = pe_.receive(q);
-    std::size_t cursor = 0;
-    GraphRow row;
-    while (cursor + 3 < msg.payload.size()) {
-      const BlockID b = static_cast<BlockID>(msg.payload[cursor++]);
-      const NodeID id = decode_row_words(msg.payload, cursor, row);
-      incoming.push_back({id, b, std::move(row)});
+    inbox[q] = pe_.receive(q).payload;
+    const std::vector<std::uint64_t>& words = inbox[q];
+    for (std::size_t cursor = 0; cursor < words.size();) {
+      const std::size_t at = cursor;
+      if (words[cursor] >= k) {
+        throw TransportError("malformed row distribution: block");
+      }
+      const BlockID b = static_cast<BlockID>(words[cursor++]);
+      const NodeID id = skip_row_words(words, cursor);
+      index.push_back({id, b, q, at + 1});
     }
   }
-  std::sort(incoming.begin(), incoming.end(),
-            [](const Incoming& a, const Incoming& b) { return a.id < b.id; });
+  std::sort(index.begin(), index.end(),
+            [](const Source& x, const Source& y) { return x.id < y.id; });
 
   RowSet core;
   std::vector<BlockID> blocks;
-  core.ids.reserve(incoming.size());
-  core.xadj.reserve(incoming.size() + 1);
+  core.ids.reserve(index.size());
+  core.vwgt.reserve(index.size());
+  core.xadj.reserve(index.size() + 1);
   core.xadj.push_back(0);
-  blocks.reserve(incoming.size());
-  for (Incoming& in : incoming) {
-    core.ids.push_back(in.id);
-    blocks.push_back(in.block);
-    core.vwgt.push_back(in.row.weight);
-    core.adj.insert(core.adj.end(), in.row.targets.begin(),
-                    in.row.targets.end());
-    core.ewgt.insert(core.ewgt.end(), in.row.weights.begin(),
-                     in.row.weights.end());
+  blocks.reserve(index.size());
+  for (const Source& source : index) {
+    blocks.push_back(source.block);
+    if (source.from != rank) {
+      std::size_t cursor = source.at;
+      (void)decode_row_words(inbox[source.from], cursor, core);
+      continue;
+    }
+    const NodeID i = static_cast<NodeID>(source.at);
+    core.ids.push_back(source.id);
+    core.vwgt.push_back(resident.node_weight(i));
+    for (EdgeID e = resident.first_arc(i); e < resident.last_arc(i); ++e) {
+      core.adj.push_back(L.shard.global_of(resident.arc_target(e)));
+      core.ewgt.push_back(resident.arc_weight(e));
+    }
     core.xadj.push_back(core.adj.size());
   }
   return BlockRowShard(std::move(core), blocks, k, rank, p);

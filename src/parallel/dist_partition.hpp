@@ -126,6 +126,13 @@ class DistPartition {
   /// consistent.
   void apply_move(NodeID u, BlockID from, BlockID to, NodeWeight weight);
 
+  /// Writes \p b into the entry in \p slot and nothing else: no journal
+  /// entry, no block weights. The in-place pair search writes its
+  /// tentative moves through here and restores every entry it changed
+  /// before the delta exchange applies the pair's net moves with
+  /// apply_move().
+  void write_tentative(NodeID slot, BlockID b) { entries_[slot] = b; }
+
   [[nodiscard]] NodeWeight block_weight(BlockID b) const {
     return block_weight_[b];
   }

@@ -420,13 +420,17 @@ std::vector<RankCounters> PERuntime::run(
   // for a rank that never comes, and could never be joined.
   std::latch start(1);
   std::atomic<bool> aborted{false};
+  // The local rank whose program threw first: its exception is the
+  // original one. The fabric is failed right after, so the errors of the
+  // ranks it leaves blocked are consequences, never rethrown.
+  std::atomic<int> first_error{-1};
   std::vector<std::thread> threads;
   threads.reserve(locals.size());
   try {
     for (std::size_t i = 0; i < locals.size(); ++i) {
       const int rank = locals[i];
       threads.emplace_back([this, &program, &stats, &errors, &start,
-                            &aborted, i, rank]() {
+                            &aborted, &first_error, i, rank]() {
         start.wait();
         if (aborted.load()) return;
         try {
@@ -435,6 +439,9 @@ std::vector<RankCounters> PERuntime::run(
           stats[static_cast<std::size_t>(rank)] = context.counters();
         } catch (...) {
           errors[i] = std::current_exception();
+          int none = -1;
+          first_error.compare_exchange_strong(none, static_cast<int>(i));
+          fabric_->fail_local("rank " + std::to_string(rank) + " failed");
         }
       });
     }
@@ -446,9 +453,7 @@ std::vector<RankCounters> PERuntime::run(
   }
   start.count_down();
   for (auto& thread : threads) thread.join();
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
+  if (first_error.load() >= 0) std::rethrow_exception(errors[first_error]);
   return stats;
 }
 

@@ -226,8 +226,13 @@ class PERuntime {
   /// Executes \p program on every locally hosted PE (one thread each) and
   /// joins. Returns each PE's PEContext::counters() at the end of its
   /// program, indexed by *global* rank; only locally hosted slots are
-  /// populated (aggregate with fold_counters()). A PE whose program
-  /// throws rethrows here after all local PEs finished. No program starts
+  /// populated (aggregate with fold_counters()). When a PE's program
+  /// throws, the fabric is failed (TransportFabric::fail_local()): every
+  /// other local PE blocked in, or later entering, a receive or barrier
+  /// raises TransportError and unwinds, and run() rethrows the first
+  /// original exception once all local PEs finished — never a consequent
+  /// TransportError. The fabric stays failed: later runs on this runtime
+  /// throw TransportError at their first receive or barrier. No program starts
   /// before every local thread has: if a thread fails to start, the
   /// started ones exit without running, are joined, and the start error
   /// (std::system_error) is rethrown.

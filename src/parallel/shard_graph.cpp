@@ -7,8 +7,14 @@
 
 namespace kappa {
 
-NodeID decode_row_words(const std::vector<std::uint64_t>& words,
-                        std::size_t& cursor, GraphRow& row) {
+namespace {
+
+/// The checked row decoding behind decode_row_words() and
+/// skip_row_words(): the header goes to \p begin(weight, narcs), each arc
+/// to \p arc(target, weight).
+template <typename Begin, typename Arc>
+NodeID decode_row(const std::vector<std::uint64_t>& words,
+                  std::size_t& cursor, Begin&& begin, Arc&& arc) {
   if (cursor > words.size() || words.size() - cursor < 3) {
     throw TransportError("malformed row: truncated header");
   }
@@ -18,21 +24,55 @@ NodeID decode_row_words(const std::vector<std::uint64_t>& words,
   if (narcs > (words.size() - cursor - 3) / 2) {
     throw TransportError("malformed row: arc count exceeds payload");
   }
-  row.weight = bits_weight(words[cursor + 1]);
+  begin(bits_weight(words[cursor + 1]), narcs);
   cursor += 3;
-  row.targets.clear();
-  row.weights.clear();
-  row.targets.reserve(narcs);
-  row.weights.reserve(narcs);
   for (std::uint64_t j = 0; j < narcs; ++j) {
     if (words[cursor] >= kInvalidNode) {
       throw TransportError("malformed row: target id");
     }
-    row.targets.push_back(static_cast<NodeID>(words[cursor]));
-    row.weights.push_back(bits_weight(words[cursor + 1]));
+    arc(static_cast<NodeID>(words[cursor]), bits_weight(words[cursor + 1]));
     cursor += 2;
   }
   return static_cast<NodeID>(id);
+}
+
+}  // namespace
+
+NodeID decode_row_words(const std::vector<std::uint64_t>& words,
+                        std::size_t& cursor, GraphRow& row) {
+  return decode_row(
+      words, cursor,
+      [&](NodeWeight weight, std::uint64_t narcs) {
+        row.weight = weight;
+        row.targets.clear();
+        row.weights.clear();
+        row.targets.reserve(narcs);
+        row.weights.reserve(narcs);
+      },
+      [&](NodeID target, EdgeWeight weight) {
+        row.targets.push_back(target);
+        row.weights.push_back(weight);
+      });
+}
+
+NodeID decode_row_words(const std::vector<std::uint64_t>& words,
+                        std::size_t& cursor, RowSet& rows) {
+  const NodeID id = decode_row(
+      words, cursor,
+      [&](NodeWeight weight, std::uint64_t) { rows.vwgt.push_back(weight); },
+      [&](NodeID target, EdgeWeight weight) {
+        rows.adj.push_back(target);
+        rows.ewgt.push_back(weight);
+      });
+  rows.ids.push_back(id);
+  rows.xadj.push_back(rows.adj.size());
+  return id;
+}
+
+NodeID skip_row_words(const std::vector<std::uint64_t>& words,
+                      std::size_t& cursor) {
+  return decode_row(words, cursor, [](NodeWeight, std::uint64_t) {},
+                    [](NodeID, EdgeWeight) {});
 }
 
 // ----------------------------------------------------------- halo decoding ----
@@ -293,28 +333,6 @@ GraphRow BlockRowShard::row(NodeID global) const {
   result.targets.assign(view.targets.begin(), view.targets.end());
   result.weights.assign(view.weights.begin(), view.weights.end());
   return result;
-}
-
-GraphRowView BlockRowShard::row_at(NodeID handle) const {
-  const NodeID num_core = static_cast<NodeID>(core_.ids.size());
-  const bool bound = bound_;
-  if (handle >= num_core) {
-    const std::size_t j = handle - num_core;
-    const GraphRow& r = arena_[j];
-    return {r.weight, r.targets, r.weights,
-            bound ? std::span<const NodeID>(arena_arc_slots_[j])
-                  : std::span<const NodeID>()};
-  }
-  const EdgeID begin = core_.xadj[handle];
-  const EdgeID end = core_.xadj[handle + 1];
-  return {core_.vwgt[handle],
-          std::span<const NodeID>(core_.adj.data() + begin,
-                                  core_.adj.data() + end),
-          std::span<const EdgeWeight>(core_.ewgt.data() + begin,
-                                      core_.ewgt.data() + end),
-          bound ? std::span<const NodeID>(core_arc_slots_.data() + begin,
-                                          core_arc_slots_.data() + end)
-                : std::span<const NodeID>()};
 }
 
 GraphRow BlockRowShard::apply_move(NodeID u, BlockID from, BlockID to,

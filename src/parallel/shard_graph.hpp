@@ -227,6 +227,16 @@ void append_row_words(std::vector<std::uint64_t>& words, NodeID id,
 NodeID decode_row_words(const std::vector<std::uint64_t>& words,
                         std::size_t& cursor, GraphRow& row);
 
+/// Same, appending the row to the end of \p rows (whose xadj must hold
+/// its leading 0): the one copy of a received row into a store's core.
+NodeID decode_row_words(const std::vector<std::uint64_t>& words,
+                        std::size_t& cursor, RowSet& rows);
+
+/// Checks the row at \p cursor like decode_row_words() and advances past
+/// it without copying; returns the node id.
+NodeID skip_row_words(const std::vector<std::uint64_t>& words,
+                      std::size_t& cursor);
+
 /// One rank's §5.2 block-row store for one uncoarsening level: the rows
 /// of all nodes currently assigned to the rank's blocks. The level-start
 /// extraction is the static core; rows that migrate in mid-level live in
@@ -359,7 +369,27 @@ class BlockRowShard {
   }
 
   /// Zero-copy view of the row behind \p handle (slots set when bound).
-  [[nodiscard]] GraphRowView row_at(NodeID handle) const;
+  /// Inline: the in-place pair search reads rows through it per arc scan.
+  [[nodiscard]] GraphRowView row_at(NodeID handle) const {
+    const NodeID num_core = static_cast<NodeID>(core_.ids.size());
+    if (handle >= num_core) {
+      const std::size_t j = handle - num_core;
+      const GraphRow& r = arena_[j];
+      return {r.weight, r.targets, r.weights,
+              bound_ ? std::span<const NodeID>(arena_arc_slots_[j])
+                     : std::span<const NodeID>()};
+    }
+    const EdgeID begin = core_.xadj[handle];
+    const EdgeID end = core_.xadj[handle + 1];
+    return {core_.vwgt[handle],
+            std::span<const NodeID>(core_.adj.data() + begin,
+                                    core_.adj.data() + end),
+            std::span<const EdgeWeight>(core_.ewgt.data() + begin,
+                                        core_.ewgt.data() + end),
+            bound_ ? std::span<const NodeID>(core_arc_slots_.data() + begin,
+                                             core_arc_slots_.data() + end)
+                   : std::span<const NodeID>()};
+  }
 
   /// Slot of the row's own node (bound stores only).
   [[nodiscard]] NodeID handle_slot(NodeID handle) const {

@@ -9,6 +9,8 @@
 #include "graph/metrics.hpp"
 #include "initial/initial_partitioner.hpp"
 #include "parallel/dist_coloring.hpp"
+#include "parallel/pair_view.hpp"
+#include "parallel/resident_pair.hpp"
 #include "parallel/wire_format.hpp"
 #include "refinement/edge_coloring.hpp"
 #include "util/progress.hpp"
@@ -227,210 +229,6 @@ QuotientGraph gather_quotient(const BlockRowShard& store,
   return QuotientGraph(k, std::move(edges));
 }
 
-namespace {
-
-/// A pair-local view: the two shipped/local bands as movable nodes with
-/// their full in-pair rows, plus the frozen stubs — fringe nodes and any
-/// cross-side band-row target outside the other band (possible when
-/// mid-level moves created boundary the stale quotient seeds miss). Stubs
-/// carry their true block, so every band gain is exact, but they are
-/// non-movable: their rows are only the mirror arcs back into the bands,
-/// and their weights are never read. View ids ascend with global ids and
-/// the block weights are the caller-supplied *global* pair weights, so
-/// the search on the view is a pure function of the pair and the supplied
-/// state — independent of p and of which rank executes (the caller passes
-/// the globally consistent replicated weights).
-struct PairView {
-  StaticGraph graph;
-  Partition partition;
-  std::vector<NodeID> to_global;
-  std::vector<BlockID> entry;  ///< entry block per view node
-  std::vector<char> movable;   ///< band nodes; stubs are frozen context
-  std::vector<NodeID> seeds;   ///< boundary seeds, mapped into view ids
-};
-
-PairView build_pair_view(const PairSide& side_a, const PairSide& side_b,
-                         NodeWeight weight_a, NodeWeight weight_b,
-                         const QuotientEdge& edge, BlockID k) {
-  // The view nodes are the union of six ascending id lists, one per role:
-  // the two bands, the two shipped same-side fringes (stubs), and any
-  // tagged band-row target listed nowhere else (by construction a
-  // cross-side target, since same-side targets are covered by the fringe,
-  // so its block is the partner block of the row's side). One linear
-  // merge numbers them in ascending global order; among equal ids the
-  // lowest role wins, which ranks a band node above any stub listing and
-  // the fringes above cross targets. Same-side arcs resolve by index
-  // through the merge; only tagged arcs are searched.
-  enum Role : int { kBandA, kBandB, kFringeA, kFringeB, kArcA, kArcB, kRoles };
-  const PairSide* sides[2] = {&side_a, &side_b};
-  std::vector<std::uint64_t> unlisted[2];  // tagged targets not in a list
-  std::span<const std::uint64_t> lists[kRoles];
-  for (int s = 0; s < 2; ++s) {
-    lists[kBandA + s] = sides[s]->band_ids();
-    lists[kFringeA + s] = sides[s]->fringe_ids();
-  }
-
-  PairView view;
-  std::vector<Role> role;          // by view node: its winning role
-  std::vector<NodeID> role_index;  // by view node: index in that list
-  std::vector<NodeID> position[kRoles];  // by list index: view node
-  std::vector<NodeID> arc_view[2];
-  for (int s = 0; s < 2; ++s) arc_view[s].resize(sides[s]->num_arcs());
-  for (bool resolved = false; !resolved;) {
-    for (int s = 0; s < 2; ++s) lists[kArcA + s] = unlisted[s];
-    view.to_global.clear();
-    role.clear();
-    role_index.clear();
-    std::size_t head[kRoles] = {};
-    for (int r = 0; r < kRoles; ++r) position[r].resize(lists[r].size());
-    while (true) {
-      int min_role = kRoles;
-      for (int r = 0; r < kRoles; ++r) {
-        if (head[r] < lists[r].size() &&
-            (min_role == kRoles ||
-             lists[r][head[r]] < lists[min_role][head[min_role]])) {
-          min_role = r;
-        }
-      }
-      if (min_role == kRoles) break;
-      const std::uint64_t global = lists[min_role][head[min_role]];
-      const NodeID v = static_cast<NodeID>(view.to_global.size());
-      view.to_global.push_back(static_cast<NodeID>(global));
-      role.push_back(static_cast<Role>(min_role));
-      role_index.push_back(static_cast<NodeID>(head[min_role]));
-      for (int r = min_role; r < kRoles; ++r) {
-        if (head[r] < lists[r].size() && lists[r][head[r]] == global) {
-          position[r][head[r]++] = v;
-        }
-      }
-    }
-
-    // Resolve every arc; a tagged target missing from the view joins its
-    // side's unlisted role and the numbering runs once more.
-    resolved = true;
-    for (int s = 0; s < 2; ++s) {
-      const PairSide& side = *sides[s];
-      const std::uint64_t nband = side.band_size();
-      const std::uint64_t listed = nband + side.fringe_size();
-      for (std::uint64_t e = 0; e < side.num_arcs(); ++e) {
-        const std::uint64_t ref = side.target_ref(e);
-        if (ref < nband) {
-          arc_view[s][e] = position[kBandA + s][ref];
-        } else if (ref < listed) {
-          arc_view[s][e] = position[kFringeA + s][ref - nband];
-        } else {
-          const NodeID global = side.target_global(e);
-          const auto it = std::lower_bound(view.to_global.begin(),
-                                           view.to_global.end(), global);
-          if (it != view.to_global.end() && *it == global) {
-            arc_view[s][e] = static_cast<NodeID>(it - view.to_global.begin());
-          } else {
-            unlisted[s].push_back(global);
-            resolved = false;
-          }
-        }
-      }
-    }
-    for (std::vector<std::uint64_t>& ids : unlisted) {
-      std::sort(ids.begin(), ids.end());
-      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    }
-  }
-  const std::vector<NodeID>* band_view = &position[kBandA];
-  const NodeID num_view = static_cast<NodeID>(view.to_global.size());
-  auto is_band = [&](NodeID v) { return role[v] <= kBandB; };
-
-  // Stub rows: the mirror arcs of every band arc into the stub, in a
-  // deterministic scan (side a's rows in ascending id order, then side
-  // b's, arcs in row order), bucketed by stub with a stable counting sort.
-  std::vector<EdgeID> mirror_begin(num_view + 1, 0);
-  for (int s = 0; s < 2; ++s) {
-    for (const NodeID tv : arc_view[s]) {
-      if (!is_band(tv)) ++mirror_begin[tv + 1];
-    }
-  }
-  for (NodeID v = 0; v < num_view; ++v) mirror_begin[v + 1] += mirror_begin[v];
-  std::vector<std::pair<NodeID, EdgeWeight>> mirrors(mirror_begin.back());
-  {
-    std::vector<EdgeID> fill(mirror_begin.begin(), mirror_begin.end() - 1);
-    for (int s = 0; s < 2; ++s) {
-      const PairSide& side = *sides[s];
-      for (NodeID i = 0; i < side.band_size(); ++i) {
-        for (std::uint64_t e = side.row_begin(i); e < side.row_end(i); ++e) {
-          const NodeID tv = arc_view[s][e];
-          if (is_band(tv)) continue;
-          mirrors[fill[tv]++] = {band_view[s][i], side.arc_weight(e)};
-        }
-      }
-    }
-  }
-
-  std::vector<EdgeID> xadj;
-  xadj.reserve(num_view + 1);
-  xadj.push_back(0);
-  std::vector<NodeID> adj;
-  std::vector<EdgeWeight> ewgt;
-  adj.reserve(side_a.num_arcs() + side_b.num_arcs() + mirrors.size());
-  ewgt.reserve(adj.capacity());
-  std::vector<NodeWeight> vwgt;
-  vwgt.reserve(num_view);
-  view.entry.reserve(num_view);
-  view.movable.reserve(num_view);
-  for (NodeID v = 0; v < num_view; ++v) {
-    if (is_band(v)) {
-      const int s = role[v] == kBandA ? 0 : 1;
-      const PairSide& side = *sides[s];
-      const NodeID i = role_index[v];
-      vwgt.push_back(side.band_weight(i));
-      view.entry.push_back(s == 0 ? edge.a : edge.b);
-      view.movable.push_back(1);
-      for (std::uint64_t e = side.row_begin(i); e < side.row_end(i); ++e) {
-        adj.push_back(arc_view[s][e]);
-        ewgt.push_back(side.arc_weight(e));
-      }
-    } else {
-      // Frozen stub: true block for exact gains, mirror arcs only, weight
-      // unused (a stub never enters a band, so it is never moved).
-      const bool a_block = role[v] == kFringeA || role[v] == kArcB;
-      vwgt.push_back(0);
-      view.entry.push_back(a_block ? edge.a : edge.b);
-      view.movable.push_back(0);
-      for (EdgeID m = mirror_begin[v]; m < mirror_begin[v + 1]; ++m) {
-        adj.push_back(mirrors[m].first);
-        ewgt.push_back(mirrors[m].second);
-      }
-    }
-    xadj.push_back(adj.size());
-  }
-  view.graph = StaticGraph(std::move(xadj), std::move(adj), std::move(ewgt),
-                           std::move(vwgt));
-
-  // The view partition carries the *global* block weights of the pair so
-  // that the balance bounds of the confined search equal the replicated
-  // search's (with whole-block shipping every member is present and the
-  // values coincide with a per-node sum).
-  std::vector<NodeWeight> block_weights(k, 0);
-  block_weights[edge.a] = weight_a;
-  block_weights[edge.b] = weight_b;
-  view.partition = Partition(std::vector<BlockID>(view.entry), k,
-                             std::move(block_weights));
-
-  // Boundary seeds from the quotient construction; seeds that left the
-  // pair in an earlier color class of this iteration are absent from the
-  // view, and in-pair seeds are always band members (the side builders
-  // seed their BFS with them).
-  for (const NodeID u : edge.boundary) {
-    const auto it =
-        std::lower_bound(view.to_global.begin(), view.to_global.end(), u);
-    if (it == view.to_global.end() || *it != u) continue;
-    const NodeID v = static_cast<NodeID>(it - view.to_global.begin());
-    if (view.movable[v]) view.seeds.push_back(v);
-  }
-  return view;
-}
-
-}  // namespace
-
 SpmdRefiner::SpmdRefiner(const StaticGraph& finest, const Config& config,
                          PEContext& pe, const Partition* warm,
                          PairSideObserver observer)
@@ -492,6 +290,15 @@ std::span<const std::uint64_t> target_blocks(
   return blocks;
 }
 
+/// Appends one moved-node delta — (node, to), weight, entry block — in
+/// the layout the delta exchange of run_color_classes() decodes.
+void append_delta(std::vector<std::uint64_t>& words, NodeID u, BlockID to,
+                  NodeWeight weight, BlockID from) {
+  words.push_back(pack_pair(u, to));
+  words.push_back(weight_bits(weight));
+  words.push_back(from);
+}
+
 /// Marks \p slot dirty (once per iteration).
 void mark_dirty(PairPathState& state, NodeID slot) {
   if (slot >= state.is_dirty.size()) state.is_dirty.resize(slot + 1, 0);
@@ -529,8 +336,10 @@ void restart_pair_path(PairPathState& state, DistPartition& partition) {
   partition.clear_journal();
 }
 
-/// Builds block \p side's half of the pair {a, b} view at its owner in
-/// one pass over dense ids: the §5.2 bounded boundary-band BFS of depth
+namespace {
+
+/// The §5.2 band of block \p side of the pair {a, b} at its owner, in one
+/// pass over dense ids: the bounded boundary-band BFS of depth
 /// \p ship_depth on the resident rows, seeded by the side's *current*
 /// pair boundary plus the quotient edge's seeds that still sit in this
 /// side. The seeds are exact without scanning the block: a node's
@@ -540,16 +349,13 @@ void restart_pair_path(PairPathState& state, DistPartition& partition) {
 /// plus the dirty rows that are boundary now. Every cross-side step of
 /// the free two-block band BFS lands on a current pair-boundary node, so
 /// the union of the two per-side bands equals the band the sequential
-/// boundary_band() would compute on a replica. The row pass then writes
-/// each band row's in-pair arcs and collects the same-side fringe
-/// straight into the wire layout.
-PairSide build_pair_side(const BlockRowShard& store,
-                         const DistPartition& partition,
-                         const QuotientEdge& edge, BlockID side,
-                         int ship_depth, PairPathState& st) {
-  const BlockID a = edge.a;
-  const BlockID b = edge.b;
-  const BlockID other = side == a ? b : a;
+/// boundary_band() would compute on a replica. Leaves the band's slots,
+/// seeds first, in st.band, stamped with st.epoch (st.epoch + 1 is free
+/// for the fringe).
+void build_side_band(const BlockRowShard& store,
+                     const DistPartition& partition, const QuotientEdge& edge,
+                     BlockID side, int ship_depth, PairPathState& st) {
+  const BlockID other = side == edge.a ? edge.b : edge.a;
   if (st.stamp.size() < partition.num_slots()) {
     st.stamp.resize(partition.num_slots(), 0);
     st.index.resize(partition.num_slots());
@@ -560,7 +366,6 @@ PairSide build_pair_side(const BlockRowShard& store,
   }
   st.epoch += 2;
   const std::uint32_t in_band = st.epoch;
-  const std::uint32_t in_fringe = st.epoch + 1;
   st.band.clear();
   st.frontier.clear();
   // Band nodes need their row here; an entry naming this side without a
@@ -604,6 +409,23 @@ PairSide build_pair_side(const BlockRowShard& store,
     }
     st.frontier.swap(st.next);
   }
+}
+
+}  // namespace
+
+/// Builds block \p side's half of the pair {a, b} view at its owner:
+/// build_side_band(), then one row pass that writes each band row's
+/// in-pair arcs and collects the same-side fringe straight into the wire
+/// layout.
+PairSide build_pair_side(const BlockRowShard& store,
+                         const DistPartition& partition,
+                         const QuotientEdge& edge, BlockID side,
+                         int ship_depth, PairPathState& st) {
+  const BlockID a = edge.a;
+  const BlockID b = edge.b;
+  build_side_band(store, partition, edge, side, ship_depth, st);
+  const std::uint32_t in_band = st.epoch;
+  const std::uint32_t in_fringe = st.epoch + 1;
 
   st.order.clear();
   for (const NodeID slot : st.band) {
@@ -644,12 +466,55 @@ PairSide SpmdRefiner::build_side(const BlockRowShard& store,
   PairSide built =
       build_pair_side(store, partition, edge, side, ship_depth, pair_state_);
   if (observer_) {
+    const PairPathState& st = pair_state_;
     observer_({store, partition, edge, side, ship_depth,
-               std::span<const NodeID>(pair_state_.band.data(),
-                                       pair_state_.num_seeds),
-               built});
+               std::span<const NodeID>(st.band.data(), st.num_seeds),
+               st.band, &built, nullptr});
   }
   return built;
+}
+
+PairRefineResult SpmdRefiner::run_in_place(
+    const BlockRowShard& store, DistPartition& partition,
+    const QuotientEdge& edge, const PairwiseRefinerOptions& options,
+    const Rng& base_rng, std::uint64_t seed_tag,
+    std::vector<std::uint64_t>& delta_words) {
+  PairPathState& st = pair_state_;
+  const int depth = options.bfs_depth;
+  // The movable set: both side bands, the band nodes of the pair's view.
+  st.movable.clear(partition.num_slots());
+  build_side_band(store, partition, edge, edge.a, depth, st);
+  for (const NodeID slot : st.band) st.movable.insert(slot);
+  std::swap(st.band, st.band_a);
+  st.num_seeds_a = st.num_seeds;
+  build_side_band(store, partition, edge, edge.b, depth, st);
+  for (const NodeID slot : st.band) st.movable.insert(slot);
+
+  // The view's seeds: the quotient's boundary list (the band BFS skips
+  // the entries that left the pair).
+  st.seeds.clear();
+  for (const NodeID u : edge.boundary) {
+    const NodeID slot = partition.slot_of(u);
+    if (slot != kInvalidNode) st.seeds.push_back(slot);
+  }
+  ResidentPairModel model(store, partition, edge.a, edge.b, st.movable);
+  PairRefineResult result = refine_pair(model, edge.a, edge.b, st.seeds,
+                                        options, base_rng, seed_tag);
+  model.restore(result.moves);
+  for (const auto& [slot, to] : result.moves) {
+    append_delta(delta_words, partition.global_at(slot), to,
+                 model.node_weight(slot), to == edge.a ? edge.b : edge.a);
+  }
+  if (observer_) {
+    const InPlacePairRun run{options, base_rng, seed_tag, result};
+    observer_({store, partition, edge, edge.a, depth,
+               std::span<const NodeID>(st.band_a.data(), st.num_seeds_a),
+               st.band_a, nullptr, &run});
+    observer_({store, partition, edge, edge.b, depth,
+               std::span<const NodeID>(st.band.data(), st.num_seeds),
+               st.band, nullptr, &run});
+  }
+  return result;
 }
 
 void SpmdRefiner::refine(const DistHierarchy& hierarchy, std::size_t level,
@@ -749,11 +614,12 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
     // num_colors.)
     bool participated = false;
 
-    // A pair {a, b} is executed by the owner of block a; the owner of
-    // block b ships its side of the pair — the §5.2 boundary band plus
-    // fringe, not the whole block. All sends of the class are posted
-    // before any receive; per-source FIFO delivery pairs them with the
-    // executor's receives, which follow the same class order.
+    // A pair {a, b} is executed by the owner of block a, in place when
+    // it owns block b too. Otherwise the owner of block b ships its side
+    // of the pair — the §5.2 boundary band plus fringe, not the whole
+    // block. All sends of the class are posted before any receive;
+    // per-source FIFO delivery pairs them with the executor's receives,
+    // which follow the same class order.
     for (const std::size_t j : pairs) {
       const QuotientEdge& edge = quotient.edges()[j];
       const int executor = BlockRowShard::owner_of_block(edge.a, p);
@@ -775,37 +641,40 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
       const QuotientEdge& edge = quotient.edges()[j];
       if (BlockRowShard::owner_of_block(edge.a, p) != rank) continue;
       KAPPA_TRACE_SPAN("pair.execute", edge.a, edge.b);
-      const int partner_owner = BlockRowShard::owner_of_block(edge.b, p);
-      const PairSide side_a =
-          build_side(store, partition, edge, edge.a, ship_depth);
-      const PairSide side_b =
-          partner_owner == rank
-              ? build_side(store, partition, edge, edge.b, ship_depth)
-              : PairSide::parse(pe_.receive(partner_owner).payload);
-      PairView view =
-          build_pair_view(side_a, side_b, partition.block_weight(edge.a),
-                          partition.block_weight(edge.b), edge, k);
+      const std::uint64_t seed_tag = pair_seed_tag(global, j);
       ship.pairs_executed += 1;
       progress_pair();
       participated = true;
-      if (partner_owner != rank) {
-        // The shipped partner band is this pair's transient intake.
-        ShardFootprint with_intake = store.footprint();
-        with_intake.ghost_nodes += side_b.band_size() + side_b.fringe_size();
-        with_intake.arcs += side_b.num_arcs();
-        pe_.record().shard_memory.merge_peak(with_intake);
+      const int partner_owner = BlockRowShard::owner_of_block(edge.b, p);
+      if (partner_owner == rank) {
+        const PairRefineResult result = run_in_place(
+            store, partition, edge, options, base_rng, seed_tag, delta_words);
+        my_cut_gain += result.cut_gain;
+        my_imbalance_gain += result.imbalance_gain;
+        continue;
       }
+
+      const PairSide side_a =
+          build_side(store, partition, edge, edge.a, ship_depth);
+      const PairSide side_b =
+          PairSide::parse(pe_.receive(partner_owner).payload);
+      PairView view =
+          build_pair_view(side_a, side_b, partition.block_weight(edge.a),
+                          partition.block_weight(edge.b), edge, k);
+      // The shipped partner band is this pair's transient intake.
+      ShardFootprint with_intake = store.footprint();
+      with_intake.ghost_nodes += side_b.band_size() + side_b.fringe_size();
+      with_intake.arcs += side_b.num_arcs();
+      pe_.record().shard_memory.merge_peak(with_intake);
 
       const PairRefineResult result = refine_pair(
           view.graph, view.partition, edge.a, edge.b, view.seeds, options,
-          base_rng, pair_seed_tag(global, j), /*collect_moves=*/true,
-          &view.movable);
+          base_rng, seed_tag, /*collect_moves=*/true, &view.movable);
       my_cut_gain += result.cut_gain;
       my_imbalance_gain += result.imbalance_gain;
       for (const auto& [vu, to] : result.moves) {
-        delta_words.push_back(pack_pair(view.to_global[vu], to));
-        delta_words.push_back(weight_bits(view.graph.node_weight(vu)));
-        delta_words.push_back(view.entry[vu]);
+        append_delta(delta_words, view.to_global[vu], to,
+                     view.graph.node_weight(vu), view.entry[vu]);
       }
     }
     if (!participated) ++pe_.record().comm.rounds_waited;
@@ -985,8 +854,9 @@ PartitionResult run_multilevel_spmd(const StaticGraph& graph,
 
   // --- Phase 3: uncoarsening with pairwise refinement (§5). The partition
   // state is sharded end to end: seeded at the coarsest level, projected
-  // shard-locally through the contraction maps, refined on band-limited
-  // views, and materialized exactly once for the result. ---
+  // shard-locally through the contraction maps, refined pair by pair in
+  // place or on band-limited views, and materialized exactly once for the
+  // result. ---
   phase_timer.restart();
   progress_phase(ProgressPhase::kRefine);
   SpmdRefiner refiner(graph, config, pe, warm, std::move(observer));

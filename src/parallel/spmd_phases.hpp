@@ -23,13 +23,18 @@
 ///     owners to the owners of their nodes' blocks (§5.2 BlockRowShard
 ///     data distribution, each row with its block word); the quotient
 ///     graph is merged from per-rank contributions and a pair {a, b} is
-///     executed by block a's owner on a pair-local view. Partner-block
-///     shipping is band-limited (§5.2): each owner runs the bounded
-///     boundary-band BFS on its resident rows and ships only the band
-///     plus a one-hop fringe of frozen context nodes — the pair search is
-///     confined to the band, with exact gains, and migration volume drops
-///     from |block| to |band| per pair. The pairs run in the §5.1
-///     schedule: rounds follow an edge coloring of the quotient, computed
+///     executed by block a's owner. Both blocks' owners run the bounded
+///     boundary-band BFS on their resident rows, and the pair search is
+///     confined to the union of the two bands, with exact gains. When
+///     block b has the same owner, the pair runs in place on the
+///     resident rows (parallel/resident_pair.hpp) — at p = 1 every pair
+///     does. Otherwise partner-block shipping is band-limited (§5.2):
+///     b's owner ships only its band plus a one-hop fringe of frozen
+///     context nodes, the executor runs the pair on a pair-local view
+///     (parallel/pair_view.hpp), and migration volume drops from |block|
+///     to |band| per pair. Both paths run the one pair kernel and give
+///     the same moves. The pairs run in the §5.1 schedule: rounds
+///     follow an edge coloring of the quotient, computed
 ///     by the §5.1 protocol running *inside* the refiner (virtual
 ///     block-PEs nested on the p ranks), which draws the same coloring as
 ///     the greedy color_quotient_edges() from the same seed. Moved-node
@@ -45,8 +50,9 @@
 /// Determinism: all work units are keyed to *virtual* ids — shards, attempt
 /// indices, quotient-edge indices — and their RNG streams are forked from
 /// config.seed with those ids; every pair view is a pure function of the
-/// globally consistent store + partition state. The physical PE count p
-/// only decides which PE executes which unit, so a fixed seed yields the
+/// globally consistent store + partition state, and so is every in-place
+/// search. The physical PE count p only decides which PE executes which
+/// unit, so a fixed seed yields the
 /// identical partition for every p (verified by spmd_pipeline_test and
 /// dist_partition_test, p = 1..9 incl. ragged p and p > k). Every receive
 /// names its source, and delivery is FIFO per (source, lane) only, so the
@@ -59,6 +65,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/phases.hpp"
@@ -69,6 +76,8 @@
 #include "parallel/pair_side.hpp"
 #include "parallel/pe_runtime.hpp"
 #include "parallel/shard_graph.hpp"
+#include "refinement/pairwise_refiner.hpp"
+#include "util/stamp_set.hpp"
 
 namespace kappa {
 
@@ -86,7 +95,8 @@ namespace kappa {
 
 /// Scratch of the refiner's pair path, indexed by partition-state slot:
 /// the rows dirtied since the iteration's quotient was taken (the
-/// incremental seed state), the band BFS stamps and the side's indices.
+/// incremental seed state), the band BFS stamps and the side's indices,
+/// and what a pair run in place keeps of its two side bands.
 struct PairPathState {
   std::vector<NodeID> dirty;         ///< each dirty slot once
   std::vector<char> is_dirty;        ///< by slot
@@ -100,6 +110,11 @@ struct PairPathState {
   std::vector<NodeID> next;
   std::vector<std::pair<NodeID, NodeID>> order;  ///< (global, slot)
   std::vector<NodeID> fringe;  ///< global ids, in discovery order
+  // In-place pairs:
+  std::vector<NodeID> band_a;   ///< side a's band while b's is built
+  std::size_t num_seeds_a = 0;  ///< its seed prefix
+  StampSet movable;             ///< slots of both side bands
+  std::vector<NodeID> seeds;    ///< the quotient's boundary list as slots
 };
 
 /// Restarts the incremental seed state at the moment a quotient graph is
@@ -120,17 +135,33 @@ void restart_pair_path(PairPathState& state, DistPartition& partition);
                                        const QuotientEdge& edge, BlockID side,
                                        int ship_depth, PairPathState& state);
 
+/// A pair run in place, as the observer sees it: the inputs of its
+/// search and its outcome, with moves in partition slots — enough to
+/// replay the pair through build_pair_side() + build_pair_view() +
+/// refine_pair() and compare.
+struct InPlacePairRun {
+  const PairwiseRefinerOptions& options;
+  const Rng& rng;
+  std::uint64_t seed_tag = 0;
+  const PairRefineResult& result;
+};
+
 /// One pair side as the refiner built it, handed to a test observer
-/// (passed to run_multilevel_spmd) right after the build — enough state
-/// to recompute the side from a whole-block scan and compare.
+/// (passed to run_multilevel_spmd) — enough state to recompute the side
+/// from a whole-block scan and compare. An encoded side (shipped, or the
+/// executor's side of a view) is reported right after the build; the two
+/// sides of a pair run in place are reported after the run, with the
+/// partition state restored to the pair's start.
 struct PairSideProbe {
   const BlockRowShard& store;
   const DistPartition& partition;
   const QuotientEdge& edge;
   BlockID side = 0;
-  int depth = 0;                     ///< band depth
+  int depth = 0;                       ///< band depth
   std::span<const NodeID> seed_slots;  ///< BFS seeds (partition slots)
-  const PairSide& built;
+  std::span<const NodeID> band_slots;  ///< the whole band, seeds first
+  const PairSide* built = nullptr;     ///< the encoded side; null in place
+  const InPlacePairRun* in_place = nullptr;  ///< the run, for in place
 };
 using PairSideObserver = std::function<void(const PairSideProbe&)>;
 
@@ -199,10 +230,22 @@ class SpmdRefiner {
                                     const QuotientEdge& edge, BlockID side,
                                     int ship_depth);
 
+  /// Runs \p edge, whose two blocks this rank owns, in place on the
+  /// resident rows: the two side bands of build_pair_side()'s seed rule
+  /// are the movable set, the quotient's boundary list seeds the search.
+  /// Appends the pair's moved-node deltas to \p delta_words, exactly as
+  /// its view would, and leaves the partition state as it found it.
+  [[nodiscard]] PairRefineResult run_in_place(
+      const BlockRowShard& store, DistPartition& partition,
+      const QuotientEdge& edge, const PairwiseRefinerOptions& options,
+      const Rng& base_rng, std::uint64_t seed_tag,
+      std::vector<std::uint64_t>& delta_words);
+
   /// One iteration: color classes as global rounds, pair execution
-  /// at the block-a owner, moved-node delta all-gather and row migration
-  /// after every class. The coloring comes from the in-refiner §5.1
-  /// protocol; sides are shipped at band depth options.bfs_depth.
+  /// at the block-a owner — in place when it owns block b too, otherwise
+  /// on a view with b's side shipped at band depth options.bfs_depth —
+  /// then the moved-node delta all-gather and row migration after every
+  /// class. The coloring comes from the in-refiner §5.1 protocol.
   void run_color_classes(BlockRowShard& store, DistPartition& partition,
                          const PairwiseRefinerOptions& options,
                          const Rng& base_rng, const QuotientGraph& quotient,

@@ -199,6 +199,14 @@ class TransportFabric {
 
   /// Human-readable backend name ("inproc", "tcp") for logs and results.
   [[nodiscard]] virtual const char* name() const = 0;
+
+  /// Called by PERuntime::run, once per local rank whose program threw:
+  /// every receive and barrier of the other local ranks — blocked now or
+  /// entered later — raises TransportError with \p reason instead of
+  /// waiting for the failed rank. The fabric stays failed. The default
+  /// does nothing: a backend that hosts one rank per process needs no
+  /// local abort, its peers learn of the failure from the connection.
+  virtual void fail_local(const std::string& reason) { (void)reason; }
 };
 
 }  // namespace kappa

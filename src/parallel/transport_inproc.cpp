@@ -71,6 +71,19 @@ class InprocFabric final : public TransportFabric {
 
   [[nodiscard]] const char* name() const override { return "inproc"; }
 
+  /// Fails every mailbox and leaves the barrier for good on behalf of
+  /// the failing rank (arrive_and_drop), which releases the ranks waiting
+  /// in the current phase; barrier() then sees the flag and throws. A
+  /// failed fabric lets no rank wait in its barrier again, so later calls
+  /// (ranks of later runs) drop no further than the barrier's count.
+  void fail_local(const std::string& reason) override {
+    failed_.store(true, std::memory_order_release);
+    for (auto& lanes : mailboxes_) {
+      for (Mailbox& mailbox : lanes) mailbox.fail(reason);
+    }
+    if (dropped_.fetch_add(1) < num_pes_) barrier_.arrive_and_drop();
+  }
+
  private:
   friend class InprocEndpoint;
 
@@ -84,6 +97,8 @@ class InprocFabric final : public TransportFabric {
   // unregisters it still dereferences live memory.
   std::vector<std::atomic<const ProgressBoard*>> boards_;
   std::barrier<> barrier_;
+  std::atomic<bool> failed_{false};  ///< a local rank's program threw
+  std::atomic<int> dropped_{0};      ///< fail_local() calls so far
   std::vector<InprocEndpoint> endpoints_;
 };
 
@@ -108,7 +123,18 @@ std::optional<Message> InprocEndpoint::try_receive(int source, Lane lane) {
       .try_pop(source);
 }
 
-void InprocEndpoint::barrier() { fabric_.barrier_.arrive_and_wait(); }
+void InprocEndpoint::barrier() {
+  // A rank that failed has dropped out of the barrier: entering or
+  // leaving a phase after that must raise, not wait or run on.
+  auto check = [&] {
+    if (fabric_.failed_.load(std::memory_order_acquire)) {
+      throw TransportError("barrier: another in-process rank failed");
+    }
+  };
+  check();
+  fabric_.barrier_.arrive_and_wait();
+  check();
+}
 
 void InprocEndpoint::enable_watch(const ProgressBoard* board,
                                   int heartbeat_interval_ms) {

@@ -1,7 +1,5 @@
 #include "refinement/band.hpp"
 
-#include <cstdint>
-
 namespace kappa {
 
 std::vector<NodeID> boundary_band_from_seeds(const StaticGraph& graph,
@@ -10,52 +8,8 @@ std::vector<NodeID> boundary_band_from_seeds(const StaticGraph& graph,
                                              const std::vector<NodeID>& seeds,
                                              int depth,
                                              const std::vector<char>* movable) {
-  // Per-thread scratch to avoid O(n) allocations per pair (the band is
-  // typically a small fraction of the graph).
-  thread_local std::vector<std::uint32_t> stamp;
-  thread_local std::uint32_t epoch = 0;
-  if (stamp.size() < graph.num_nodes()) {
-    stamp.assign(graph.num_nodes(), 0);
-    epoch = 0;
-  }
-  ++epoch;
-
-  std::vector<NodeID> band;
-  std::vector<NodeID> frontier;
-  for (const NodeID u : seeds) {
-    // Seed lists collected before earlier moves of the same level can be
-    // stale: a seed whose node left the pair — or that no longer names a
-    // node of this graph at all — must be skipped before any array it
-    // would index is touched, not crash or pollute the band.
-    if (u >= graph.num_nodes()) continue;
-    const BlockID bu = partition.block(u);
-    if (bu != a && bu != b) continue;
-    if (movable != nullptr && !(*movable)[u]) continue;
-    if (stamp[u] == epoch) continue;
-    stamp[u] = epoch;
-    band.push_back(u);
-    frontier.push_back(u);
-  }
-
-  // Bounded BFS inside the two blocks (and inside the movable region —
-  // frozen context nodes of a band-limited view are never entered).
-  std::vector<NodeID> next;
-  for (int level = 1; level < depth && !frontier.empty(); ++level) {
-    next.clear();
-    for (const NodeID u : frontier) {
-      for (const NodeID v : graph.neighbors(u)) {
-        if (stamp[v] == epoch) continue;
-        const BlockID bv = partition.block(v);
-        if (bv != a && bv != b) continue;
-        if (movable != nullptr && !(*movable)[v]) continue;
-        stamp[v] = epoch;
-        band.push_back(v);
-        next.push_back(v);
-      }
-    }
-    frontier.swap(next);
-  }
-  return band;
+  const GraphPairModel model(graph, partition, movable);
+  return boundary_band_from_seeds(model, a, b, seeds, depth);
 }
 
 std::vector<NodeID> boundary_band(const StaticGraph& graph,

@@ -1,184 +1,13 @@
 #include "refinement/flow_refiner.hpp"
 
-#include <cstdint>
-#include <limits>
-#include <vector>
-
-#include "refinement/max_flow.hpp"
-
 namespace kappa {
 
 FlowRefineResult flow_refine_pair(const StaticGraph& graph,
                                   Partition& partition, BlockID a, BlockID b,
                                   std::span<const NodeID> band,
                                   const FlowRefineOptions& options) {
-  FlowRefineResult result;
-  if (band.empty()) return result;
-
-  // Local indexing of the band (thread-local scratch, same pattern as FM).
-  thread_local std::vector<std::uint32_t> local_index;
-  thread_local std::vector<std::uint32_t> stamp;
-  thread_local std::uint32_t epoch = 0;
-  if (stamp.size() < graph.num_nodes()) {
-    stamp.assign(graph.num_nodes(), 0);
-    local_index.assign(graph.num_nodes(), 0);
-    epoch = 0;
-  }
-  ++epoch;
-  for (std::uint32_t i = 0; i < band.size(); ++i) {
-    stamp[band[i]] = epoch;
-    local_index[band[i]] = i;
-  }
-
-  const std::size_t s = band.size();
-  const std::size_t t = band.size() + 1;
-  FlowNetwork network(band.size() + 2);
-  constexpr FlowNetwork::Flow kInf =
-      std::numeric_limits<FlowNetwork::Flow>::max() / 4;
-
-  // Current pair cut (to compare against the min cut value) and network
-  // construction in one sweep.
-  EdgeWeight old_pair_cut = 0;
-  bool any_anchor_a = false;
-  bool any_anchor_b = false;
-  for (std::uint32_t i = 0; i < band.size(); ++i) {
-    const NodeID u = band[i];
-    const BlockID bu = partition.block(u);
-    bool anchor_a = false;
-    bool anchor_b = false;
-    for (EdgeID e = graph.first_arc(u); e < graph.last_arc(u); ++e) {
-      const NodeID v = graph.arc_target(e);
-      const BlockID bv = partition.block(v);
-      if (bu == a && bv == b) old_pair_cut += graph.arc_weight(e);
-      if (stamp[v] == epoch) {
-        // Band-internal edge: capacity once per undirected edge.
-        if (u < v && (bv == a || bv == b)) {
-          network.add_undirected_edge(i, local_index[v], graph.arc_weight(e));
-        }
-      } else if (bv == a) {
-        anchor_a = true;  // rim neighbor stays in a: u is tied to s
-      } else if (bv == b) {
-        anchor_b = true;
-      }
-    }
-    if (anchor_a) {
-      network.add_edge(s, i, kInf);
-      any_anchor_a = true;
-    }
-    if (anchor_b) {
-      network.add_edge(i, t, kInf);
-      any_anchor_b = true;
-    }
-  }
-
-  // If the band swallowed a whole block there is no rim on that side and
-  // the min cut would degenerate to "move everything". Anchor the band
-  // node of that block farthest from the pair boundary instead (BFS
-  // distance), preserving a non-trivial core.
-  if (!any_anchor_a || !any_anchor_b) {
-    std::vector<std::uint32_t> dist(band.size(),
-                                    std::numeric_limits<std::uint32_t>::max());
-    std::vector<std::uint32_t> queue;
-    for (std::uint32_t i = 0; i < band.size(); ++i) {
-      const NodeID u = band[i];
-      const BlockID other = partition.block(u) == a ? b : a;
-      for (const NodeID v : graph.neighbors(u)) {
-        if (partition.block(v) == other) {
-          dist[i] = 0;
-          queue.push_back(i);
-          break;
-        }
-      }
-    }
-    for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-      const std::uint32_t i = queue[qi];
-      const NodeID u = band[i];
-      for (const NodeID v : graph.neighbors(u)) {
-        if (stamp[v] != epoch) continue;
-        const std::uint32_t j = local_index[v];
-        if (dist[j] > dist[i] + 1) {
-          dist[j] = dist[i] + 1;
-          queue.push_back(j);
-        }
-      }
-    }
-    for (const BlockID side_block : {a, b}) {
-      if ((side_block == a && any_anchor_a) ||
-          (side_block == b && any_anchor_b)) {
-        continue;
-      }
-      std::uint32_t best = std::numeric_limits<std::uint32_t>::max();
-      std::uint32_t best_dist = 0;
-      for (std::uint32_t i = 0; i < band.size(); ++i) {
-        if (partition.block(band[i]) != side_block) continue;
-        const std::uint32_t d =
-            dist[i] == std::numeric_limits<std::uint32_t>::max()
-                ? std::numeric_limits<std::uint32_t>::max() - 1
-                : dist[i];
-        if (best == std::numeric_limits<std::uint32_t>::max() ||
-            d > best_dist) {
-          best = i;
-          best_dist = d;
-        }
-      }
-      if (best == std::numeric_limits<std::uint32_t>::max()) {
-        return result;  // one side of the pair is empty: nothing to do
-      }
-      if (side_block == a) {
-        network.add_edge(s, best, kInf);
-      } else {
-        network.add_edge(best, t, kInf);
-      }
-    }
-  }
-
-  const FlowNetwork::Flow flow = network.max_flow(s, t);
-  if (flow >= old_pair_cut) return result;  // no strict improvement
-
-  // The source side of the min cut goes to block a, the rest to b.
-  const std::vector<bool> source_side = network.min_cut_source_side(s);
-
-  // Feasibility check before touching the partition.
-  NodeWeight weight_a = partition.block_weight(a);
-  NodeWeight weight_b = partition.block_weight(b);
-  for (std::uint32_t i = 0; i < band.size(); ++i) {
-    const NodeID u = band[i];
-    const BlockID target = source_side[i] ? a : b;
-    const BlockID current = partition.block(u);
-    if (target != current) {
-      const NodeWeight w = graph.node_weight(u);
-      if (current == a) {
-        weight_a -= w;
-        weight_b += w;
-      } else {
-        weight_a += w;
-        weight_b -= w;
-      }
-    }
-  }
-  const NodeWeight bound_a = options.max_block_weight;
-  const NodeWeight bound_b = options.max_block_weight_b != 0
-                                 ? options.max_block_weight_b
-                                 : options.max_block_weight;
-  // Apply only if the move does not increase overload on either side.
-  const NodeWeight old_overload =
-      std::max<NodeWeight>(0, partition.block_weight(a) - bound_a) +
-      std::max<NodeWeight>(0, partition.block_weight(b) - bound_b);
-  const NodeWeight new_overload =
-      std::max<NodeWeight>(0, weight_a - bound_a) +
-      std::max<NodeWeight>(0, weight_b - bound_b);
-  if (new_overload > old_overload) return result;
-
-  for (std::uint32_t i = 0; i < band.size(); ++i) {
-    const NodeID u = band[i];
-    const BlockID target = source_side[i] ? a : b;
-    if (partition.block(u) != target) {
-      partition.move(u, target, graph.node_weight(u));
-    }
-  }
-  result.cut_gain = old_pair_cut - static_cast<EdgeWeight>(flow);
-  result.applied = true;
-  return result;
+  GraphPairModel model(graph, partition);
+  return flow_refine_pair(model, a, b, band, options);
 }
 
 }  // namespace kappa

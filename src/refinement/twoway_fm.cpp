@@ -1,54 +1,15 @@
 #include "refinement/twoway_fm.hpp"
 
-#include <algorithm>
-#include <cassert>
-#include <cstdint>
-
-#include "util/addressable_pq.hpp"
-
 namespace kappa {
 
-namespace {
+namespace detail {
 
-/// Per-thread reusable scratch space; avoids O(n) allocation per pair
-/// search, which matters when k^2/2 pairs are refined on every level.
-struct Workspace {
-  std::vector<std::uint32_t> eligible_stamp;
-  std::vector<std::uint32_t> moved_stamp;
-  AddressablePQ<NodeID, EdgeWeight> pq[2];
-  std::uint32_t epoch = 0;
-
-  void prepare(NodeID n) {
-    if (eligible_stamp.size() < n) {
-      eligible_stamp.assign(n, 0);
-      moved_stamp.assign(n, 0);
-      pq[0].reset(n);
-      pq[1].reset(n);
-      epoch = 0;
-    }
-    ++epoch;
-    pq[0].clear();
-    pq[1].clear();
-  }
-};
-
-Workspace& workspace() {
-  thread_local Workspace ws;
+FMWorkspace& fm_workspace() {
+  thread_local FMWorkspace ws;
   return ws;
 }
 
-/// Lexicographic objective value: (imbalance, cut change).
-struct Objective {
-  NodeWeight imbalance;
-  EdgeWeight cut_delta;
-
-  bool operator<(const Objective& other) const {
-    if (imbalance != other.imbalance) return imbalance < other.imbalance;
-    return cut_delta < other.cut_delta;
-  }
-};
-
-}  // namespace
+}  // namespace detail
 
 const char* queue_selection_name(QueueSelection s) {
   switch (s) {
@@ -68,176 +29,8 @@ TwoWayFMResult twoway_fm(const StaticGraph& graph, Partition& partition,
                          BlockID a, BlockID b,
                          std::span<const NodeID> eligible,
                          const TwoWayFMOptions& options, Rng& rng) {
-  Workspace& ws = workspace();
-  ws.prepare(graph.num_nodes());
-  const std::uint32_t epoch = ws.epoch;
-
-  const BlockID blocks[2] = {a, b};
-  auto side_of = [&](BlockID block) -> int { return block == a ? 0 : 1; };
-
-  // Gain of moving u to the opposite block of the pair: edges to blocks
-  // other than a/b are unaffected, so only pair-internal arcs count.
-  auto gain_of = [&](NodeID u) -> EdgeWeight {
-    const BlockID own = partition.block(u);
-    const BlockID other = own == a ? b : a;
-    EdgeWeight gain = 0;
-    for (EdgeID e = graph.first_arc(u); e < graph.last_arc(u); ++e) {
-      const BlockID bv = partition.block(graph.arc_target(e));
-      if (bv == other) {
-        gain += graph.arc_weight(e);
-      } else if (bv == own) {
-        gain -= graph.arc_weight(e);
-      }
-    }
-    return gain;
-  };
-  auto is_pair_boundary = [&](NodeID u) -> bool {
-    const BlockID other = partition.block(u) == a ? b : a;
-    for (const NodeID v : graph.neighbors(u)) {
-      if (partition.block(v) == other) return true;
-    }
-    return false;
-  };
-
-  // Mark eligibility and count eligible nodes per side.
-  NodeID side_count[2] = {0, 0};
-  for (const NodeID u : eligible) {
-    assert(partition.block(u) == a || partition.block(u) == b);
-    ws.eligible_stamp[u] = epoch;
-    ++side_count[side_of(partition.block(u))];
-  }
-
-  // Initialize the queues in random order with the pair's boundary nodes.
-  std::vector<NodeID> init(eligible.begin(), eligible.end());
-  rng.shuffle(init);
-  for (const NodeID u : init) {
-    if (is_pair_boundary(u)) {
-      ws.pq[side_of(partition.block(u))].push(u, gain_of(u));
-    }
-  }
-
-  NodeWeight weight[2] = {partition.block_weight(a),
-                          partition.block_weight(b)};
-  const NodeWeight lmax[2] = {options.max_block_weight,
-                              options.max_block_weight_b != 0
-                                  ? options.max_block_weight_b
-                                  : options.max_block_weight};
-  auto imbalance_now = [&]() -> NodeWeight {
-    return std::max<NodeWeight>(
-        0, std::max(weight[0] - lmax[0], weight[1] - lmax[1]));
-  };
-
-  Objective current{imbalance_now(), 0};
-  const NodeWeight initial_imbalance = current.imbalance;
-  Objective best = current;
-  std::size_t best_prefix = 0;  // number of moves in the adopted state
-  std::vector<NodeID> moves;
-
-  const NodeID min_side = std::min(side_count[0], side_count[1]);
-  const std::size_t patience = std::max<std::size_t>(
-      1, static_cast<std::size_t>(options.patience_alpha *
-                                  static_cast<double>(min_side)));
-  std::size_t fruitless = 0;
-  int alternate_side = rng.coin() ? 1 : 0;
-
-  while (!ws.pq[0].empty() || !ws.pq[1].empty()) {
-    // --- Queue selection (Table 4 left). ---
-    int side = 0;
-    // "Heavier" is relative to each side's bound so that unequal-target
-    // bisections rebalance toward their own targets.
-    const int heavier =
-        weight[0] - lmax[0] >= weight[1] - lmax[1] ? 0 : 1;
-    const bool overloaded = weight[0] > lmax[0] || weight[1] > lmax[1];
-    switch (options.queue_selection) {
-      case QueueSelection::kMaxLoad:
-        side = heavier;
-        break;
-      case QueueSelection::kAlternate:
-        alternate_side ^= 1;
-        side = alternate_side;
-        break;
-      case QueueSelection::kTopGain:
-      case QueueSelection::kTopGainMaxLoad:
-        if (overloaded) {
-          // The exception that keeps TopGain feasible: an overloaded
-          // situation is resolved MaxLoad-style (§5.2).
-          side = heavier;
-        } else if (ws.pq[0].empty() || ws.pq[1].empty()) {
-          side = ws.pq[0].empty() ? 1 : 0;
-        } else if (ws.pq[0].top_key() != ws.pq[1].top_key()) {
-          side = ws.pq[0].top_key() > ws.pq[1].top_key() ? 0 : 1;
-        } else if (options.queue_selection ==
-                   QueueSelection::kTopGainMaxLoad) {
-          side = heavier;
-        } else {
-          side = rng.coin() ? 1 : 0;  // TopGain: random tie breaking
-        }
-        break;
-    }
-    if (ws.pq[side].empty()) side ^= 1;
-    if (ws.pq[side].empty()) break;
-
-    // --- Move the selected node. ---
-    const NodeID u = ws.pq[side].top();
-    const EdgeWeight gain = ws.pq[side].top_key();
-    ws.pq[side].pop();
-
-    const BlockID from = blocks[side];
-    const BlockID to = blocks[side ^ 1];
-    const NodeWeight w = graph.node_weight(u);
-    if (weight[side] - w < 1) {
-      // Never empty a block: an empty block loses its quotient edges and
-      // can never be refilled by pairwise refinement, which bricks the
-      // k-way partition. Cut gain must not annihilate small blocks.
-      continue;
-    }
-    ws.moved_stamp[u] = epoch;
-    partition.move(u, to, w);
-    weight[side] -= w;
-    weight[side ^ 1] += w;
-    current.cut_delta -= gain;
-    current.imbalance = imbalance_now();
-    moves.push_back(u);
-
-    if (current < best) {
-      best = current;
-      best_prefix = moves.size();
-      fruitless = 0;
-    } else if (++fruitless > patience) {
-      break;  // FM patience exhausted (§5.2)
-    }
-
-    // --- Update gains of affected neighbors. ---
-    for (const NodeID v : graph.neighbors(u)) {
-      if (ws.eligible_stamp[v] != epoch || ws.moved_stamp[v] == epoch) {
-        continue;
-      }
-      const BlockID bv = partition.block(v);
-      if (bv != a && bv != b) continue;
-      const int vside = side_of(bv);
-      if (ws.pq[vside].contains(v)) {
-        ws.pq[vside].update_key(v, gain_of(v));
-      } else if (is_pair_boundary(v)) {
-        ws.pq[vside].push(v, gain_of(v));
-      }
-    }
-    (void)from;
-  }
-
-  // --- Roll back to the lexicographically best prefix. ---
-  for (std::size_t i = moves.size(); i > best_prefix; --i) {
-    const NodeID u = moves[i - 1];
-    const BlockID back = partition.block(u) == a ? b : a;
-    partition.move(u, back, graph.node_weight(u));
-  }
-
-  // After rollback the partition is exactly the best-prefix state, so the
-  // adopted objective is `best`.
-  TwoWayFMResult result;
-  result.cut_gain = -best.cut_delta;
-  result.imbalance_gain = initial_imbalance - best.imbalance;
-  result.moved_nodes = static_cast<NodeID>(best_prefix);
-  return result;
+  GraphPairModel model(graph, partition);
+  return twoway_fm(model, a, b, eligible, options, rng);
 }
 
 }  // namespace kappa

@@ -206,11 +206,12 @@ TEST(LintFixtures, DenseLevelIdsFire) {
   const Report report = lint_fixture("dense_ids");
   EXPECT_EQ(report.exit_code, 1);
   const auto counts = count_by_rule(report);
-  // A hash_map member and an unordered_set in the coarsening store and a
-  // hash_set in the pair-side codec; the suppressed handle table and the
-  // partition-state cache (outside the rule's files) stay silent.
-  EXPECT_EQ(counts.at("dense-level-ids"), 3);
-  EXPECT_EQ(report.findings.size(), 3u);
+  // A hash_map member and an unordered_set in the coarsening store, a
+  // hash_set in the pair-side codec and a hash_map entry-block record in
+  // the pair kernel; the suppressed handle table and the partition-state
+  // cache (outside the rule's files) stay silent.
+  EXPECT_EQ(counts.at("dense-level-ids"), 4);
+  EXPECT_EQ(report.findings.size(), 4u);
 }
 
 TEST(LintFixtures, ValidSuppressionsSilenceFindings) {

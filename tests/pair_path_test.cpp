@@ -11,8 +11,10 @@
 /// rows. Both the seeds and every built side (band,
 /// rows, fringe) must equal the oracle's element for element — under the
 /// real color-class schedule (every write path of the pipeline) and under
-/// seeded random move sequences applied directly to the stores. The
-/// golden partitions must also survive randomly delayed message delivery:
+/// seeded random move sequences applied directly to the stores. Every
+/// pair that runs in place on the resident rows is replayed through the
+/// view a shipped pair would get and must move the same way. The golden
+/// partitions must also survive randomly delayed message delivery:
 /// arrival order across ranks must never reach the partition.
 #include <gtest/gtest.h>
 
@@ -30,10 +32,12 @@
 #include "generators/generators.hpp"
 #include "graph/static_graph.hpp"
 #include "parallel/dist_partition.hpp"
+#include "parallel/pair_view.hpp"
 #include "parallel/pe_runtime.hpp"
 #include "parallel/shard_graph.hpp"
 #include "parallel/spmd_phases.hpp"
 #include "parallel/transport_inproc.hpp"
+#include "refinement/pairwise_refiner.hpp"
 #include "util/random.hpp"
 
 namespace kappa {
@@ -86,14 +90,17 @@ std::vector<NodeID> scan_band(const BlockRowShard& store,
   return {band.begin(), band.end()};
 }
 
-/// Checks one built side against the oracle; returns whether the oracle
-/// seeds include a node the quotient's boundary list did not name (the
-/// case only the incremental part of the seed rule can catch).
+/// Checks one side — its seeds and band, and when it was encoded
+/// (\p built set) its rows and fringe too — against the oracle; returns
+/// whether the oracle seeds include a node the quotient's boundary list
+/// did not name (the case only the incremental part of the seed rule can
+/// catch).
 bool expect_side_matches_oracle(const BlockRowShard& store,
                                 const DistPartition& partition,
                                 const QuotientEdge& edge, BlockID side,
                                 int depth, std::span<const NodeID> seed_slots,
-                                const PairSide& built,
+                                std::span<const NodeID> band_slots,
+                                const PairSide* built,
                                 const std::string& where) {
   const BlockID a = edge.a;
   const BlockID b = edge.b;
@@ -111,9 +118,16 @@ bool expect_side_matches_oracle(const BlockRowShard& store,
   }
   const std::vector<NodeID> band =
       scan_band(store, partition, side, oracle, depth);
+  std::vector<NodeID> band_ids;
+  for (const NodeID slot : band_slots) {
+    band_ids.push_back(partition.global_at(slot));
+  }
+  std::sort(band_ids.begin(), band_ids.end());
+  EXPECT_EQ(band_ids, band) << where << " side " << side;
+  if (built == nullptr) return fresh_seed;
 
-  const std::vector<std::uint64_t> built_band(built.band_ids().begin(),
-                                              built.band_ids().end());
+  const std::vector<std::uint64_t> built_band(built->band_ids().begin(),
+                                              built->band_ids().end());
   EXPECT_EQ(built_band, std::vector<std::uint64_t>(band.begin(), band.end()))
       << where << " side " << side;
   if (built_band.size() != band.size()) return fresh_seed;
@@ -121,7 +135,7 @@ bool expect_side_matches_oracle(const BlockRowShard& store,
   std::set<NodeID> fringe;
   for (NodeID i = 0; i < band.size(); ++i) {
     const GraphRowView row = store.row_view(band[i]);
-    EXPECT_EQ(built.band_weight(i), row.weight) << where;
+    EXPECT_EQ(built->band_weight(i), row.weight) << where;
     std::vector<std::pair<NodeID, EdgeWeight>> expected;
     for (std::size_t j = 0; j < row.targets.size(); ++j) {
       const BlockID bt = partition.block(row.targets[j]);
@@ -133,27 +147,27 @@ bool expect_side_matches_oracle(const BlockRowShard& store,
       }
     }
     std::vector<std::pair<NodeID, EdgeWeight>> got;
-    for (std::uint64_t e = built.row_begin(i); e < built.row_end(i); ++e) {
-      got.emplace_back(built.target_global(e), built.arc_weight(e));
+    for (std::uint64_t e = built->row_begin(i); e < built->row_end(i); ++e) {
+      got.emplace_back(built->target_global(e), built->arc_weight(e));
     }
     EXPECT_EQ(got, expected) << where << " row of " << band[i];
     // Band targets travel as band indices, everything else as tagged ids
     // or (same-side non-band targets) fringe indices.
-    for (std::uint64_t e = built.row_begin(i); e < built.row_end(i); ++e) {
-      const NodeID t = built.target_global(e);
-      const std::uint64_t ref = built.target_ref(e);
+    for (std::uint64_t e = built->row_begin(i); e < built->row_end(i); ++e) {
+      const NodeID t = built->target_global(e);
+      const std::uint64_t ref = built->target_ref(e);
       if (std::binary_search(band.begin(), band.end(), t)) {
-        EXPECT_LT(ref, built.band_size()) << where << " arc to " << t;
+        EXPECT_LT(ref, built->band_size()) << where << " arc to " << t;
       } else if (partition.block(t) == side) {
-        EXPECT_GE(ref, built.band_size()) << where << " arc to " << t;
+        EXPECT_GE(ref, built->band_size()) << where << " arc to " << t;
         EXPECT_LT(ref, PairSide::kGlobalTag) << where << " arc to " << t;
       } else {
         EXPECT_EQ(ref, PairSide::global_ref(t)) << where << " arc to " << t;
       }
     }
   }
-  const std::vector<std::uint64_t> built_fringe(built.fringe_ids().begin(),
-                                                built.fringe_ids().end());
+  const std::vector<std::uint64_t> built_fringe(built->fringe_ids().begin(),
+                                                built->fringe_ids().end());
   EXPECT_EQ(built_fringe,
             std::vector<std::uint64_t>(fringe.begin(), fringe.end()))
       << where << " side " << side;
@@ -163,7 +177,8 @@ bool expect_side_matches_oracle(const BlockRowShard& store,
 // ------------------------------------------- the pipeline's write paths ----
 
 /// Per p: every side the refiner builds in a full run — all levels, all
-/// iterations, the rebalance loop — equals the oracle.
+/// iterations, the rebalance loop, encoded sides and the sides of pairs
+/// run in place — equals the oracle.
 class PairPathPipeline : public ::testing::TestWithParam<int> {};
 
 TEST_P(PairPathPipeline, EveryBuiltSideEqualsWholeBlockOracle) {
@@ -183,8 +198,8 @@ TEST_P(PairPathPipeline, EveryBuiltSideEqualsWholeBlockOracle) {
                                   std::to_string(probe.edge.b) + ")";
         if (expect_side_matches_oracle(probe.store, probe.partition,
                                        probe.edge, probe.side, probe.depth,
-                                       probe.seed_slots, probe.built,
-                                       where)) {
+                                       probe.seed_slots, probe.band_slots,
+                                       probe.built, where)) {
           fresh.fetch_add(1);
         }
         sides.fetch_add(1);
@@ -277,7 +292,7 @@ TEST_P(PairPathRandomMoves, SeedsAndBandsEqualOracleAfterEveryRound) {
                         store, partition, edge, side, depth,
                         std::span<const NodeID>(state.band.data(),
                                                 state.num_seeds),
-                        built,
+                        state.band, &built,
                         "p=" + std::to_string(p) + " round " +
                             std::to_string(round) + " depth " +
                             std::to_string(depth)) ||
@@ -294,6 +309,96 @@ TEST_P(PairPathRandomMoves, SeedsAndBandsEqualOracleAfterEveryRound) {
 
 INSTANTIATE_TEST_SUITE_P(PeCounts, PairPathRandomMoves,
                          ::testing::Values(1, 2, 3, 4, 7));
+
+// ------------------------------------------ in-place pairs against views ----
+
+/// Replays a pair that ran in place through the path of a pair with a
+/// shipped side — both sides encoded by build_pair_side() from the same
+/// state, build_pair_view(), refine_pair() on the view — and requires the
+/// same moves (global id, target block, order) and the same gains, the
+/// way WHFC's flow_tester runs two algorithms on one input. Returns the
+/// number of moves.
+std::size_t expect_view_replay_matches(const PairSideProbe& probe,
+                                       const std::string& where) {
+  const QuotientEdge& edge = probe.edge;
+  const DistPartition& partition = probe.partition;
+  const InPlacePairRun& run = *probe.in_place;
+  PairPathState state;
+  const PairSide side_a = build_pair_side(probe.store, partition, edge,
+                                          edge.a, probe.depth, state);
+  const PairSide side_b = build_pair_side(probe.store, partition, edge,
+                                          edge.b, probe.depth, state);
+  PairView view = build_pair_view(side_a, side_b,
+                                  partition.block_weight(edge.a),
+                                  partition.block_weight(edge.b), edge,
+                                  partition.k());
+  const PairRefineResult replay = refine_pair(
+      view.graph, view.partition, edge.a, edge.b, view.seeds, run.options,
+      run.rng, run.seed_tag, /*collect_moves=*/true, &view.movable);
+  EXPECT_EQ(run.result.cut_gain, replay.cut_gain) << where;
+  EXPECT_EQ(run.result.imbalance_gain, replay.imbalance_gain) << where;
+  std::vector<std::pair<NodeID, BlockID>> in_place;
+  for (const auto& [slot, to] : run.result.moves) {
+    in_place.emplace_back(partition.global_at(slot), to);
+  }
+  std::vector<std::pair<NodeID, BlockID>> viewed;
+  for (const auto& [v, to] : replay.moves) {
+    viewed.emplace_back(view.to_global[v], to);
+  }
+  EXPECT_EQ(in_place, viewed) << where;
+  return viewed.size();
+}
+
+/// Per p: every pair of full refinements whose two blocks share an owner
+/// runs in place, and each must move exactly as its view would — with
+/// the flow pass too.
+class InPlacePairs : public ::testing::TestWithParam<int> {};
+
+TEST_P(InPlacePairs, EveryLocalPairMovesAsItsViewWould) {
+  const int p = GetParam();
+  struct Run {
+    const char* instance;
+    std::uint64_t seed;
+    bool flow;
+  };
+  for (const Run& run : {Run{"rgg14", 1, false}, Run{"rgg14", 2, false},
+                         Run{"rmat_12", 1, false}, Run{"rmat_12", 2, false},
+                         Run{"rgg14", 1, true}}) {
+    const std::string name = std::string(run.instance) + " seed " +
+                             std::to_string(run.seed) +
+                             (run.flow ? " flow" : "");
+    const StaticGraph g = make_instance(run.instance, 1);
+    Config config = Config::preset(Preset::kFast, 16);
+    config.seed = run.seed;
+    config.enable_flow_refinement = run.flow;
+    std::atomic<std::uint64_t> pairs{0};
+    std::atomic<std::uint64_t> moves{0};
+    PERuntime runtime(p, run.seed);
+    runtime.run([&](PEContext& pe) {
+      const auto replay = [&](const PairSideProbe& probe) {
+        if (probe.in_place == nullptr || probe.side != probe.edge.a) return;
+        const std::string where =
+            name + " rank " + std::to_string(pe.rank()) + " pair (" +
+            std::to_string(probe.edge.a) + "," +
+            std::to_string(probe.edge.b) + ") tag " +
+            std::to_string(probe.in_place->seed_tag);
+        moves.fetch_add(expect_view_replay_matches(probe, where));
+        pairs.fetch_add(1);
+      };
+      (void)run_multilevel_spmd(g, config, pe, nullptr, replay);
+    });
+    EXPECT_GT(pairs.load(), 10u) << name;
+    EXPECT_GT(moves.load(), 0u) << name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PeCounts, InPlacePairs, ::testing::Values(1, 2, 3, 4, 7),
+    [](const ::testing::TestParamInfo<int>& info) {
+      std::string name = "p";
+      name += std::to_string(info.param);
+      return name;
+    });
 
 // ------------------------------------------------------ golden partitions ----
 
@@ -479,6 +584,9 @@ class JitterFabric final : public TransportFabric {
     return *endpoints_.at(static_cast<std::size_t>(rank));
   }
   [[nodiscard]] const char* name() const override { return "inproc-jitter"; }
+  void fail_local(const std::string& reason) override {
+    inner_->fail_local(reason);
+  }
 
  private:
   std::unique_ptr<TransportFabric> inner_;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
 
 #include "core/partitioner.hpp"
 #include "generators/generators.hpp"
@@ -112,6 +113,36 @@ TEST(PartitionerRepartition, MigratesStrictlyLessThanFromScratch) {
 
   const PartitionResult result = partitioner.repartition(g, perturbed);
   EXPECT_LT(result.migrated_nodes, scratch_migration);
+}
+
+TEST(PartitionerRepartition, RejectsMismatchedInputInBothContexts) {
+  // A current partition with the wrong block count or node count is an
+  // API error: std::invalid_argument before any work, sequential and
+  // SPMD alike (the SPMD run would otherwise index blocks past k).
+  const StaticGraph g = make_instance("rgg13", 1);
+  const StaticGraph other = make_instance("rgg12", 1);
+  Config eight = Config::preset(Preset::kMinimal, 8);
+  const PartitionResult fresh =
+      Partitioner(Context::sequential(eight)).partition(g);
+  const PartitionResult smaller =
+      Partitioner(Context::sequential(eight)).partition(other);
+  const Config four = Config::preset(Preset::kMinimal, 4);
+  PERuntime runtime(2, 1);
+  for (const Context& context :
+       {Context::sequential(four), Context::spmd(four, runtime)}) {
+    EXPECT_THROW((void)Partitioner(context).repartition(g, fresh.partition),
+                 std::invalid_argument);
+  }
+  for (const Context& context :
+       {Context::sequential(eight), Context::spmd(eight, runtime)}) {
+    EXPECT_THROW(
+        (void)Partitioner(context).repartition(g, smaller.partition),
+        std::invalid_argument);
+  }
+  // The runtime is still usable: the rejection started no rank.
+  const PartitionResult ok = Partitioner(Context::spmd(eight, runtime))
+                                .repartition(g, fresh.partition);
+  EXPECT_EQ(validate_partition(g, ok.partition), "");
 }
 
 // ------------------------------------------------------ SPMD repartition ----

@@ -12,6 +12,8 @@
 #include <cstdio>
 #include <new>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <system_error>
 
 #include "generators/generators.hpp"
@@ -283,6 +285,69 @@ TEST(PERuntime, FailedThreadStartThrowsInsteadOfTerminating) {
     ASSERT_TRUE(WIFEXITED(status));
     EXPECT_LE(WEXITSTATUS(status), 2) << "+" << headroom_mb << " MiB";
   }
+}
+
+/// The exception a test program injects into one rank.
+struct InjectedFailure : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+TEST(PERuntime, ARankThatThrowsFailsTheRunInsteadOfHangingIt) {
+  // Every rank runs the same operations — a barrier, an all-gather of
+  // vectors, a named receive around a ring, and again — except that rank
+  // r throws just before its i-th. The others are then blocked in (or
+  // about to enter) an operation the failed rank never joins; each must
+  // raise instead of waiting, and run() must rethrow the injected
+  // exception, not one of the TransportErrors it caused.
+  constexpr int kOps = 6;
+  for (const int p : {2, 3, 4}) {
+    for (int failing = 0; failing < p; ++failing) {
+      for (const int before : {0, 1, 3}) {
+        const std::string what = "rank " + std::to_string(failing) +
+                                 " before op " + std::to_string(before);
+        PERuntime runtime(p);
+        try {
+          runtime.run([&](PEContext& pe) {
+            for (int op = 0; op < kOps; ++op) {
+              if (pe.rank() == failing && op == before) {
+                throw InjectedFailure(what);
+              }
+              switch (op % 3) {
+                case 0:
+                  pe.barrier();
+                  break;
+                case 1:
+                  (void)pe.all_gather_vectors(
+                      {static_cast<std::uint64_t>(pe.rank())});
+                  break;
+                default:
+                  pe.send((pe.rank() + 1) % p, {7});
+                  (void)pe.receive((pe.rank() + p - 1) % p);
+                  break;
+              }
+            }
+          });
+          ADD_FAILURE() << "p=" << p << " " << what << ": run returned";
+        } catch (const InjectedFailure& error) {
+          EXPECT_EQ(std::string(error.what()), what) << "p=" << p;
+        } catch (const std::exception& error) {
+          ADD_FAILURE() << "p=" << p << " " << what
+                        << ": rethrew a consequent error: " << error.what();
+        }
+      }
+    }
+  }
+}
+
+TEST(PERuntime, AFailedRuntimeStaysFailed) {
+  PERuntime runtime(2);
+  EXPECT_THROW(runtime.run([](PEContext& pe) {
+                 if (pe.rank() == 1) throw InjectedFailure("first run");
+                 pe.barrier();
+               }),
+               InjectedFailure);
+  EXPECT_THROW(runtime.run([](PEContext& pe) { pe.barrier(); }),
+               TransportError);
 }
 
 // ----------------------------------------------- distributed coloring ----

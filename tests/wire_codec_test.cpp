@@ -313,6 +313,10 @@ TEST(RowCodec, RoundTripsAndRejectsMalformedRows) {
     }
     const bool corrupt = trial % 2 == 1;
     if (corrupt) mutate(words, rng);
+    std::vector<GraphRow> decoded_rows;
+    std::vector<NodeID> decoded_ids;
+    std::size_t end = 0;
+    bool rejected = false;
     try {
       std::size_t cursor = 0;
       for (std::size_t r = 0; r < rows.size() && cursor < words.size(); ++r) {
@@ -325,9 +329,58 @@ TEST(RowCodec, RoundTripsAndRejectsMalformedRows) {
           EXPECT_EQ(decoded.targets, rows[r].targets);
           EXPECT_EQ(decoded.weights, rows[r].weights);
         }
+        decoded_ids.push_back(id);
+        decoded_rows.push_back(std::move(decoded));
       }
+      end = cursor;
     } catch (const TransportError&) {
       EXPECT_TRUE(corrupt) << "a valid row stream was rejected";
+      rejected = true;
+    }
+
+    // The RowSet decoder and the checked skip share the decoder: the same
+    // verdict, the same end, the same content.
+    RowSet set;
+    set.xadj.push_back(0);
+    std::vector<NodeID> skipped_ids;
+    std::size_t set_end = 0;
+    std::size_t skip_end = 0;
+    bool set_rejected = false;
+    bool skip_rejected = false;
+    try {
+      std::size_t cursor = 0;
+      for (std::size_t r = 0; r < rows.size() && cursor < words.size(); ++r) {
+        (void)decode_row_words(words, cursor, set);
+      }
+      set_end = cursor;
+    } catch (const TransportError&) {
+      set_rejected = true;
+    }
+    try {
+      std::size_t cursor = 0;
+      for (std::size_t r = 0; r < rows.size() && cursor < words.size(); ++r) {
+        skipped_ids.push_back(skip_row_words(words, cursor));
+      }
+      skip_end = cursor;
+    } catch (const TransportError&) {
+      skip_rejected = true;
+    }
+    ASSERT_EQ(set_rejected, rejected) << "trial " << trial;
+    ASSERT_EQ(skip_rejected, rejected) << "trial " << trial;
+    if (rejected) continue;
+    EXPECT_EQ(set_end, end);
+    EXPECT_EQ(skip_end, end);
+    EXPECT_EQ(set.ids, decoded_ids);
+    EXPECT_EQ(skipped_ids, decoded_ids);
+    ASSERT_EQ(set.xadj.size(), decoded_rows.size() + 1);
+    for (std::size_t r = 0; r < decoded_rows.size(); ++r) {
+      EXPECT_EQ(set.vwgt[r], decoded_rows[r].weight);
+      EXPECT_EQ(std::vector<NodeID>(set.adj.begin() + set.xadj[r],
+                                    set.adj.begin() + set.xadj[r + 1]),
+                decoded_rows[r].targets);
+      EXPECT_EQ(std::vector<EdgeWeight>(set.ewgt.begin() + set.xadj[r],
+                                        set.ewgt.begin() + set.xadj[r + 1]),
+                decoded_rows[r].weights);
     }
   }
   GraphRow row;
