@@ -10,8 +10,8 @@
 /// p = min(k, 16) in-process ranks (oversubscribed beyond the core
 /// count), and additionally report the machine-independent communication
 /// shape of the parallel phases: gap-graph size from the parallel
-/// matching and message/word counters from the distributed coloring
-/// protocol.
+/// matching and the SPMD pipeline's per-PE message, word and barrier
+/// counters.
 #include <sys/socket.h>
 #include <sys/wait.h>
 
@@ -26,10 +26,9 @@
 #include "coarsening/prepartition.hpp"
 #include "generators/generators.hpp"
 #include "graph/metrics.hpp"
-#include "graph/quotient_graph.hpp"
 #include "harness.hpp"
 #include "matching/parallel_match.hpp"
-#include "parallel/dist_coloring.hpp"
+#include "parallel/pe_runtime.hpp"
 #include "parallel/transport_tcp.hpp"
 #include "util/random.hpp"
 #include "util/timer.hpp"
@@ -186,7 +185,7 @@ int main(int argc, char** argv) {
   const StaticGraph g = make_instance("rgg15");
   print_table_header(
       "Figure 3 (companion): communication volume vs PEs, rgg15",
-      {"PEs", "gap edges", "gap pairs", "color msgs", "color words"});
+      {"PEs", "gap edges", "gap pairs"});
   for (const BlockID pes : {4u, 8u, 16u, 32u, 64u}) {
     // Parallel matching: gap-graph traffic.
     const auto homes = prepartition(g, pes);
@@ -195,21 +194,8 @@ int main(int argc, char** argv) {
     ParallelMatchingStats mstats;
     (void)parallel_matching(g, homes, pes, MatcherAlgo::kGPA, moptions, rng,
                             &mstats);
-    // Distributed coloring of the quotient graph of a pes-way partition,
-    // one block per PE.
-    Config config = Config::preset(Preset::kMinimal, pes);
-    const PartitionResult result =
-        Partitioner(Context::sequential(config)).partition(g);
-    const QuotientGraph quotient(g, result.partition);
-    PERuntime runtime(static_cast<int>(pes));
-    const CommStats coloring =
-        fold_counters(runtime.run([&](PEContext& pe) {
-          (void)distributed_color_quotient_edges(quotient, Rng(1), pe);
-        })).comm;
     print_row({std::to_string(pes), std::to_string(mstats.gap_edges),
-               std::to_string(mstats.gap_pairs),
-               std::to_string(coloring.messages_sent),
-               std::to_string(coloring.words_sent)});
+               std::to_string(mstats.gap_pairs)});
   }
   // The SPMD end-to-end pipeline on the PE runtime: the same partition for
   // every p (deterministic), with the per-PE communication counters the

@@ -68,7 +68,7 @@ struct Config {
   /// all paper presets; the ablation bench quantifies its effect.
   bool enable_flow_refinement = false;
   /// Observability: record per-rank spans (phases, per-level halo,
-  /// coloring rounds, pair refinement, transport) into a preallocated
+  /// color classes, pair refinement, transport) into a preallocated
   /// buffer and merge them on the primary rank after the run — see
   /// util/trace.hpp and Partitioner::set_trace_sink(). Also switchable
   /// per run with the KAPPA_TRACE environment variable. Observer-only:

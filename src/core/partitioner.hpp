@@ -120,7 +120,10 @@ class Context {
   /// on its replica, synchronizing through messages and collectives, as
   /// in the paper's MPI implementation. Deterministic and p-invariant:
   /// with a fixed config.seed the result is identical for every runtime
-  /// size p (work is keyed to virtual shards, not physical PEs).
+  /// size p (work is keyed to virtual shards, not physical PEs). A
+  /// runtime whose run failed is spent: an in-process runtime throws
+  /// TransportError at the first receive or barrier of its next run, so
+  /// partition again on a new runtime.
   [[nodiscard]] static Context spmd(Config config, PERuntime& runtime) {
     return Context(config, &runtime);
   }

@@ -5,8 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "graph/graph_builder.hpp"
-
 namespace kappa {
 
 namespace {
@@ -72,7 +70,10 @@ StaticGraph read_metis_graph(const std::string& path) {
     throw malformed("vertex count " + std::to_string(n) + " out of range");
   }
 
-  GraphBuilder builder(static_cast<NodeID>(n));
+  std::vector<EdgeID> xadj(n + 1, 0);
+  std::vector<NodeID> adj;
+  std::vector<EdgeWeight> ewgt;
+  std::vector<NodeWeight> vwgt(n, 1);
   for (NodeID u = 0; u < n; ++u) {
     if (!next_vertex_line(in, line)) {
       throw std::runtime_error("unexpected EOF in graph file: " + path);
@@ -81,7 +82,7 @@ StaticGraph read_metis_graph(const std::string& path) {
     if (has_node_weights) {
       NodeWeight w = 1;
       if (!(row >> w) || w < 0) throw malformed("bad node weight");
-      builder.set_node_weight(u, w);
+      vwgt[u] = w;
     }
     std::uint64_t v1 = 0;
     while (row >> v1) {
@@ -90,17 +91,57 @@ StaticGraph read_metis_graph(const std::string& path) {
         throw malformed("bad edge weight");
       }
       if (v1 == 0 || v1 > n) throw malformed("neighbor id out of range");
-      const NodeID v = static_cast<NodeID>(v1 - 1);
-      if (u < v) builder.add_edge(u, v, w);  // each edge appears twice
+      adj.push_back(static_cast<NodeID>(v1 - 1));
+      ewgt.push_back(w);
     }
     if (!row.eof()) throw malformed("unparsable vertex line");
+    xadj[u + 1] = adj.size();
   }
-  StaticGraph graph = builder.finalize();
-  if (graph.num_edges() != m) {
-    // Tolerate inconsistent headers (some archive files are off) but the
-    // graph itself is well-formed at this point.
+  // An edge count m that disagrees with the rows is tolerated (some archive
+  // files are off); asymmetric rows are not. The graph is the transpose of
+  // the rows as listed (row v: each u whose row lists v, ascending), which
+  // is their sorted form once each row lists its transposed row exactly.
+  std::vector<EdgeID> txadj(n + 1, 0);
+  for (const NodeID v : adj) ++txadj[v + 1];
+  for (NodeID v = 0; v < n; ++v) txadj[v + 1] += txadj[v];
+  std::vector<EdgeID> fill(txadj.begin(), txadj.end() - 1);
+  std::vector<NodeID> tadj(adj.size());
+  std::vector<EdgeWeight> tewgt(adj.size());
+  for (NodeID u = 0; u < n; ++u) {
+    for (EdgeID e = xadj[u]; e < xadj[u + 1]; ++e) {
+      tadj[fill[adj[e]]] = u;
+      tewgt[fill[adj[e]]++] = ewgt[e];
+    }
   }
-  return graph;
+  const auto vertex = [](NodeID u) {
+    return "vertex " + std::to_string(u + 1);
+  };
+  std::vector<NodeID> row_of(n, kInvalidNode);  // stamp: listed in row u
+  std::vector<EdgeWeight> listed_weight(n);
+  for (NodeID u = 0; u < n; ++u) {
+    for (EdgeID e = xadj[u]; e < xadj[u + 1]; ++e) {
+      const NodeID v = adj[e];
+      if (v == u) throw malformed(vertex(u) + " lists itself (self-loop)");
+      if (row_of[v] == u) {
+        throw malformed(vertex(u) + " lists " + vertex(v) + " twice");
+      }
+      row_of[v] = u;
+      listed_weight[v] = ewgt[e];
+    }
+    for (EdgeID e = txadj[u]; e < txadj[u + 1]; ++e) {
+      const NodeID v = tadj[e];
+      if (row_of[v] != u) {
+        throw malformed(vertex(v) + " lists " + vertex(u) +
+                        ", which does not list it back");
+      }
+      if (listed_weight[v] != tewgt[e]) {
+        throw malformed(vertex(u) + " and " + vertex(v) +
+                        " list their edge with different weights");
+      }
+    }
+  }
+  return StaticGraph(std::move(txadj), std::move(tadj), std::move(tewgt),
+                     std::move(vwgt));
 }
 
 void write_metis_graph(const StaticGraph& graph, const std::string& path) {

@@ -21,8 +21,12 @@ namespace kappa {
 /// code `xyz` with z = has edge weights, y = has node weights. Each of the
 /// following n lines lists the (1-based) neighbors of a node, each
 /// optionally preceded by weights according to fmt. `%` starts a comment.
+/// Every edge must be listed in the rows of both endpoints, once, with one
+/// weight; the result's rows are sorted. A disagreeing m is tolerated.
 ///
-/// \throws std::runtime_error on malformed input.
+/// \throws std::runtime_error on malformed input; a self-loop, a neighbor
+/// listed twice, a one-sided arc or a mirror arc of another weight names
+/// its vertex.
 [[nodiscard]] StaticGraph read_metis_graph(const std::string& path);
 
 /// Writes a graph in METIS format (with weights iff any are non-unit).

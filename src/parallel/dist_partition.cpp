@@ -19,16 +19,18 @@ namespace {
 
 /// One deterministic request/response rendezvous: every rank sends one
 /// (possibly empty) id list to every other rank, answers the lists it
-/// receives with (id, value) pairs, and collects its own answers. FIFO
-/// per-source delivery pairs the two message waves without tags.
+/// receives with (id, block) pairs, and collects its own answers, each
+/// checked against its request (decode_block_reply()). FIFO per-source
+/// delivery pairs the two message waves without tags.
 template <typename Answer, typename Receive>
-void rendezvous_lookup(std::vector<std::vector<std::uint64_t>> requests,
-                       PEContext& pe, Answer&& answer, Receive&& receive) {
+void rendezvous_lookup(const std::vector<std::vector<std::uint64_t>>& requests,
+                       BlockID k, PEContext& pe, Answer&& answer,
+                       Receive&& receive) {
   const int p = pe.size();
   const int rank = pe.rank();
   if (p == 1) return;
   for (int q = 0; q < p; ++q) {
-    if (q != rank) pe.send(q, std::move(requests[q]));
+    if (q != rank) pe.send(q, requests[q]);
   }
   for (int q = 0; q < p; ++q) {
     if (q == rank) continue;
@@ -45,14 +47,56 @@ void rendezvous_lookup(std::vector<std::vector<std::uint64_t>> requests,
   for (int q = 0; q < p; ++q) {
     if (q == rank) continue;
     const Message msg = pe.receive(q);
-    for (const std::uint64_t word : msg.payload) {
-      const auto [id, value] = unpack_pair(word);
-      receive(static_cast<NodeID>(id), static_cast<BlockID>(value));
+    const std::vector<BlockID> blocks =
+        decode_block_reply(requests[q], msg.payload, k);
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      receive(static_cast<NodeID>(requests[q][i]), blocks[i]);
     }
   }
 }
 
 }  // namespace
+
+void append_move_delta(std::vector<std::uint64_t>& words,
+                       const MoveDelta& delta) {
+  words.push_back(pack_pair(delta.u, delta.to));
+  words.push_back(weight_bits(delta.weight));
+  words.push_back(delta.from);
+}
+
+std::vector<MoveDelta> decode_move_deltas(std::span<const std::uint64_t> words,
+                                          BlockID k) {
+  if (words.size() % 3 != 0) {
+    throw TransportError("malformed move deltas: partial record");
+  }
+  std::vector<MoveDelta> deltas;
+  for (std::size_t i = 0; i < words.size(); i += 3) {
+    const auto [u, to] = unpack_pair(words[i]);
+    if (to >= k || words[i + 2] >= k) {
+      throw TransportError("malformed move delta: block out of range");
+    }
+    deltas.push_back({u, static_cast<BlockID>(words[i + 2]), to,
+                      bits_weight(words[i + 1])});
+  }
+  return deltas;
+}
+
+std::vector<BlockID> decode_block_reply(std::span<const std::uint64_t> request,
+                                        std::span<const std::uint64_t> reply,
+                                        BlockID k) {
+  if (reply.size() != request.size()) {
+    throw TransportError("malformed block reply: not one answer per id");
+  }
+  std::vector<BlockID> blocks;
+  for (std::size_t i = 0; i < reply.size(); ++i) {
+    const auto [id, b] = unpack_pair(reply[i]);
+    if (id != request[i] || b >= k) {
+      throw TransportError("malformed block reply: wrong id or block");
+    }
+    blocks.push_back(b);
+  }
+  return blocks;
+}
 
 DistPartition::DistPartition(const DistLevel& level,
                              const Partition& replicated, PEContext& pe)
@@ -128,7 +172,7 @@ void DistPartition::fetch_blocks(std::span<const NodeID> needed,
   }
   assert(requests[rank_].empty() && "owned nodes are always known");
   rendezvous_lookup(
-      std::move(requests), pe,
+      requests, k_, pe,
       [&](NodeID g) { return block(g); },
       [&](NodeID g, BlockID b) { cache(g, b); });
 }
@@ -165,7 +209,7 @@ DistPartition DistPartition::project(const DistLevel& fine,
   }
   hash_map<NodeID, BlockID> remote;
   rendezvous_lookup(
-      std::move(requests), pe,
+      requests, result.k_, pe,
       [&](NodeID c) { return coarse.block(c); },
       [&](NodeID c, BlockID b) { remote.emplace(c, b); });
   for (NodeID i = 0; i < num_owned; ++i) {

@@ -201,4 +201,29 @@ class DistPartition {
   std::vector<NodeWeight> block_weight_;
 };
 
+/// One moved-node delta of a refinement color class.
+struct MoveDelta {
+  NodeID u = 0;
+  BlockID from = 0;
+  BlockID to = 0;
+  NodeWeight weight = 0;
+};
+
+/// Appends \p delta in the three-word layout the class delta exchange
+/// all-gathers: [(u, to), weight bits, from].
+void append_move_delta(std::vector<std::uint64_t>& words,
+                       const MoveDelta& delta);
+
+/// Decodes a peer's delta payload (inverse of append_move_delta()); a
+/// partial record or a block >= \p k anywhere raises TransportError.
+[[nodiscard]] std::vector<MoveDelta> decode_move_deltas(
+    std::span<const std::uint64_t> words, BlockID k);
+
+/// Decodes a shard owner's reply to a block lookup, one (id, block) word
+/// per id of \p request in request order, into the blocks. Another length,
+/// id or a block >= \p k raises TransportError.
+[[nodiscard]] std::vector<BlockID> decode_block_reply(
+    std::span<const std::uint64_t> request,
+    std::span<const std::uint64_t> reply, BlockID k);
+
 }  // namespace kappa

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <latch>
 #include <stdexcept>
 #include <string>
@@ -12,21 +11,6 @@
 #include "util/trace.hpp"
 
 namespace kappa {
-
-namespace {
-
-/// Order-independent fingerprint mismatch beats a deadlock: FNV-1a over
-/// a word sequence, used by PESubGroup::validate to compare owner maps.
-std::uint64_t fnv1a(const std::vector<int>& words) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const int w : words) {
-    hash ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(w));
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-}  // namespace
 
 PEContext::PEContext(Transport& transport, std::uint64_t seed)
     : transport_(transport),
@@ -170,7 +154,9 @@ std::vector<std::uint64_t> PEContext::all_reduce_sum_vec(
   const std::size_t len = values.size();
   std::vector<std::uint64_t> sum(len, 0);
   for (const auto& contribution : all_gather_vectors(std::move(values))) {
-    assert(contribution.size() == len && "all PEs must contribute equally");
+    if (contribution.size() != len) {
+      throw TransportError("all_reduce_sum_vec: unequal contributions");
+    }
     for (std::size_t i = 0; i < len; ++i) sum[i] += contribution[i];
   }
   return sum;
@@ -246,146 +232,6 @@ std::vector<std::uint64_t> PEContext::broadcast(
     return payload;
   }
   return collective_receive(root).payload;
-}
-
-PESubGroup::PESubGroup(PEContext& parent, std::vector<int> owner_of_virtual,
-                       std::vector<int> neighbor_ranks)
-    : parent_(parent),
-      owner_(std::move(owner_of_virtual)),
-      neighbors_(std::move(neighbor_ranks)) {
-  const int p = parent_.size();
-  for (const int o : owner_) {
-    if (o < 0 || o >= p) {
-      throw std::invalid_argument(
-          "PESubGroup: virtual PE owner " + std::to_string(o) +
-          " outside the parent rank range [0, " + std::to_string(p) + ")");
-    }
-  }
-  std::sort(neighbors_.begin(), neighbors_.end());
-  for (std::size_t i = 0; i < neighbors_.size(); ++i) {
-    const int q = neighbors_[i];
-    if (q < 0 || q >= p) {
-      throw std::invalid_argument(
-          "PESubGroup: neighbor rank " + std::to_string(q) +
-          " outside the parent rank range [0, " + std::to_string(p) + ")");
-    }
-    if (q == parent_.rank()) {
-      throw std::invalid_argument(
-          "PESubGroup: rank " + std::to_string(q) +
-          " lists itself as a neighbor");
-    }
-    if (i > 0 && neighbors_[i - 1] == q) {
-      throw std::invalid_argument(
-          "PESubGroup: duplicate neighbor rank " + std::to_string(q) +
-          " (exchange() would double-send the bundle)");
-    }
-  }
-#ifndef NDEBUG
-  // The cross-rank invariants would otherwise surface as a deadlock deep
-  // inside exchange(); debug builds pay one collective here to turn that
-  // into an immediate, explanatory error on every rank.
-  validate();
-#endif
-}
-
-void PESubGroup::validate() {
-  // Every rank publishes [owner-map fingerprint, its neighbor list...];
-  // afterwards each rank can check the global invariants locally and all
-  // ranks reach the same verdict.
-  std::vector<std::uint64_t> mine;
-  mine.reserve(1 + neighbors_.size());
-  mine.push_back(fnv1a(owner_));
-  for (const int q : neighbors_) {
-    mine.push_back(static_cast<std::uint64_t>(q));
-  }
-  const std::vector<std::vector<std::uint64_t>> all =
-      parent_.all_gather_vectors(std::move(mine));
-
-  const std::uint64_t owner_hash = all[static_cast<std::size_t>(
-      parent_.rank())][0];
-  for (std::size_t r = 0; r < all.size(); ++r) {
-    if (all[r].at(0) != owner_hash) {
-      throw std::invalid_argument(
-          "PESubGroup: rank " + std::to_string(r) +
-          " built the group with a different virtual-PE owner map than "
-          "rank " + std::to_string(parent_.rank()));
-    }
-  }
-  const auto lists = [&all](int rank, int neighbor) {
-    const std::vector<std::uint64_t>& row =
-        all[static_cast<std::size_t>(rank)];
-    for (std::size_t i = 1; i < row.size(); ++i) {
-      if (row[i] == static_cast<std::uint64_t>(neighbor)) return true;
-    }
-    return false;
-  };
-  for (std::size_t r = 0; r < all.size(); ++r) {
-    for (std::size_t i = 1; i < all[r].size(); ++i) {
-      const int q = static_cast<int>(all[r][i]);
-      if (!lists(q, static_cast<int>(r))) {
-        throw std::invalid_argument(
-            "PESubGroup: asymmetric neighbor lists — rank " +
-            std::to_string(r) + " lists rank " + std::to_string(q) +
-            " but not vice versa; exchange() would deadlock waiting for "
-            "a bundle that is never sent");
-      }
-    }
-  }
-}
-
-void PESubGroup::post(int from, int to, std::vector<std::uint64_t> payload) {
-  assert(owner_[static_cast<std::size_t>(from)] == parent_.rank() &&
-         "only locally hosted virtual PEs may send");
-  outbox_.push_back({from, to, std::move(payload)});
-}
-
-std::vector<VirtualMessage> PESubGroup::exchange() {
-  std::vector<VirtualMessage> inbox;
-  // Bundle wire format: repeated records [from, to, len, words...].
-  std::vector<std::vector<std::uint64_t>> bundles(neighbors_.size());
-  for (VirtualMessage& msg : outbox_) {
-    const int dest = owner_[static_cast<std::size_t>(msg.to)];
-    if (dest == parent_.rank()) {
-      inbox.push_back(std::move(msg));
-      continue;
-    }
-    const auto it = std::lower_bound(neighbors_.begin(), neighbors_.end(), dest);
-    assert(it != neighbors_.end() && *it == dest &&
-           "virtual destination hosted outside the neighbor set");
-    auto& bundle = bundles[static_cast<std::size_t>(it - neighbors_.begin())];
-    bundle.push_back(static_cast<std::uint64_t>(msg.from));
-    bundle.push_back(static_cast<std::uint64_t>(msg.to));
-    bundle.push_back(msg.payload.size());
-    bundle.insert(bundle.end(), msg.payload.begin(), msg.payload.end());
-  }
-  outbox_.clear();
-
-  // Every neighbor gets a bundle every round, empty or not, so the
-  // matching receives below never deadlock and need no barrier.
-  for (std::size_t i = 0; i < neighbors_.size(); ++i) {
-    parent_.send(neighbors_[i], std::move(bundles[i]));
-  }
-  for (const int q : neighbors_) {
-    const Message msg = parent_.receive(q);
-    std::size_t pos = 0;
-    while (pos < msg.payload.size()) {
-      VirtualMessage vm;
-      vm.from = static_cast<int>(msg.payload[pos]);
-      vm.to = static_cast<int>(msg.payload[pos + 1]);
-      const std::size_t len = msg.payload[pos + 2];
-      pos += 3;
-      vm.payload.assign(msg.payload.begin() + static_cast<std::ptrdiff_t>(pos),
-                        msg.payload.begin() +
-                            static_cast<std::ptrdiff_t>(pos + len));
-      pos += len;
-      inbox.push_back(std::move(vm));
-    }
-  }
-  std::sort(inbox.begin(), inbox.end(),
-            [](const VirtualMessage& a, const VirtualMessage& b) {
-              return a.to != b.to ? a.to < b.to : a.from < b.from;
-            });
-  return inbox;
 }
 
 PERuntime::PERuntime(int num_pes, std::uint64_t seed)

@@ -150,62 +150,6 @@ class PEContext {
   std::uint64_t heartbeat_words_base_;
 };
 
-/// One virtual-PE message delivered by PESubGroup::exchange().
-struct VirtualMessage {
-  int from = 0;  ///< sending virtual PE (block id in the coloring protocol)
-  int to = 0;    ///< receiving virtual PE, hosted on this rank
-  std::vector<std::uint64_t> payload;
-};
-
-/// Sub-communicator: a group of virtual PEs laid over the ranks of a
-/// parent PEContext. The §5.1 coloring protocol wants one PE per *block*,
-/// but inside the refiner there are only p ranks for k blocks — this class
-/// nests the block-PE scope into the refiner's rank set. Virtual PE v
-/// lives on rank owner[v]; messages between virtual PEs on one rank never
-/// touch the wire, and messages between ranks travel as one bundle per
-/// (neighbor rank, exchange round), so a protocol round costs each rank at
-/// most |neighbor ranks| messages instead of a collective over all p.
-///
-/// All participating ranks must construct the group with the same
-/// owner map and symmetric neighbor lists (q lists r iff r lists q) and
-/// call exchange() in lockstep; ranks with an empty neighbor list may
-/// still host virtual PEs whose messages are all rank-local.
-///
-/// Construction fail-fast: locally malformed arguments (owner or
-/// neighbor rank out of range, self-neighbor, duplicate neighbor) throw
-/// std::invalid_argument immediately. The cross-rank invariants —
-/// symmetric neighbor lists, one agreed owner map — cannot be checked
-/// locally; validate() checks them collectively, and debug builds run it
-/// automatically at construction, so a bad group throws on every rank
-/// instead of deadlocking inside exchange().
-class PESubGroup {
- public:
-  PESubGroup(PEContext& parent, std::vector<int> owner_of_virtual,
-             std::vector<int> neighbor_ranks);
-
-  /// Collectively checks the cross-rank invariants (must be called by all
-  /// ranks of the parent context in lockstep): every rank built the group
-  /// with the same owner map, and the neighbor lists are symmetric.
-  /// Throws std::invalid_argument on every rank when violated.
-  void validate();
-
-  /// Queues a message from virtual PE \p from (hosted here) to \p to.
-  void post(int from, int to, std::vector<std::uint64_t> payload);
-
-  /// Flushes queued messages as one bundle per neighbor rank (always sent,
-  /// possibly empty, so receives are matched without a barrier) and blocks
-  /// for the neighbors' bundles. Returns the messages addressed to virtual
-  /// PEs hosted on this rank, sorted by (to, from) — a deterministic order
-  /// independent of arrival interleaving.
-  [[nodiscard]] std::vector<VirtualMessage> exchange();
-
- private:
-  PEContext& parent_;
-  std::vector<int> owner_;
-  std::vector<int> neighbors_;
-  std::vector<VirtualMessage> outbox_;
-};
-
 /// Runs SPMD programs over a transport fabric: one PE per rank hosted in
 /// this process (all of them on the in-process fabric, exactly one on the
 /// TCP fabric — the remaining ranks run the same program in their own

@@ -8,7 +8,6 @@
 
 #include "graph/metrics.hpp"
 #include "initial/initial_partitioner.hpp"
-#include "parallel/dist_coloring.hpp"
 #include "parallel/pair_view.hpp"
 #include "parallel/resident_pair.hpp"
 #include "parallel/wire_format.hpp"
@@ -277,26 +276,20 @@ void sync_partition_with_store(BlockRowShard& store, DistPartition& partition,
 }
 
 /// The target blocks that trail a migrating row in its message (one word
-/// per arc), checked against the payload.
+/// per arc), checked against the payload and against \p k.
 std::span<const std::uint64_t> target_blocks(
     const std::vector<std::uint64_t>& words, std::size_t& cursor,
-    const GraphRow& row) {
+    const GraphRow& row, BlockID k) {
   if (cursor > words.size() || row.targets.size() > words.size() - cursor) {
     throw TransportError("malformed row migration: target blocks");
   }
   const std::span<const std::uint64_t> blocks(words.data() + cursor,
                                               row.targets.size());
+  for (const std::uint64_t b : blocks) {
+    if (b >= k) throw TransportError("malformed row migration: target block");
+  }
   cursor += row.targets.size();
   return blocks;
-}
-
-/// Appends one moved-node delta — (node, to), weight, entry block — in
-/// the layout the delta exchange of run_color_classes() decodes.
-void append_delta(std::vector<std::uint64_t>& words, NodeID u, BlockID to,
-                  NodeWeight weight, BlockID from) {
-  words.push_back(pack_pair(u, to));
-  words.push_back(weight_bits(weight));
-  words.push_back(from);
 }
 
 /// Marks \p slot dirty (once per iteration).
@@ -502,8 +495,9 @@ PairRefineResult SpmdRefiner::run_in_place(
                                         options, base_rng, seed_tag);
   model.restore(result.moves);
   for (const auto& [slot, to] : result.moves) {
-    append_delta(delta_words, partition.global_at(slot), to,
-                 model.node_weight(slot), to == edge.a ? edge.b : edge.a);
+    const BlockID from = to == edge.a ? edge.b : edge.a;
+    append_move_delta(delta_words, {partition.global_at(slot), from, to,
+                                    model.node_weight(slot)});
   }
   if (observer_) {
     const InPlacePairRun run{options, base_rng, seed_tag, result};
@@ -568,12 +562,13 @@ void SpmdRefiner::run_pairwise(BlockRowShard& store, DistPartition& partition,
     run_color_classes(store, partition, options, base_rng, quotient, global,
                       my_cut_gain, my_imbalance_gain);
 
-    // Stop rule on the *global* iteration gains (modular arithmetic makes
-    // the unsigned all-reduce exact for signed sums).
-    const EdgeWeight cut_gain = static_cast<EdgeWeight>(
-        pe_.all_reduce_sum(static_cast<std::uint64_t>(my_cut_gain)));
-    const NodeWeight imbalance_gain = static_cast<NodeWeight>(
-        pe_.all_reduce_sum(static_cast<std::uint64_t>(my_imbalance_gain)));
+    // Stop rule on the *global* iteration gains, both in one all-reduce
+    // (modular arithmetic makes the unsigned sums exact for signed gains).
+    const std::vector<std::uint64_t> gains = pe_.all_reduce_sum_vec(
+        {static_cast<std::uint64_t>(my_cut_gain),
+         static_cast<std::uint64_t>(my_imbalance_gain)});
+    const EdgeWeight cut_gain = static_cast<EdgeWeight>(gains[0]);
+    const NodeWeight imbalance_gain = static_cast<NodeWeight>(gains[1]);
     if (cut_gain > 0 || imbalance_gain > 0) {
       no_change_streak = 0;
     } else if (++no_change_streak >= options.stop_no_change) {
@@ -596,22 +591,18 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
   const int ship_depth = options.bfs_depth;
   PairShipStats& ship = pe_.record().pair_ship;
 
-  // The schedule: an edge coloring of the quotient, computed by the §5.1
-  // protocol with virtual block-PEs nested on the p ranks. It fills in
-  // only the colors of edges incident to locally hosted blocks, which is
-  // exactly the executor/partner knowledge the loops below read.
+  // The schedule: the §5.1 edge coloring of the quotient. Every rank
+  // holds the whole merged quotient and colors it from the same stream,
+  // so every rank knows every pair of every class without a message.
   const Rng color_rng = base_rng.fork(coloring_fork_tag(global));
-  const EdgeColoring coloring =
-      distributed_color_quotient_edges(quotient, color_rng, pe_).coloring;
+  const EdgeColoring coloring = color_quotient_edges(quotient, color_rng);
 
   for (int color = 0; color < coloring.num_colors; ++color) {
     KAPPA_TRACE_SPAN("refine.color_class", static_cast<std::uint64_t>(color));
     const std::vector<std::size_t> pairs = coloring.color_class(color);
-    // No empty-class skip: with the partial in-refiner coloring a rank
-    // may see none of a class's pairs but must still join the class's
-    // delta collective below. (Full-coloring classes are never globally
-    // empty — the greedy min-free rule uses every color below
-    // num_colors.)
+    // A rank that neither executes nor partners any pair of the class
+    // still joins the class's delta collective below: every rank applies
+    // every delta to its partition state and block weights.
     bool participated = false;
 
     // A pair {a, b} is executed by the owner of block a, in place when
@@ -673,8 +664,8 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
       my_cut_gain += result.cut_gain;
       my_imbalance_gain += result.imbalance_gain;
       for (const auto& [vu, to] : result.moves) {
-        append_delta(delta_words, view.to_global[vu], to,
-                     view.graph.node_weight(vu), view.entry[vu]);
+        append_move_delta(delta_words, {view.to_global[vu], view.entry[vu],
+                                        to, view.graph.node_weight(vu)});
       }
     }
     if (!participated) ++pe_.record().comm.rounds_waited;
@@ -687,21 +678,12 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
     const auto gathered =
         // kappa-lint: allow(no-refinement-block-gathers, "O(moves) round deltas, never block ids")
         pe_.all_gather_vectors(std::move(delta_words));
-    struct Migration {
-      NodeID u;
-      BlockID from;
-      BlockID to;
-    };
-    std::vector<Migration> migrations;
+    std::vector<MoveDelta> migrations;
     for (const auto& vec : gathered) {
-      for (std::size_t i = 0; i + 2 < vec.size(); i += 3) {
-        const auto [u, to_raw] = unpack_pair(vec[i]);
-        const BlockID to = static_cast<BlockID>(to_raw);
-        const NodeWeight w = bits_weight(vec[i + 1]);
-        const BlockID from = static_cast<BlockID>(vec[i + 2]);
-        if (from == to) continue;
-        partition.apply_move(u, from, to, w);
-        migrations.push_back({u, from, to});
+      for (const MoveDelta& m : decode_move_deltas(vec, k)) {
+        if (m.from == m.to) continue;
+        partition.apply_move(m.u, m.from, m.to, m.weight);
+        migrations.push_back(m);
       }
     }
 
@@ -712,7 +694,7 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
     // filters), the new owner takes the row into the store's side arena.
     std::vector<std::vector<std::uint64_t>> outbox(p);
     std::vector<int> expect_from(p, 0);
-    for (const Migration& m : migrations) {
+    for (const MoveDelta& m : migrations) {
       const int old_owner = BlockRowShard::owner_of_block(m.from, p);
       const int new_owner = BlockRowShard::owner_of_block(m.to, p);
       if (old_owner == new_owner) {
@@ -739,20 +721,19 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
     for (int q = 0; q < p; ++q) {
       if (expect_from[q] > 0) inbox[q] = pe_.receive(q).payload;
     }
-    for (const Migration& m : migrations) {
+    for (const MoveDelta& m : migrations) {
       const int old_owner = BlockRowShard::owner_of_block(m.from, p);
       const int new_owner = BlockRowShard::owner_of_block(m.to, p);
       if (new_owner != rank || old_owner == rank || old_owner == new_owner) {
         continue;
       }
       GraphRow row;
-      const NodeID id =
-          decode_row_words(inbox[old_owner], cursor[old_owner], row);
-      assert(id == m.u);
-      (void)id;
+      if (decode_row_words(inbox[old_owner], cursor[old_owner], row) != m.u) {
+        throw TransportError("malformed row migration: unscheduled row");
+      }
       partition.learn(m.u, m.to);
       const std::span<const std::uint64_t> blocks =
-          target_blocks(inbox[old_owner], cursor[old_owner], row);
+          target_blocks(inbox[old_owner], cursor[old_owner], row, k);
       for (std::size_t i = 0; i < row.targets.size(); ++i) {
         partition.learn(row.targets[i], static_cast<BlockID>(blocks[i]));
       }

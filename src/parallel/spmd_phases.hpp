@@ -34,10 +34,10 @@
 ///     (parallel/pair_view.hpp), and migration volume drops from |block|
 ///     to |band| per pair. Both paths run the one pair kernel and give
 ///     the same moves. The pairs run in the §5.1 schedule: rounds
-///     follow an edge coloring of the quotient, computed
-///     by the §5.1 protocol running *inside* the refiner (virtual
-///     block-PEs nested on the p ranks), which draws the same coloring as
-///     the greedy color_quotient_edges() from the same seed. Moved-node
+///     follow an edge coloring of the quotient, which every rank
+///     computes itself with color_quotient_edges() on the merged
+///     quotient it holds, from the same seed — no message is sent, and
+///     every rank knows every pair of every class. Moved-node
 ///     deltas (with entry block and weight) plus migrating rows are
 ///     exchanged after every color class; every rank applies every
 ///     delta, which keeps the sharded partition state and the replicated
@@ -245,7 +245,8 @@ class SpmdRefiner {
   /// at the block-a owner — in place when it owns block b too, otherwise
   /// on a view with b's side shipped at band depth options.bfs_depth —
   /// then the moved-node delta all-gather and row migration after every
-  /// class. The coloring comes from the in-refiner §5.1 protocol.
+  /// class. The classes come from color_quotient_edges() on \p quotient,
+  /// which every rank computes alike.
   void run_color_classes(BlockRowShard& store, DistPartition& partition,
                          const PairwiseRefinerOptions& options,
                          const Rng& base_rng, const QuotientGraph& quotient,

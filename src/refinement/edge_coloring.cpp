@@ -38,10 +38,9 @@ EdgeColoring color_quotient_edges(const QuotientGraph& quotient,
   if (num_edges == 0 || k == 0) return coloring;
 
   // One private stream per block: block b draws from rng.fork(b), as
-  // virtual block-PE b does in the message-passing protocol
-  // (parallel/dist_coloring). This is what makes the two produce the
-  // *same* coloring from the same seed — they are two executions of one
-  // randomized process.
+  // block-PE b would in the message-passing form of the protocol. The
+  // streams are keyed to blocks, never to ranks, so the coloring is the
+  // same for every PE count.
   std::vector<Rng> block_rng;
   block_rng.reserve(k);
   for (BlockID b = 0; b < k; ++b) block_rng.push_back(rng.fork(b));

@@ -40,14 +40,13 @@ struct EdgeColoring {
 
 /// Runs the randomized distributed protocol described in §5.1, simulated
 /// round by round with one forked RNG stream per block (block b draws
-/// from rng.fork(b), the same stream the message-passing protocol in
-/// parallel/dist_coloring hands its virtual block-PE b). That protocol
-/// executes the identical process and returns the identical coloring for
-/// the same seed; this replicated form schedules the sequential refiner
-/// and is the oracle the protocol's tests compare against. Terminates
-/// with certainty because every round with at least one active/passive
-/// pair colors an edge and singleton conflicts are resolved by
-/// re-flipping. The caller's generator is not advanced.
+/// from rng.fork(b), the stream block-PE b would draw from). The result
+/// is a pure function of the quotient and the seed, so every SPMD rank,
+/// which holds the whole merged quotient, computes the same coloring
+/// without a message. It schedules both the sequential and the SPMD
+/// refiner. Terminates with certainty because every round with at least
+/// one active/passive pair colors an edge and singleton conflicts are
+/// resolved by re-flipping. The caller's generator is not advanced.
 [[nodiscard]] EdgeColoring color_quotient_edges(const QuotientGraph& quotient,
                                                 const Rng& rng);
 

@@ -66,8 +66,8 @@ class Rng {
   /// Uniform double in [0, 1).
   double uniform() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
 
-  /// Fair coin toss; used by the distributed edge-coloring protocol (§5.1)
-  /// where PEs flip active/passive coins each round.
+  /// Fair coin toss; used by the §5.1 edge coloring, whose block-PEs
+  /// flip active/passive coins each round.
   bool coin() { return (next() & 1ULL) != 0; }
 
   /// Fisher–Yates shuffle.

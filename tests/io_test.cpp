@@ -129,7 +129,7 @@ class MetisRejects : public IOTest {
   }
 };
 
-// Both header checks fire before GraphBuilder allocates the vertices.
+// Both header checks fire before the reader allocates the vertices.
 TEST_F(MetisRejects, VertexCountBeyondNodeIdRange) {
   // Truncated to NodeID, 2^32 + 1 would size the graph for one vertex
   // and the second row's node weight would be written out of bounds.
@@ -170,6 +170,58 @@ TEST_F(MetisRejects, NonPositiveEdgeWeight) {
 
 TEST_F(MetisRejects, NegativeNodeWeight) {
   expect_rejected("negative_node.graph", "2 1 010\n-3 2\n1 1\n");
+}
+
+// Every edge is listed in the rows of both endpoints, once, with one
+// weight. A reader that repaired the four cases below would partition a
+// graph other than the file's without a word.
+TEST_F(MetisRejects, SelfLoop) {
+  expect_rejected("self_loop.graph", "2 1\n2\n1 2\n",
+                  "vertex 2 lists itself");
+}
+
+TEST_F(MetisRejects, NeighborListedTwiceInOneRow) {
+  // Read leniently, the two arcs summed to one edge of weight 2.
+  expect_rejected("duplicate.graph", "2 1\n2 2\n1\n",
+                  "vertex 1 lists vertex 2 twice");
+}
+
+TEST_F(MetisRejects, ArcMissingFromTheOtherEndpointsRow) {
+  // Edge 3-2 is listed only in row 3: read leniently, it disappeared.
+  expect_rejected("only_higher_row.graph", "3 2\n2\n1\n2\n",
+                  "vertex 3 lists vertex 2, which does not");
+  // Listed only in row 1: read leniently, it was mirrored.
+  expect_rejected("only_lower_row.graph", "2 1\n2\n\n",
+                  "vertex 1 lists vertex 2, which does not");
+}
+
+TEST_F(MetisRejects, MirrorArcWithAnotherWeight) {
+  expect_rejected("mirror_weight.graph", "2 1 001\n2 3\n1 4\n",
+                  "different weights");
+}
+
+TEST_F(IOTest, RowsInAnyOrderReadAsSortedRows) {
+  const std::string path = temp_path("unsorted_rows.graph");
+  {
+    std::ofstream out(path);
+    out << "4 4 001\n3 2 2 5\n4 7 1 5\n1 2 4 1\n3 1 2 7\n";
+  }
+  GraphBuilder builder(4);
+  builder.add_edge(0, 1, 5);
+  builder.add_edge(0, 2, 2);
+  builder.add_edge(1, 3, 7);
+  builder.add_edge(2, 3, 1);
+  const StaticGraph expected = builder.finalize();
+  const StaticGraph read = read_metis_graph(path);
+  ASSERT_EQ(read.num_arcs(), expected.num_arcs());
+  for (NodeID u = 0; u < 4; ++u) {
+    ASSERT_EQ(read.first_arc(u), expected.first_arc(u));
+  }
+  for (EdgeID e = 0; e < read.num_arcs(); ++e) {
+    EXPECT_EQ(read.arc_target(e), expected.arc_target(e));
+    EXPECT_EQ(read.arc_weight(e), expected.arc_weight(e));
+  }
+  std::remove(path.c_str());
 }
 
 TEST_F(IOTest, ToleratesEdgeCountMismatchAndTrailingWhitespace) {

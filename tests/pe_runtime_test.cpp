@@ -1,6 +1,5 @@
 /// \file pe_runtime_test.cpp
-/// \brief Tests for the thread-based PE runtime (the MPI substitute) and
-/// the distributed edge-coloring protocol running on it.
+/// \brief Tests for the thread-based PE runtime (the MPI substitute).
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
@@ -16,11 +15,7 @@
 #include <string>
 #include <system_error>
 
-#include "generators/generators.hpp"
-#include "graph/quotient_graph.hpp"
-#include "parallel/dist_coloring.hpp"
 #include "parallel/pe_runtime.hpp"
-#include "parallel/shard_graph.hpp"
 #include "util/random.hpp"
 
 namespace kappa {
@@ -86,6 +81,17 @@ TEST(PERuntime, AllReduceSumAndMax) {
     // Repeated collectives stay consistent (barrier discipline).
     EXPECT_EQ(pe.all_reduce_sum(1), 5u);
   });
+}
+
+TEST(PERuntime, AllReduceSumVecRejectsAContributionOfAnotherLength) {
+  // A peer's vector is outside input: summed unchecked, a shorter one
+  // would be read past its end.
+  PERuntime runtime(2);
+  EXPECT_THROW(runtime.run([](PEContext& pe) {
+                 (void)pe.all_reduce_sum_vec(std::vector<std::uint64_t>(
+                     1 + static_cast<std::size_t>(pe.rank()), 1));
+               }),
+               TransportError);
 }
 
 TEST(PERuntime, AllGatherOrdersByRank) {
@@ -348,130 +354,6 @@ TEST(PERuntime, AFailedRuntimeStaysFailed) {
                InjectedFailure);
   EXPECT_THROW(runtime.run([](PEContext& pe) { pe.barrier(); }),
                TransportError);
-}
-
-// ----------------------------------------------- distributed coloring ----
-
-/// The §5.1 protocol on a runtime of k ranks, one block per rank: the
-/// coloring merged from every rank's hosted edges, the run's summed
-/// communication and its round count.
-struct ProtocolRun {
-  EdgeColoring coloring;
-  CommStats comm;
-  std::size_t rounds = 0;
-};
-
-ProtocolRun run_protocol(const QuotientGraph& q, std::uint64_t seed) {
-  const std::size_t k = q.num_blocks();
-  std::vector<RefinerColoringResult> per_rank(k);
-  PERuntime runtime(static_cast<int>(k));
-  ProtocolRun run;
-  run.comm = fold_counters(runtime.run([&](PEContext& pe) {
-    per_rank[pe.rank()] = distributed_color_quotient_edges(q, Rng(seed), pe);
-  })).comm;
-  run.coloring.color_of_edge.assign(q.edges().size(), -1);
-  for (const RefinerColoringResult& rank : per_rank) {
-    EXPECT_EQ(rank.coloring.num_colors, per_rank[0].coloring.num_colors);
-    EXPECT_EQ(rank.rounds, per_rank[0].rounds);
-    for (std::size_t e = 0; e < q.edges().size(); ++e) {
-      const int color = rank.coloring.color_of_edge[e];
-      if (color == -1) continue;
-      int& merged = run.coloring.color_of_edge[e];
-      EXPECT_TRUE(merged == -1 || merged == color)
-          << "the endpoints of edge " << e << " disagree";
-      merged = color;
-    }
-  }
-  run.coloring.num_colors = per_rank[0].coloring.num_colors;
-  run.rounds = per_rank[0].rounds;
-  return run;
-}
-
-TEST(DistributedColoring, MatchesSequentialInvariants) {
-  const StaticGraph g = grid_graph(40, 10);
-  std::vector<BlockID> assignment(g.num_nodes());
-  for (NodeID u = 0; u < g.num_nodes(); ++u) {
-    assignment[u] = std::min<BlockID>((u % 40) / 5, 7);
-  }
-  const Partition p(g, std::move(assignment), 8);
-  const QuotientGraph q(g, p);
-
-  const ProtocolRun result = run_protocol(q, /*seed=*/5);
-  EXPECT_EQ(validate_coloring(q, result.coloring), "");
-  EXPECT_LE(result.coloring.num_colors,
-            2 * static_cast<int>(q.max_degree()));
-  EXPECT_GT(result.comm.messages_sent, 0u);
-  EXPECT_GT(result.rounds, 0u);
-}
-
-TEST(DistributedColoring, DenseQuotientGraph) {
-  // Random 10-way partition of an rgg: the quotient is near-complete.
-  Rng graph_rng(3);
-  const StaticGraph g = random_geometric_graph(900, 0.08, graph_rng);
-  std::vector<BlockID> assignment(g.num_nodes());
-  Rng arng(1);
-  for (auto& b : assignment) b = static_cast<BlockID>(arng.bounded(10));
-  const Partition p(g, std::move(assignment), 10);
-  const QuotientGraph q(g, p);
-  ASSERT_GT(q.edges().size(), 30u);
-
-  const ProtocolRun result = run_protocol(q, /*seed=*/7);
-  EXPECT_EQ(validate_coloring(q, result.coloring), "");
-}
-
-TEST(DistributedColoring, InRefinerOverloadAgreesWithGreedyForEveryP) {
-  // The nested (PESubGroup) variant hosts the k block-PEs on p ranks. For
-  // every p it must hand each rank the exact greedy coloring restricted to
-  // its hosted blocks' edges: non-hosted edges stay -1, hosted ones carry
-  // the greedy color, and num_colors is globally agreed. This is the
-  // contract the refiner's executor/partner roles read the schedule from.
-  Rng graph_rng(3);
-  const StaticGraph g = random_geometric_graph(900, 0.08, graph_rng);
-  const BlockID k = 10;
-  std::vector<BlockID> assignment(g.num_nodes());
-  Rng arng(1);
-  for (auto& b : assignment) b = static_cast<BlockID>(arng.bounded(k));
-  const Partition p(g, std::move(assignment), k);
-  const QuotientGraph q(g, p);
-  ASSERT_GT(q.edges().size(), 30u);
-
-  const EdgeColoring greedy = color_quotient_edges(q, Rng(5));
-
-  for (const int num_pes : {1, 2, 3, 5, 8}) {
-    PERuntime runtime(num_pes);
-    std::vector<RefinerColoringResult> per_rank(
-        static_cast<std::size_t>(num_pes));
-    runtime.run([&](PEContext& pe) {
-      per_rank[pe.rank()] = distributed_color_quotient_edges(q, Rng(5), pe);
-    });
-    for (int r = 0; r < num_pes; ++r) {
-      const EdgeColoring& local = per_rank[r].coloring;
-      EXPECT_EQ(local.num_colors, greedy.num_colors)
-          << "p=" << num_pes << " rank " << r;
-      ASSERT_EQ(local.color_of_edge.size(), q.edges().size());
-      for (std::size_t e = 0; e < q.edges().size(); ++e) {
-        const QuotientEdge& edge = q.edges()[e];
-        const bool hosted =
-            BlockRowShard::owner_of_block(edge.a, num_pes) == r ||
-            BlockRowShard::owner_of_block(edge.b, num_pes) == r;
-        if (hosted) {
-          EXPECT_EQ(local.color_of_edge[e], greedy.color_of_edge[e])
-              << "p=" << num_pes << " rank " << r << " edge " << e;
-        } else {
-          EXPECT_EQ(local.color_of_edge[e], -1)
-              << "p=" << num_pes << " rank " << r << " edge " << e;
-        }
-      }
-    }
-  }
-}
-
-TEST(DistributedColoring, EmptyQuotient) {
-  const StaticGraph g = grid_graph(4, 1);
-  const Partition p(g, {0, 0, 0, 0}, 1);
-  const QuotientGraph q(g, p);
-  const ProtocolRun result = run_protocol(q, 1);
-  EXPECT_EQ(result.coloring.num_colors, 0);
 }
 
 }  // namespace

@@ -258,6 +258,39 @@ TEST(EdgeColoring, SingleEdgeTerminates) {
   EXPECT_EQ(coloring.color_of_edge[0], 0);
 }
 
+TEST(EdgeColoring, ValidOnEightBlockGridQuotient) {
+  const StaticGraph g = grid_graph(40, 10);
+  std::vector<BlockID> assignment(g.num_nodes());
+  for (NodeID u = 0; u < g.num_nodes(); ++u) {
+    assignment[u] = std::min<BlockID>((u % 40) / 5, 7);
+  }
+  const Partition p(g, std::move(assignment), 8);
+  const QuotientGraph q(g, p);
+  const EdgeColoring coloring = color_quotient_edges(q, Rng(5));
+  EXPECT_EQ(validate_coloring(q, coloring), "");
+  EXPECT_LE(coloring.num_colors, 2 * static_cast<int>(q.max_degree()));
+}
+
+TEST(EdgeColoring, ValidOnNearCompleteQuotient) {
+  // Random 10-way partition of an rgg: the quotient is near-complete.
+  Rng graph_rng(3);
+  const StaticGraph g = random_geometric_graph(900, 0.08, graph_rng);
+  std::vector<BlockID> assignment(g.num_nodes());
+  Rng arng(1);
+  for (auto& b : assignment) b = static_cast<BlockID>(arng.bounded(10));
+  const Partition p(g, std::move(assignment), 10);
+  const QuotientGraph q(g, p);
+  ASSERT_GT(q.edges().size(), 30u);
+  EXPECT_EQ(validate_coloring(q, color_quotient_edges(q, Rng(7))), "");
+}
+
+TEST(EdgeColoring, EmptyQuotientHasNoColors) {
+  const StaticGraph g = grid_graph(4, 1);
+  const Partition p(g, {0, 0, 0, 0}, 1);
+  const QuotientGraph q(g, p);
+  EXPECT_EQ(color_quotient_edges(q, Rng(1)).num_colors, 0);
+}
+
 // ------------------------------------------------------ pairwise refiner ----
 
 TEST(PairwiseRefiner, ImprovesStripedGridPartition) {

@@ -97,61 +97,6 @@ TEST(PERuntimeValidation, RejectsNonPositivePeCount) {
   EXPECT_THROW(PERuntime runtime(-2), std::invalid_argument);
 }
 
-TEST(PESubGroupValidation, RejectsMalformedLocalArguments) {
-  PERuntime runtime(1);
-  runtime.run([&](PEContext& pe) {
-    // Owner outside the rank range.
-    EXPECT_THROW(PESubGroup(pe, {5}, {}), std::invalid_argument);
-    // A rank is not its own neighbor.
-    EXPECT_THROW(PESubGroup(pe, {0}, {0}), std::invalid_argument);
-    // Neighbor outside the rank range.
-    EXPECT_THROW(PESubGroup(pe, {0}, {3}), std::invalid_argument);
-  });
-}
-
-TEST(PESubGroupValidation, DuplicateNeighborThrows) {
-  PERuntime runtime(2);
-  runtime.run([&](PEContext& pe) {
-    const int other = 1 - pe.rank();
-    EXPECT_THROW(PESubGroup(pe, {0, 1}, {other, other}),
-                 std::invalid_argument);
-  });
-}
-
-TEST(PESubGroupValidation, AsymmetricNeighborListsThrowOnEveryRank) {
-  // Rank 0 lists rank 1 but not vice versa — exchange() would deadlock
-  // (rank 0 waits forever for a bundle rank 1 never sends). validate()
-  // turns that into an immediate error on *every* rank; debug builds run
-  // it automatically at construction.
-  PERuntime runtime(2);
-  runtime.run([&](PEContext& pe) {
-    std::vector<int> neighbors;
-    if (pe.rank() == 0) neighbors.push_back(1);
-    EXPECT_THROW(
-        {
-          PESubGroup group(pe, {0, 1}, neighbors);
-          group.validate();
-        },
-        std::invalid_argument);
-  });
-}
-
-TEST(PESubGroupValidation, MismatchedOwnerMapsThrowOnEveryRank) {
-  PERuntime runtime(2);
-  runtime.run([&](PEContext& pe) {
-    // Symmetric neighbors, but the ranks disagree on who hosts virtual
-    // PE 1 — rank-local routing would silently diverge.
-    const std::vector<int> owner =
-        pe.rank() == 0 ? std::vector<int>{0, 1} : std::vector<int>{0, 0};
-    EXPECT_THROW(
-        {
-          PESubGroup group(pe, owner, {1 - pe.rank()});
-          group.validate();
-        },
-        std::invalid_argument);
-  });
-}
-
 // ------------------------------------------------------ TCP multi-proc ----
 
 /// Binds an ephemeral localhost port, closes the socket, and returns the
@@ -465,6 +410,67 @@ TEST(TcpTransport, DeadPeerSurfacesAsErrorNotHang) {
   EXPECT_EQ(codes[1], 0);
   EXPECT_LT(std::chrono::steady_clock::now() - start,
             std::chrono::seconds(60));
+}
+
+/// The exception a test program injects into one rank.
+struct InjectedFailure : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+TEST(TcpTransport, ARankThatThrowsFailsEveryProcessInsteadOfHangingIt) {
+  // The TCP twin of PERuntime.ARankThatThrowsFailsTheRunInsteadOfHangingIt:
+  // one process per rank runs a barrier, an all-gather of vectors, a named
+  // receive around a ring, and again — except that rank r throws just
+  // before its i-th. Its process must end with the injected error; every
+  // peer is blocked in, or about to enter, an operation the failed rank
+  // never joins and must end with a TransportError. A peer that waited
+  // for its receive deadline instead would push the case past kMaxCase.
+  constexpr int kOps = 6;
+  constexpr int kInjected = 7;
+  constexpr auto kMaxCase = std::chrono::seconds(10);
+  for (const int p : {2, 3, 4}) {
+    for (int failing = 0; failing < p; ++failing) {
+      for (const int before : {0, 1, 3}) {
+        const std::string what = "rank " + std::to_string(failing) +
+                                 " before op " + std::to_string(before);
+        const std::uint16_t port = pick_free_port();
+        const auto start = std::chrono::steady_clock::now();
+        const auto codes = spawn_ranks(p, [&](int rank) -> int {
+          PERuntime runtime(make_tcp_fabric(local_options(rank, p, port)));
+          try {
+            runtime.run([&](PEContext& pe) {
+              for (int op = 0; op < kOps; ++op) {
+                if (pe.rank() == failing && op == before) {
+                  throw InjectedFailure(what);
+                }
+                switch (op % 3) {
+                  case 0:
+                    pe.barrier();
+                    break;
+                  case 1:
+                    (void)pe.all_gather_vectors(
+                        {static_cast<std::uint64_t>(pe.rank())});
+                    break;
+                  default:
+                    pe.send((pe.rank() + 1) % p, {7});
+                    (void)pe.receive((pe.rank() + p - 1) % p);
+                    break;
+                }
+              }
+            });
+          } catch (const InjectedFailure& error) {
+            return std::string(error.what()) == what ? kInjected : 44;
+          }
+          return 0;  // the run returned
+        });
+        std::vector<int> expected(static_cast<std::size_t>(p), 42);
+        expected[static_cast<std::size_t>(failing)] = kInjected;
+        EXPECT_EQ(codes, expected) << "p=" << p << " " << what;
+        EXPECT_LT(std::chrono::steady_clock::now() - start, kMaxCase)
+            << "p=" << p << " " << what;
+      }
+    }
+  }
 }
 
 /// Rendezvous half of a TCP rank, for a fake rank 1 of a two-rank run:

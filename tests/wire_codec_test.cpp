@@ -1,8 +1,9 @@
 /// \file wire_codec_test.cpp
 /// \brief Hostile-input corpus for the wire codecs: the refiner's flat
 /// PairSide layout (with its three kinds of arc target reference), the
-/// shared row codec (decode_row_words), and the per-rank counter record
-/// every SPMD run gathers (decode_counters).
+/// shared row codec (decode_row_words), the refiner's move deltas and
+/// block-lookup replies (decode_move_deltas, decode_block_reply), and the
+/// per-rank counter record every SPMD run gathers (decode_counters).
 ///
 /// Every payload a peer sends is untrusted. The decoders check each
 /// count against the remaining payload before reserving or reading, so a
@@ -16,12 +17,15 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "parallel/comm_stats.hpp"
+#include "parallel/dist_partition.hpp"
 #include "parallel/pair_side.hpp"
 #include "parallel/shard_graph.hpp"
 #include "parallel/transport.hpp"
+#include "parallel/wire_format.hpp"
 #include "util/random.hpp"
 
 namespace kappa {
@@ -392,6 +396,132 @@ TEST(RowCodec, RoundTripsAndRejectsMalformedRows) {
   EXPECT_THROW((void)decode_row_words(oversized, cursor, row), TransportError);
   cursor = 9;
   EXPECT_THROW((void)decode_row_words(oversized, cursor, row), TransportError);
+}
+
+/// 0-7 moved-node deltas between the blocks of a k-way partition.
+std::vector<MoveDelta> random_deltas(Rng& rng, BlockID k) {
+  std::vector<MoveDelta> deltas(rng.bounded(8));
+  for (MoveDelta& d : deltas) {
+    d.u = static_cast<NodeID>(rng.bounded(1000));
+    d.from = static_cast<BlockID>(rng.bounded(k));
+    d.to = static_cast<BlockID>(rng.bounded(k));
+    d.weight = static_cast<NodeWeight>(rng.bounded(50));
+  }
+  return deltas;
+}
+
+std::vector<std::uint64_t> encode_deltas(const std::vector<MoveDelta>& deltas) {
+  std::vector<std::uint64_t> words;
+  for (const MoveDelta& d : deltas) append_move_delta(words, d);
+  return words;
+}
+
+TEST(MoveDeltaCodec, RoundTripsAndRejectsMalformedPayloads) {
+  constexpr BlockID k = 16;
+  Rng rng(23);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::vector<MoveDelta> deltas = random_deltas(rng, k);
+    const std::vector<MoveDelta> decoded =
+        decode_move_deltas(encode_deltas(deltas), k);
+    ASSERT_EQ(decoded.size(), deltas.size());
+    for (std::size_t i = 0; i < deltas.size(); ++i) {
+      EXPECT_EQ(decoded[i].u, deltas[i].u);
+      EXPECT_EQ(decoded[i].from, deltas[i].from);
+      EXPECT_EQ(decoded[i].to, deltas[i].to);
+      EXPECT_EQ(decoded[i].weight, deltas[i].weight);
+    }
+  }
+  const std::vector<std::uint64_t> valid = encode_deltas({{7, 2, 3, 1}});
+  // A trailing partial record, a target or an entry block >= k — also
+  // one whose low 32 bits would pass for a valid block.
+  std::vector<std::vector<std::uint64_t>> payloads = {
+      {valid[0]}, {valid[0], valid[1]}, valid, valid, valid, valid};
+  payloads[2].push_back(1);
+  payloads[3][0] = pack_pair(7, k);
+  payloads[4][2] = k;
+  payloads[5][2] = (std::uint64_t{1} << 32) + 2;
+  for (const auto& words : payloads) {
+    EXPECT_THROW((void)decode_move_deltas(words, k), TransportError);
+  }
+  EXPECT_TRUE(decode_move_deltas({}, k).empty());
+}
+
+TEST(MoveDeltaCodec, MutationCorpusRaisesOnlyTransportError) {
+  constexpr BlockID k = 16;
+  Rng rng(31);
+  int rejected = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<std::uint64_t> words = encode_deltas(random_deltas(rng, k));
+    const int mutations = 1 + static_cast<int>(rng.bounded(3));
+    for (int m = 0; m < mutations; ++m) mutate(words, rng);
+    try {
+      for (const MoveDelta& d : decode_move_deltas(words, k)) {
+        EXPECT_LT(d.from, k);
+        EXPECT_LT(d.to, k);
+      }
+    } catch (const TransportError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 1000);
+}
+
+/// A lookup request of 0-7 ids and the owner's reply, blocks < k.
+std::pair<std::vector<std::uint64_t>, std::vector<std::uint64_t>>
+random_lookup(Rng& rng, BlockID k) {
+  std::vector<std::uint64_t> request;
+  std::vector<std::uint64_t> reply;
+  for (std::size_t i = 0, n = rng.bounded(8); i < n; ++i) {
+    const NodeID id = static_cast<NodeID>(rng.bounded(1000));
+    request.push_back(id);
+    reply.push_back(pack_pair(id, static_cast<BlockID>(rng.bounded(k))));
+  }
+  return {request, reply};
+}
+
+TEST(BlockReplyCodec, RoundTripsAndRejectsMalformedReplies) {
+  constexpr BlockID k = 16;
+  Rng rng(41);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto [request, reply] = random_lookup(rng, k);
+    const std::vector<BlockID> blocks = decode_block_reply(request, reply, k);
+    ASSERT_EQ(blocks.size(), request.size());
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      EXPECT_EQ(pack_pair(static_cast<NodeID>(request[i]), blocks[i]),
+                reply[i]);
+    }
+  }
+  const std::vector<std::uint64_t> request = {4, 9};
+  const std::vector<std::vector<std::uint64_t>> replies = {
+      {},                                     // no answers
+      {pack_pair(4, 1)},                      // one answer short
+      {pack_pair(4, 1), pack_pair(9, 2), 0},  // one answer too many
+      {pack_pair(4, 1), pack_pair(9, k)},     // block out of range
+      {pack_pair(4, 1), pack_pair(8, 2)},     // not the requested id
+      {pack_pair(9, 2), pack_pair(4, 1)},     // out of request order
+  };
+  for (const auto& reply : replies) {
+    EXPECT_THROW((void)decode_block_reply(request, reply, k), TransportError);
+  }
+}
+
+TEST(BlockReplyCodec, MutationCorpusRaisesOnlyTransportError) {
+  constexpr BlockID k = 16;
+  Rng rng(43);
+  int rejected = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    auto [request, reply] = random_lookup(rng, k);
+    const int mutations = 1 + static_cast<int>(rng.bounded(3));
+    for (int m = 0; m < mutations; ++m) mutate(reply, rng);
+    try {
+      for (const BlockID b : decode_block_reply(request, reply, k)) {
+        EXPECT_LT(b, k);
+      }
+    } catch (const TransportError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 1000);
 }
 
 /// A record with every table field and 0-4 halo levels drawn from \p rng.
