@@ -6,6 +6,7 @@
 /// two-block band subgraph, §5.2).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "graph/static_graph.hpp"
@@ -41,6 +42,11 @@ struct RowSet {
 
   /// Resident adjacency entries.
   [[nodiscard]] std::size_t num_arcs() const { return adj.size(); }
+
+  /// Arc targets of the \p i-th row.
+  [[nodiscard]] std::span<const NodeID> targets(std::size_t i) const {
+    return {adj.data() + xadj[i], adj.data() + xadj[i + 1]};
+  }
 };
 
 /// Extracts the rows of \p nodes (must be duplicate-free) from \p graph.

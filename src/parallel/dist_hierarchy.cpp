@@ -17,6 +17,7 @@
 #include <numeric>
 #include <utility>
 
+#include "coarsening/prepartition.hpp"
 #include "graph/subgraph.hpp"
 #include "matching/tentative_match.hpp"
 #include "parallel/dist_partition.hpp"
@@ -35,48 +36,15 @@ void accumulate(ShardFootprint& total, const ShardFootprint& fp) {
   total.arcs += fp.arcs;
 }
 
-/// Reassembles a full per-node value vector from the all-gathered
-/// per-rank owned contributions (each in ascending global-id order). The
-/// finest level merges in one O(n + p) scan with a read cursor per rank;
-/// coarse levels walk their O(num_shards) contiguous ranges.
-std::vector<BlockID> reassemble_owned(
-    const DistLevel& level, int p,
-    const std::vector<std::vector<std::uint64_t>>& gathered) {
-  std::vector<BlockID> values(level.global_n, 0);
-  if (!level.node_to_shard.empty()) {
-    std::vector<std::size_t> cursor(p, 0);
-    for (NodeID u = 0; u < level.global_n; ++u) {
-      const int q = DistGraph::owner_of_shard(level.node_to_shard[u], p);
-      values[u] = static_cast<BlockID>(gathered[q][cursor[q]++]);
-    }
-    return values;
-  }
-  for (int q = 0; q < p; ++q) {
-    std::size_t idx = 0;
-    level.for_each_owned_of_rank(q, p, [&](NodeID u) {
-      values[u] = static_cast<BlockID>(gathered[q][idx++]);
-    });
-  }
-  return values;
-}
-
 /// Resolves the halo of a freshly sealed level once: the owner rank of
-/// every ghost and both resident endpoints of every cross-shard arc, so
-/// the matching and contraction loops read arrays instead of looking ids
-/// up per arc.
+/// every ghost, so the matching and contraction loops read an array
+/// instead of looking ids up per arc.
 void resolve_halo(DistLevel& level, int p) {
   const ShardGraph& sg = level.shard;
   level.ghost_owner.clear();
   level.ghost_owner.reserve(sg.num_ghost());
   for (NodeID g = sg.num_owned(); g < sg.num_local(); ++g) {
     level.ghost_owner.push_back(level.owner_of_node(sg.global_of(g), p));
-  }
-  for (GraphShard& shard : level.my_shards) {
-    for (CrossShardArc& arc : shard.cross_arcs) {
-      arc.lu = sg.owned_local(arc.u);
-      arc.lv = sg.local_of(arc.v);
-      assert(arc.lu != kInvalidNode && arc.lv != kInvalidNode);
-    }
   }
 }
 
@@ -109,6 +77,7 @@ DistHierarchy::DistHierarchy(const StaticGraph& finest,
     : finest_(&finest),
       pe_(pe),
       warm_(options.warm_start != nullptr),
+      warm_k_(warm_ ? options.warm_start->k() : 0),
       rng_(rng) {
   const MatchingOptions match_options = hierarchy_match_options(finest, options);
 
@@ -185,13 +154,19 @@ DistLevel DistHierarchy::build_finest_level(const CoarseningOptions& options) {
   // The input graph is the one level that is resident everywhere, so the
   // prepartition may read it; the resulting ownership map is the finest
   // level's replicated metadata.
-  const DistGraph dist(*finest_, level.num_shards, rank, p);
-  level.node_to_shard = dist.node_to_shard();
-  for (const BlockID s : dist.shards_of_rank(rank, p)) {
+  level.node_to_shard = prepartition(*finest_, level.num_shards);
+  level.shard =
+      ShardGraph(finest_shard_parts(*finest_, level.node_to_shard, pe_));
+  for (BlockID s = static_cast<BlockID>(rank); s < level.num_shards;
+       s += static_cast<BlockID>(p)) {
     level.my_shard_ids.push_back(s);
-    level.my_shards.push_back(dist.shard(s));
   }
-  level.shard = ShardGraph(finest_shard_parts(*finest_, dist, pe_));
+  // Shard s ≡ rank (mod p) is this rank's (s / p)-th.
+  level.shard_locals.resize(level.my_shard_ids.size());
+  for (NodeID l = 0; l < level.shard.num_owned(); ++l) {
+    const BlockID s = level.node_to_shard[level.shard.global_of(l)];
+    level.shard_locals[s / static_cast<BlockID>(p)].push_back(l);
+  }
   resolve_halo(level, p);
 
   level.peer.assign(p, 0);
@@ -248,13 +223,8 @@ std::vector<NodeID> DistHierarchy::match_level(
   std::vector<NodeID> partner(num_local);  // local ids; ghosts stay unmatched
   std::iota(partner.begin(), partner.end(), NodeID{0});
   for (std::size_t i = 0; i < level.my_shard_ids.size(); ++i) {
-    const GraphShard& shard_s = level.my_shards[i];
-    if (shard_s.nodes.empty()) continue;
-    std::vector<NodeID> locals;
-    locals.reserve(shard_s.nodes.size());
-    for (const NodeID u : shard_s.nodes) {
-      locals.push_back(sg.owned_local(u));
-    }
+    const std::vector<NodeID>& locals = level.shard_locals[i];
+    if (locals.empty()) continue;
     const Subgraph sub = induced_subgraph(resident, locals);
     MatchingOptions sub_options = options;
     std::vector<BlockID> sub_blocks;
@@ -295,28 +265,20 @@ std::vector<NodeID> DistHierarchy::match_level(
   // ids on the wire). Every PE tells every neighbor-owning peer the
   // tentative match rating of its boundary nodes; both owners of a
   // cross-shard edge can then evaluate the gap condition identically. ---
+  auto owner_local = [&](NodeID l) { return level.owner_of_local(l, rank); };
+  std::vector<int> served;  // scratch of for_each_other_owner
   {
     std::vector<std::vector<std::uint64_t>> to_peer(p);
-    for (const GraphShard& shard_s : level.my_shards) {
-      NodeID last_u = kInvalidNode;
-      std::vector<int> peers_of_u;  // ranks already served for last_u
-      for (const CrossShardArc& arc : shard_s.cross_arcs) {
-        if (arc.u != last_u) {
-          last_u = arc.u;
-          peers_of_u.clear();
-        }
-        // Unmatched boundary nodes stay at the receiver's default of 0.0,
-        // so only matched ones need to cross the wire.
-        if (match_rating[arc.lu] == 0.0 || sg.is_owned(arc.lv)) continue;
-        const int q = level.owner_of_local(arc.lv, rank);
-        if (std::find(peers_of_u.begin(), peers_of_u.end(), q) !=
-            peers_of_u.end()) {
-          continue;
-        }
-        peers_of_u.push_back(q);
-        to_peer[q].push_back(arc.u);
-        to_peer[q].push_back(std::bit_cast<std::uint64_t>(match_rating[arc.lu]));
-      }
+    for (NodeID u = 0; u < num_owned; ++u) {
+      // Unmatched boundary nodes stay at the receiver's default of 0.0,
+      // so only matched ones need to cross the wire.
+      if (match_rating[u] == 0.0) continue;
+      const std::uint64_t bits = std::bit_cast<std::uint64_t>(match_rating[u]);
+      for_each_other_owner(resident.neighbors(u), rank, owner_local, served,
+                           [&](int q) {
+                             to_peer[q].push_back(sg.global_of(u));
+                             to_peer[q].push_back(bits);
+                           });
     }
     for (int q = 0; q < p; ++q) {
       if (q != rank && level.peer[q]) pe_.send(q, std::move(to_peer[q]));
@@ -333,9 +295,9 @@ std::vector<NodeID> DistHierarchy::match_level(
   }
 
   // --- Phase 3: the gap graph (§3.3): cross-shard edges whose rating
-  // beats the tentative local matches at both endpoints. A spanning edge
-  // is materialized at both owners; an edge between two of my own shards
-  // once. ---
+  // beats the tentative local matches at both endpoints, read off the
+  // owned rows. A spanning edge is materialized at both owners; an edge
+  // between two of my own shards once, from its lower global id. ---
   struct GapCandidate {
     NodeID u;  ///< my endpoint (local id)
     NodeID v;  ///< other endpoint (local id: owned or ghost)
@@ -343,15 +305,24 @@ std::vector<NodeID> DistHierarchy::match_level(
     NodeID v_global;
     double rating;
   };
+  std::vector<BlockID> owned_shard(num_owned);
+  for (std::size_t i = 0; i < level.shard_locals.size(); ++i) {
+    for (const NodeID u : level.shard_locals[i]) {
+      owned_shard[u] = level.my_shard_ids[i];
+    }
+  }
   std::vector<GapCandidate> cands;
-  for (const GraphShard& shard_s : level.my_shards) {
-    for (const CrossShardArc& arc : shard_s.cross_arcs) {
-      if (sg.is_owned(arc.lv) && arc.u > arc.v) continue;  // mirror covers it
+  for (NodeID u = 0; u < num_owned; ++u) {
+    for (EdgeID e = resident.first_arc(u); e < resident.last_arc(u); ++e) {
+      const NodeID v = resident.arc_target(e);
+      if (sg.is_owned(v) && (owned_shard[v] == owned_shard[u] ||
+                             sg.global_of(v) < sg.global_of(u))) {
+        continue;  // a local edge, or the lower endpoint lists it
+      }
       double r = 0.0;
-      if (rater.admits_gap_edge(arc.lu, arc.lv, arc.weight,
-                                match_rating[arc.lu], match_rating[arc.lv],
-                                &r)) {
-        cands.push_back({arc.lu, arc.lv, arc.u, arc.v, r});
+      if (rater.admits_gap_edge(u, v, resident.arc_weight(e), match_rating[u],
+                                match_rating[v], &r)) {
+        cands.push_back({u, v, sg.global_of(u), sg.global_of(v), r});
       }
     }
   }
@@ -461,17 +432,9 @@ std::vector<NodeID> DistHierarchy::match_level(
     // of its ghost neighbors.
     std::vector<std::vector<std::uint64_t>> notify(p);
     auto notify_taken = [&](NodeID lx) {
-      std::vector<int> served;
-      for (EdgeID e = resident.first_arc(lx); e < resident.last_arc(lx); ++e) {
-        const NodeID lt = resident.arc_target(e);
-        if (sg.is_owned(lt)) continue;
-        const int q = level.owner_of_local(lt, rank);
-        if (std::find(served.begin(), served.end(), q) != served.end()) {
-          continue;
-        }
-        served.push_back(q);
-        notify[q].push_back(sg.global_of(lx));
-      }
+      for_each_other_owner(
+          resident.neighbors(lx), rank, owner_local, served,
+          [&](int q) { notify[q].push_back(sg.global_of(lx)); });
     };
     std::uint64_t matched_here = 0;
     for (std::size_t i = 0; i < cands.size(); ++i) {
@@ -544,9 +507,9 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
   // all-gathered scalar-wise and prefix-summed into the replicated
   // coarse-id ranges. ---
   std::vector<std::uint64_t> my_counts(fine.my_shard_ids.size(), 0);
-  for (std::size_t i = 0; i < fine.my_shards.size(); ++i) {
-    for (const NodeID u : fine.my_shards[i].nodes) {
-      if (is_canonical(sg.owned_local(u))) ++my_counts[i];
+  for (std::size_t i = 0; i < fine.shard_locals.size(); ++i) {
+    for (const NodeID lu : fine.shard_locals[i]) {
+      if (is_canonical(lu)) ++my_counts[i];
     }
   }
   const std::vector<std::uint64_t> counts =
@@ -561,10 +524,9 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
   // numbering, same-rank partners by copying, cross-rank partners and
   // the ghost layer from the halo exchanges below.
   std::vector<NodeID> coarse_of(sg.num_local(), kInvalidNode);
-  for (std::size_t i = 0; i < fine.my_shards.size(); ++i) {
+  for (std::size_t i = 0; i < fine.shard_locals.size(); ++i) {
     NodeID next_id = shard_begin[fine.my_shard_ids[i]];
-    for (const NodeID u : fine.my_shards[i].nodes) {
-      const NodeID lu = sg.owned_local(u);
+    for (const NodeID lu : fine.shard_locals[i]) {
       if (is_canonical(lu)) coarse_of[lu] = next_id++;
     }
   }
@@ -608,25 +570,16 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
   // --- Halo exchange 2: ghost coarse ids, so arc targets can be
   // translated. Every peer learns the coarse id of each of my owned
   // boundary nodes it holds as a ghost. ---
+  std::vector<int> served;  // scratch of for_each_other_owner
   {
     std::vector<std::vector<std::uint64_t>> outbox(p);
-    for (const GraphShard& shard_s : fine.my_shards) {
-      NodeID last_u = kInvalidNode;
-      std::vector<int> served;
-      for (const CrossShardArc& arc : shard_s.cross_arcs) {
-        if (arc.u != last_u) {
-          last_u = arc.u;
-          served.clear();
-        }
-        if (sg.is_owned(arc.lv)) continue;
-        const int q = fine.owner_of_local(arc.lv, rank);
-        if (std::find(served.begin(), served.end(), q) != served.end()) {
-          continue;
-        }
-        served.push_back(q);
-        outbox[q].push_back(arc.u);
-        outbox[q].push_back(coarse_of[arc.lu]);
-      }
+    auto owner_local = [&](NodeID l) { return fine.owner_of_local(l, rank); };
+    for (NodeID lu = 0; lu < num_owned; ++lu) {
+      for_each_other_owner(resident.neighbors(lu), rank, owner_local, served,
+                           [&](int q) {
+                             outbox[q].push_back(go(lu));
+                             outbox[q].push_back(coarse_of[lu]);
+                           });
     }
     for (int q = 0; q < p; ++q) {
       if (q != rank && fine.peer[q]) pe_.send(q, std::move(outbox[q]));
@@ -698,25 +651,24 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
 
   // --- Owner-computes coarse rows: merge the members' coarse-translated
   // arcs, drop the self-arc, sort by coarse target. The sorted canonical
-  // row form makes every downstream stream (shard subgraphs, cross-arc
-  // scans) a pure function of the graph content, independent of p. ---
+  // row form makes every downstream stream (shard subgraphs, gap
+  // candidates) a pure function of the graph content, independent of
+  // p. ---
   DistLevel next;
   next.global_n = coarse_n;
   next.num_shards = num_shards;
   next.shard_begin = shard_begin;
   next.my_shard_ids = fine.my_shard_ids;
-  next.my_shards.resize(fine.my_shard_ids.size());
+  next.shard_locals.resize(fine.my_shard_ids.size());
 
   RowSet rows;
   rows.xadj.push_back(0);
   std::vector<EdgeWeight> owned_wdeg;  // full-row weighted degrees
   std::vector<BlockID> owned_warm;
   std::vector<std::pair<NodeID, EdgeWeight>> acc;
-  for (std::size_t i = 0; i < fine.my_shards.size(); ++i) {
-    const BlockID s = fine.my_shard_ids[i];
-    GraphShard& coarse_shard = next.my_shards[i];
-    for (const NodeID u : fine.my_shards[i].nodes) {
-      const NodeID lu = sg.owned_local(u);
+  for (std::size_t i = 0; i < fine.shard_locals.size(); ++i) {
+    const NodeID first_row = static_cast<NodeID>(rows.ids.size());
+    for (const NodeID lu : fine.shard_locals[i]) {
       if (!is_canonical(lu)) continue;
       const NodeID c = coarse_of[lu];
       acc.clear();
@@ -761,75 +713,42 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
         }
         wdeg += acc[j].second;
       }
-      for (EdgeID e = rows.xadj.back(); e < rows.adj.size(); ++e) {
-        const NodeID ct = rows.adj[e];
-        if (ct < shard_begin[s] || ct >= shard_begin[s + 1]) {
-          coarse_shard.cross_arcs.push_back({c, ct, rows.ewgt[e]});
-        }
-      }
       rows.xadj.push_back(rows.adj.size());
       owned_wdeg.push_back(wdeg);
       if (warm_) owned_warm.push_back(fine.warm_blocks[lu]);
     }
-    coarse_shard.nodes.resize(shard_begin[s + 1] - shard_begin[s]);
-    std::iota(coarse_shard.nodes.begin(), coarse_shard.nodes.end(),
-              shard_begin[s]);
+    next.shard_locals[i].resize(rows.ids.size() - first_row);
+    std::iota(next.shard_locals[i].begin(), next.shard_locals[i].end(),
+              first_row);
   }
 
-  // The coarse ghost layer: remote cross-arc targets, refreshed over the
-  // coarse peer channels exactly like a fine level's (weights, full-row
-  // weighted degrees, and the warm block when warm-started).
+  // The coarse ghost layer: the row targets other ranks own, refreshed
+  // over the coarse peer channels exactly like a fine level's (weights,
+  // full-row weighted degrees, and the warm block when warm-started).
+  auto owner = [&](NodeID c) { return next.owner_of_node(c, p); };
   std::vector<NodeID> ghosts;
-  for (const GraphShard& coarse_shard : next.my_shards) {
-    for (const CrossShardArc& arc : coarse_shard.cross_arcs) {
-      if (DistGraph::owner_of_shard(next.shard_of(arc.v), p) != rank) {
-        ghosts.push_back(arc.v);
-      }
-    }
+  for (const NodeID ct : rows.adj) {
+    if (owner(ct) != rank) ghosts.push_back(ct);
   }
   std::sort(ghosts.begin(), ghosts.end());
   ghosts.erase(std::unique(ghosts.begin(), ghosts.end()), ghosts.end());
 
   next.peer.assign(p, 0);
-  for (const NodeID g : ghosts) {
-    next.peer[DistGraph::owner_of_shard(next.shard_of(g), p)] = 1;
-  }
+  for (const NodeID g : ghosts) next.peer[owner(g)] = 1;
 
   std::vector<NodeWeight> ghost_weights(ghosts.size(), 0);
   std::vector<EdgeWeight> ghost_wdeg(ghosts.size(), 0);
   std::vector<BlockID> ghost_warm(warm_ ? ghosts.size() : 0, 0);
   {
     const std::size_t stride = warm_ ? 4 : 3;
-    // Row index of an owned coarse id: rows were appended per shard in
-    // my_shard_ids order, contiguous coarse-id ranges within each.
-    std::vector<std::size_t> shard_row_offset(next.my_shards.size() + 1, 0);
-    for (std::size_t i = 0; i < next.my_shards.size(); ++i) {
-      shard_row_offset[i + 1] =
-          shard_row_offset[i] + next.my_shards[i].nodes.size();
-    }
     std::vector<std::vector<std::uint64_t>> outbox(p);
-    for (std::size_t i = 0; i < next.my_shards.size(); ++i) {
-      NodeID last_c = kInvalidNode;
-      std::vector<int> served;
-      for (const CrossShardArc& arc : next.my_shards[i].cross_arcs) {
-        if (arc.u != last_c) {
-          last_c = arc.u;
-          served.clear();
-        }
-        const int q = DistGraph::owner_of_shard(next.shard_of(arc.v), p);
-        if (q == rank ||
-            std::find(served.begin(), served.end(), q) != served.end()) {
-          continue;
-        }
-        served.push_back(q);
-        const std::size_t row =
-            shard_row_offset[i] +
-            static_cast<std::size_t>(arc.u - shard_begin[next.my_shard_ids[i]]);
-        outbox[q].push_back(arc.u);
+    for (std::size_t row = 0; row < rows.ids.size(); ++row) {
+      for_each_other_owner(rows.targets(row), rank, owner, served, [&](int q) {
+        outbox[q].push_back(rows.ids[row]);
         outbox[q].push_back(weight_bits(rows.vwgt[row]));
         outbox[q].push_back(weight_bits(owned_wdeg[row]));
         if (warm_) outbox[q].push_back(owned_warm[row]);
-      }
+      });
     }
     for (int q = 0; q < p; ++q) {
       if (q != rank && next.peer[q]) pe_.send(q, std::move(outbox[q]));
@@ -903,31 +822,7 @@ const StaticGraph& DistHierarchy::coarsest() {
     const auto gathered =
         // kappa-lint: allow(no-hierarchy-gathers, "one-time O(n_coarsest) replica gather, sanctioned by §4.2")
         pe_.all_gather_vectors(std::move(words));
-    std::vector<GraphRow> by_id(L.global_n);
-    for (const auto& vec : gathered) {
-      std::size_t cursor = 0;
-      GraphRow row;
-      while (cursor + 2 < vec.size()) {
-        const NodeID id = decode_row_words(vec, cursor, row);
-        by_id[id] = std::move(row);
-      }
-    }
-    std::vector<EdgeID> xadj;
-    xadj.reserve(L.global_n + 1);
-    xadj.push_back(0);
-    std::vector<NodeID> adj;
-    std::vector<EdgeWeight> ewgt;
-    std::vector<NodeWeight> vwgt;
-    vwgt.reserve(L.global_n);
-    for (NodeID u = 0; u < L.global_n; ++u) {
-      vwgt.push_back(by_id[u].weight);
-      adj.insert(adj.end(), by_id[u].targets.begin(), by_id[u].targets.end());
-      ewgt.insert(ewgt.end(), by_id[u].weights.begin(),
-                  by_id[u].weights.end());
-      xadj.push_back(adj.size());
-    }
-    coarsest_replica_.emplace(std::move(xadj), std::move(adj), std::move(ewgt),
-                              std::move(vwgt));
+    coarsest_replica_.emplace(decode_gathered_graph(gathered, L.global_n));
     ShardFootprint replica;
     replica.owned_nodes = num_owned;
     replica.ghost_nodes = L.global_n - num_owned;
@@ -939,7 +834,6 @@ const StaticGraph& DistHierarchy::coarsest() {
 
 std::vector<BlockID> DistHierarchy::coarsest_warm_assignment() const {
   assert(warm_ && "only warm-started builds carry block constraints");
-  const int p = pe_.size();
   const DistLevel& L = levels_.back();
   const NodeID num_owned = L.shard.num_owned();
   std::vector<std::uint64_t> words;
@@ -948,7 +842,7 @@ std::vector<BlockID> DistHierarchy::coarsest_warm_assignment() const {
   const auto gathered =
       // kappa-lint: allow(no-hierarchy-gathers, "O(n_coarsest) warm-start blocks at the coarsest level only")
       pe_.all_gather_vectors(std::move(words));
-  return reassemble_owned(L, p, gathered);
+  return decode_owned_blocks(L, gathered, warm_k_);
 }
 
 DistPartition DistHierarchy::lift(const Partition& coarsest_partition) const {
@@ -982,7 +876,7 @@ BlockRowShard DistHierarchy::distribute_block_rows(
     for (NodeID i = 0; i < num_owned; ++i) {
       const NodeID u = L.shard.global_of(i);
       const BlockID b = partition.block(u);
-      const int dest = BlockRowShard::owner_of_block(b, p);
+      const int dest = round_robin_owner(b, p);
       if (dest == rank) {
         mine.push_back(u);
         mine_blocks.push_back(b);
@@ -1037,7 +931,7 @@ BlockRowShard DistHierarchy::distribute_block_rows(
   for (NodeID i = 0; i < num_owned; ++i) {
     const NodeID u = L.shard.global_of(i);
     const BlockID b = partition.block(u);
-    const int dest = BlockRowShard::owner_of_block(b, p);
+    const int dest = round_robin_owner(b, p);
     if (dest == rank) {
       index.push_back({u, b, rank, i});
       continue;

@@ -6,8 +6,9 @@
 /// level of the contraction hierarchy. This subsystem realizes that:
 ///
 ///   DistLevel     — one rank's resident share of one level: the
-///     owned+ghost ShardGraph (§3.3), the per-owned-shard boundary
-///     structure the gap-graph matcher reads, and the sharded
+///     owned+ghost ShardGraph (§3.3), whose owned rows are the level's
+///     only arc data (shard boundaries are read off them), the owned
+///     local ids of each of the rank's shards, and the sharded
 ///     contraction map to the next level. The only replicated per-level
 ///     state is the ownership map — O(num_shards) coarse-id ranges for
 ///     coarse levels (coarse ids are contiguous per shard), and the
@@ -46,7 +47,6 @@
 #include "coarsening/hierarchy.hpp"
 #include "graph/partition.hpp"
 #include "graph/static_graph.hpp"
-#include "parallel/dist_graph.hpp"
 #include "parallel/pe_runtime.hpp"
 #include "parallel/shard_graph.hpp"
 #include "util/random.hpp"
@@ -70,9 +70,9 @@ struct DistLevel {
   // --- resident data of this rank ---
   ShardGraph shard;                   ///< owned + ghost local CSR
   std::vector<BlockID> my_shard_ids;  ///< ascending; s ≡ rank (mod p)
-  /// Parallel to my_shard_ids; the cross arcs carry their resolved
-  /// resident endpoints (CrossShardArc::lu, lv).
-  std::vector<GraphShard> my_shards;
+  /// Parallel to my_shard_ids: the shard's owned local ids, ascending (a
+  /// run of row positions at coarse levels).
+  std::vector<std::vector<NodeID>> shard_locals;
   std::vector<char> peer;             ///< per rank: shares a halo with me
   /// Owner rank of every ghost, by ghost index (local id - num_owned).
   std::vector<int> ghost_owner;
@@ -88,7 +88,7 @@ struct DistLevel {
 
   /// Physical owner rank of a global node id.
   [[nodiscard]] int owner_of_node(NodeID global, int num_pes) const {
-    return DistGraph::owner_of_shard(shard_of(global), num_pes);
+    return round_robin_owner(shard_of(global), num_pes);
   }
 
   /// Physical owner rank of a resident node (this level's \p rank for
@@ -98,24 +98,22 @@ struct DistLevel {
                                  : ghost_owner[local - shard.num_owned()];
   }
 
-  /// Visits the owned nodes of rank \p q in ascending global-id order —
-  /// derivable from the replicated ownership map alone, which is how the
-  /// projection reassembles per-rank contributions without any id lists
-  /// on the wire.
+  /// Visits every node of the level as \p visit(owner rank, global id),
+  /// each rank's owned nodes in ascending global-id order — derivable
+  /// from the replicated ownership map alone, which is how a gather's
+  /// per-rank contributions are reassembled without any id lists on the
+  /// wire (decode_owned_blocks()).
   template <typename Visitor>
-  void for_each_owned_of_rank(int q, int num_pes, Visitor&& visit) const {
+  void for_each_owned(int num_pes, Visitor&& visit) const {
     if (!node_to_shard.empty()) {
       for (NodeID u = 0; u < node_to_shard.size(); ++u) {
-        if (DistGraph::owner_of_shard(node_to_shard[u], num_pes) == q) {
-          visit(u);
-        }
+        visit(round_robin_owner(node_to_shard[u], num_pes), u);
       }
       return;
     }
-    const BlockID num_shards = static_cast<BlockID>(shard_begin.size()) - 1;
-    for (BlockID s = static_cast<BlockID>(q); s < num_shards;
-         s += static_cast<BlockID>(num_pes)) {
-      for (NodeID u = shard_begin[s]; u < shard_begin[s + 1]; ++u) visit(u);
+    for (BlockID s = 0; s + 1 < shard_begin.size(); ++s) {
+      const int q = round_robin_owner(s, num_pes);
+      for (NodeID u = shard_begin[s]; u < shard_begin[s + 1]; ++u) visit(q, u);
     }
   }
 
@@ -229,6 +227,7 @@ class DistHierarchy {
   std::vector<DistLevel> levels_;
   std::optional<StaticGraph> coarsest_replica_;  ///< gathered once
   bool warm_ = false;
+  BlockID warm_k_ = 0;  ///< warm-started builds: the warm start's k
   Rng rng_;
 };
 

@@ -98,6 +98,42 @@ std::vector<BlockID> decode_block_reply(std::span<const std::uint64_t> request,
   return blocks;
 }
 
+std::vector<BlockID> decode_owned_blocks(
+    const DistLevel& level,
+    const std::vector<std::vector<std::uint64_t>>& gathered, BlockID k) {
+  const int p = static_cast<int>(gathered.size());
+  std::vector<BlockID> blocks(level.global_n, 0);
+  std::vector<std::size_t> cursor(p, 0);
+  level.for_each_owned(p, [&](int q, NodeID u) {
+    if (cursor[q] == gathered[q].size()) {
+      throw TransportError("malformed owned blocks: payload too short");
+    }
+    const std::uint64_t b = gathered[q][cursor[q]++];
+    if (b >= k) throw TransportError("malformed owned blocks: block");
+    blocks[u] = static_cast<BlockID>(b);
+  });
+  for (int q = 0; q < p; ++q) {
+    if (cursor[q] != gathered[q].size()) {
+      throw TransportError("malformed owned blocks: payload too long");
+    }
+  }
+  return blocks;
+}
+
+std::vector<BlockID> decode_assignment(std::span<const std::uint64_t> words,
+                                       NodeID n, BlockID k) {
+  if (words.size() != n) {
+    throw TransportError("malformed assignment: not one block per node");
+  }
+  std::vector<BlockID> blocks;
+  blocks.reserve(n);
+  for (const std::uint64_t b : words) {
+    if (b >= k) throw TransportError("malformed assignment: block");
+    blocks.push_back(static_cast<BlockID>(b));
+  }
+  return blocks;
+}
+
 DistPartition::DistPartition(const DistLevel& level,
                              const Partition& replicated, PEContext& pe)
     : level_(&level),
@@ -237,20 +273,13 @@ DistPartition DistPartition::project(const DistLevel& fine,
 
 Partition DistPartition::materialize(PEContext& pe) const {
   assert(level_ != nullptr && "materializing needs the level ownership map");
-  const int p = pe.size();
   std::vector<std::uint64_t> words(entries_.begin(),
                                    entries_.begin() + num_owned_);
   const auto gathered =
       // kappa-lint: allow(no-partition-gathers, "the one sanctioned gather: the final PartitionResult")
       pe.all_gather_vectors(std::move(words));
-  std::vector<BlockID> assignment(level_->global_n, 0);
-  for (int q = 0; q < p; ++q) {
-    std::size_t idx = 0;
-    level_->for_each_owned_of_rank(q, p, [&](NodeID u) {
-      assignment[u] = static_cast<BlockID>(gathered[q][idx++]);
-    });
-  }
-  return Partition(std::move(assignment), k_, block_weight_);
+  return Partition(decode_owned_blocks(*level_, gathered, k_), k_,
+                   block_weight_);
 }
 
 }  // namespace kappa

@@ -226,4 +226,18 @@ void append_move_delta(std::vector<std::uint64_t>& words,
     std::span<const std::uint64_t> request,
     std::span<const std::uint64_t> reply, BlockID k);
 
+/// Reassembles the blocks of every node of \p level from \p gathered,
+/// one all-gathered payload per rank holding the blocks of its owned
+/// nodes in ascending global-id order (DistLevel::for_each_owned()). A
+/// payload of another length than the rank's owned-node count, or a
+/// block >= \p k, raises TransportError.
+[[nodiscard]] std::vector<BlockID> decode_owned_blocks(
+    const DistLevel& level,
+    const std::vector<std::vector<std::uint64_t>>& gathered, BlockID k);
+
+/// Decodes a broadcast assignment of \p n nodes, one block word per node;
+/// another length or a block >= \p k raises TransportError.
+[[nodiscard]] std::vector<BlockID> decode_assignment(
+    std::span<const std::uint64_t> words, NodeID n, BlockID k);
+
 }  // namespace kappa

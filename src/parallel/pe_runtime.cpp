@@ -191,8 +191,11 @@ std::vector<std::uint64_t> PEContext::all_gather(std::uint64_t value) {
   }
   for (int offset = 1; offset < p; ++offset) {
     const int source = (rank_ - offset + p) % p;
-    result[static_cast<std::size_t>(source)] =
-        collective_receive(source).payload.at(0);
+    const Message msg = collective_receive(source);
+    if (msg.payload.size() != 1) {
+      throw TransportError("all_gather: a peer's payload is not one word");
+    }
+    result[static_cast<std::size_t>(source)] = msg.payload[0];
   }
   return result;
 }

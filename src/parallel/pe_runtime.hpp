@@ -77,7 +77,8 @@ class PEContext {
   /// Maximum of one value over all PEs.
   [[nodiscard]] std::uint64_t all_reduce_max(std::uint64_t value);
 
-  /// Every PE contributes one value; all PEs receive the full vector.
+  /// Every PE contributes one value; all PEs receive the full vector. A
+  /// peer payload of another length than one word raises TransportError.
   [[nodiscard]] std::vector<std::uint64_t> all_gather(std::uint64_t value);
 
   /// Variable-length all-gather: every PE contributes a word buffer; all

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 #include "parallel/wire_format.hpp"
 
@@ -75,6 +76,60 @@ NodeID skip_row_words(const std::vector<std::uint64_t>& words,
                     [](NodeID, EdgeWeight) {});
 }
 
+StaticGraph decode_gathered_graph(
+    const std::vector<std::vector<std::uint64_t>>& gathered, NodeID n) {
+  // Rows arrive per rank in any order: index them by id first (checking
+  // ids, targets and duplicates), then copy them into the CSR in id order.
+  struct Source {
+    std::size_t from;
+    std::size_t at;  ///< offset of the row in gathered[from]
+  };
+  std::vector<Source> source(n, {gathered.size(), 0});
+  // Weights are raw peer words: each must be non-negative, and the node
+  // and the arc weights must each sum within range, or the totals, cuts
+  // and degrees every consumer computes would overflow.
+  std::int64_t node_total = 0;
+  std::int64_t arc_total = 0;
+  auto add_weight = [](std::int64_t& total, std::int64_t w) {
+    if (w < 0 || w > std::numeric_limits<std::int64_t>::max() - total) {
+      throw TransportError("malformed gathered graph: weight out of range");
+    }
+    total += w;
+  };
+  for (std::size_t q = 0; q < gathered.size(); ++q) {
+    const std::vector<std::uint64_t>& words = gathered[q];
+    for (std::size_t cursor = 0; cursor < words.size();) {
+      const std::size_t at = cursor;
+      bool in_range = true;
+      const NodeID id = decode_row(
+          words, cursor,
+          [&](NodeWeight w, std::uint64_t) { add_weight(node_total, w); },
+          [&](NodeID target, EdgeWeight w) {
+            in_range &= target < n;
+            add_weight(arc_total, w);
+          });
+      if (id >= n || !in_range) {
+        throw TransportError("malformed gathered graph: id out of range");
+      }
+      if (source[id].from != gathered.size()) {
+        throw TransportError("malformed gathered graph: row sent twice");
+      }
+      source[id] = {q, at};
+    }
+  }
+  RowSet rows;
+  rows.xadj.push_back(0);
+  for (NodeID u = 0; u < n; ++u) {
+    if (source[u].from == gathered.size()) {
+      throw TransportError("malformed gathered graph: row missing");
+    }
+    std::size_t cursor = source[u].at;
+    (void)decode_row_words(gathered[source[u].from], cursor, rows);
+  }
+  return StaticGraph(std::move(rows.xadj), std::move(rows.adj),
+                     std::move(rows.ewgt), std::move(rows.vwgt));
+}
+
 // ----------------------------------------------------------- halo decoding ----
 
 std::size_t halo_records(std::span<const std::uint64_t> payload,
@@ -114,30 +169,32 @@ NodeID ShardGraph::halo_local(std::uint64_t word, HaloKind kind) const {
 // ------------------------------------------------------------ ShardGraph ----
 
 ShardGraphParts finest_shard_parts(const StaticGraph& level,
-                                   const DistGraph& dist, PEContext& pe) {
+                                   const std::vector<BlockID>& node_to_shard,
+                                   PEContext& pe) {
   const int p = pe.size();
   const int rank = pe.rank();
-  const std::vector<BlockID> my_shards = dist.shards_of_rank(rank, p);
+  auto owner = [&](NodeID u) {
+    return round_robin_owner(node_to_shard[u], p);
+  };
 
-  // Owned nodes: the union of this rank's virtual shards, sorted by
-  // global id, with their rows verbatim. This read of the input graph is
-  // the initial data distribution of the level; every structure the
-  // matching inner loops touch afterwards is resident.
+  // Owned nodes: the union of this rank's virtual shards, in ascending
+  // global id order, with their rows verbatim. This read of the input
+  // graph is the initial data distribution of the level; every structure
+  // the matching inner loops touch afterwards is resident.
   ShardGraphParts parts;
-  for (const BlockID s : my_shards) {
-    const std::vector<NodeID>& nodes = dist.shard(s).nodes;
-    parts.owned.insert(parts.owned.end(), nodes.begin(), nodes.end());
+  parts.owned_index.assign(level.num_nodes(), kInvalidNode);
+  for (NodeID u = 0; u < level.num_nodes(); ++u) {
+    if (owner(u) != rank) continue;
+    parts.owned_index[u] = static_cast<NodeID>(parts.owned.size());
+    parts.owned.push_back(u);
   }
-  std::sort(parts.owned.begin(), parts.owned.end());
   parts.owned_rows = extract_rows(level, parts.owned);
-  parts.owned_index = dist.owned_index();
+  const RowSet& rows = parts.owned_rows;
 
-  // Rank-remote cross arcs define the one-hop ghost layer. Cross arcs
-  // between two shards of this rank stay owned.
-  for (const BlockID s : my_shards) {
-    for (const CrossShardArc& arc : dist.shard(s).cross_arcs) {
-      if (dist.owner_of_node(arc.v, p) != rank) parts.ghosts.push_back(arc.v);
-    }
+  // Row targets of other ranks define the one-hop ghost layer; targets
+  // in another of this rank's shards stay owned.
+  for (const NodeID v : rows.adj) {
+    if (owner(v) != rank) parts.ghosts.push_back(v);
   }
   std::sort(parts.ghosts.begin(), parts.ghosts.end());
   parts.ghosts.erase(std::unique(parts.ghosts.begin(), parts.ghosts.end()),
@@ -148,34 +205,21 @@ ShardGraphParts finest_shard_parts(const StaticGraph& level,
   // (global id, node weight, full-row weighted degree). The peer set is
   // symmetric (u adjacent to a node of q iff q has u as a ghost), so
   // each side knows exactly whom to expect. ---
-  const RowSet& rows = parts.owned_rows;
   std::vector<char> is_peer(p, 0);
-  for (const NodeID g : parts.ghosts) is_peer[dist.owner_of_node(g, p)] = 1;
+  for (const NodeID g : parts.ghosts) is_peer[owner(g)] = 1;
   {
     std::vector<std::vector<std::uint64_t>> to_peer(p);
-    for (const BlockID s : my_shards) {
-      NodeID last_u = kInvalidNode;
-      std::vector<int> peers_of_u;
-      for (const CrossShardArc& arc : dist.shard(s).cross_arcs) {
-        if (arc.u != last_u) {
-          last_u = arc.u;
-          peers_of_u.clear();
-        }
-        const int q = dist.owner_of_node(arc.v, p);
-        if (q == rank || std::find(peers_of_u.begin(), peers_of_u.end(), q) !=
-                             peers_of_u.end()) {
-          continue;
-        }
-        peers_of_u.push_back(q);
-        const NodeID lu = parts.owned_index[arc.u];
-        EdgeWeight wdeg = 0;
-        for (EdgeID e = rows.xadj[lu]; e < rows.xadj[lu + 1]; ++e) {
-          wdeg += rows.ewgt[e];
-        }
-        to_peer[q].push_back(arc.u);
+    std::vector<int> served;
+    for (NodeID lu = 0; lu < rows.ids.size(); ++lu) {
+      EdgeWeight wdeg = 0;
+      for (EdgeID e = rows.xadj[lu]; e < rows.xadj[lu + 1]; ++e) {
+        wdeg += rows.ewgt[e];
+      }
+      for_each_other_owner(rows.targets(lu), rank, owner, served, [&](int q) {
+        to_peer[q].push_back(rows.ids[lu]);
         to_peer[q].push_back(weight_bits(rows.vwgt[lu]));
         to_peer[q].push_back(weight_bits(wdeg));
-      }
+      });
     }
     for (int q = 0; q < p; ++q) {
       if (q != rank && is_peer[q]) pe.send(q, std::move(to_peer[q]));
@@ -216,61 +260,32 @@ ShardGraph::ShardGraph(ShardGraphParts parts)
   local_to_global_ = std::move(parts.owned);
   local_to_global_.insert(local_to_global_.end(), parts.ghosts.begin(),
                           parts.ghosts.end());
-  const NodeID num_ghosts = static_cast<NodeID>(parts.ghosts.size());
 
-  // Resolve every owned arc target once, counting the ghost mirror arcs.
+  // Resolve every owned arc target once; the ghost rows stay empty.
   RowSet& rows = parts.owned_rows;
-  const std::size_t owned_arcs = rows.adj.size();
-  std::vector<NodeID> adj(owned_arcs);
-  std::vector<EdgeID> mirror_begin(num_ghosts + 1, 0);
-  for (std::size_t e = 0; e < owned_arcs; ++e) {
-    const NodeID local = local_of(rows.adj[e]);
+  for (NodeID& target : rows.adj) {
+    const NodeID local = local_of(target);
     assert(local != kInvalidNode && "owned row target must be resident");
-    adj[e] = local;
-    if (local >= num_owned_) ++mirror_begin[local - num_owned_ + 1];
+    target = local;
   }
-  for (NodeID g = 0; g < num_ghosts; ++g) {
-    mirror_begin[g + 1] += mirror_begin[g];
-  }
-
-  // Ghost mirror rows: the arcs back into the owned set, in owned-row
-  // scan order (sorted by owned endpoint — resident-only state that never
-  // feeds a p-sensitive stream).
   std::vector<EdgeID> xadj = std::move(rows.xadj);
   if (xadj.empty()) xadj.push_back(0);
-  std::vector<EdgeWeight> ewgt = std::move(rows.ewgt);
-  adj.resize(owned_arcs + mirror_begin.back());
-  ewgt.resize(adj.size());
-  {
-    std::vector<EdgeID> fill(mirror_begin.begin(), mirror_begin.end() - 1);
-    for (NodeID i = 0; i < num_owned_; ++i) {
-      for (EdgeID e = xadj[i]; e < xadj[i + 1]; ++e) {
-        if (adj[e] < num_owned_) continue;
-        const EdgeID slot = owned_arcs + fill[adj[e] - num_owned_]++;
-        adj[slot] = i;
-        ewgt[slot] = ewgt[e];
-      }
-    }
-  }
-  xadj.reserve(local_to_global_.size() + 1);
-  for (NodeID g = 0; g < num_ghosts; ++g) {
-    xadj.push_back(owned_arcs + mirror_begin[g + 1]);
-  }
+  xadj.resize(local_to_global_.size() + 1, xadj.back());
   std::vector<NodeWeight> vwgt = std::move(rows.vwgt);
   vwgt.insert(vwgt.end(), parts.ghost_weights.begin(),
               parts.ghost_weights.end());
-  csr_ = StaticGraph(std::move(xadj), std::move(adj), std::move(ewgt),
-                     std::move(vwgt));
+  csr_ = StaticGraph(std::move(xadj), std::move(rows.adj),
+                     std::move(rows.ewgt), std::move(vwgt));
 
   // Owned weighted degrees from the full resident rows, ghost entries as
   // received from the owners.
-  weighted_degrees_.assign(local_to_global_.size(), 0);
+  weighted_degrees_.reserve(local_to_global_.size());
   for (NodeID i = 0; i < num_owned_; ++i) {
-    weighted_degrees_[i] = csr_.weighted_degree(i);
+    weighted_degrees_.push_back(csr_.weighted_degree(i));
   }
-  for (NodeID g = 0; g < num_ghosts; ++g) {
-    weighted_degrees_[num_owned_ + g] = parts.ghost_weighted_degrees[g];
-  }
+  weighted_degrees_.insert(weighted_degrees_.end(),
+                           parts.ghost_weighted_degrees.begin(),
+                           parts.ghost_weighted_degrees.end());
 }
 
 ShardFootprint ShardGraph::footprint() const {
@@ -290,7 +305,7 @@ BlockRowShard::BlockRowShard(const StaticGraph& level,
   std::vector<NodeID> mine;
   for (NodeID u = 0; u < level.num_nodes(); ++u) {
     const BlockID b = assignment[u];
-    if (owner_of_block(b, num_pes) != rank) continue;
+    if (round_robin_owner(b, num_pes) != rank) continue;
     mine.push_back(u);
     members_[b].push_back(u);  // ascending u keeps the lists sorted
     member_block_.push_back(b);
@@ -317,7 +332,7 @@ BlockRowShard::BlockRowShard(RowSet core,
   handle_of_.reserve(core_.ids.size());
   for (NodeID i = 0; i < core_.ids.size(); ++i) {
     const BlockID b = row_blocks[i];
-    assert(owner_of_block(b, num_pes) == rank &&
+    assert(round_robin_owner(b, num_pes) == rank &&
            "every shipped row must belong to one of this rank's blocks");
     members_[b].push_back(core_.ids[i]);  // ascending ids keep lists sorted
     handle_of_.emplace(core_.ids[i], i);

@@ -9,20 +9,22 @@
 ///   ShardGraph   — built per contraction level for the SPMD matcher: a
 ///     compact CSR over the rank's owned nodes (union of its virtual
 ///     shards) plus the one-hop ghost layer, a static adjacency array
-///     as in §5.2. Every level is sealed the same way from
-///     ShardGraphParts: the finest level's owned rows are extracted from
-///     the resident input graph, coarse levels' rows come out of the
-///     halo-exchanged contraction. Global ids are resolved to local ids
-///     once, at the seal — owned ids by arithmetic, ghosts by binary
-///     search in the sorted ghost list — so no per-arc step of matching
-///     or contraction hashes. Ghost node weights and weighted degrees
-///     are dynamic per level and are *not* read off the replica: they
-///     arrive over channels from the owning ranks, so the CommStats
-///     counters see every ghost refresh.
+///     as in §5.2. The owned rows are the level's only arc data; ghosts
+///     carry a weight and a weighted degree but no row. Every level is
+///     sealed the same way from ShardGraphParts: the finest level's owned
+///     rows are extracted from the resident input graph, coarse levels'
+///     rows come out of the halo-exchanged contraction. Global ids are
+///     resolved to local ids once, at the seal — owned ids by arithmetic,
+///     ghosts by binary search in the sorted ghost list — so no per-arc
+///     step of matching or contraction hashes. Ghost node weights and
+///     weighted degrees are dynamic per level and are *not* read off the
+///     replica: they arrive over channels from the owning ranks, so the
+///     CommStats counters see every ghost refresh.
 ///
 ///   BlockRowShard — built per uncoarsening level for the SPMD refiner:
 ///     the CSR rows of the nodes currently assigned to this rank's
-///     blocks (blocks are owned round-robin, block b -> rank b mod p).
+///     blocks (blocks are owned round-robin like shards, see
+///     round_robin_owner()).
 ///     "Immediately after uncontracting a matching, every PE stores the
 ///     partition it is responsible for in a static adjacency array
 ///     representation ... In addition, we use a hash table to store
@@ -47,13 +49,39 @@
 #include "graph/static_graph.hpp"
 #include "graph/subgraph.hpp"
 #include "parallel/comm_stats.hpp"
-#include "parallel/dist_graph.hpp"
 #include "parallel/pe_runtime.hpp"
 #include "parallel/wire_format.hpp"
 #include "util/seeded_hash.hpp"
 #include "util/types.hpp"
 
 namespace kappa {
+
+/// Rank that owns the virtual PE \p id — a coarsening shard or a
+/// refinement block — in a runtime of \p num_pes PEs: round-robin, the
+/// p-invariant work distribution.
+[[nodiscard]] inline int round_robin_owner(BlockID id, int num_pes) {
+  return static_cast<int>(id % static_cast<BlockID>(num_pes));
+}
+
+/// Calls \p visit(q) once for every rank q other than \p rank that
+/// \p owner_of names for one of \p targets — for a row of an owned node,
+/// exactly the peers that hold the node as a ghost. \p served is
+/// scratch.
+template <typename Targets, typename OwnerOf, typename Visit>
+void for_each_other_owner(const Targets& targets, int rank,
+                          OwnerOf&& owner_of, std::vector<int>& served,
+                          Visit&& visit) {
+  served.clear();
+  for (const NodeID t : targets) {
+    const int q = owner_of(t);
+    if (q == rank ||
+        std::find(served.begin(), served.end(), q) != served.end()) {
+      continue;
+    }
+    served.push_back(q);
+    visit(q);
+  }
+}
 
 /// Ingredients of a ShardGraph, assembled by its builder and sealed by
 /// the ShardGraph constructor: finest_shard_parts() extracts them from
@@ -67,9 +95,9 @@ struct ShardGraphParts {
   std::vector<NodeID> ghosts;                       ///< sorted global ids
   std::vector<NodeWeight> ghost_weights;            ///< parallel to ghosts
   std::vector<EdgeWeight> ghost_weighted_degrees;   ///< parallel to ghosts
-  /// Optional dense owned-id table (DistGraph::owned_index()): global id
-  /// -> owned local id, kInvalidNode elsewhere. The finest level passes
-  /// it, because its owned ids are scattered over the whole id range;
+  /// Optional dense owned-id table: global id -> owned local id,
+  /// kInvalidNode elsewhere. finest_shard_parts() fills it, because the
+  /// finest level's owned ids are scattered over the whole id range;
   /// without it, owned ids resolve through the runs of consecutive ids
   /// in `owned` (one per owned shard at coarse levels, whose coarse ids
   /// are contiguous per shard).
@@ -94,21 +122,20 @@ enum class HaloKind { kOwned, kGhost };
 /// owned nodes (local ids [0, num_owned())) followed by the one-hop
 /// ghost layer (local ids [num_owned(), num_local())). Owned rows carry
 /// the node's full arc list in source arc order (owned and ghost
-/// targets, as local ids); ghost rows carry only the mirror arcs back
-/// into the owned set. Ids are resolved once, when the structure is
-/// sealed: local_of() is arithmetic for owned ids (dense table or
-/// contiguous runs, see ShardGraphParts) and a binary search of the
-/// sorted ghost list for ghosts — no hash table.
+/// targets, as local ids); ghost rows are empty — a ghost has only its
+/// weight and its full-row weighted degree. Ids are resolved once, when
+/// the structure is sealed: local_of() is arithmetic for owned ids
+/// (dense table or contiguous runs, see ShardGraphParts) and a binary
+/// search of the sorted ghost list for ghosts — no hash table.
 class ShardGraph {
  public:
   ShardGraph() = default;
 
   /// Seals \p parts into the local CSR — the one construction path.
-  /// Ghost mirror rows are derived from the owned rows' ghost targets;
-  /// every owned row's targets must be owned or listed ghosts.
+  /// Every owned row's targets must be owned or listed ghosts.
   explicit ShardGraph(ShardGraphParts parts);
 
-  /// The sealed local CSR (owned rows first, then ghost rows).
+  /// The sealed local CSR (owned rows, then the empty ghost rows).
   [[nodiscard]] const StaticGraph& csr() const { return csr_; }
 
   [[nodiscard]] NodeID num_owned() const { return num_owned_; }
@@ -183,15 +210,16 @@ class ShardGraph {
 };
 
 /// The finest level's ShardGraph parts for \p pe's rank, cut from the
-/// resident input graph \p level along the rank-filtered \p dist: the
-/// owned rows verbatim (extract_rows), the sorted one-hop ghost list and
-/// the owned-id table. Ghost node weights and weighted degrees are not
-/// read off the input graph: the neighboring ranks send them over
-/// \p pe's channels (counted in its CommStats). With one PE the ghost
-/// layer is empty.
-[[nodiscard]] ShardGraphParts finest_shard_parts(const StaticGraph& level,
-                                                 const DistGraph& dist,
-                                                 PEContext& pe);
+/// resident input graph \p level along the node -> shard map
+/// \p node_to_shard (shards owned round-robin): the owned nodes and the
+/// owned-id table in one pass over the map, the owned rows verbatim
+/// (extract_rows), and the sorted one-hop ghost list read off those
+/// rows. Ghost node weights and weighted degrees are not read off the
+/// input graph: the neighboring ranks send them over \p pe's channels
+/// (counted in its CommStats). With one PE the ghost layer is empty.
+[[nodiscard]] ShardGraphParts finest_shard_parts(
+    const StaticGraph& level, const std::vector<BlockID>& node_to_shard,
+    PEContext& pe);
 
 /// One full CSR row in global id space — the unit the refiner's stores
 /// exchange when a node's block (and with it the row's home rank)
@@ -237,6 +265,15 @@ NodeID decode_row_words(const std::vector<std::uint64_t>& words,
 NodeID skip_row_words(const std::vector<std::uint64_t>& words,
                       std::size_t& cursor);
 
+/// Assembles the \p n-node graph whose rows the ranks all-gathered in
+/// \p gathered (each payload a run of append_row_words() rows) — the
+/// one-time coarsest-level gather. Besides decode_row_words()'s checks,
+/// a row id or target >= \p n, a row sent twice, a row nobody sent, a
+/// negative weight, and node or arc weights whose sum leaves the weight
+/// range raise TransportError.
+[[nodiscard]] StaticGraph decode_gathered_graph(
+    const std::vector<std::vector<std::uint64_t>>& gathered, NodeID n);
+
 /// One rank's §5.2 block-row store for one uncoarsening level: the rows
 /// of all nodes currently assigned to the rank's blocks. The level-start
 /// extraction is the static core; rows that migrate in mid-level live in
@@ -253,11 +290,6 @@ class BlockRowShard {
  public:
   /// Maps a global id to its partition-state slot (kInvalidNode: unknown).
   using SlotOf = std::function<NodeID(NodeID)>;
-
-  /// Rank that owns block \p b in a runtime of \p num_pes PEs.
-  [[nodiscard]] static int owner_of_block(BlockID b, int num_pes) {
-    return static_cast<int>(b % static_cast<BlockID>(num_pes));
-  }
 
   /// Extracts the rows of the nodes whose block \p assignment maps to
   /// \p rank's blocks.
@@ -284,7 +316,7 @@ class BlockRowShard {
 
   /// Whether this rank owns block \p b.
   [[nodiscard]] bool owns_block(BlockID b) const {
-    return owner_of_block(b, num_pes_) == rank_;
+    return round_robin_owner(b, num_pes_) == rank_;
   }
 
   /// Read access to the row of a resident node (must be resident);

@@ -67,15 +67,8 @@ Partition spmd_initial_partition(const StaticGraph& coarsest,
 
   // All-reduce the winner: lexicographic (feasibility, cut, attempt) —
   // the attempt index makes the pick unique and p-invariant.
-  const auto entries =
-      pe.all_gather_vectors({best_infeasible, best_cut, best_attempt});
-  int winner = 0;
-  for (int q = 1; q < p; ++q) {
-    if (std::tie(entries[q][0], entries[q][1], entries[q][2]) <
-        std::tie(entries[winner][0], entries[winner][1], entries[winner][2])) {
-      winner = q;
-    }
-  }
+  const int winner = attempt_winner(
+      pe.all_gather_vectors({best_infeasible, best_cut, best_attempt}));
 
   // The winning PE broadcasts its solution (§4: "The best solution is then
   // broadcast to all PEs").
@@ -84,13 +77,21 @@ Partition spmd_initial_partition(const StaticGraph& coarsest,
     words.reserve(n);
     for (NodeID u = 0; u < n; ++u) words.push_back(best.block(u));
   }
-  const std::vector<std::uint64_t> assignment_words =
-      pe.broadcast(words, winner);
-  std::vector<BlockID> assignment(n);
-  for (NodeID u = 0; u < n; ++u) {
-    assignment[u] = static_cast<BlockID>(assignment_words[u]);
+  return Partition(coarsest,
+                   decode_assignment(pe.broadcast(words, winner), n, k), k);
+}
+
+int attempt_winner(const std::vector<std::vector<std::uint64_t>>& entries) {
+  for (const std::vector<std::uint64_t>& entry : entries) {
+    if (entry.size() != 3) {
+      throw TransportError("malformed attempt entry: not three words");
+    }
   }
-  return Partition(coarsest, std::move(assignment), k);
+  int winner = 0;
+  for (int q = 1; q < static_cast<int>(entries.size()); ++q) {
+    if (entries[q] < entries[winner]) winner = q;
+  }
+  return winner;
 }
 
 // -------------------------------------------------------- SPMD refinement ----
@@ -613,8 +614,8 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
     // which follow the same class order.
     for (const std::size_t j : pairs) {
       const QuotientEdge& edge = quotient.edges()[j];
-      const int executor = BlockRowShard::owner_of_block(edge.a, p);
-      const int partner_owner = BlockRowShard::owner_of_block(edge.b, p);
+      const int executor = round_robin_owner(edge.a, p);
+      const int partner_owner = round_robin_owner(edge.b, p);
       if (partner_owner == rank && executor != rank) {
         KAPPA_TRACE_SPAN("pair.ship", edge.a, edge.b);
         PairSide side = build_side(store, partition, edge, edge.b, ship_depth);
@@ -630,13 +631,13 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
     std::vector<std::uint64_t> delta_words;
     for (const std::size_t j : pairs) {
       const QuotientEdge& edge = quotient.edges()[j];
-      if (BlockRowShard::owner_of_block(edge.a, p) != rank) continue;
+      if (round_robin_owner(edge.a, p) != rank) continue;
       KAPPA_TRACE_SPAN("pair.execute", edge.a, edge.b);
       const std::uint64_t seed_tag = pair_seed_tag(global, j);
       ship.pairs_executed += 1;
       progress_pair();
       participated = true;
-      const int partner_owner = BlockRowShard::owner_of_block(edge.b, p);
+      const int partner_owner = round_robin_owner(edge.b, p);
       if (partner_owner == rank) {
         const PairRefineResult result = run_in_place(
             store, partition, edge, options, base_rng, seed_tag, delta_words);
@@ -695,8 +696,8 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
     std::vector<std::vector<std::uint64_t>> outbox(p);
     std::vector<int> expect_from(p, 0);
     for (const MoveDelta& m : migrations) {
-      const int old_owner = BlockRowShard::owner_of_block(m.from, p);
-      const int new_owner = BlockRowShard::owner_of_block(m.to, p);
+      const int old_owner = round_robin_owner(m.from, p);
+      const int new_owner = round_robin_owner(m.to, p);
       if (old_owner == new_owner) {
         if (old_owner == rank) store.apply_move(m.u, m.from, m.to, nullptr);
         continue;
@@ -722,8 +723,8 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
       if (expect_from[q] > 0) inbox[q] = pe_.receive(q).payload;
     }
     for (const MoveDelta& m : migrations) {
-      const int old_owner = BlockRowShard::owner_of_block(m.from, p);
-      const int new_owner = BlockRowShard::owner_of_block(m.to, p);
+      const int old_owner = round_robin_owner(m.from, p);
+      const int new_owner = round_robin_owner(m.to, p);
       if (new_owner != rank || old_owner == rank || old_owner == new_owner) {
         continue;
       }

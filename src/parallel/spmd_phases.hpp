@@ -70,7 +70,6 @@
 
 #include "core/phases.hpp"
 #include "graph/quotient_graph.hpp"
-#include "parallel/dist_graph.hpp"
 #include "parallel/dist_hierarchy.hpp"
 #include "parallel/dist_partition.hpp"
 #include "parallel/pair_side.hpp"
@@ -172,6 +171,12 @@ using PairSideObserver = std::function<void(const PairSideProbe&)>;
 [[nodiscard]] Partition spmd_initial_partition(const StaticGraph& coarsest,
                                                const Config& config,
                                                PEContext& pe);
+
+/// The rank whose all-gathered attempt entry (infeasible, cut, attempt)
+/// is the lexicographic minimum — the initial partitioning winner. An
+/// entry of another length than three words raises TransportError.
+[[nodiscard]] int attempt_winner(
+    const std::vector<std::vector<std::uint64_t>>& entries);
 
 class SpmdRefiner {
  public:

@@ -94,6 +94,26 @@ TEST(PERuntime, AllReduceSumVecRejectsAContributionOfAnotherLength) {
                TransportError);
 }
 
+TEST(PERuntime, AllGatherRejectsAPeerPayloadOfAnotherLength) {
+  // A scalar all-gather takes exactly one word from every peer: an empty
+  // payload must not be read past its end, and a longer one must not be
+  // cut to its first word. all_reduce_sum/max and the per-shard gathers
+  // sit on this collective.
+  for (const std::vector<std::uint64_t>& peer_payload :
+       {std::vector<std::uint64_t>{}, std::vector<std::uint64_t>{5, 6}}) {
+    PERuntime runtime(2);
+    EXPECT_THROW(runtime.run([&](PEContext& pe) {
+                   if (pe.rank() == 0) {
+                     (void)pe.all_gather(7);
+                   } else {
+                     (void)pe.all_gather_vectors(peer_payload);
+                   }
+                 }),
+                 TransportError)
+        << "peer payload of " << peer_payload.size() << " words";
+  }
+}
+
 TEST(PERuntime, AllGatherOrdersByRank) {
   PERuntime runtime(4);
   runtime.run([&](PEContext& pe) {

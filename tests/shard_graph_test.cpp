@@ -1,7 +1,8 @@
 /// \file shard_graph_test.cpp
 /// \brief Tests for the per-PE data sharding: the ghost-layer ShardGraph
-/// of SPMD matching, the §5.2 BlockRowShard of SPMD refinement, the
-/// distributed quotient construction, and the wire-format packing.
+/// of SPMD matching, the distributed hierarchy's levels and its §3.3 gap
+/// graph, the §5.2 BlockRowShard of SPMD refinement, the distributed
+/// quotient construction, and the wire-format packing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,10 +13,11 @@
 #include <string>
 #include <vector>
 
+#include "coarsening/prepartition.hpp"
 #include "core/partitioner.hpp"
 #include "generators/generators.hpp"
+#include "graph/graph_builder.hpp"
 #include "graph/quotient_graph.hpp"
-#include "parallel/dist_graph.hpp"
 #include "parallel/dist_partition.hpp"
 #include "parallel/pe_runtime.hpp"
 #include "parallel/shard_graph.hpp"
@@ -62,16 +64,16 @@ TEST(ShardGraph, ResidentLayerIsOwnedPlusOneHopHalo) {
   const BlockID num_shards = 8;
   const int p = 4;
   PERuntime runtime(p, 1);
+  const std::vector<BlockID> node_to_shard = prepartition(g, num_shards);
   std::vector<std::uint64_t> owned_count(p, 0);
   runtime.run([&](PEContext& pe) {
-    const DistGraph dist(g, num_shards, pe.rank(), p);
-    const ShardGraph shard(finest_shard_parts(g, dist, pe));
+    const ShardGraph shard(finest_shard_parts(g, node_to_shard, pe));
     owned_count[pe.rank()] = shard.num_owned();
 
     // Owned set: exactly the union of this rank's shards.
     std::set<NodeID> owned;
-    for (const BlockID s : dist.shards_of_rank(pe.rank(), p)) {
-      for (const NodeID u : dist.shard(s).nodes) owned.insert(u);
+    for (NodeID u = 0; u < g.num_nodes(); ++u) {
+      if (round_robin_owner(node_to_shard[u], p) == pe.rank()) owned.insert(u);
     }
     ASSERT_EQ(owned.size(), shard.num_owned());
 
@@ -86,14 +88,17 @@ TEST(ShardGraph, ResidentLayerIsOwnedPlusOneHopHalo) {
     EXPECT_LT(shard.footprint().resident_nodes(), g.num_nodes());
 
     // Owned rows reproduce the replica rows verbatim, arc order included;
-    // ghost weights and weighted degrees came over the wire and must
-    // match the replica.
+    // ghosts have no row, and their weights and weighted degrees came
+    // over the wire and must match the replica.
     for (NodeID local = 0; local < shard.num_local(); ++local) {
       const NodeID global = shard.global_of(local);
       EXPECT_EQ(shard.csr().node_weight(local), g.node_weight(global));
       EXPECT_EQ(shard.weighted_degrees()[local], g.weighted_degree(global));
       EXPECT_EQ(shard.local_of(global), local);
-      if (!shard.is_owned(local)) continue;
+      if (!shard.is_owned(local)) {
+        EXPECT_EQ(shard.csr().degree(local), 0u);
+        continue;
+      }
       std::vector<std::pair<NodeID, EdgeWeight>> resident_arcs;
       for (EdgeID e = shard.csr().first_arc(local);
            e < shard.csr().last_arc(local); ++e) {
@@ -117,8 +122,7 @@ TEST(ShardGraph, SingleRankOwnsEverythingWithoutGhosts) {
   const StaticGraph g = grid_graph(20, 20);
   PERuntime runtime(1, 1);
   runtime.run([&](PEContext& pe) {
-    const DistGraph dist(g, 4, pe.rank(), 1);
-    const ShardGraph shard(finest_shard_parts(g, dist, pe));
+    const ShardGraph shard(finest_shard_parts(g, prepartition(g, 4), pe));
     EXPECT_EQ(shard.num_owned(), g.num_nodes());
     EXPECT_EQ(shard.num_ghost(), 0u);
     EXPECT_EQ(shard.csr().num_arcs(), g.num_arcs());
@@ -130,8 +134,7 @@ TEST(ShardGraph, GhostRefreshIsCountedInCommStats) {
   const StaticGraph g = random_geometric_graph(1500, rng);
   PERuntime runtime(2, 1);
   const std::vector<RankCounters> per_rank = runtime.run([&](PEContext& pe) {
-    const DistGraph dist(g, 8, pe.rank(), 2);
-    const ShardGraph shard(finest_shard_parts(g, dist, pe));
+    const ShardGraph shard(finest_shard_parts(g, prepartition(g, 8), pe));
     EXPECT_GT(shard.num_ghost(), 0u);
   });
   for (const RankCounters& s : per_rank) {
@@ -187,28 +190,6 @@ TEST(HaloDecoding, RejectsUnknownWrongKindAndTruncatedRecords) {
   EXPECT_THROW(
       (void)halo_records(std::span(payload).first(5), 2), TransportError);
   EXPECT_EQ(halo_records({}, 3), 0u);
-}
-
-// -------------------------------------------- rank-filtered DistGraph ----
-
-TEST(DistGraph, RankFilteredBuildMaterializesOwnShardsOnly) {
-  const StaticGraph g = grid_graph(30, 30);
-  const DistGraph full(g, 6);
-  const int p = 2;
-  for (int rank = 0; rank < p; ++rank) {
-    const DistGraph filtered(g, 6, rank, p);
-    EXPECT_EQ(filtered.node_to_shard(), full.node_to_shard());
-    for (BlockID s = 0; s < 6; ++s) {
-      if (DistGraph::owner_of_shard(s, p) == rank) {
-        EXPECT_EQ(filtered.shard(s).nodes, full.shard(s).nodes);
-        EXPECT_EQ(filtered.shard(s).cross_arcs.size(),
-                  full.shard(s).cross_arcs.size());
-      } else {
-        EXPECT_TRUE(filtered.shard(s).nodes.empty());
-        EXPECT_TRUE(filtered.shard(s).cross_arcs.empty());
-      }
-    }
-  }
 }
 
 // ------------------------------------------- distributed quotient graph ----
@@ -313,7 +294,7 @@ TEST(BlockRowShard, RowSetConstructorMatchesReplicaExtraction) {
   std::vector<NodeID> mine;
   std::vector<BlockID> row_blocks;
   for (NodeID u = 0; u < g.num_nodes(); ++u) {
-    if (BlockRowShard::owner_of_block(assignment[u], p) == rank) {
+    if (round_robin_owner(assignment[u], p) == rank) {
       mine.push_back(u);
       row_blocks.push_back(assignment[u]);
     }
@@ -387,9 +368,9 @@ TEST(DistHierarchy, LevelsAreShardedNotReplicated) {
 TEST(DistHierarchy, EveryLevelResolvesResidentIdsWithoutHashing) {
   // Ids are resolved once, when a level is sealed: owned ids by
   // arithmetic, ghosts by binary search. At every level and for every p,
-  // local_of() must invert global_of() on both kinds, reject every id
-  // that is not resident, and the cross arcs must carry the resolved
-  // endpoints. Level 0's owned rows are the input graph's rows verbatim.
+  // local_of() must invert global_of() on both kinds and reject every id
+  // that is not resident. Level 0's owned rows are the input graph's rows
+  // verbatim.
   const StaticGraph g = make_instance("rgg14", 13);
   Config config = Config::preset(Preset::kFast, 8);
   config.seed = 4;
@@ -431,13 +412,6 @@ TEST(DistHierarchy, EveryLevelResolvesResidentIdsWithoutHashing) {
         }
         EXPECT_EQ(shard.local_of(level.global_n), kInvalidNode) << where;
         EXPECT_EQ(shard.local_of(kInvalidNode - 1), kInvalidNode) << where;
-        for (const GraphShard& shard_s : level.my_shards) {
-          for (const CrossShardArc& arc : shard_s.cross_arcs) {
-            ASSERT_EQ(arc.lu, shard.local_of(arc.u)) << where;
-            ASSERT_EQ(arc.lv, shard.local_of(arc.v)) << where;
-            ASSERT_TRUE(shard.is_owned(arc.lu)) << where;
-          }
-        }
         if (l != 0) continue;
         for (NodeID local = 0; local < shard.num_owned(); ++local) {
           const NodeID global = shard.global_of(local);
@@ -511,6 +485,151 @@ TEST(DistHierarchy, GatheredCoarsestIsConsistentAcrossPeCounts) {
   for (std::size_t i = 1; i < nodes_seen.size(); ++i) {
     EXPECT_EQ(nodes_seen[i], nodes_seen[0]);
     EXPECT_EQ(arcs_seen[i], arcs_seen[0]);
+  }
+}
+
+TEST(DistHierarchy, EachRankMaterializesItsOwnShardsOnly) {
+  // Every rank holds the replicated ownership map but the nodes of its
+  // own shards only: at every level, each of its shard lists names
+  // exactly the level's nodes in that shard, and it owns nothing else.
+  const StaticGraph g = grid_graph(30, 30);
+  const BlockID num_shards = 6;
+  CoarseningOptions options;
+  options.matching_pes = num_shards;
+  options.contraction_limit = 64;
+  for (const int p : {1, 2, 3, 4, 7}) {
+    std::vector<std::vector<BlockID>> finest_map(p);
+    PERuntime runtime(p, 1);
+    runtime.run([&](PEContext& pe) {
+      const DistHierarchy hierarchy(g, options, Rng(3), pe);
+      finest_map[pe.rank()] = hierarchy.level(0).node_to_shard;
+      for (std::size_t l = 0; l < hierarchy.num_levels(); ++l) {
+        const DistLevel& level = hierarchy.level(l);
+        std::map<BlockID, std::vector<NodeID>> members;
+        for (NodeID u = 0; u < level.global_n; ++u) {
+          members[level.shard_of(u)].push_back(u);
+        }
+        std::size_t listed = 0;
+        for (std::size_t i = 0; i < level.shard_locals.size(); ++i) {
+          std::vector<NodeID> globals;
+          for (const NodeID lu : level.shard_locals[i]) {
+            globals.push_back(level.shard.global_of(lu));
+          }
+          EXPECT_EQ(globals, members[level.my_shard_ids[i]])
+              << "p=" << p << " rank " << pe.rank() << " level " << l
+              << " shard " << level.my_shard_ids[i];
+          listed += globals.size();
+        }
+        EXPECT_EQ(listed, level.shard.num_owned())
+            << "p=" << p << " rank " << pe.rank() << " level " << l;
+      }
+    });
+    for (int rank = 0; rank < p; ++rank) {
+      EXPECT_EQ(finest_map[rank], prepartition(g, num_shards)) << "p=" << p;
+    }
+  }
+}
+
+// --------------------------------------------- §3.3 gap graph, SPMD ----
+
+/// The level 0 -> 1 contraction map of an SPMD hierarchy build on \p p
+/// ranks, by global fine id, and the matching counters summed over the
+/// ranks.
+struct FirstContraction {
+  std::vector<NodeID> coarse_of;
+  std::uint64_t local_pairs = 0;
+  std::uint64_t gap_pairs = 0;
+};
+
+FirstContraction first_contraction(const StaticGraph& g,
+                                   const CoarseningOptions& options, int p) {
+  FirstContraction result;
+  result.coarse_of.assign(g.num_nodes(), kInvalidNode);
+  PERuntime runtime(p, 1);
+  const std::vector<RankCounters> per_rank = runtime.run([&](PEContext& pe) {
+    const DistHierarchy hierarchy(g, options, Rng(9), pe);
+    ASSERT_GE(hierarchy.num_levels(), 2u);
+    const DistLevel& level = hierarchy.level(0);
+    for (NodeID lu = 0; lu < level.shard.num_owned(); ++lu) {
+      result.coarse_of[level.shard.global_of(lu)] = level.owned_to_coarse[lu];
+    }
+  });
+  for (const RankCounters& counters : per_rank) {
+    result.local_pairs += counters.matching.local_pairs;
+    result.gap_pairs += counters.matching.gap_pairs;
+  }
+  return result;
+}
+
+/// The path 0 - 1 - 2 - 3 with the given edge weights, sharded {0, 1},
+/// {2, 3} by the numbering fallback; heaviest-edge matching, one level.
+StaticGraph weighted_path(EdgeWeight w01, EdgeWeight w12, EdgeWeight w23) {
+  GraphBuilder builder(4);
+  builder.add_edge(0, 1, w01);
+  builder.add_edge(1, 2, w12);
+  builder.add_edge(2, 3, w23);
+  return builder.finalize();
+}
+
+CoarseningOptions path_options() {
+  CoarseningOptions options;
+  options.rating = EdgeRating::kWeight;
+  options.matcher = MatcherAlgo::kGreedy;
+  options.contraction_limit = 3;
+  options.matching_pes = 2;
+  return options;
+}
+
+TEST(SpmdGapGraph, DominantCrossingEdgeIsMatched) {
+  // p = 1 holds both shards (an edge between two shards of one rank),
+  // p = 2 one each (the edge spans ranks): either way the heavy crossing
+  // edge beats both tentative local matches and dissolves them.
+  const StaticGraph g = weighted_path(1, 50, 1);
+  for (const int p : {1, 2}) {
+    const FirstContraction c = first_contraction(g, path_options(), p);
+    EXPECT_EQ(c.coarse_of[1], c.coarse_of[2]) << "p=" << p;
+    EXPECT_NE(c.coarse_of[0], c.coarse_of[1]) << "p=" << p;
+    EXPECT_NE(c.coarse_of[3], c.coarse_of[1]) << "p=" << p;
+    EXPECT_NE(c.coarse_of[0], c.coarse_of[3]) << "p=" << p;
+    EXPECT_EQ(c.gap_pairs, 1u) << "p=" << p;
+  }
+}
+
+TEST(SpmdGapGraph, LocalEdgesDominateAnEmptyGapGraph) {
+  const StaticGraph g = weighted_path(50, 1, 50);
+  for (const int p : {1, 2}) {
+    const FirstContraction c = first_contraction(g, path_options(), p);
+    EXPECT_EQ(c.coarse_of[0], c.coarse_of[1]) << "p=" << p;
+    EXPECT_EQ(c.coarse_of[2], c.coarse_of[3]) << "p=" << p;
+    EXPECT_NE(c.coarse_of[0], c.coarse_of[2]) << "p=" << p;
+    EXPECT_EQ(c.gap_pairs, 0u) << "p=" << p;
+  }
+}
+
+TEST(SpmdGapGraph, FirstContractionIsAValidMatchingForEveryP) {
+  Rng rng(5);
+  const StaticGraph g = random_geometric_graph(2000, rng);
+  for (const BlockID shards : {2u, 4u, 8u}) {
+    CoarseningOptions options;
+    options.matching_pes = shards;
+    const FirstContraction p1 = first_contraction(g, options, 1);
+    const FirstContraction p3 = first_contraction(g, options, 3);
+    EXPECT_EQ(p3.coarse_of, p1.coarse_of) << shards << " shards";
+    EXPECT_GT(p1.local_pairs, 0u) << shards << " shards";
+
+    // Every coarse node has one or two fine nodes, and a pair is adjacent.
+    std::map<NodeID, std::vector<NodeID>> members;
+    for (NodeID u = 0; u < g.num_nodes(); ++u) {
+      ASSERT_NE(p1.coarse_of[u], kInvalidNode);
+      members[p1.coarse_of[u]].push_back(u);
+    }
+    for (const auto& [c, fine] : members) {
+      ASSERT_LE(fine.size(), 2u) << "coarse node " << c;
+      if (fine.size() < 2) continue;
+      const auto nbrs = g.neighbors(fine[0]);
+      EXPECT_NE(std::find(nbrs.begin(), nbrs.end(), fine[1]), nbrs.end())
+          << "pair " << fine[0] << ", " << fine[1] << " is not an edge";
+    }
   }
 }
 

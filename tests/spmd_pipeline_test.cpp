@@ -1,83 +1,125 @@
 /// \file spmd_pipeline_test.cpp
-/// \brief Tests for the SPMD end-to-end pipeline: the graph sharding, the
+/// \brief Tests for the SPMD end-to-end pipeline: the shard ownership, the
 /// parallel entry point's validity and quality, its p-invariance (fixed
 /// seed => identical partition for every PE count) and the surfaced
 /// communication statistics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
 
 #include "core/partitioner.hpp"
 #include "generators/generators.hpp"
 #include "graph/metrics.hpp"
 #include "graph/validation.hpp"
-#include "parallel/dist_graph.hpp"
+#include "parallel/dist_hierarchy.hpp"
 #include "parallel/pe_runtime.hpp"
 
 namespace kappa {
 namespace {
 
-// ------------------------------------------------------------ dist graph ----
+// ------------------------------------------------------ shard ownership ----
 
-TEST(DistGraph, ShardsPartitionTheNodes) {
+/// Builds the SPMD hierarchy of \p g over \p num_shards virtual shards
+/// on \p p ranks and calls \p check(rank, hierarchy) on every rank.
+template <typename Check>
+void on_every_rank(const StaticGraph& g, BlockID num_shards, int p,
+                   Check&& check) {
+  CoarseningOptions options;
+  options.matching_pes = num_shards;
+  options.contraction_limit = 64;
+  PERuntime runtime(p, 1);
+  runtime.run([&](PEContext& pe) {
+    const DistHierarchy hierarchy(g, options, Rng(3), pe);
+    check(pe.rank(), hierarchy);
+  });
+}
+
+TEST(DistHierarchy, ShardListsPartitionEveryLevel) {
   Rng rng(7);
   const StaticGraph g = random_geometric_graph(2000, rng);
-  const DistGraph dist(g, 8);
-  ASSERT_EQ(dist.num_shards(), 8u);
-
-  std::vector<int> seen(g.num_nodes(), 0);
-  for (BlockID s = 0; s < dist.num_shards(); ++s) {
-    for (const NodeID u : dist.shard(s).nodes) {
-      EXPECT_EQ(dist.shard_of(u), s);
-      ++seen[u];
+  for (const int p : {1, 2, 3, 4, 7}) {
+    // By rank and level: the owned global ids and the level's size.
+    std::vector<std::vector<std::vector<NodeID>>> owned(p);
+    std::vector<std::vector<NodeID>> level_n(p);
+    on_every_rank(g, 8, p, [&](int rank, const DistHierarchy& hierarchy) {
+      for (std::size_t l = 0; l < hierarchy.num_levels(); ++l) {
+        const DistLevel& level = hierarchy.level(l);
+        const ShardGraph& sg = level.shard;
+        const std::string where = "p=" + std::to_string(p) + " rank " +
+                                  std::to_string(rank) + " level " +
+                                  std::to_string(l);
+        ASSERT_EQ(level.shard_locals.size(), level.my_shard_ids.size());
+        std::vector<int> listed(sg.num_owned(), 0);
+        for (std::size_t i = 0; i < level.shard_locals.size(); ++i) {
+          const std::vector<NodeID>& locals = level.shard_locals[i];
+          EXPECT_EQ(std::adjacent_find(locals.begin(), locals.end(),
+                                       std::greater_equal<>()),
+                    locals.end())
+              << where << ": shard list not ascending";
+          for (const NodeID lu : locals) {
+            ASSERT_LT(lu, sg.num_owned()) << where;
+            ++listed[lu];
+            EXPECT_EQ(level.shard_of(sg.global_of(lu)), level.my_shard_ids[i])
+                << where;
+          }
+        }
+        EXPECT_TRUE(std::all_of(listed.begin(), listed.end(),
+                                [](int c) { return c == 1; }))
+            << where << ": an owned node is not in exactly one shard list";
+        std::vector<NodeID> globals;
+        for (NodeID lu = 0; lu < sg.num_owned(); ++lu) {
+          globals.push_back(sg.global_of(lu));
+        }
+        owned[rank].push_back(std::move(globals));
+        level_n[rank].push_back(level.global_n);
+      }
+    });
+    // The owned sets of all ranks partition every level.
+    for (int rank = 1; rank < p; ++rank) ASSERT_EQ(level_n[rank], level_n[0]);
+    for (std::size_t l = 0; l < level_n[0].size(); ++l) {
+      std::vector<int> seen(level_n[0][l], 0);
+      for (int rank = 0; rank < p; ++rank) {
+        for (const NodeID u : owned[rank][l]) ++seen[u];
+      }
+      EXPECT_TRUE(std::all_of(seen.begin(), seen.end(),
+                              [](int c) { return c == 1; }))
+          << "p=" << p << " level " << l;
     }
   }
-  EXPECT_TRUE(std::all_of(seen.begin(), seen.end(),
-                          [](int c) { return c == 1; }));
 }
 
-TEST(DistGraph, CrossArcsAreExactlyTheShardBoundary) {
-  const StaticGraph g = grid_graph(30, 30);
-  const DistGraph dist(g, 4);
-
-  std::size_t cross = 0;
-  for (NodeID u = 0; u < g.num_nodes(); ++u) {
-    for (EdgeID e = g.first_arc(u); e < g.last_arc(u); ++e) {
-      if (dist.shard_of(u) != dist.shard_of(g.arc_target(e))) ++cross;
-    }
-  }
-  std::size_t listed = 0;
-  for (BlockID s = 0; s < dist.num_shards(); ++s) {
-    for (const CrossShardArc& arc : dist.shard(s).cross_arcs) {
-      EXPECT_EQ(dist.shard_of(arc.u), s);
-      EXPECT_NE(dist.shard_of(arc.v), s);
-    }
-    listed += dist.shard(s).cross_arcs.size();
-  }
-  EXPECT_EQ(listed, cross);
-}
-
-TEST(DistGraph, RoundRobinOwnershipCoversAllShards) {
+TEST(DistHierarchy, ShardsAreOwnedRoundRobinAtEveryLevel) {
   const StaticGraph g = grid_graph(20, 20);
-  const DistGraph dist(g, 6);
-  const int p = 4;
-  std::vector<int> owner_count(p, 0);
-  for (BlockID s = 0; s < dist.num_shards(); ++s) {
-    const int owner = DistGraph::owner_of_shard(s, p);
-    ASSERT_GE(owner, 0);
-    ASSERT_LT(owner, p);
-    ++owner_count[owner];
-  }
-  int total = 0;
-  for (int rank = 0; rank < p; ++rank) {
-    const std::vector<BlockID> shards = dist.shards_of_rank(rank, p);
-    EXPECT_EQ(static_cast<int>(shards.size()), owner_count[rank]);
-    for (const BlockID s : shards) {
-      EXPECT_EQ(DistGraph::owner_of_shard(s, p), rank);
+  const BlockID num_shards = 6;
+  for (const int p : {1, 2, 3, 4, 7}) {
+    std::vector<std::vector<BlockID>> finest_shards(p);
+    on_every_rank(g, num_shards, p, [&](int rank,
+                                        const DistHierarchy& hierarchy) {
+      std::vector<BlockID> expected;
+      for (BlockID s = 0; s < num_shards; ++s) {
+        if (static_cast<int>(s) % p == rank) expected.push_back(s);
+      }
+      for (std::size_t l = 0; l < hierarchy.num_levels(); ++l) {
+        const DistLevel& level = hierarchy.level(l);
+        EXPECT_EQ(level.my_shard_ids, expected)
+            << "p=" << p << " rank " << rank << " level " << l;
+        for (NodeID lu = 0; lu < level.shard.num_owned(); ++lu) {
+          EXPECT_EQ(level.owner_of_node(level.shard.global_of(lu), p), rank);
+        }
+      }
+      finest_shards[rank] = hierarchy.level(0).my_shard_ids;
+    });
+    // Every shard has exactly one owner.
+    std::vector<int> owners(num_shards, 0);
+    for (int rank = 0; rank < p; ++rank) {
+      for (const BlockID s : finest_shards[rank]) ++owners[s];
     }
-    total += static_cast<int>(shards.size());
+    EXPECT_TRUE(std::all_of(owners.begin(), owners.end(),
+                            [](int c) { return c == 1; }))
+        << "p=" << p;
   }
-  EXPECT_EQ(total, static_cast<int>(dist.num_shards()));
 }
 
 // -------------------------------------------------------- SPMD pipeline ----

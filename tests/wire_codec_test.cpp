@@ -2,8 +2,12 @@
 /// \brief Hostile-input corpus for the wire codecs: the refiner's flat
 /// PairSide layout (with its three kinds of arc target reference), the
 /// shared row codec (decode_row_words), the refiner's move deltas and
-/// block-lookup replies (decode_move_deltas, decode_block_reply), and the
-/// per-rank counter record every SPMD run gathers (decode_counters).
+/// block-lookup replies (decode_move_deltas, decode_block_reply), the
+/// per-rank counter record every SPMD run gathers (decode_counters), and
+/// the one-time gathers and broadcast of the SPMD pipeline: the coarsest
+/// graph (decode_gathered_graph), the owned blocks of a level
+/// (decode_owned_blocks), the initial-partitioning winner's entry
+/// (attempt_winner) and its broadcast assignment (decode_assignment).
 ///
 /// Every payload a peer sends is untrusted. The decoders check each
 /// count against the remaining payload before reserving or reading, so a
@@ -24,6 +28,7 @@
 #include "parallel/dist_partition.hpp"
 #include "parallel/pair_side.hpp"
 #include "parallel/shard_graph.hpp"
+#include "parallel/spmd_phases.hpp"
 #include "parallel/transport.hpp"
 #include "parallel/wire_format.hpp"
 #include "util/random.hpp"
@@ -578,6 +583,288 @@ TEST(CounterRecordCodec, MutationCorpusRaisesOnlyTransportError) {
   }
   // Counter values take any word, so only the structural mutations —
   // truncation, extension, an inflated count — are rejected.
+  EXPECT_GT(rejected, 500);
+}
+
+// ------------------------------------------- one-time gathers and broadcast
+
+/// A random graph of 1-12 nodes with arbitrary (possibly one-sided) rows:
+/// the codec checks ids and structure, not symmetry.
+StaticGraph random_rows_graph(Rng& rng) {
+  const NodeID n = 1 + static_cast<NodeID>(rng.bounded(12));
+  std::vector<EdgeID> xadj = {0};
+  std::vector<NodeID> adj;
+  std::vector<EdgeWeight> ewgt;
+  std::vector<NodeWeight> vwgt;
+  for (NodeID u = 0; u < n; ++u) {
+    vwgt.push_back(static_cast<NodeWeight>(1 + rng.bounded(9)));
+    for (std::size_t j = 0, arcs = rng.bounded(4); j < arcs; ++j) {
+      adj.push_back(static_cast<NodeID>(rng.bounded(n)));
+      ewgt.push_back(static_cast<EdgeWeight>(1 + rng.bounded(9)));
+    }
+    xadj.push_back(adj.size());
+  }
+  return StaticGraph(std::move(xadj), std::move(adj), std::move(ewgt),
+                     std::move(vwgt));
+}
+
+/// The graph's rows as \p p ranks send them to the coarsest gather, each
+/// row on a random rank, each payload in ascending id order.
+std::vector<std::vector<std::uint64_t>> gather_rows(const StaticGraph& g,
+                                                    int p, Rng& rng) {
+  std::vector<std::vector<std::uint64_t>> gathered(p);
+  for (NodeID u = 0; u < g.num_nodes(); ++u) {
+    std::vector<EdgeWeight> weights;
+    for (EdgeID e = g.first_arc(u); e < g.last_arc(u); ++e) {
+      weights.push_back(g.arc_weight(e));
+    }
+    append_row_words(gathered[rng.bounded(p)], u,
+                     {g.node_weight(u), g.neighbors(u), weights},
+                     [](NodeID) { return true; });
+  }
+  return gathered;
+}
+
+void expect_same_graph(const StaticGraph& a, const StaticGraph& b) {
+  ASSERT_EQ(a.num_nodes(), b.num_nodes());
+  ASSERT_EQ(a.num_arcs(), b.num_arcs());
+  for (NodeID u = 0; u < a.num_nodes(); ++u) {
+    EXPECT_EQ(a.node_weight(u), b.node_weight(u));
+    ASSERT_EQ(a.first_arc(u), b.first_arc(u));
+    ASSERT_EQ(a.last_arc(u), b.last_arc(u));
+    for (EdgeID e = a.first_arc(u); e < a.last_arc(u); ++e) {
+      EXPECT_EQ(a.arc_target(e), b.arc_target(e));
+      EXPECT_EQ(a.arc_weight(e), b.arc_weight(e));
+    }
+  }
+}
+
+TEST(GatheredGraphCodec, RoundTripsAndRejectsMalformedGathers) {
+  Rng rng(51);
+  for (int trial = 0; trial < 200; ++trial) {
+    const StaticGraph g = random_rows_graph(rng);
+    const int p = 1 + static_cast<int>(rng.bounded(4));
+    expect_same_graph(decode_gathered_graph(gather_rows(g, p, rng),
+                                            g.num_nodes()),
+                      g);
+  }
+  // Rows of the 3-node path 0 - 1 - 2, one payload per row.
+  const std::vector<std::vector<std::uint64_t>> valid = {
+      {0, 1, 1, 1, 1}, {1, 1, 2, 0, 1, 2, 1}, {2, 1, 1, 1, 1}};
+  expect_same_graph(decode_gathered_graph(valid, 3),
+                    decode_gathered_graph({valid[2], valid[0], valid[1]}, 3));
+  constexpr std::uint64_t kMaxWeight = std::numeric_limits<NodeWeight>::max();
+  std::vector<std::vector<std::vector<std::uint64_t>>> payloads(11, valid);
+  payloads[0][0][0] = 3;                // row id out of range
+  payloads[1][1][3] = 3;                // target out of range
+  payloads[2][0] = valid[1];            // row 1 sent twice, row 0 never
+  payloads[3][0].clear();               // row 0 never sent
+  payloads[4][2].push_back(7);          // one-word trailing fragment
+  payloads[5][2].insert(payloads[5][2].end(), {7, 1});  // two words
+  payloads[6][1].pop_back();            // last arc cut short
+  payloads[7][0][1] = weight_bits(-1);  // negative node weight
+  payloads[8][0][4] = weight_bits(-1);  // negative arc weight
+  payloads[9][0][1] = kMaxWeight;       // node weights overflow their sum
+  payloads[10][1][4] = kMaxWeight;      // arc weights overflow their sum
+  for (const auto& gathered : payloads) {
+    EXPECT_THROW((void)decode_gathered_graph(gathered, 3), TransportError);
+  }
+}
+
+TEST(GatheredGraphCodec, MutationCorpusRaisesOnlyTransportError) {
+  Rng rng(53);
+  int rejected = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const StaticGraph g = random_rows_graph(rng);
+    const int p = 1 + static_cast<int>(rng.bounded(4));
+    auto gathered = gather_rows(g, p, rng);
+    const int mutations = 1 + static_cast<int>(rng.bounded(3));
+    for (int m = 0; m < mutations; ++m) mutate(gathered[rng.bounded(p)], rng);
+    try {
+      const StaticGraph decoded =
+          decode_gathered_graph(gathered, g.num_nodes());
+      ASSERT_EQ(decoded.num_nodes(), g.num_nodes());
+      for (NodeID u = 0; u < decoded.num_nodes(); ++u) {
+        for (const NodeID v : decoded.neighbors(u)) {
+          EXPECT_LT(v, decoded.num_nodes());
+        }
+      }
+    } catch (const TransportError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 1000);
+}
+
+/// A level of 0-39 nodes, half the time a finest level (a node -> shard
+/// map), else a coarse one (contiguous shard ranges), over 1-6 shards.
+DistLevel random_level(Rng& rng) {
+  DistLevel level;
+  level.global_n = static_cast<NodeID>(rng.bounded(40));
+  level.num_shards = 1 + static_cast<BlockID>(rng.bounded(6));
+  if (rng.bounded(2) == 0) {
+    for (NodeID u = 0; u < level.global_n; ++u) {
+      level.node_to_shard.push_back(
+          static_cast<BlockID>(rng.bounded(level.num_shards)));
+    }
+    return level;
+  }
+  level.shard_begin.assign(level.num_shards + 1, level.global_n);
+  level.shard_begin[0] = 0;
+  for (BlockID s = 1; s < level.num_shards; ++s) {
+    level.shard_begin[s] = std::max(
+        level.shard_begin[s - 1],
+        static_cast<NodeID>(rng.bounded(level.global_n + 1)));
+  }
+  return level;
+}
+
+/// Random blocks < k for the level's nodes, and each of \p p ranks'
+/// owned-block payload as the materializing gather sends it.
+std::pair<std::vector<BlockID>, std::vector<std::vector<std::uint64_t>>>
+random_owned_blocks(const DistLevel& level, int p, BlockID k, Rng& rng) {
+  std::vector<BlockID> blocks(level.global_n);
+  for (BlockID& b : blocks) b = static_cast<BlockID>(rng.bounded(k));
+  std::vector<std::vector<std::uint64_t>> gathered(p);
+  level.for_each_owned(p, [&](int q, NodeID u) {
+    gathered[q].push_back(blocks[u]);
+  });
+  return {blocks, gathered};
+}
+
+TEST(OwnedBlocksCodec, RoundTripsAndRejectsMalformedGathers) {
+  constexpr BlockID k = 8;
+  Rng rng(61);
+  for (int trial = 0; trial < 200; ++trial) {
+    const DistLevel level = random_level(rng);
+    const int p = 1 + static_cast<int>(rng.bounded(5));
+    const auto [blocks, gathered] = random_owned_blocks(level, p, k, rng);
+    EXPECT_EQ(decode_owned_blocks(level, gathered, k), blocks);
+  }
+  // Five nodes on shards 0, 1, 0, 1, 1 at p = 2: rank 0 owns {0, 2}.
+  DistLevel level;
+  level.global_n = 5;
+  level.num_shards = 2;
+  level.node_to_shard = {0, 1, 0, 1, 1};
+  const std::vector<std::vector<std::uint64_t>> valid = {{3, 4}, {5, 6, 7}};
+  EXPECT_EQ(decode_owned_blocks(level, valid, k),
+            (std::vector<BlockID>{3, 5, 4, 6, 7}));
+  std::vector<std::vector<std::vector<std::uint64_t>>> payloads(5, valid);
+  payloads[0][0].pop_back();               // one block short
+  payloads[1][1].push_back(0);             // one block too many
+  payloads[2][0].clear();                  // nothing from rank 0
+  payloads[3][1][2] = k;                   // block out of range
+  payloads[4][0][0] = (std::uint64_t{1} << 32) + 1;  // low bits pass
+  for (const auto& gathered : payloads) {
+    EXPECT_THROW((void)decode_owned_blocks(level, gathered, k),
+                 TransportError);
+  }
+  // Coarse levels read the same layout off the shard ranges.
+  DistLevel coarse;
+  coarse.global_n = 5;
+  coarse.num_shards = 3;
+  coarse.shard_begin = {0, 2, 2, 5};  // rank 0: shards 0, 2; rank 1: 1
+  EXPECT_EQ(decode_owned_blocks(coarse, {{1, 2, 3, 4, 5}, {}}, k),
+            (std::vector<BlockID>{1, 2, 3, 4, 5}));
+  EXPECT_THROW((void)decode_owned_blocks(coarse, {{1, 2, 3, 4}, {5}}, k),
+               TransportError);
+}
+
+TEST(OwnedBlocksCodec, MutationCorpusRaisesOnlyTransportError) {
+  constexpr BlockID k = 8;
+  Rng rng(67);
+  int rejected = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const DistLevel level = random_level(rng);
+    const int p = 1 + static_cast<int>(rng.bounded(5));
+    auto gathered = random_owned_blocks(level, p, k, rng).second;
+    const int mutations = 1 + static_cast<int>(rng.bounded(3));
+    for (int m = 0; m < mutations; ++m) mutate(gathered[rng.bounded(p)], rng);
+    try {
+      const std::vector<BlockID> blocks =
+          decode_owned_blocks(level, gathered, k);
+      ASSERT_EQ(blocks.size(), level.global_n);
+      for (const BlockID b : blocks) EXPECT_LT(b, k);
+    } catch (const TransportError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 1000);
+}
+
+TEST(AssignmentCodec, RoundTripsAndRejectsMalformedBroadcasts) {
+  constexpr BlockID k = 4;
+  EXPECT_EQ(decode_assignment(std::vector<std::uint64_t>{0, 3, 1}, 3, k),
+            (std::vector<BlockID>{0, 3, 1}));
+  EXPECT_TRUE(decode_assignment({}, 0, k).empty());
+  const std::vector<std::vector<std::uint64_t>> payloads = {
+      {},                               // nothing broadcast
+      {0, 3},                           // one block short
+      {0, 3, 1, 2},                     // one block too many
+      {0, k, 1},                        // block out of range
+      {0, (std::uint64_t{1} << 32) + 3, 1},  // low bits pass
+  };
+  for (const auto& words : payloads) {
+    EXPECT_THROW((void)decode_assignment(words, 3, k), TransportError);
+  }
+}
+
+TEST(AssignmentCodec, MutationCorpusRaisesOnlyTransportError) {
+  constexpr BlockID k = 16;
+  Rng rng(71);
+  int rejected = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const NodeID n = static_cast<NodeID>(rng.bounded(20));
+    std::vector<std::uint64_t> words;
+    for (NodeID u = 0; u < n; ++u) words.push_back(rng.bounded(k));
+    const int mutations = 1 + static_cast<int>(rng.bounded(3));
+    for (int m = 0; m < mutations; ++m) mutate(words, rng);
+    try {
+      const std::vector<BlockID> blocks = decode_assignment(words, n, k);
+      ASSERT_EQ(blocks.size(), n);
+      for (const BlockID b : blocks) EXPECT_LT(b, k);
+    } catch (const TransportError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 1000);
+}
+
+TEST(AttemptEntryCodec, PicksTheLeastEntryAndRejectsOtherLengths) {
+  using Entries = std::vector<std::vector<std::uint64_t>>;
+  EXPECT_EQ(attempt_winner(Entries{{0, 9, 1}}), 0);
+  EXPECT_EQ(attempt_winner(Entries{{1, 2, 0}, {0, 9, 3}, {0, 9, 2}}), 2);
+  EXPECT_EQ(attempt_winner(Entries{{0, 5, 4}, {0, 4, 7}}), 1);
+  const std::vector<Entries> rejects = {
+      {{0, 9, 1}, {}},            // a peer sent nothing
+      {{0, 9, 1}, {0, 9}},        // one word short
+      {{0, 9, 1, 5}, {0, 9, 2}},  // one word too many
+  };
+  for (const Entries& entries : rejects) {
+    EXPECT_THROW((void)attempt_winner(entries), TransportError);
+  }
+}
+
+TEST(AttemptEntryCodec, MutationCorpusRaisesOnlyTransportError) {
+  Rng rng(73);
+  int rejected = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const int p = 1 + static_cast<int>(rng.bounded(5));
+    std::vector<std::vector<std::uint64_t>> entries(p);
+    for (auto& entry : entries) {
+      entry = {rng.bounded(2), rng.bounded(1000), rng.bounded(32)};
+    }
+    const int mutations = 1 + static_cast<int>(rng.bounded(3));
+    for (int m = 0; m < mutations; ++m) mutate(entries[rng.bounded(p)], rng);
+    try {
+      const int winner = attempt_winner(entries);
+      EXPECT_GE(winner, 0);
+      EXPECT_LT(winner, p);
+    } catch (const TransportError&) {
+      ++rejected;
+    }
+  }
+  // Only the length mutations — truncation and extension — are rejected.
   EXPECT_GT(rejected, 500);
 }
 
