@@ -11,8 +11,11 @@
 ///             [--trace-out=FILE] [--metrics-out=FILE]
 ///             [--watch-out=FILE] [--stall-timeout-ms=N]
 ///
-/// Any other argument after <k> is an error: the usage line goes to
-/// stderr and the tool exits with status 2 before reading the graph.
+/// Any other argument after <k> is an error, and so is a malformed or
+/// out-of-range number (k >= 2, eps finite and >= 0, pes >= 0,
+/// 0 <= rank < pes, 1 <= port <= 65535, timeouts >= 0): the usage line
+/// goes to stderr and the tool exits with status 2 before reading the
+/// graph.
 ///
 /// --pes=N > 0 runs the pipeline SPMD on a PE runtime of N PEs (the
 /// result is identical for every N under a fixed seed; N changes wall
@@ -45,11 +48,15 @@
 /// stops advancing for N ms. Observer-only: the partition is
 /// byte-identical with watch on or off. KAPPA_WATCH_OUT and
 /// KAPPA_STALL_TIMEOUT_MS override both.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "core/metrics_export.hpp"
 #include "core/partitioner.hpp"
@@ -110,6 +117,35 @@ const char* arg_value(int argc, char** argv, const char* key) {
   return nullptr;
 }
 
+/// Parses all of \p text with std::from_chars (no leading space or '+',
+/// no trailing characters) as a number in [lo, hi] into \p out; floating
+/// point must also be finite. Leaves \p out alone and returns false
+/// otherwise.
+template <typename T>
+bool parse_number(const char* text, T lo, T hi, T& out) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return false;
+  }
+  if (value < lo || value > hi) return false;
+  out = value;
+  return true;
+}
+
+/// Reads option \p key, if given, with parse_number(); a bad value is
+/// reported on stderr and returns false.
+template <typename T>
+bool number_option(int argc, char** argv, const char* key, T lo, T hi,
+                   T& out) {
+  const char* value = arg_value(argc, argv, key);
+  if (value == nullptr || parse_number(value, lo, hi, out)) return true;
+  std::fprintf(stderr, "error: bad value '%s' for %s\n", value, key);
+  return false;
+}
+
 /// Keeps the merged trace of the run for the export step below.
 struct CaptureTraceSink final : kappa::TraceSink {
   kappa::MergedTrace trace;
@@ -136,16 +172,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  StaticGraph graph;
-  try {
-    graph = read_metis_graph(argv[1]);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 1;
-  }
-  const BlockID k = static_cast<BlockID>(std::atoi(argv[2]));
-  if (k < 2) {
-    std::fprintf(stderr, "error: k must be >= 2\n");
+  // Every option is checked before the graph is read.
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  BlockID k = 0;
+  if (!parse_number(argv[2], BlockID{2}, kInvalidBlock - 1, k)) {
+    std::fprintf(stderr, "error: k must be an integer >= 2, got '%s'\n",
+                 argv[2]);
+    print_usage(argv[0]);
     return 2;
   }
 
@@ -161,26 +194,27 @@ int main(int argc, char** argv) {
     }
   }
   double eps = 0.03;
-  if (const char* value = arg_value(argc, argv, "--eps")) {
-    eps = std::atof(value);
+  if (!number_option(argc, argv, "--eps", 0.0,
+                     std::numeric_limits<double>::max(), eps)) {
+    print_usage(argv[0]);
+    return 2;
   }
-
   Config config = Config::preset(preset, k, eps);
-  if (const char* value = arg_value(argc, argv, "--seed")) {
-    config.seed = std::strtoull(value, nullptr, 10);
-  }
   int pes = 0;
-  if (const char* value = arg_value(argc, argv, "--pes")) {
-    pes = std::atoi(value);
+  if (!number_option(argc, argv, "--seed", std::uint64_t{0},
+                     std::numeric_limits<std::uint64_t>::max(),
+                     config.seed) ||
+      !number_option(argc, argv, "--pes", 0, kIntMax, pes) ||
+      !number_option(argc, argv, "--stall-timeout-ms", 0, kIntMax,
+                     config.stall_timeout_ms)) {
+    print_usage(argv[0]);
+    return 2;
   }
   const char* trace_out = arg_value(argc, argv, "--trace-out");
   const char* metrics_out = arg_value(argc, argv, "--metrics-out");
   if (trace_out != nullptr) config.trace_enabled = true;
   if (const char* value = arg_value(argc, argv, "--watch-out")) {
     config.watch_out = value;
-  }
-  if (const char* value = arg_value(argc, argv, "--stall-timeout-ms")) {
-    config.stall_timeout_ms = std::atoi(value);
   }
   if ((!config.watch_out.empty() || config.stall_timeout_ms > 0) && pes < 1) {
     std::fprintf(stderr,
@@ -198,15 +232,18 @@ int main(int argc, char** argv) {
     }
   }
   TcpOptions tcp_options;
+  if (!number_option(argc, argv, "--rank", 0, pes - 1, tcp_options.rank) ||
+      !number_option(argc, argv, "--recv-timeout-ms", 0, kIntMax,
+                     tcp_options.recv_timeout_ms)) {
+    print_usage(argv[0]);
+    return 2;
+  }
   if (tcp) {
     if (pes < 1) {
       std::fprintf(stderr, "error: --transport=tcp needs --pes=N >= 1\n");
       return 2;
     }
     tcp_options.num_ranks = pes;
-    if (const char* value = arg_value(argc, argv, "--rank")) {
-      tcp_options.rank = std::atoi(value);
-    }
     const char* peers = arg_value(argc, argv, "--peers");
     if (peers == nullptr) {
       std::fprintf(stderr,
@@ -215,17 +252,24 @@ int main(int argc, char** argv) {
       return 2;
     }
     const char* colon = std::strrchr(peers, ':');
-    if (colon == nullptr || colon == peers || colon[1] == '\0') {
+    int port = 0;
+    if (colon == nullptr || colon == peers ||
+        !parse_number(colon + 1, 1, 65535, port)) {
       std::fprintf(stderr, "error: --peers wants HOST:PORT, got '%s'\n",
                    peers);
+      print_usage(argv[0]);
       return 2;
     }
     tcp_options.rendezvous_host.assign(peers, colon);
-    tcp_options.rendezvous_port =
-        static_cast<std::uint16_t>(std::atoi(colon + 1));
-    if (const char* value = arg_value(argc, argv, "--recv-timeout-ms")) {
-      tcp_options.recv_timeout_ms = std::atoi(value);
-    }
+    tcp_options.rendezvous_port = static_cast<std::uint16_t>(port);
+  }
+
+  StaticGraph graph;
+  try {
+    graph = read_metis_graph(argv[1]);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 1;
   }
 
   std::fprintf(stderr,

@@ -94,6 +94,29 @@ int attempt_winner(const std::vector<std::vector<std::uint64_t>>& entries) {
   return winner;
 }
 
+std::vector<int> pair_executors(const QuotientGraph& quotient,
+                                std::span<const std::size_t> pairs, int p) {
+  const std::vector<QuotientEdge>& edges = quotient.edges();
+  std::vector<std::size_t> order(pairs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t x, std::size_t y) {
+                     return edges[pairs[x]].boundary.size() >
+                            edges[pairs[y]].boundary.size();
+                   });
+  std::vector<std::size_t> load(static_cast<std::size_t>(p), 0);
+  std::vector<int> executor(pairs.size());
+  for (const std::size_t i : order) {
+    const QuotientEdge& edge = edges[pairs[i]];
+    const int owner_a = round_robin_owner(edge.a, p);
+    const int owner_b = round_robin_owner(edge.b, p);
+    const int chosen = load[owner_b] < load[owner_a] ? owner_b : owner_a;
+    load[chosen] += edge.boundary.size();
+    executor[i] = chosen;
+  }
+  return executor;
+}
+
 // -------------------------------------------------------- SPMD refinement ----
 
 QuotientGraph gather_quotient(const BlockRowShard& store,
@@ -606,39 +629,44 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
     // every delta to its partition state and block weights.
     bool participated = false;
 
-    // A pair {a, b} is executed by the owner of block a, in place when
-    // it owns block b too. Otherwise the owner of block b ships its side
-    // of the pair — the §5.2 boundary band plus fringe, not the whole
-    // block. All sends of the class are posted before any receive;
-    // per-source FIFO delivery pairs them with the executor's receives,
-    // which follow the same class order.
-    for (const std::size_t j : pairs) {
-      const QuotientEdge& edge = quotient.edges()[j];
-      const int executor = round_robin_owner(edge.a, p);
-      const int partner_owner = round_robin_owner(edge.b, p);
-      if (partner_owner == rank && executor != rank) {
+    // Each pair runs at one of its two blocks' owners, picked by
+    // pair_executors() from the quotient every rank holds; a pair whose
+    // blocks share an owner runs there in place. Otherwise the other
+    // owner ships its side of the pair — the §5.2 boundary band plus
+    // fringe, not the whole block. All sends of the class are posted
+    // before any receive; per-source FIFO delivery pairs them with the
+    // executor's receives, which follow the same class order.
+    const std::vector<int> executors = pair_executors(quotient, pairs, p);
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      const QuotientEdge& edge = quotient.edges()[pairs[i]];
+      const int executor = executors[i];
+      const BlockID shipped =
+          round_robin_owner(edge.a, p) == executor ? edge.b : edge.a;
+      if (executor != rank && round_robin_owner(shipped, p) == rank) {
         KAPPA_TRACE_SPAN("pair.ship", edge.a, edge.b);
-        PairSide side = build_side(store, partition, edge, edge.b, ship_depth);
+        PairSide side = build_side(store, partition, edge, shipped, ship_depth);
         ship.pairs_shipped += 1;
         ship.rows_shipped += side.band_size() + side.fringe_size();
         ship.words_shipped += side.num_words();
-        ship.whole_block_rows += store.members(edge.b).size();
+        ship.whole_block_rows += store.members(shipped).size();
         participated = true;
         pe_.send(executor, std::move(side).release());
       }
     }
 
     std::vector<std::uint64_t> delta_words;
-    for (const std::size_t j : pairs) {
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      if (executors[i] != rank) continue;
+      const std::size_t j = pairs[i];
       const QuotientEdge& edge = quotient.edges()[j];
-      if (round_robin_owner(edge.a, p) != rank) continue;
       KAPPA_TRACE_SPAN("pair.execute", edge.a, edge.b);
       const std::uint64_t seed_tag = pair_seed_tag(global, j);
       ship.pairs_executed += 1;
       progress_pair();
       participated = true;
-      const int partner_owner = round_robin_owner(edge.b, p);
-      if (partner_owner == rank) {
+      const int owner_a = round_robin_owner(edge.a, p);
+      const int owner_b = round_robin_owner(edge.b, p);
+      if (owner_a == owner_b) {
         const PairRefineResult result = run_in_place(
             store, partition, edge, options, base_rng, seed_tag, delta_words);
         my_cut_gain += result.cut_gain;
@@ -646,17 +674,22 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
         continue;
       }
 
-      const PairSide side_a =
-          build_side(store, partition, edge, edge.a, ship_depth);
-      const PairSide side_b =
-          PairSide::parse(pe_.receive(partner_owner).payload);
-      PairView view =
-          build_pair_view(side_a, side_b, partition.block_weight(edge.a),
-                          partition.block_weight(edge.b), edge, k);
+      // The view is the same whichever owner runs it: each side is built
+      // by its block's owner, and the view orders them a, then b.
+      const bool owns_a = owner_a == rank;
+      const PairSide own_side = build_side(
+          store, partition, edge, owns_a ? edge.a : edge.b, ship_depth);
+      const PairSide partner_side =
+          PairSide::parse(pe_.receive(owns_a ? owner_b : owner_a).payload);
+      PairView view = build_pair_view(
+          owns_a ? own_side : partner_side, owns_a ? partner_side : own_side,
+          partition.block_weight(edge.a), partition.block_weight(edge.b),
+          edge, k);
       // The shipped partner band is this pair's transient intake.
       ShardFootprint with_intake = store.footprint();
-      with_intake.ghost_nodes += side_b.band_size() + side_b.fringe_size();
-      with_intake.arcs += side_b.num_arcs();
+      with_intake.ghost_nodes +=
+          partner_side.band_size() + partner_side.fringe_size();
+      with_intake.arcs += partner_side.num_arcs();
       pe_.record().shard_memory.merge_peak(with_intake);
 
       const PairRefineResult result = refine_pair(

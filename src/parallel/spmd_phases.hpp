@@ -22,22 +22,24 @@
 ///   SpmdRefiner            — per level, the rows travel from their shard
 ///     owners to the owners of their nodes' blocks (§5.2 BlockRowShard
 ///     data distribution, each row with its block word); the quotient
-///     graph is merged from per-rank contributions and a pair {a, b} is
-///     executed by block a's owner. Both blocks' owners run the bounded
-///     boundary-band BFS on their resident rows, and the pair search is
-///     confined to the union of the two bands, with exact gains. When
-///     block b has the same owner, the pair runs in place on the
-///     resident rows (parallel/resident_pair.hpp) — at p = 1 every pair
-///     does. Otherwise partner-block shipping is band-limited (§5.2):
-///     b's owner ships only its band plus a one-hop fringe of frozen
-///     context nodes, the executor runs the pair on a pair-local view
-///     (parallel/pair_view.hpp), and migration volume drops from |block|
-///     to |band| per pair. Both paths run the one pair kernel and give
-///     the same moves. The pairs run in the §5.1 schedule: rounds
-///     follow an edge coloring of the quotient, which every rank
-///     computes itself with color_quotient_edges() on the merged
-///     quotient it holds, from the same seed — no message is sent, and
-///     every rank knows every pair of every class. Moved-node
+///     graph is merged from per-rank contributions. The pairs run in the
+///     §5.1 schedule: rounds follow an edge coloring of the quotient,
+///     which every rank computes itself with color_quotient_edges() on
+///     the merged quotient it holds, from the same seed — no message is
+///     sent, and every rank knows every pair of every class. Within a
+///     class, pair_executors() gives each pair {a, b} to the owner of a
+///     or of b, balancing the ranks' boundary load. Both blocks' owners
+///     run the bounded boundary-band BFS on their resident rows, and the
+///     pair search is confined to the union of the two bands, with exact
+///     gains. When one rank owns both blocks, the pair runs in place on
+///     the resident rows (parallel/resident_pair.hpp) — at p = 1 every
+///     pair does. Otherwise partner-block shipping is band-limited
+///     (§5.2): the other owner ships only its band plus a one-hop fringe
+///     of frozen context nodes, the executor runs the pair on a
+///     pair-local view (parallel/pair_view.hpp), and migration volume
+///     drops from |block| to |band| per pair. The view is the same
+///     whichever owner builds it, and both paths run the one pair kernel
+///     and give the same moves. Moved-node
 ///     deltas (with entry block and weight) plus migrating rows are
 ///     exchanged after every color class; every rank applies every
 ///     delta, which keeps the sharded partition state and the replicated
@@ -178,6 +180,16 @@ using PairSideObserver = std::function<void(const PairSideProbe&)>;
 [[nodiscard]] int attempt_winner(
     const std::vector<std::vector<std::uint64_t>>& entries);
 
+/// The executor rank of each pair of one color class (\p pairs indexes
+/// \p quotient's edges): the class's pairs are taken by decreasing
+/// boundary size, ties in class order, and each goes to the one of its
+/// two block owners with the smaller running boundary load, ties to block
+/// a's owner. A pair whose blocks share an owner goes to that owner. A
+/// pure function of the quotient, the class and p, so every rank derives
+/// the same executors without a message. Parallel to \p pairs.
+[[nodiscard]] std::vector<int> pair_executors(
+    const QuotientGraph& quotient, std::span<const std::size_t> pairs, int p);
+
 class SpmdRefiner {
  public:
   /// \p warm is the repartitioning input assignment (nullptr on
@@ -246,11 +258,11 @@ class SpmdRefiner {
       const Rng& base_rng, std::uint64_t seed_tag,
       std::vector<std::uint64_t>& delta_words);
 
-  /// One iteration: color classes as global rounds, pair execution
-  /// at the block-a owner — in place when it owns block b too, otherwise
-  /// on a view with b's side shipped at band depth options.bfs_depth —
-  /// then the moved-node delta all-gather and row migration after every
-  /// class. The classes come from color_quotient_edges() on \p quotient,
+  /// One iteration: color classes as global rounds, each pair run at
+  /// the owner pair_executors() picks — in place when it owns both
+  /// blocks, otherwise on a view with the other side shipped at band
+  /// depth options.bfs_depth — then the moved-node delta all-gather and
+  /// row migration after every class. The classes come from color_quotient_edges() on \p quotient,
   /// which every rank computes alike.
   void run_color_classes(BlockRowShard& store, DistPartition& partition,
                          const PairwiseRefinerOptions& options,

@@ -7,7 +7,8 @@
 /// edge coloring of the quotient graph, so the pairs of one class are
 /// independent. pairwise_refine() runs them one after another in one
 /// process; the SPMD refiner (parallel/spmd_phases.hpp) runs each on the
-/// PE that owns its first block, with the same seeds. The nested loop
+/// PE that owns one of its two blocks, chosen per class to balance the
+/// PEs' boundary load, with the same seeds. The nested loop
 /// structure (innermost FM, local iterations, global iterations over all
 /// colors) and its termination rules ("no improvement" / "no improvement
 /// twice in a row" / iteration caps) follow §5 and Table 2.

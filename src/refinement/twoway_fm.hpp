@@ -4,7 +4,13 @@
 /// For each of the two blocks under consideration a priority queue of
 /// eligible nodes is kept, keyed by gain (cut decrease when moved to the
 /// other side). Every node moves at most once per search. Queues are
-/// initialized in random order with the pair's boundary nodes. Queue
+/// initialized in random order with the pair's boundary nodes, each
+/// node's gain and boundary flag taken in one scan of its row. Every
+/// queued key stays the node's exact gain: moving u adds 2·w(u, v) to the
+/// key of each queued neighbor v in the block u left and subtracts it in
+/// the block u entered, so a move costs O(deg(u)) heap updates and no
+/// neighbor row is rescanned (Fiduccia & Mattheyses, DAC 1982); a
+/// neighbor that becomes boundary is scanned once, when it is queued. Queue
 /// selection strategies (Table 4 left): Alternating, MaxLoad, TopGain
 /// (falling back to MaxLoad when a block is overloaded — the paper's
 /// "exception" that makes TopGain feasible), TopGainMaxLoad.
@@ -129,29 +135,28 @@ template <typename Model>
   const BlockID blocks[2] = {a, b};
   auto side_of = [&](BlockID block) -> int { return block == a ? 0 : 1; };
 
-  // Gain of moving u to the opposite block of the pair: edges to blocks
-  // other than a/b are unaffected, so only pair-internal arcs count.
-  auto gain_of = [&](NodeID u) -> EdgeWeight {
+  // Gain of moving u to the opposite block of the pair, and whether u is
+  // pair boundary, in one row scan: edges to blocks other than a/b are
+  // unaffected, so only pair-internal arcs count.
+  struct Scan {
+    EdgeWeight gain = 0;
+    bool boundary = false;
+  };
+  auto scan = [&](NodeID u) -> Scan {
     const BlockID own = model.block(u);
     const BlockID other = own == a ? b : a;
     const PairRow row = model.row(u);
-    EdgeWeight gain = 0;
+    Scan s;
     for (std::size_t i = 0; i < row.targets.size(); ++i) {
       const BlockID bv = model.block(row.targets[i]);
       if (bv == other) {
-        gain += row.weights[i];
+        s.gain += row.weights[i];
+        s.boundary = true;
       } else if (bv == own) {
-        gain -= row.weights[i];
+        s.gain -= row.weights[i];
       }
     }
-    return gain;
-  };
-  auto is_pair_boundary = [&](NodeID u) -> bool {
-    const BlockID other = model.block(u) == a ? b : a;
-    for (const NodeID v : model.row(u).targets) {
-      if (model.block(v) == other) return true;
-    }
-    return false;
+    return s;
   };
 
   // Mark eligibility and count eligible nodes per side.
@@ -166,9 +171,8 @@ template <typename Model>
   std::vector<NodeID> init(eligible.begin(), eligible.end());
   rng.shuffle(init);
   for (const NodeID u : init) {
-    if (is_pair_boundary(u)) {
-      ws.pq[side_of(model.block(u))].push(u, gain_of(u));
-    }
+    const Scan s = scan(u);
+    if (s.boundary) ws.pq[side_of(model.block(u))].push(u, s.gain);
   }
 
   NodeWeight weight[2] = {model.block_weight(a), model.block_weight(b)};
@@ -261,15 +265,23 @@ template <typename Model>
     }
 
     // --- Update gains of affected neighbors. ---
-    for (const NodeID v : model.row(u).targets) {
+    // A queued key is v's exact gain, so u's move shifts it by 2·w(u, v):
+    // up when v is in the block u left, down when v is in u's new block.
+    // A neighbor not queued yet is queued if it is pair boundary now.
+    const PairRow row = model.row(u);
+    for (std::size_t i = 0; i < row.targets.size(); ++i) {
+      const NodeID v = row.targets[i];
       if (!ws.eligible.contains(v) || ws.moved.contains(v)) continue;
       const BlockID bv = model.block(v);
       if (bv != a && bv != b) continue;
       const int vside = side_of(bv);
       if (ws.pq[vside].contains(v)) {
-        ws.pq[vside].update_key(v, gain_of(v));
-      } else if (is_pair_boundary(v)) {
-        ws.pq[vside].push(v, gain_of(v));
+        const EdgeWeight delta = 2 * row.weights[i];
+        ws.pq[vside].update_key(
+            v, ws.pq[vside].key(v) + (vside == side ? delta : -delta));
+      } else {
+        const Scan s = scan(v);
+        if (s.boundary) ws.pq[vside].push(v, s.gain);
       }
     }
   }

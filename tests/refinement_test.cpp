@@ -7,6 +7,7 @@
 #include <set>
 
 #include "generators/generators.hpp"
+#include "graph/graph_builder.hpp"
 #include "graph/metrics.hpp"
 #include "graph/quotient_graph.hpp"
 #include "graph/validation.hpp"
@@ -75,6 +76,54 @@ TEST(TwoWayFM, RepairsAPerturbedBisection) {
 /// random starting partitions.
 class FMStrategyProperty : public ::testing::TestWithParam<QueueSelection> {};
 
+/// Runs one search of \p strategy on \p p over \p eligible with bounds
+/// \p bound_a and \p bound_b and checks that the lexicographic (pair
+/// imbalance, cut) objective does not worsen, that the reported gains
+/// equal the measured changes, and that no node outside \p eligible
+/// moved.
+void check_fm_search(const StaticGraph& g, Partition& p,
+                     const std::vector<NodeID>& eligible, NodeWeight bound_a,
+                     NodeWeight bound_b, QueueSelection strategy,
+                     std::uint64_t seed) {
+  auto imbalance = [&] {
+    return std::max<NodeWeight>(0, std::max(p.block_weight(0) - bound_a,
+                                            p.block_weight(1) - bound_b));
+  };
+  const Partition before = p;
+  const EdgeWeight cut_before = edge_cut(g, p);
+  const NodeWeight imbalance_before = imbalance();
+
+  TwoWayFMOptions options;
+  options.queue_selection = strategy;
+  options.max_block_weight = bound_a;
+  options.max_block_weight_b = bound_b;
+  options.patience_alpha = 0.1;
+  Rng fm_rng(seed + 50);
+  const TwoWayFMResult result =
+      twoway_fm(g, p, 0, 1, eligible, options, fm_rng);
+
+  const EdgeWeight cut_after = edge_cut(g, p);
+  const NodeWeight imbalance_after = imbalance();
+
+  // Lexicographic (imbalance, cut) never worse.
+  EXPECT_TRUE(imbalance_after < imbalance_before ||
+              (imbalance_after == imbalance_before && cut_after <= cut_before))
+      << queue_selection_name(strategy) << " seed " << seed;
+  // Reported gains match the measured deltas.
+  EXPECT_EQ(result.cut_gain, cut_before - cut_after)
+      << queue_selection_name(strategy) << " seed " << seed;
+  EXPECT_EQ(result.imbalance_gain, imbalance_before - imbalance_after)
+      << queue_selection_name(strategy) << " seed " << seed;
+  EXPECT_EQ(validate_partition(g, p), "");
+  std::vector<char> in_band(g.num_nodes(), 0);
+  for (const NodeID u : eligible) in_band[u] = 1;
+  for (NodeID u = 0; u < g.num_nodes(); ++u) {
+    if (in_band[u] == 0) {
+      ASSERT_EQ(p.block(u), before.block(u)) << "node " << u;
+    }
+  }
+}
+
 TEST_P(FMStrategyProperty, NeverWorsensLexicographicObjective) {
   const QueueSelection strategy = GetParam();
   Rng graph_rng(6);
@@ -86,32 +135,54 @@ TEST_P(FMStrategyProperty, NeverWorsensLexicographicObjective) {
     std::vector<BlockID> assignment(g.num_nodes());
     for (auto& b : assignment) b = static_cast<BlockID>(rng.bounded(2));
     Partition p(g, std::move(assignment), 2);
+    check_fm_search(g, p, all_nodes(g.num_nodes()), bound, bound, strategy,
+                    seed);
+  }
+}
 
-    const EdgeWeight cut_before = edge_cut(g, p);
-    const NodeWeight imbalance_before = std::max<NodeWeight>(
-        0, std::max(p.block_weight(0) - bound, p.block_weight(1) - bound));
+/// A skewed, weighted graph: a ring with short random chords, plus eight
+/// hubs joined to 40 random nodes each; node weights 1..4, edge weights
+/// 1..9 (summed where edges coincide).
+StaticGraph weighted_hub_graph(NodeID n, Rng& rng) {
+  GraphBuilder builder(n);
+  auto weight = [&] { return static_cast<EdgeWeight>(1 + rng.bounded(9)); };
+  for (NodeID u = 0; u < n; ++u) {
+    builder.set_node_weight(u, static_cast<NodeWeight>(1 + rng.bounded(4)));
+    builder.add_edge(u, (u + 1) % n, weight());
+    builder.add_edge(u, (u + 2 + static_cast<NodeID>(rng.bounded(6))) % n,
+                     weight());
+  }
+  for (NodeID hub = 0; hub < n; hub += n / 8) {
+    for (int e = 0; e < 40; ++e) {
+      builder.add_edge(hub, static_cast<NodeID>(rng.bounded(n)), weight());
+    }
+  }
+  return builder.finalize();
+}
 
-    TwoWayFMOptions options;
-    options.queue_selection = strategy;
-    options.max_block_weight = bound;
-    options.patience_alpha = 0.1;
-    Rng fm_rng(seed + 50);
-    const TwoWayFMResult result =
-        twoway_fm(g, p, 0, 1, all_nodes(g.num_nodes()), options, fm_rng);
+// The same checks on hubs and weighted arcs, where a move shifts each
+// queued neighbor's gain by twice the arc weight: the search is confined
+// to the pair's depth-2 band, and the two blocks have unequal bounds.
+TEST_P(FMStrategyProperty, ExactGainsOnWeightedHubsInABand) {
+  const QueueSelection strategy = GetParam();
+  Rng graph_rng(11);
+  const StaticGraph g = weighted_hub_graph(800, graph_rng);
+  const NodeWeight total = g.total_node_weight();
+  const NodeWeight bound_a = total * 56 / 100;
+  const NodeWeight bound_b = total * 47 / 100;
 
-    const EdgeWeight cut_after = edge_cut(g, p);
-    const NodeWeight imbalance_after = std::max<NodeWeight>(
-        0, std::max(p.block_weight(0) - bound, p.block_weight(1) - bound));
-
-    // Lexicographic (imbalance, cut) never worse.
-    EXPECT_TRUE(imbalance_after < imbalance_before ||
-                (imbalance_after == imbalance_before &&
-                 cut_after <= cut_before))
-        << queue_selection_name(strategy) << " seed " << seed;
-    // Reported gains match the measured deltas.
-    EXPECT_EQ(result.cut_gain, cut_before - cut_after);
-    EXPECT_EQ(result.imbalance_gain, imbalance_before - imbalance_after);
-    EXPECT_EQ(validate_partition(g, p), "");
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    Rng rng(seed);
+    const NodeID offset = static_cast<NodeID>(rng.bounded(g.num_nodes()));
+    std::vector<BlockID> assignment(g.num_nodes());
+    for (NodeID u = 0; u < g.num_nodes(); ++u) {
+      assignment[u] = (u + offset) % g.num_nodes() < g.num_nodes() / 2 ? 0 : 1;
+      if (rng.bounded(20) == 0) assignment[u] ^= 1;
+    }
+    Partition p(g, std::move(assignment), 2);
+    const std::vector<NodeID> band = boundary_band(g, p, 0, 1, 2);
+    ASSERT_LT(band.size(), g.num_nodes());
+    check_fm_search(g, p, band, bound_a, bound_b, strategy, seed);
   }
 }
 

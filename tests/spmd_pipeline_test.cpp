@@ -1,8 +1,8 @@
 /// \file spmd_pipeline_test.cpp
 /// \brief Tests for the SPMD end-to-end pipeline: the shard ownership, the
-/// parallel entry point's validity and quality, its p-invariance (fixed
-/// seed => identical partition for every PE count) and the surfaced
-/// communication statistics.
+/// pair executor rule, the parallel entry point's validity and quality,
+/// its p-invariance (fixed seed => identical partition for every PE
+/// count) and the surfaced communication statistics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +15,8 @@
 #include "graph/validation.hpp"
 #include "parallel/dist_hierarchy.hpp"
 #include "parallel/pe_runtime.hpp"
+#include "parallel/spmd_phases.hpp"
+#include "refinement/edge_coloring.hpp"
 
 namespace kappa {
 namespace {
@@ -120,6 +122,97 @@ TEST(DistHierarchy, ShardsAreOwnedRoundRobinAtEveryLevel) {
                             [](int c) { return c == 1; }))
         << "p=" << p;
   }
+}
+
+// ------------------------------------------------------- pair executors ----
+
+/// A near-complete quotient on \p k blocks: each pair but about one in
+/// ten, with boundary lists of skewed length (1..20 or 1..200 nodes).
+QuotientGraph near_complete_quotient(BlockID k, Rng rng) {
+  std::vector<QuotientEdge> edges;
+  NodeID next = 0;
+  for (BlockID a = 0; a < k; ++a) {
+    for (BlockID b = a + 1; b < k; ++b) {
+      if (rng.bounded(10) == 0) continue;
+      const std::size_t size = 1 + rng.bounded(rng.coin() ? 200 : 20);
+      QuotientEdge edge{a, b, static_cast<EdgeWeight>(size), {}};
+      for (std::size_t i = 0; i < size; ++i) edge.boundary.push_back(next++);
+      edges.push_back(std::move(edge));
+    }
+  }
+  return QuotientGraph(k, std::move(edges));
+}
+
+TEST(PairExecutors, LargestPairFirstToTheLessLoadedOwner) {
+  // p = 2: blocks 0 and 2 live on rank 0, blocks 1 and 3 on rank 1.
+  auto edge = [](BlockID a, BlockID b, NodeID size) {
+    return QuotientEdge{a, b, 1, std::vector<NodeID>(size)};
+  };
+  const QuotientGraph quotient(4, {edge(0, 1, 3), edge(2, 3, 8),
+                                   edge(0, 2, 1), edge(1, 3, 5)});
+  // {2, 3} goes first, to block a's owner on the tie; {0, 1} then goes
+  // to the idle owner of block b.
+  EXPECT_EQ(pair_executors(quotient, std::vector<std::size_t>{0, 1}, 2),
+            (std::vector<int>{1, 0}));
+  // Equal sizes go in class order: {0, 1} first, then {2, 3} to rank 1.
+  const QuotientGraph even(4, {edge(0, 1, 4), edge(2, 3, 4)});
+  EXPECT_EQ(pair_executors(even, std::vector<std::size_t>{0, 1}, 2),
+            (std::vector<int>{0, 1}));
+  // A pair whose blocks share an owner stays there, however loaded.
+  EXPECT_EQ(pair_executors(quotient, std::vector<std::size_t>{1, 2, 3}, 2),
+            (std::vector<int>{0, 0, 1}));
+}
+
+TEST(PairExecutors, EveryPairRunsAtAnOwnerOfOneOfItsBlocks) {
+  const QuotientGraph quotient = near_complete_quotient(16, Rng(5));
+  const QuotientGraph same = near_complete_quotient(16, Rng(5));
+  const EdgeColoring coloring = color_quotient_edges(quotient, Rng(9));
+  for (const int p : {1, 2, 3, 4, 5, 7, 16, 20}) {
+    for (int color = 0; color < coloring.num_colors; ++color) {
+      const std::vector<std::size_t> pairs = coloring.color_class(color);
+      const std::vector<int> executors = pair_executors(quotient, pairs, p);
+      ASSERT_EQ(executors.size(), pairs.size());
+      for (std::size_t i = 0; i < pairs.size(); ++i) {
+        const QuotientEdge& edge = quotient.edges()[pairs[i]];
+        const int owner_a = round_robin_owner(edge.a, p);
+        const int owner_b = round_robin_owner(edge.b, p);
+        EXPECT_TRUE(executors[i] == owner_a || executors[i] == owner_b)
+            << "p=" << p << " pair {" << edge.a << ", " << edge.b << "}";
+        if (owner_a == owner_b) {
+          EXPECT_EQ(executors[i], owner_a);
+        }
+      }
+      // A pure function of the quotient, the class and p: every rank
+      // derives it alike from its own copy of the merged quotient.
+      EXPECT_EQ(pair_executors(same, pairs, p), executors);
+    }
+  }
+}
+
+TEST(PairExecutors, BusiestRankCarriesNoMoreBoundaryThanBlockAOwners) {
+  constexpr int p = 4;
+  const QuotientGraph quotient = near_complete_quotient(16, Rng(5));
+  const EdgeColoring coloring = color_quotient_edges(quotient, Rng(9));
+  std::size_t busiest_total = 0;
+  std::size_t owner_a_total = 0;
+  for (int color = 0; color < coloring.num_colors; ++color) {
+    const std::vector<std::size_t> pairs = coloring.color_class(color);
+    const std::vector<int> executors = pair_executors(quotient, pairs, p);
+    std::vector<std::size_t> load(p, 0);
+    std::vector<std::size_t> owner_a_load(p, 0);
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      const QuotientEdge& edge = quotient.edges()[pairs[i]];
+      load[executors[i]] += edge.boundary.size();
+      owner_a_load[round_robin_owner(edge.a, p)] += edge.boundary.size();
+    }
+    const std::size_t busiest = *std::max_element(load.begin(), load.end());
+    const std::size_t owner_a_busiest =
+        *std::max_element(owner_a_load.begin(), owner_a_load.end());
+    EXPECT_LE(busiest, owner_a_busiest) << "class " << color;
+    busiest_total += busiest;
+    owner_a_total += owner_a_busiest;
+  }
+  EXPECT_LT(busiest_total, owner_a_total);
 }
 
 // -------------------------------------------------------- SPMD pipeline ----
