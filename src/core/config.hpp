@@ -62,7 +62,7 @@ struct Config {
   bool duplicate_search = true;
   /// Extension (§8 future work): add a min-cut pass on the boundary band
   /// of each pair after the FM local iterations, in the sequential
-  /// pairwise refiner and in the SPMD band-limited pair views alike. The
+  /// pairwise refiner and in every SPMD pair alike. The
   /// flow move is adopted only when it strictly improves the pair cut
   /// without increasing overload, so a pair is never made worse. Off in
   /// all paper presets; the ablation bench quantifies its effect.

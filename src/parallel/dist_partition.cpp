@@ -181,7 +181,9 @@ void DistPartition::cache(NodeID global, BlockID b) {
 void DistPartition::learn(NodeID global, BlockID b) {
   const NodeID slot = slot_of(global);
   if (slot != kInvalidNode && slot < num_owned_) {
-    assert(entries_[slot] == b && "learned block contradicts owned entry");
+    if (entries_[slot] != b) {
+      throw TransportError("peer record contradicts an owned block");
+    }
     return;
   }
   cache(global, b);
@@ -189,13 +191,32 @@ void DistPartition::learn(NodeID global, BlockID b) {
 
 void DistPartition::apply_move(NodeID u, BlockID from, BlockID to,
                                NodeWeight weight) {
-  assert(from < k_ && to < k_);
+  const NodeID slot = slot_of(u);
+  if (from >= k_ || to >= k_ ||
+      (slot != kInvalidNode && entries_[slot] != from)) {
+    throw TransportError("move delta disagrees with the held entry");
+  }
   block_weight_[from] -= weight;
   block_weight_[to] += weight;
-  const NodeID slot = slot_of(u);
-  if (slot == kInvalidNode) return;
-  assert(entries_[slot] == from && "delta disagrees with held entry");
-  write(slot, to, /*always=*/true);
+  if (slot != kInvalidNode) write(slot, to, /*always=*/true);
+}
+
+NodeID DistPartition::attach(NodeID global, BlockID b) {
+  assert(!knows(global) && "attach() is for ids this rank does not hold");
+  const NodeID slot = static_cast<NodeID>(entries_.size());
+  cache_slot_.emplace(global, slot);
+  entries_.push_back(b);
+  cache_ids_.push_back(global);
+  ++num_attached_;
+  return slot;
+}
+
+void DistPartition::detach() {
+  for (; num_attached_ > 0; --num_attached_) {
+    cache_slot_.erase(cache_ids_.back());
+    cache_ids_.pop_back();
+    entries_.pop_back();
+  }
 }
 
 void DistPartition::fetch_blocks(std::span<const NodeID> needed,

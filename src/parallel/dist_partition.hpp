@@ -78,7 +78,8 @@ class DistPartition {
   /// Dense slot of \p global's entry, kInvalidNode if unknown here. Owned
   /// nodes occupy their shard-local ids [0, num_owned), cached nodes the
   /// slots after them in insertion order. A slot is stable for the
-  /// lifetime of this object (cache entries are never evicted), so the
+  /// lifetime of this object (cache entries are never evicted; only
+  /// attach()'s transient slots go, when their pair ends), so the
   /// refiner's row store resolves every resident arc to a slot once and
   /// its pair path reads blocks with block_at() — no hashing per arc.
   [[nodiscard]] NodeID slot_of(NodeID global) const {
@@ -115,22 +116,32 @@ class DistPartition {
 
   /// Records the block of a non-owned node in the ghost-block cache (the
   /// §5.2 data distribution and row migrations tell the block owner the
-  /// blocks it needs without a fetch). Owned nodes are ignored — their
-  /// entries are authoritative already.
+  /// blocks it needs without a fetch). Owned entries are authoritative
+  /// already: a peer record that contradicts one raises TransportError.
   void learn(NodeID global, BlockID b);
 
   /// Applies one committed move: updates every entry this rank holds for
   /// \p u (owned or cached; ranks that hold neither still account the
   /// replicated block weights). Every rank applies every gathered delta,
   /// which is what keeps owned entries, caches and weights globally
-  /// consistent.
+  /// consistent. A delta whose \p from disagrees with the held entry, or
+  /// whose blocks are >= k, raises TransportError and changes nothing.
   void apply_move(NodeID u, BlockID from, BlockID to, NodeWeight weight);
 
+  /// Gives \p global, which this rank does not hold, a transient slot in
+  /// block \p b — no journal entry, no block weights, no footprint. The
+  /// pair executor attaches the partner band's unknown ids for the length
+  /// of one pair and drops them with detach(); no entry may be inserted
+  /// in between.
+  NodeID attach(NodeID global, BlockID b);
+
+  /// Drops every attached slot.
+  void detach();
+
   /// Writes \p b into the entry in \p slot and nothing else: no journal
-  /// entry, no block weights. The in-place pair search writes its
-  /// tentative moves through here and restores every entry it changed
-  /// before the delta exchange applies the pair's net moves with
-  /// apply_move().
+  /// entry, no block weights. The pair search writes its tentative moves
+  /// through here and restores every entry it changed before the delta
+  /// exchange applies the pair's net moves with apply_move().
   void write_tentative(NodeID slot, BlockID b) { entries_[slot] = b; }
 
   [[nodiscard]] NodeWeight block_weight(BlockID b) const {
@@ -169,7 +180,7 @@ class DistPartition {
   [[nodiscard]] ShardFootprint footprint() const {
     ShardFootprint fp;
     fp.owned_nodes = num_owned_;
-    fp.ghost_nodes = cache_ids_.size();
+    fp.ghost_nodes = cache_ids_.size() - num_attached_;
     return fp;
   }
 
@@ -196,6 +207,7 @@ class DistPartition {
   /// Global ids of the cached slots, and the cache's global -> slot map.
   std::vector<NodeID> cache_ids_;
   hash_map<NodeID, NodeID> cache_slot_;
+  NodeID num_attached_ = 0;  ///< transient tail of the cache (attach())
   std::vector<NodeID> journal_;
   /// Replicated per-block weights (O(k)).
   std::vector<NodeWeight> block_weight_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 #include "parallel/transport.hpp"
 #include "parallel/wire_format.hpp"
@@ -12,6 +13,20 @@ namespace {
 
 [[noreturn]] void malformed(const char* what) {
   throw TransportError(std::string("malformed pair side: ") + what);
+}
+
+/// Whether every word of \p bits is a non-negative weight and their sum
+/// stays in range.
+bool summable_weights(std::span<const std::uint64_t> bits) {
+  std::int64_t total = 0;
+  for (const std::uint64_t word : bits) {
+    const std::int64_t w = bits_weight(word);
+    if (w < 0 || w > std::numeric_limits<std::int64_t>::max() - total) {
+      return false;
+    }
+    total += w;
+  }
+  return true;
 }
 
 /// Whether \p ids are valid node ids in strictly ascending order.
@@ -72,6 +87,12 @@ PairSide PairSide::parse(std::vector<std::uint64_t> words) {
   }
   if (!ascending_ids(all.subspan(side.fringe_, side.nfringe_))) {
     malformed("fringe ids not ascending node ids");
+  }
+  // The weights become the executor's node and arc weights.
+  if (!summable_weights(all.subspan(side.weights_, side.nband_)) ||
+      !summable_weights(all.subspan(side.targets_ + side.narcs_,
+                                    side.narcs_))) {
+    malformed("weight negative or out of range");
   }
   return side;
 }

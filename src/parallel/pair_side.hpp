@@ -1,10 +1,10 @@
 /// \file pair_side.hpp
-/// \brief One side of a pairwise-refinement view, in its wire layout.
+/// \brief One side of a pairwise-refinement pair, in its wire layout.
 ///
-/// The owner of block `side` of a pair {a, b} contributes its §5.2 band:
-/// the band nodes with their in-pair rows, plus the one-hop same-side
-/// fringe whose ids classify the executor's frozen stubs. A PairSide *is*
-/// its wire layout — a flat CSR over 64-bit words, written once by the
+/// The owner of block `side` of a pair {a, b} ships its §5.2 band to the
+/// pair's executor: the band nodes with their in-pair rows, plus the
+/// one-hop same-side fringe, frozen context whose block the executor may
+/// not hold. A PairSide *is* its wire layout — a flat CSR over 64-bit words, written once by the
 /// builder's row pass, moved into the message as is, and read in place
 /// by the executor:
 ///
@@ -25,13 +25,16 @@
 ///                              side's nodes, or unlisted ones).
 ///
 /// Same-side targets thus resolve by index, and only the tagged ones
-/// need a search when the executor numbers the view. Still one word per
-/// arc, so the wire volume is that of plain global ids.
+/// need a lookup when the executor attaches the side to its partition
+/// state (attach_shipped_side(), parallel/resident_pair.hpp). Still one
+/// word per arc, so the wire volume is that of plain global ids.
 ///
 /// A received payload is parsed in place, without copying. parse() checks
 /// every count and every reference against the payload before reading,
-/// so a truncated, oversized or garbage side raises TransportError
-/// instead of reading out of bounds or allocating without limit.
+/// and every weight — non-negative, each kind summing within range — so
+/// a truncated, oversized or garbage side raises TransportError instead
+/// of reading out of bounds, allocating without limit or overflowing the
+/// executor's gains.
 #pragma once
 
 #include <cstdint>

@@ -1,19 +1,23 @@
 /// \file resident_pair.hpp
-/// \brief The SPMD executor's resident rows as a pair model: a pair whose
-/// two blocks share an owner runs in place.
+/// \brief The SPMD executor's pair model: every pair runs on rows its
+/// executor gathers once, in partition-state slots.
 ///
-/// The owner of both blocks of a pair {a, b} holds every row of both
-/// blocks in its block-row store (§5.2), so the pair kernel
-/// (refinement/pair_model.hpp) runs on those rows directly: no side is
-/// encoded and no view is built. Ids are partition-state slots; a node's
-/// row is its resident row with the targets resolved to slots, its block
-/// is its partition-state entry. The caller supplies the movable set: the
-/// union of the pair's two §5.2 side bands, computed by the seed rule of
-/// build_pair_side() — exactly the band nodes of the view the pair would
-/// get if a side were shipped. The order key is the global id, the order
-/// in which that view numbers its nodes. So a pair gives the same moves
-/// in place as through its view; pair_path_test replays every in-place
-/// pair of full runs through build_pair_view() to check that.
+/// The executor of a pair {a, b} holds the rows of the blocks it owns in
+/// its block-row store (§5.2); when the other block lives on another
+/// rank, that rank ships its band (parallel/pair_side.hpp). One model
+/// serves both cases. Its ids are partition-state slots: the executor's
+/// own nodes and the partner ids it already holds keep their slots, and
+/// the partner ids it does not hold get transient ones
+/// (DistPartition::attach()) for the length of the pair. The rows are
+/// gathered once per pair, for the movable nodes only — the two side
+/// bands: each band node's weight and in-pair arcs, from the store for
+/// the executor's band(s) and from the shipped side for the partner's.
+/// Frozen context nodes (fringes, targets outside both bands) have a
+/// slot and a block but no row, which the kernel never asks for
+/// (refinement/pair_model.hpp). The order key is the global id. So a pair
+/// moves the same way whichever owner runs it and whether or not a side
+/// was shipped; pair_path_test compares every executed pair at several p
+/// with p = 1, where every pair runs fully resident.
 ///
 /// Tentative moves are written through to the partition state's entries
 /// (DistPartition::write_tentative(): no journal, no block weights); the
@@ -23,39 +27,103 @@
 /// delta exchange.
 #pragma once
 
-#include <cassert>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "parallel/dist_partition.hpp"
+#include "parallel/pair_side.hpp"
 #include "parallel/shard_graph.hpp"
 #include "refinement/pair_model.hpp"
-#include "util/stamp_set.hpp"
 #include "util/types.hpp"
 
 namespace kappa {
 
-class ResidentPairModel {
+/// The rows of one pair's movable nodes, indexed by slot: each node's
+/// weight and its in-pair arcs as (slot, weight), in row order.
+class PairRows {
  public:
-  /// \p store must be bound to \p partition's slots and own blocks \p a
-  /// and \p b; \p movable holds slots of resident rows of the pair.
-  ResidentPairModel(const BlockRowShard& store, DistPartition& partition,
-                    BlockID a, BlockID b, const StampSet& movable)
-      : store_(store),
+  /// Drops the rows of the last pair.
+  void clear() {
+    for (const NodeID slot : slot_) row_of_[slot] = kInvalidNode;
+    slot_.clear();
+    weight_.clear();
+    end_.clear();
+    targets_.clear();
+    weights_.clear();
+  }
+
+  /// Opens the row of the movable node in \p slot; the arcs added next
+  /// are its in-pair arcs.
+  void begin_row(NodeID slot, NodeWeight weight) {
+    if (slot >= row_of_.size()) row_of_.resize(slot + 1, kInvalidNode);
+    row_of_[slot] = static_cast<NodeID>(slot_.size());
+    slot_.push_back(slot);
+    weight_.push_back(weight);
+    end_.push_back(targets_.size());
+  }
+  void add_arc(NodeID target, EdgeWeight weight) {
+    targets_.push_back(target);
+    weights_.push_back(weight);
+    ++end_.back();
+  }
+
+  /// Whether \p slot has a row, i.e. may move.
+  [[nodiscard]] bool contains(NodeID slot) const {
+    return slot < row_of_.size() && row_of_[slot] != kInvalidNode;
+  }
+  [[nodiscard]] PairRow row(NodeID slot) const {
+    const NodeID r = row_of_[slot];
+    const std::size_t begin = r == 0 ? 0 : end_[r - 1];
+    return {std::span(targets_).subspan(begin, end_[r] - begin),
+            std::span(weights_).subspan(begin, end_[r] - begin)};
+  }
+  [[nodiscard]] NodeWeight weight(NodeID slot) const {
+    return weight_[row_of_[slot]];
+  }
+
+ private:
+  std::vector<NodeID> row_of_;  ///< by slot: row index, or kInvalidNode
+  std::vector<NodeID> slot_;    ///< by row
+  std::vector<NodeWeight> weight_;  ///< by row
+  std::vector<std::size_t> end_;    ///< by row: end of its arcs
+  std::vector<NodeID> targets_;     ///< arc targets, as slots
+  std::vector<EdgeWeight> weights_;  ///< parallel to targets_
+};
+
+/// Adds the rows of \p band — slots of resident rows of \p store, which
+/// must be bound to \p partition — to \p rows, keeping the arcs into
+/// blocks \p a and \p b.
+void gather_resident_rows(const BlockRowShard& store,
+                          const DistPartition& partition, BlockID a, BlockID b,
+                          std::span<const NodeID> band, PairRows& rows);
+
+/// Attaches the partner's \p side of block \p shipped to this rank's
+/// state for one pair whose other block, \p own, this rank owns: the band
+/// and fringe ids resolve to the slots they are held in, or to transient
+/// slots in \p shipped (DistPartition::attach()), and the band rows join
+/// \p rows with their targets resolved to slots. Raises TransportError
+/// for an id listed in both band and fringe, for a band or fringe id held
+/// here in another block than \p shipped, and for a global reference that
+/// names no node held here in \p own.
+void attach_shipped_side(const PairSide& side, BlockID shipped, BlockID own,
+                         DistPartition& partition, PairRows& rows);
+
+/// One pair {a, b} over its gathered rows, ids partition-state slots.
+class SlotPairModel {
+ public:
+  SlotPairModel(const PairRows& rows, DistPartition& partition, BlockID a,
+                BlockID b)
+      : rows_(rows),
         partition_(partition),
         a_(a),
         b_(b),
-        weight_{partition.block_weight(a), partition.block_weight(b)},
-        movable_(movable) {}
+        weight_{partition.block_weight(a), partition.block_weight(b)} {}
 
   [[nodiscard]] NodeID id_space() const { return partition_.num_slots(); }
-  /// Row of a node of the pair (every one has a resident row here).
-  [[nodiscard]] PairRow row(NodeID slot) const {
-    const GraphRowView r = resident_row(slot);
-    return {r.slots, r.weights};
-  }
+  [[nodiscard]] PairRow row(NodeID slot) const { return rows_.row(slot); }
   [[nodiscard]] NodeWeight node_weight(NodeID slot) const {
-    return resident_row(slot).weight;
+    return rows_.weight(slot);
   }
   [[nodiscard]] BlockID block(NodeID slot) const {
     return partition_.block_at(slot);
@@ -71,7 +139,7 @@ class ResidentPairModel {
     return weight_[b == a_ ? 0 : 1];
   }
   [[nodiscard]] bool may_move(NodeID slot) const {
-    return movable_.contains(slot);
+    return rows_.contains(slot);
   }
   [[nodiscard]] NodeID order_key(NodeID slot) const {
     return partition_.global_at(slot);
@@ -87,18 +155,11 @@ class ResidentPairModel {
   }
 
  private:
-  [[nodiscard]] GraphRowView resident_row(NodeID slot) const {
-    const NodeID handle = store_.handle_at_slot(slot);
-    assert(handle != kInvalidNode && "pair node without a resident row");
-    return store_.row_at(handle);
-  }
-
-  const BlockRowShard& store_;
+  const PairRows& rows_;
   DistPartition& partition_;
   BlockID a_;
   BlockID b_;
   NodeWeight weight_[2];
-  const StampSet& movable_;
 };
 
 }  // namespace kappa

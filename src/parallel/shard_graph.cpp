@@ -4,6 +4,7 @@
 #include <cassert>
 #include <limits>
 
+#include "parallel/dist_partition.hpp"
 #include "parallel/wire_format.hpp"
 
 namespace kappa {
@@ -352,7 +353,7 @@ GraphRow BlockRowShard::row(NodeID global) const {
 
 GraphRow BlockRowShard::apply_move(NodeID u, BlockID from, BlockID to,
                                    const GraphRow* incoming_row,
-                                   const SlotOf& slot_of) {
+                                   const DistPartition* partition) {
   const bool from_mine = owns_block(from);
   const bool to_mine = owns_block(to);
   GraphRow departing;
@@ -380,8 +381,8 @@ GraphRow BlockRowShard::apply_move(NodeID u, BlockID from, BlockID to,
       arena_ids_.push_back(u);
       member_block_.push_back(to);
       if (bound_) {
-        assert(slot_of && "a bound store resolves arriving rows");
-        bind_handle(h, slot_of);
+        assert(partition != nullptr && "a bound store resolves arriving rows");
+        bind_handle(h, *partition);
       }
     } else {
       // The node returns: its row never left this store, revive it.
@@ -399,7 +400,7 @@ ShardFootprint BlockRowShard::footprint() const {
   return fp;
 }
 
-void BlockRowShard::bind_slots(const SlotOf& slot_of) {
+void BlockRowShard::bind_slots(const DistPartition& partition) {
   bound_ = true;
   handle_slot_.clear();
   handle_at_slot_.clear();
@@ -410,10 +411,11 @@ void BlockRowShard::bind_slots(const SlotOf& slot_of) {
   arena_arc_slots_.resize(arena_.size());
   ref_next_.reserve(core_.adj.size());
   ref_handle_.reserve(core_.adj.size());
-  for (NodeID h = 0; h < num_handles(); ++h) bind_handle(h, slot_of);
+  for (NodeID h = 0; h < num_handles(); ++h) bind_handle(h, partition);
 }
 
-void BlockRowShard::bind_handle(NodeID handle, const SlotOf& slot_of) {
+void BlockRowShard::bind_handle(NodeID handle,
+                                const DistPartition& partition) {
   const auto grow = [](std::vector<NodeID>& by_slot, NodeID slot) {
     if (slot >= by_slot.size()) by_slot.resize(slot + 1, kInvalidNode);
   };
@@ -434,7 +436,7 @@ void BlockRowShard::bind_handle(NodeID handle, const SlotOf& slot_of) {
     slots = arena_arc_slots_[j];
     targets = arena_[j].targets;
   }
-  const NodeID own = slot_of(handle_global(handle));
+  const NodeID own = partition.slot_of(handle_global(handle));
   assert(own != kInvalidNode && "binding needs every row node known");
   handle_slot_.resize(std::max<std::size_t>(handle_slot_.size(), handle + 1),
                       kInvalidNode);
@@ -442,7 +444,7 @@ void BlockRowShard::bind_handle(NodeID handle, const SlotOf& slot_of) {
   grow(handle_at_slot_, own);
   handle_at_slot_[own] = handle;
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    const NodeID t = slot_of(targets[i]);
+    const NodeID t = partition.slot_of(targets[i]);
     assert(t != kInvalidNode && "binding needs every row target known");
     slots[i] = t;
     grow(ref_head_, t);

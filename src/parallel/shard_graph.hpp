@@ -42,7 +42,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -55,6 +54,8 @@
 #include "util/types.hpp"
 
 namespace kappa {
+
+class DistPartition;
 
 /// Rank that owns the virtual PE \p id — a coarsening shard or a
 /// refinement block — in a runtime of \p num_pes PEs: round-robin, the
@@ -288,9 +289,6 @@ NodeID skip_row_words(const std::vector<std::uint64_t>& words,
 /// rows and blocks through dense ids only.
 class BlockRowShard {
  public:
-  /// Maps a global id to its partition-state slot (kInvalidNode: unknown).
-  using SlotOf = std::function<NodeID(NodeID)>;
-
   /// Extracts the rows of the nodes whose block \p assignment maps to
   /// \p rank's blocks.
   BlockRowShard(const StaticGraph& level,
@@ -363,24 +361,25 @@ class BlockRowShard {
   /// is owned here and the row was never resident here this level
   /// (shipped by the old owner). Returns the departing row when \p from
   /// is owned here and \p to is not (for shipping); empty otherwise. A
-  /// bound store resolves a newly arrived row's arcs through \p slot_of
-  /// (required then) and adds the row to the referrer index.
+  /// bound store resolves a newly arrived row's arcs to the slots of
+  /// \p partition (required then: the state the store is bound to) and
+  /// adds the row to the referrer index.
   GraphRow apply_move(NodeID u, BlockID from, BlockID to,
                       const GraphRow* incoming_row,
-                      const SlotOf& slot_of = {});
+                      const DistPartition* partition = nullptr);
 
   /// Resident size of this structure (rows + arcs currently held).
   [[nodiscard]] ShardFootprint footprint() const;
 
   // --- Dense-id access of the refiner's pair path. ---
 
-  /// Binds the store to the partition state's dense slots: resolves the
-  /// node and the arc targets of every row through \p slot_of (every id
-  /// must be known to it) and builds the referrer index. Rows arriving
-  /// later are resolved by apply_move() through the same map. The
+  /// Binds the store to the dense slots of \p partition: resolves the
+  /// node and the arc targets of every row to their slots (every id must
+  /// be known there) and builds the referrer index. Rows arriving later
+  /// are resolved by apply_move() against the same partition state. The
   /// pipeline binds each level's store to that level's partition state
   /// right after the ghost-block fetch.
-  void bind_slots(const SlotOf& slot_of);
+  void bind_slots(const DistPartition& partition);
 
   /// Number of row handles (every row resident at some point this level).
   [[nodiscard]] NodeID num_handles() const {
@@ -401,7 +400,8 @@ class BlockRowShard {
   }
 
   /// Zero-copy view of the row behind \p handle (slots set when bound).
-  /// Inline: the in-place pair search reads rows through it per arc scan.
+  /// Inline: the band builders and the pair-row gather read rows through
+  /// it per arc scan.
   [[nodiscard]] GraphRowView row_at(NodeID handle) const {
     const NodeID num_core = static_cast<NodeID>(core_.ids.size());
     if (handle >= num_core) {
@@ -449,7 +449,7 @@ class BlockRowShard {
   void insert_member(BlockID b, NodeID u);
   void erase_member(BlockID b, NodeID u);
   /// Resolves \p handle's node and arcs and indexes it as a referrer.
-  void bind_handle(NodeID handle, const SlotOf& slot_of);
+  void bind_handle(NodeID handle, const DistPartition& partition);
 
   int rank_ = 0;
   int num_pes_ = 1;

@@ -8,7 +8,6 @@
 
 #include "graph/metrics.hpp"
 #include "initial/initial_partitioner.hpp"
-#include "parallel/pair_view.hpp"
 #include "parallel/resident_pair.hpp"
 #include "parallel/wire_format.hpp"
 #include "refinement/edge_coloring.hpp"
@@ -265,11 +264,6 @@ SpmdRefiner::SpmdRefiner(const StaticGraph& finest, const Config& config,
 
 namespace {
 
-/// The partition-state slot map a bound store resolves rows through.
-BlockRowShard::SlotOf slots_of(const DistPartition& partition) {
-  return [&partition](NodeID u) { return partition.slot_of(u); };
-}
-
 /// After the §5.2 data distribution of a level: record the store's
 /// members in the partition state (a member of block b is in block b),
 /// fetch the blocks of the resident rows' targets it does not know yet
@@ -296,7 +290,7 @@ void sync_partition_with_store(BlockRowShard& store, DistPartition& partition,
   std::sort(needed.begin(), needed.end());
   needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
   partition.fetch_blocks(needed, pe);
-  store.bind_slots(slots_of(partition));
+  store.bind_slots(partition);
 }
 
 /// The target blocks that trail a migrating row in its message (one word
@@ -430,7 +424,7 @@ void build_side_band(const BlockRowShard& store,
 
 }  // namespace
 
-/// Builds block \p side's half of the pair {a, b} view at its owner:
+/// Builds block \p side's half of the pair {a, b} at its owner:
 /// build_side_band(), then one row pass that writes each band row's
 /// in-pair arcs and collects the same-side fringe straight into the wire
 /// layout.
@@ -476,45 +470,51 @@ PairSide build_pair_side(const BlockRowShard& store,
   return writer.finish(st.fringe);
 }
 
-PairSide SpmdRefiner::build_side(const BlockRowShard& store,
-                                 const DistPartition& partition,
-                                 const QuotientEdge& edge, BlockID side,
-                                 int ship_depth) {
-  PairSide built =
-      build_pair_side(store, partition, edge, side, ship_depth, pair_state_);
-  if (observer_) {
-    const PairPathState& st = pair_state_;
-    observer_({store, partition, edge, side, ship_depth,
-               std::span<const NodeID>(st.band.data(), st.num_seeds),
-               st.band, &built, nullptr});
-  }
-  return built;
+void SpmdRefiner::report_side(const BlockRowShard& store,
+                              const DistPartition& partition,
+                              const QuotientEdge& edge, BlockID side,
+                              int depth, const PairSide* built,
+                              const ExecutedPair* executed) {
+  if (!observer_) return;
+  const PairPathState& st = pair_state_;
+  observer_({store, partition, edge, side, depth,
+             std::span(st.band).first(st.num_seeds), st.band, built,
+             executed});
 }
 
-PairRefineResult SpmdRefiner::run_in_place(
+PairRefineResult SpmdRefiner::run_pair(
     const BlockRowShard& store, DistPartition& partition,
-    const QuotientEdge& edge, const PairwiseRefinerOptions& options,
-    const Rng& base_rng, std::uint64_t seed_tag,
-    std::vector<std::uint64_t>& delta_words) {
+    const QuotientEdge& edge, const PairSide* partner,
+    const PairwiseRefinerOptions& options, const Rng& base_rng,
+    std::uint64_t seed_tag, std::vector<std::uint64_t>& delta_words) {
   PairPathState& st = pair_state_;
   const int depth = options.bfs_depth;
-  // The movable set: both side bands, the band nodes of the pair's view.
-  st.movable.clear(partition.num_slots());
-  build_side_band(store, partition, edge, edge.a, depth, st);
-  for (const NodeID slot : st.band) st.movable.insert(slot);
-  std::swap(st.band, st.band_a);
-  st.num_seeds_a = st.num_seeds;
-  build_side_band(store, partition, edge, edge.b, depth, st);
-  for (const NodeID slot : st.band) st.movable.insert(slot);
+  const BlockID own = store.owns_block(edge.a) ? edge.a : edge.b;
+  const BlockID other = own == edge.a ? edge.b : edge.a;
+  // The movable nodes are exactly the two side bands; the rows of the
+  // owned ones come from the store, the partner's from its shipped side.
+  const auto gather_band = [&](BlockID side) {
+    build_side_band(store, partition, edge, side, depth, st);
+    gather_resident_rows(store, partition, edge.a, edge.b, st.band, st.rows);
+  };
+  st.rows.clear();
+  if (partner == nullptr) {  // this rank owns both blocks
+    gather_band(other);
+    report_side(store, partition, edge, other, depth, nullptr, nullptr);
+  }
+  gather_band(own);
+  if (partner != nullptr) {
+    attach_shipped_side(*partner, other, own, partition, st.rows);
+  }
 
-  // The view's seeds: the quotient's boundary list (the band BFS skips
-  // the entries that left the pair).
+  // The quotient's boundary list seeds the search, resolved after the
+  // attach (the band BFS skips the entries that left the pair).
   st.seeds.clear();
   for (const NodeID u : edge.boundary) {
     const NodeID slot = partition.slot_of(u);
     if (slot != kInvalidNode) st.seeds.push_back(slot);
   }
-  ResidentPairModel model(store, partition, edge.a, edge.b, st.movable);
+  SlotPairModel model(st.rows, partition, edge.a, edge.b);
   PairRefineResult result = refine_pair(model, edge.a, edge.b, st.seeds,
                                         options, base_rng, seed_tag);
   model.restore(result.moves);
@@ -523,15 +523,9 @@ PairRefineResult SpmdRefiner::run_in_place(
     append_move_delta(delta_words, {partition.global_at(slot), from, to,
                                     model.node_weight(slot)});
   }
-  if (observer_) {
-    const InPlacePairRun run{options, base_rng, seed_tag, result};
-    observer_({store, partition, edge, edge.a, depth,
-               std::span<const NodeID>(st.band_a.data(), st.num_seeds_a),
-               st.band_a, nullptr, &run});
-    observer_({store, partition, edge, edge.b, depth,
-               std::span<const NodeID>(st.band.data(), st.num_seeds),
-               st.band, nullptr, &run});
-  }
+  const ExecutedPair executed{seed_tag, result};
+  report_side(store, partition, edge, own, depth, nullptr, &executed);
+  partition.detach();
   return result;
 }
 
@@ -630,12 +624,12 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
     bool participated = false;
 
     // Each pair runs at one of its two blocks' owners, picked by
-    // pair_executors() from the quotient every rank holds; a pair whose
-    // blocks share an owner runs there in place. Otherwise the other
-    // owner ships its side of the pair — the §5.2 boundary band plus
-    // fringe, not the whole block. All sends of the class are posted
-    // before any receive; per-source FIFO delivery pairs them with the
-    // executor's receives, which follow the same class order.
+    // pair_executors() from the quotient every rank holds. When the other
+    // block lives elsewhere, its owner ships its side of the pair — the
+    // §5.2 boundary band plus fringe, not the whole block. All sends of
+    // the class are posted before any receive; per-source FIFO delivery
+    // pairs them with the executor's receives, which follow the same
+    // class order.
     const std::vector<int> executors = pair_executors(quotient, pairs, p);
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       const QuotientEdge& edge = quotient.edges()[pairs[i]];
@@ -644,7 +638,10 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
           round_robin_owner(edge.a, p) == executor ? edge.b : edge.a;
       if (executor != rank && round_robin_owner(shipped, p) == rank) {
         KAPPA_TRACE_SPAN("pair.ship", edge.a, edge.b);
-        PairSide side = build_side(store, partition, edge, shipped, ship_depth);
+        PairSide side = build_pair_side(store, partition, edge, shipped,
+                                        ship_depth, pair_state_);
+        report_side(store, partition, edge, shipped, ship_depth, &side,
+                    nullptr);
         ship.pairs_shipped += 1;
         ship.rows_shipped += side.band_size() + side.fringe_size();
         ship.words_shipped += side.num_words();
@@ -660,47 +657,26 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
       const std::size_t j = pairs[i];
       const QuotientEdge& edge = quotient.edges()[j];
       KAPPA_TRACE_SPAN("pair.execute", edge.a, edge.b);
-      const std::uint64_t seed_tag = pair_seed_tag(global, j);
       ship.pairs_executed += 1;
       progress_pair();
       participated = true;
       const int owner_a = round_robin_owner(edge.a, p);
       const int owner_b = round_robin_owner(edge.b, p);
-      if (owner_a == owner_b) {
-        const PairRefineResult result = run_in_place(
-            store, partition, edge, options, base_rng, seed_tag, delta_words);
-        my_cut_gain += result.cut_gain;
-        my_imbalance_gain += result.imbalance_gain;
-        continue;
+      std::optional<PairSide> partner;
+      if (owner_a != owner_b) {
+        partner = PairSide::parse(
+            pe_.receive(owner_a == rank ? owner_b : owner_a).payload);
+        // The shipped partner band is this pair's transient intake.
+        ShardFootprint with_intake = store.footprint();
+        with_intake.ghost_nodes += partner->band_size() + partner->fringe_size();
+        with_intake.arcs += partner->num_arcs();
+        pe_.record().shard_memory.merge_peak(with_intake);
       }
-
-      // The view is the same whichever owner runs it: each side is built
-      // by its block's owner, and the view orders them a, then b.
-      const bool owns_a = owner_a == rank;
-      const PairSide own_side = build_side(
-          store, partition, edge, owns_a ? edge.a : edge.b, ship_depth);
-      const PairSide partner_side =
-          PairSide::parse(pe_.receive(owns_a ? owner_b : owner_a).payload);
-      PairView view = build_pair_view(
-          owns_a ? own_side : partner_side, owns_a ? partner_side : own_side,
-          partition.block_weight(edge.a), partition.block_weight(edge.b),
-          edge, k);
-      // The shipped partner band is this pair's transient intake.
-      ShardFootprint with_intake = store.footprint();
-      with_intake.ghost_nodes +=
-          partner_side.band_size() + partner_side.fringe_size();
-      with_intake.arcs += partner_side.num_arcs();
-      pe_.record().shard_memory.merge_peak(with_intake);
-
-      const PairRefineResult result = refine_pair(
-          view.graph, view.partition, edge.a, edge.b, view.seeds, options,
-          base_rng, seed_tag, /*collect_moves=*/true, &view.movable);
+      const PairRefineResult result =
+          run_pair(store, partition, edge, partner ? &*partner : nullptr,
+                   options, base_rng, pair_seed_tag(global, j), delta_words);
       my_cut_gain += result.cut_gain;
       my_imbalance_gain += result.imbalance_gain;
-      for (const auto& [vu, to] : result.moves) {
-        append_move_delta(delta_words, {view.to_global[vu], view.entry[vu],
-                                        to, view.graph.node_weight(vu)});
-      }
     }
     if (!participated) ++pe_.record().comm.rounds_waited;
 
@@ -771,7 +747,7 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
       for (std::size_t i = 0; i < row.targets.size(); ++i) {
         partition.learn(row.targets[i], static_cast<BlockID>(blocks[i]));
       }
-      store.apply_move(m.u, m.from, m.to, &row, slots_of(partition));
+      store.apply_move(m.u, m.from, m.to, &row, &partition);
     }
     pe_.record().shard_memory.merge_peak(store.footprint());
   }
@@ -869,8 +845,8 @@ PartitionResult run_multilevel_spmd(const StaticGraph& graph,
 
   // --- Phase 3: uncoarsening with pairwise refinement (§5). The partition
   // state is sharded end to end: seeded at the coarsest level, projected
-  // shard-locally through the contraction maps, refined pair by pair in
-  // place or on band-limited views, and materialized exactly once for the
+  // shard-locally through the contraction maps, refined pair by pair on
+  // the executors' gathered rows, and materialized exactly once for the
   // result. ---
   phase_timer.restart();
   progress_phase(ProgressPhase::kRefine);

@@ -31,15 +31,15 @@
 ///     or of b, balancing the ranks' boundary load. Both blocks' owners
 ///     run the bounded boundary-band BFS on their resident rows, and the
 ///     pair search is confined to the union of the two bands, with exact
-///     gains. When one rank owns both blocks, the pair runs in place on
-///     the resident rows (parallel/resident_pair.hpp) — at p = 1 every
-///     pair does. Otherwise partner-block shipping is band-limited
-///     (§5.2): the other owner ships only its band plus a one-hop fringe
-///     of frozen context nodes, the executor runs the pair on a
-///     pair-local view (parallel/pair_view.hpp), and migration volume
-///     drops from |block| to |band| per pair. The view is the same
-///     whichever owner builds it, and both paths run the one pair kernel
-///     and give the same moves. Moved-node
+///     gains. Partner-block shipping is band-limited (§5.2): when the
+///     other block lives on another rank, its owner ships only its band
+///     plus a one-hop fringe of frozen context nodes, and migration
+///     volume drops from |block| to |band| per pair. Every pair runs on
+///     one model (parallel/resident_pair.hpp): the executor gathers the
+///     rows of both bands once — its own from the resident store, the
+///     partner's from the shipped side — over its partition-state
+///     slots, and the pair kernel runs on them. At p = 1 every pair is
+///     fully resident. Moved-node
 ///     deltas (with entry block and weight) plus migrating rows are
 ///     exchanged after every color class; every rank applies every
 ///     delta, which keeps the sharded partition state and the replicated
@@ -51,9 +51,9 @@
 ///
 /// Determinism: all work units are keyed to *virtual* ids — shards, attempt
 /// indices, quotient-edge indices — and their RNG streams are forked from
-/// config.seed with those ids; every pair view is a pure function of the
-/// globally consistent store + partition state, and so is every in-place
-/// search. The physical PE count p only decides which PE executes which
+/// config.seed with those ids; every pair's rows, and so its search, are
+/// a pure function of the globally consistent store + partition state.
+/// The physical PE count p only decides which PE executes which
 /// unit, so a fixed seed yields the
 /// identical partition for every p (verified by spmd_pipeline_test and
 /// dist_partition_test, p = 1..9 incl. ragged p and p > k). Every receive
@@ -76,9 +76,9 @@
 #include "parallel/dist_partition.hpp"
 #include "parallel/pair_side.hpp"
 #include "parallel/pe_runtime.hpp"
+#include "parallel/resident_pair.hpp"
 #include "parallel/shard_graph.hpp"
 #include "refinement/pairwise_refiner.hpp"
-#include "util/stamp_set.hpp"
 
 namespace kappa {
 
@@ -97,7 +97,7 @@ namespace kappa {
 /// Scratch of the refiner's pair path, indexed by partition-state slot:
 /// the rows dirtied since the iteration's quotient was taken (the
 /// incremental seed state), the band BFS stamps and the side's indices,
-/// and what a pair run in place keeps of its two side bands.
+/// and the executed pair's rows and seeds.
 struct PairPathState {
   std::vector<NodeID> dirty;         ///< each dirty slot once
   std::vector<char> is_dirty;        ///< by slot
@@ -111,11 +111,9 @@ struct PairPathState {
   std::vector<NodeID> next;
   std::vector<std::pair<NodeID, NodeID>> order;  ///< (global, slot)
   std::vector<NodeID> fringe;  ///< global ids, in discovery order
-  // In-place pairs:
-  std::vector<NodeID> band_a;   ///< side a's band while b's is built
-  std::size_t num_seeds_a = 0;  ///< its seed prefix
-  StampSet movable;             ///< slots of both side bands
-  std::vector<NodeID> seeds;    ///< the quotient's boundary list as slots
+  // The executed pair:
+  PairRows rows;              ///< the rows of both side bands
+  std::vector<NodeID> seeds;  ///< the quotient's boundary list as slots
 };
 
 /// Restarts the incremental seed state at the moment a quotient graph is
@@ -124,7 +122,7 @@ struct PairPathState {
 /// every current pair boundary.
 void restart_pair_path(PairPathState& state, DistPartition& partition);
 
-/// Builds block \p side's half of the view of \p edge at the side's owner
+/// Builds block \p side's half of the pair \p edge at the side's owner
 /// (§5.2 band shipping): the BFS of depth \p ship_depth from the exact
 /// current seeds — the quotient edge's boundary nodes still in this side
 /// plus the rows dirtied since restart_pair_path() that are pair boundary
@@ -136,23 +134,21 @@ void restart_pair_path(PairPathState& state, DistPartition& partition);
                                        const QuotientEdge& edge, BlockID side,
                                        int ship_depth, PairPathState& state);
 
-/// A pair run in place, as the observer sees it: the inputs of its
-/// search and its outcome, with moves in partition slots — enough to
-/// replay the pair through build_pair_side() + build_pair_view() +
-/// refine_pair() and compare.
-struct InPlacePairRun {
-  const PairwiseRefinerOptions& options;
-  const Rng& rng;
+/// A pair as its executor ran it, for the observer: the seed tag of its
+/// search and its outcome, with moves in partition slots.
+struct ExecutedPair {
   std::uint64_t seed_tag = 0;
   const PairRefineResult& result;
 };
 
 /// One pair side as the refiner built it, handed to a test observer
 /// (passed to run_multilevel_spmd) — enough state to recompute the side
-/// from a whole-block scan and compare. An encoded side (shipped, or the
-/// executor's side of a view) is reported right after the build; the two
-/// sides of a pair run in place are reported after the run, with the
-/// partition state restored to the pair's start.
+/// from a whole-block scan and compare. Every side is reported with the
+/// partition state of the pair's start: a shipped side right after its
+/// build, with its encoding; at the executor, the band of the other block
+/// when it owns both right after its build, and the band of its own
+/// block after the pair ran — restored, the partner's attached ids still
+/// held — with the executed pair.
 struct PairSideProbe {
   const BlockRowShard& store;
   const DistPartition& partition;
@@ -161,8 +157,8 @@ struct PairSideProbe {
   int depth = 0;                       ///< band depth
   std::span<const NodeID> seed_slots;  ///< BFS seeds (partition slots)
   std::span<const NodeID> band_slots;  ///< the whole band, seeds first
-  const PairSide* built = nullptr;     ///< the encoded side; null in place
-  const InPlacePairRun* in_place = nullptr;  ///< the run, for in place
+  const PairSide* built = nullptr;     ///< shipped side; null at executor
+  const ExecutedPair* executed = nullptr;  ///< the run, once per pair
 };
 using PairSideObserver = std::function<void(const PairSideProbe&)>;
 
@@ -240,30 +236,30 @@ class SpmdRefiner {
   [[nodiscard]] QuotientGraph take_quotient(const BlockRowShard& store,
                                             DistPartition& partition);
 
-  /// build_pair_side() on this refiner's pair-path state, reported to the
-  /// observer if one is set.
-  [[nodiscard]] PairSide build_side(const BlockRowShard& store,
-                                    const DistPartition& partition,
-                                    const QuotientEdge& edge, BlockID side,
-                                    int ship_depth);
+  /// Hands the side band last built in the pair-path state to the
+  /// observer, if one is set.
+  void report_side(const BlockRowShard& store, const DistPartition& partition,
+                   const QuotientEdge& edge, BlockID side, int depth,
+                   const PairSide* built, const ExecutedPair* executed);
 
-  /// Runs \p edge, whose two blocks this rank owns, in place on the
-  /// resident rows: the two side bands of build_pair_side()'s seed rule
-  /// are the movable set, the quotient's boundary list seeds the search.
-  /// Appends the pair's moved-node deltas to \p delta_words, exactly as
-  /// its view would, and leaves the partition state as it found it.
-  [[nodiscard]] PairRefineResult run_in_place(
+  /// Runs \p edge at this rank, which owns one or both of its blocks:
+  /// the bands of the owned blocks (build_pair_side()'s seed rule) and
+  /// the \p partner side, shipped when this rank owns one block only,
+  /// give the pair's rows; the quotient's boundary list seeds the search.
+  /// Appends the pair's moved-node deltas to \p delta_words and leaves
+  /// the partition state as it found it, attached ids dropped.
+  [[nodiscard]] PairRefineResult run_pair(
       const BlockRowShard& store, DistPartition& partition,
-      const QuotientEdge& edge, const PairwiseRefinerOptions& options,
-      const Rng& base_rng, std::uint64_t seed_tag,
-      std::vector<std::uint64_t>& delta_words);
+      const QuotientEdge& edge, const PairSide* partner,
+      const PairwiseRefinerOptions& options, const Rng& base_rng,
+      std::uint64_t seed_tag, std::vector<std::uint64_t>& delta_words);
 
   /// One iteration: color classes as global rounds, each pair run at
-  /// the owner pair_executors() picks — in place when it owns both
-  /// blocks, otherwise on a view with the other side shipped at band
-  /// depth options.bfs_depth — then the moved-node delta all-gather and
-  /// row migration after every class. The classes come from color_quotient_edges() on \p quotient,
-  /// which every rank computes alike.
+  /// the owner pair_executors() picks, with the other side shipped at
+  /// band depth options.bfs_depth when another rank owns it — then the
+  /// moved-node delta all-gather and row migration after every class.
+  /// The classes come from color_quotient_edges() on \p quotient, which
+  /// every rank computes alike.
   void run_color_classes(BlockRowShard& store, DistPartition& partition,
                          const PairwiseRefinerOptions& options,
                          const Rng& base_rng, const QuotientGraph& quotient,

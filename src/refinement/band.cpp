@@ -2,16 +2,6 @@
 
 namespace kappa {
 
-std::vector<NodeID> boundary_band_from_seeds(const StaticGraph& graph,
-                                             const Partition& partition,
-                                             BlockID a, BlockID b,
-                                             const std::vector<NodeID>& seeds,
-                                             int depth,
-                                             const std::vector<char>* movable) {
-  const GraphPairModel model(graph, partition, movable);
-  return boundary_band_from_seeds(model, a, b, seeds, depth);
-}
-
 std::vector<NodeID> boundary_band(const StaticGraph& graph,
                                   const Partition& partition, BlockID a,
                                   BlockID b, int depth) {
@@ -27,7 +17,8 @@ std::vector<NodeID> boundary_band(const StaticGraph& graph,
       }
     }
   }
-  return boundary_band_from_seeds(graph, partition, a, b, seeds, depth);
+  return boundary_band_from_seeds(GraphPairModel(graph, partition), a, b,
+                                  seeds, depth);
 }
 
 }  // namespace kappa

@@ -10,9 +10,9 @@
 /// profit from leaving the band, it can do so in a later outer iteration.
 ///
 /// Both steps belong to the pair kernel: templates over a pair model
-/// (refinement/pair_model.hpp), so the sequential refiner, the pair views
-/// of shipped pairs and the SPMD executor's resident rows run the same
-/// code. The StaticGraph overloads below wrap GraphPairModel.
+/// (refinement/pair_model.hpp), so the sequential refiner and the SPMD
+/// executor's pair rows run the same code. boundary_band() below scans a
+/// StaticGraph for its seeds and runs the BFS on GraphPairModel.
 #pragma once
 
 #include <algorithm>
@@ -32,7 +32,7 @@ namespace kappa {
 /// the two blocks; depth = 1 returns the admitted seeds. Seed lists can be
 /// stale after mid-level block moves: seeds whose node left the pair — or
 /// that lie outside the model's id space altogether, as happens when a
-/// seed list collected on one view outlives a move — are skipped, never
+/// seed list outlives the graph it was collected on — are skipped, never
 /// expanded. Nodes the model does not let move are neither admitted nor
 /// crossed. Band order: the admitted seeds in the given order, then BFS
 /// discovery order (rows in model order).
@@ -72,12 +72,14 @@ template <typename Model>
   return band;
 }
 
-/// The pair boundary among \p candidates and their in-pair neighbors —
-/// the nodes of a or b with an arc into the other block — ascending by
-/// order key. After an FM pass only nodes inside the old band, or their
-/// direct neighbors, can have become boundary, so passing the band gives
-/// the complete boundary. Candidates are deduplicated by stamp; only the
-/// boundary itself is sorted.
+/// The movable pair boundary among \p candidates and their in-pair
+/// neighbors — the nodes of a or b that may move and have an arc into
+/// the other block — ascending by order key. After an FM pass only nodes
+/// inside the old band, or their direct neighbors, can have become
+/// boundary, so passing the band gives the complete boundary. Frozen
+/// nodes are skipped without reading their rows: the band BFS the
+/// boundary seeds would never admit them. Candidates are deduplicated by
+/// stamp; only the boundary itself is sorted.
 template <typename Model>
 [[nodiscard]] std::vector<NodeID> refresh_boundary(
     const Model& model, BlockID a, BlockID b,
@@ -88,7 +90,7 @@ template <typename Model>
   auto visit = [&](NodeID u) {
     if (!seen.insert(u)) return;
     const BlockID bu = model.block(u);
-    if (bu != a && bu != b) return;
+    if ((bu != a && bu != b) || !model.may_move(u)) return;
     const BlockID other = bu == a ? b : a;
     for (const NodeID v : model.row(u).targets) {
       if (model.block(v) == other) {
@@ -118,15 +120,5 @@ template <typename Model>
                                                 const Partition& partition,
                                                 BlockID a, BlockID b,
                                                 int depth);
-
-/// The model-generic band BFS on a StaticGraph, seeded with a
-/// precomputed boundary list (as collected per quotient edge during
-/// QuotientGraph construction) instead of scanning all nodes. \p movable
-/// (optional, indexed by node id) restricts the band to nodes marked
-/// movable (see GraphPairModel).
-[[nodiscard]] std::vector<NodeID> boundary_band_from_seeds(
-    const StaticGraph& graph, const Partition& partition, BlockID a,
-    BlockID b, const std::vector<NodeID>& seeds, int depth,
-    const std::vector<char>* movable = nullptr);
 
 }  // namespace kappa

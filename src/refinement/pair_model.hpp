@@ -21,19 +21,20 @@
 ///   order_key(u)     the key that orders ids wherever the kernel sorts or
 ///                    compares them.
 ///
-/// Two models that agree on rows, weights, blocks, movability and the
-/// order of their keys give the same searches: the same bands in the same
-/// order, the same moves and the same gains. The models are
-/// GraphPairModel below (the sequential refiner, initial bisection, and
-/// the pair views of pairs with a shipped side) and the SPMD executor's
-/// resident rows (parallel/resident_pair.hpp), whose ids are
-/// partition-state slots and whose order key is the global id — the
-/// order in which a pair view numbers its nodes.
+/// The kernel asks for row(u) and node_weight(u) only of nodes that may
+/// move, so a model need not hold the rows of its frozen context nodes.
+/// Two models that agree on the in-pair arcs of those rows, on their
+/// weights, on blocks, movability and the order of their keys give the
+/// same searches: the
+/// same bands in the same order, the same moves and the same gains. The
+/// models are GraphPairModel below (the sequential refiner and initial
+/// bisection, where every node may move) and the SPMD executor's pair
+/// rows (parallel/resident_pair.hpp), whose ids are partition-state
+/// slots and whose order key is the global id.
 #pragma once
 
 #include <span>
 #include <type_traits>
-#include <vector>
 
 #include "graph/partition.hpp"
 #include "graph/static_graph.hpp"
@@ -48,19 +49,16 @@ struct PairRow {
 };
 
 /// A StaticGraph and its Partition as a pair model: ids are node ids,
-/// the order key is the id itself. \p P is Partition, or const Partition
-/// for the read-only kernels (band BFS, boundary refresh). \p movable
-/// (optional, indexed by node id) confines every band — and with it every
-/// move — to the marked nodes: this is how a band-limited pair view
-/// freezes its shipped fringe while keeping gains exact.
+/// the order key is the id itself, and every node may move. \p P is
+/// Partition, or const Partition for the read-only kernels (band BFS,
+/// boundary refresh).
 template <typename P>
 class GraphPairModel {
   static_assert(std::is_same_v<std::remove_const_t<P>, Partition>);
 
  public:
-  GraphPairModel(const StaticGraph& graph, P& partition,
-                 const std::vector<char>* movable = nullptr)
-      : graph_(graph), partition_(partition), movable_(movable) {}
+  GraphPairModel(const StaticGraph& graph, P& partition)
+      : graph_(graph), partition_(partition) {}
 
   [[nodiscard]] NodeID id_space() const { return graph_.num_nodes(); }
   [[nodiscard]] PairRow row(NodeID u) const {
@@ -78,15 +76,12 @@ class GraphPairModel {
   [[nodiscard]] NodeWeight block_weight(BlockID b) const {
     return partition_.block_weight(b);
   }
-  [[nodiscard]] bool may_move(NodeID u) const {
-    return movable_ == nullptr || (*movable_)[u] != 0;
-  }
+  [[nodiscard]] bool may_move(NodeID) const { return true; }
   [[nodiscard]] NodeID order_key(NodeID u) const { return u; }
 
  private:
   const StaticGraph& graph_;
   P& partition_;
-  const std::vector<char>* movable_;
 };
 
 }  // namespace kappa

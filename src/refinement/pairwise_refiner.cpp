@@ -12,9 +12,8 @@ PairRefineResult refine_pair(const StaticGraph& graph, Partition& partition,
                              const std::vector<NodeID>& boundary_seeds,
                              const PairwiseRefinerOptions& options,
                              const Rng& rng, std::uint64_t seed_tag,
-                             bool collect_moves,
-                             const std::vector<char>* movable) {
-  GraphPairModel model(graph, partition, movable);
+                             bool collect_moves) {
+  GraphPairModel model(graph, partition);
   return refine_pair(model, a, b, boundary_seeds, options, rng, seed_tag,
                      collect_moves);
 }

@@ -14,9 +14,9 @@
 /// twice in a row" / iteration caps) follow §5 and Table 2.
 ///
 /// refine_pair() is the top of the pair kernel: a template over a pair
-/// model (refinement/pair_model.hpp). pairwise_refine() and the pair
-/// views of shipped pairs run it on a StaticGraph; the SPMD executor runs
-/// a pair whose two blocks it owns in place, on its resident rows.
+/// model (refinement/pair_model.hpp). pairwise_refine() runs it on a
+/// StaticGraph; the SPMD executor runs every pair on the rows it gathers
+/// for it, from its resident store and from the partner's shipped band.
 #pragma once
 
 #include <cstdint>
@@ -219,16 +219,13 @@ PairRefineResult refine_pair(Model& model, BlockID a, BlockID b,
   return result;
 }
 
-/// refine_pair() on a StaticGraph and its Partition. \p movable
-/// (optional, indexed by node id) marks the nodes that may move (see
-/// GraphPairModel).
+/// refine_pair() on a StaticGraph and its Partition.
 PairRefineResult refine_pair(const StaticGraph& graph, Partition& partition,
                              BlockID a, BlockID b,
                              const std::vector<NodeID>& boundary_seeds,
                              const PairwiseRefinerOptions& options,
                              const Rng& rng, std::uint64_t seed_tag,
-                             bool collect_moves = true,
-                             const std::vector<char>* movable = nullptr);
+                             bool collect_moves = true);
 
 /// Seed tag of one scheduled pair within one global iteration. Shared by
 /// pairwise_refine() and the SPMD refiner so both drivers run the exact

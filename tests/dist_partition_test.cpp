@@ -10,12 +10,18 @@
 #include <vector>
 
 #include "core/partitioner.hpp"
+#include "core/phases.hpp"
 #include "generators/generators.hpp"
 #include "graph/graph_builder.hpp"
 #include "graph/metrics.hpp"
 #include "graph/validation.hpp"
+#include "parallel/dist_hierarchy.hpp"
+#include "parallel/dist_partition.hpp"
 #include "parallel/pe_runtime.hpp"
+#include "parallel/transport.hpp"
 #include "refinement/band.hpp"
+
+#include "frozen_context_model.hpp"
 
 namespace kappa {
 namespace {
@@ -144,6 +150,40 @@ TEST(BandShipping, SpmdRunWithMidLevelMovesStaysValidAndPInvariant) {
   }
 }
 
+TEST(DistPartitionStore, PeerRecordsThatContradictHeldEntriesAreRejected) {
+  // A peer's move delta must name the held entry as its from block, and a
+  // learned block must agree with an owned entry: otherwise the entries
+  // and the replicated block weights would drift apart silently. Both
+  // raise TransportError in every build type and change nothing.
+  const StaticGraph g = grid_graph(8, 8);
+  std::vector<BlockID> blocks(g.num_nodes());
+  for (NodeID u = 0; u < g.num_nodes(); ++u) blocks[u] = u % 4;
+  const Partition replica(g, blocks, 4);
+  const Config config = Config::preset(Preset::kFast, 4);
+  PERuntime runtime(1, 1);
+  runtime.run([&](PEContext& pe) {
+    const DistHierarchy hierarchy(g, coarsening_options(g, config), Rng(1),
+                                  pe);
+    DistPartition owned(hierarchy.level(0), replica, pe);
+    DistPartition cached = DistPartition::from_replica(replica);
+    const NodeID u = 5;  // block 1; owned at p = 1
+    EXPECT_THROW(owned.learn(u, 2), TransportError);
+    EXPECT_NO_THROW(owned.learn(u, 1));
+    for (DistPartition* partition : {&owned, &cached}) {
+      EXPECT_THROW(partition->apply_move(u, 0, 2, 1), TransportError);
+      EXPECT_THROW(partition->apply_move(u, 1, 4, 1), TransportError);
+      EXPECT_THROW(partition->apply_move(u, 4, 1, 1), TransportError);
+      EXPECT_EQ(partition->block(u), 1u);
+      for (BlockID b = 0; b < 4; ++b) {
+        EXPECT_EQ(partition->block_weight(b), replica.block_weight(b));
+      }
+      partition->apply_move(u, 1, 2, 1);
+      EXPECT_EQ(partition->block(u), 2u);
+      EXPECT_EQ(partition->block_weight(1), replica.block_weight(1) - 1);
+    }
+  });
+}
+
 TEST(BoundaryBand, StaleSeedsAreSkippedNotExpanded) {
   // Unit regression for the stale-seed hardening: seeds that left the
   // pair — or that no longer name a node of the graph at all — must be
@@ -161,7 +201,7 @@ TEST(BoundaryBand, StaleSeedsAreSkippedNotExpanded) {
       42  // stale: does not name a node of this graph anymore
   };
   const std::vector<NodeID> band =
-      boundary_band_from_seeds(g, partition, 0, 1, seeds, 3);
+      boundary_band_from_seeds(GraphPairModel(g, partition), 0, 1, seeds, 3);
   // From node 1: depth 0 = {1}, depth 1 adds {0, 2}, depth 2 adds {3};
   // nothing from the stale seeds.
   EXPECT_EQ(band.size(), 4u);
@@ -169,11 +209,12 @@ TEST(BoundaryBand, StaleSeedsAreSkippedNotExpanded) {
     EXPECT_TRUE(partition.block(u) == 0 || partition.block(u) == 1);
   }
 
-  // A movable mask freezes context nodes: with node 3 frozen the band
-  // can neither contain nor cross it.
+  // A model that freezes context nodes: with node 3 frozen the band can
+  // neither contain nor cross it.
   const std::vector<char> movable = {1, 1, 1, 0, 1, 1};
+  const FrozenContextModel<const Partition> frozen(g, partition, movable);
   const std::vector<NodeID> confined =
-      boundary_band_from_seeds(g, partition, 0, 1, seeds, 4, &movable);
+      boundary_band_from_seeds(frozen, 0, 1, seeds, 4);
   EXPECT_EQ(confined.size(), 3u);
   for (const NodeID u : confined) EXPECT_NE(u, 3u);
 }

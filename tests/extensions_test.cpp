@@ -155,7 +155,7 @@ TEST(FlowRefiner, NeverWorsensCutOrOverload) {
 
 TEST(FlowRefiner, FlowPassOnBandLimitedPairNeverWorsensThePair) {
   // The opt-in extra pass (Config::enable_flow_refinement) hooks the flow
-  // refiner into the band-limited pair view of the sequential pairwise
+  // refiner into the band-limited pair search of the sequential pairwise
   // refiner: with identical RNG streams the FM part of refine_pair() is
   // identical, and the flow move is adopted only when it strictly
   // improves the pair cut without increasing overload — so the cut with
@@ -198,8 +198,8 @@ TEST(FlowRefiner, FlowPassOnBandLimitedPairNeverWorsensThePair) {
 
 TEST(FlowRefiner, SpmdBandViewsRunTheFlowPassPInvariantly) {
   // Groundwork for a later SPMD flow pass: with the flow hook enabled the
-  // SPMD refiner runs the min-cut pass inside its band-limited pair views
-  // — the result must stay valid, balanced and bit-identical for every p.
+  // SPMD refiner runs the min-cut pass inside every band-limited pair —
+  // the result must stay valid, balanced and bit-identical for every p.
   const StaticGraph g = make_instance("rgg14", 6);
   Config config = Config::preset(Preset::kMinimal, 6);
   config.seed = 8;

@@ -12,8 +12,9 @@
 /// rows, fringe) must equal the oracle's element for element — under the
 /// real color-class schedule (every write path of the pipeline) and under
 /// seeded random move sequences applied directly to the stores. Every
-/// pair that runs in place on the resident rows is replayed through the
-/// view a shipped pair would get and must move the same way. The golden
+/// pair runs on the rows its executor gathers — at p = 1 all from the
+/// resident store, at larger p mostly from a shipped side — and the
+/// executed pairs of a run must be the same at every p. The golden
 /// partitions must also survive randomly delayed message delivery:
 /// arrival order across ranks must never reach the partition.
 #include <gtest/gtest.h>
@@ -23,6 +24,8 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <ostream>
 #include <set>
 #include <string>
 #include <thread>
@@ -32,7 +35,6 @@
 #include "generators/generators.hpp"
 #include "graph/static_graph.hpp"
 #include "parallel/dist_partition.hpp"
-#include "parallel/pair_view.hpp"
 #include "parallel/pe_runtime.hpp"
 #include "parallel/shard_graph.hpp"
 #include "parallel/spmd_phases.hpp"
@@ -177,8 +179,8 @@ bool expect_side_matches_oracle(const BlockRowShard& store,
 // ------------------------------------------- the pipeline's write paths ----
 
 /// Per p: every side the refiner builds in a full run — all levels, all
-/// iterations, the rebalance loop, encoded sides and the sides of pairs
-/// run in place — equals the oracle.
+/// iterations, the rebalance loop, shipped sides and the executors' own
+/// bands — equals the oracle.
 class PairPathPipeline : public ::testing::TestWithParam<int> {};
 
 TEST_P(PairPathPipeline, EveryBuiltSideEqualsWholeBlockOracle) {
@@ -246,10 +248,7 @@ TEST_P(PairPathRandomMoves, SeedsAndBandsEqualOracleAfterEveryRound) {
     std::vector<BlockID> assignment = start.partition.assignment();
     BlockRowShard store(g, assignment, k, pe.rank(), p);
     DistPartition partition = DistPartition::from_replica(start.partition);
-    const BlockRowShard::SlotOf slot_of = [&](NodeID v) {
-      return partition.slot_of(v);
-    };
-    store.bind_slots(slot_of);
+    store.bind_slots(partition);
     PairPathState state;
     restart_pair_path(state, partition);
     const QuotientGraph quotient = gather_quotient(store, partition, k, pe);
@@ -280,7 +279,7 @@ TEST_P(PairPathRandomMoves, SeedsAndBandsEqualOracleAfterEveryRound) {
           row.targets.push_back(g.arc_target(e));
           row.weights.push_back(g.arc_weight(e));
         }
-        store.apply_move(u, from, to, &row, slot_of);
+        store.apply_move(u, from, to, &row, &partition);
       }
       for (const QuotientEdge& edge : quotient.edges()) {
         for (const BlockID side : {edge.a, edge.b}) {
@@ -310,93 +309,95 @@ TEST_P(PairPathRandomMoves, SeedsAndBandsEqualOracleAfterEveryRound) {
 INSTANTIATE_TEST_SUITE_P(PeCounts, PairPathRandomMoves,
                          ::testing::Values(1, 2, 3, 4, 7));
 
-// ------------------------------------------ in-place pairs against views ----
+// --------------------------------------------- executed pairs across p ----
 
-/// Replays a pair that ran in place through the path of a pair with a
-/// shipped side — both sides encoded by build_pair_side() from the same
-/// state, build_pair_view(), refine_pair() on the view — and requires the
-/// same moves (global id, target block, order) and the same gains, the
-/// way WHFC's flow_tester runs two algorithms on one input. Returns the
-/// number of moves.
-std::size_t expect_view_replay_matches(const PairSideProbe& probe,
-                                       const std::string& where) {
-  const QuotientEdge& edge = probe.edge;
-  const DistPartition& partition = probe.partition;
-  const InPlacePairRun& run = *probe.in_place;
-  PairPathState state;
-  const PairSide side_a = build_pair_side(probe.store, partition, edge,
-                                          edge.a, probe.depth, state);
-  const PairSide side_b = build_pair_side(probe.store, partition, edge,
-                                          edge.b, probe.depth, state);
-  PairView view = build_pair_view(side_a, side_b,
-                                  partition.block_weight(edge.a),
-                                  partition.block_weight(edge.b), edge,
-                                  partition.k());
-  const PairRefineResult replay = refine_pair(
-      view.graph, view.partition, edge.a, edge.b, view.seeds, run.options,
-      run.rng, run.seed_tag, /*collect_moves=*/true, &view.movable);
-  EXPECT_EQ(run.result.cut_gain, replay.cut_gain) << where;
-  EXPECT_EQ(run.result.imbalance_gain, replay.imbalance_gain) << where;
-  std::vector<std::pair<NodeID, BlockID>> in_place;
-  for (const auto& [slot, to] : run.result.moves) {
-    in_place.emplace_back(partition.global_at(slot), to);
-  }
-  std::vector<std::pair<NodeID, BlockID>> viewed;
-  for (const auto& [v, to] : replay.moves) {
-    viewed.emplace_back(view.to_global[v], to);
-  }
-  EXPECT_EQ(in_place, viewed) << where;
-  return viewed.size();
+/// One executed pair as the observer saw it: its edge and seed tag, its
+/// moves as (global id, block) in move order, and its gains.
+struct PairRecord {
+  BlockID a = 0;
+  BlockID b = 0;
+  std::uint64_t seed_tag = 0;
+  std::vector<std::pair<NodeID, BlockID>> moves;
+  EdgeWeight cut_gain = 0;
+  NodeWeight imbalance_gain = 0;
+
+  auto operator<=>(const PairRecord&) const = default;
+};
+
+struct PairRun {
+  const char* instance;
+  std::uint64_t seed;
+  bool flow;
+};
+
+void PrintTo(const PairRun& run, std::ostream* os) {
+  *os << run.instance << " seed " << run.seed << (run.flow ? " flow" : "");
 }
 
-/// Per p: every pair of full refinements whose two blocks share an owner
-/// runs in place, and each must move exactly as its view would — with
-/// the flow pass too.
-class InPlacePairs : public ::testing::TestWithParam<int> {};
+/// Every pair executed in a full SPMD run at \p p, sorted.
+std::vector<PairRecord> executed_pairs(const StaticGraph& g,
+                                       const PairRun& run, int p) {
+  Config config = Config::preset(Preset::kFast, 16);
+  config.seed = run.seed;
+  config.enable_flow_refinement = run.flow;
+  std::mutex mutex;
+  std::vector<PairRecord> records;
+  PERuntime runtime(p, run.seed);
+  runtime.run([&](PEContext& pe) {
+    const auto record = [&](const PairSideProbe& probe) {
+      if (probe.executed == nullptr) return;
+      const PairRefineResult& result = probe.executed->result;
+      PairRecord r{probe.edge.a, probe.edge.b, probe.executed->seed_tag, {},
+                   result.cut_gain, result.imbalance_gain};
+      for (const auto& [slot, to] : result.moves) {
+        r.moves.emplace_back(probe.partition.global_at(slot), to);
+      }
+      const std::lock_guard<std::mutex> lock(mutex);
+      records.push_back(std::move(r));
+    };
+    (void)run_multilevel_spmd(g, config, pe, nullptr, record);
+  });
+  std::sort(records.begin(), records.end());
+  return records;
+}
 
-TEST_P(InPlacePairs, EveryLocalPairMovesAsItsViewWould) {
-  const int p = GetParam();
-  struct Run {
-    const char* instance;
-    std::uint64_t seed;
-    bool flow;
-  };
-  for (const Run& run : {Run{"rgg14", 1, false}, Run{"rgg14", 2, false},
-                         Run{"rmat_12", 1, false}, Run{"rmat_12", 2, false},
-                         Run{"rgg14", 1, true}}) {
-    const std::string name = std::string(run.instance) + " seed " +
-                             std::to_string(run.seed) +
-                             (run.flow ? " flow" : "");
-    const StaticGraph g = make_instance(run.instance, 1);
-    Config config = Config::preset(Preset::kFast, 16);
-    config.seed = run.seed;
-    config.enable_flow_refinement = run.flow;
-    std::atomic<std::uint64_t> pairs{0};
-    std::atomic<std::uint64_t> moves{0};
-    PERuntime runtime(p, run.seed);
-    runtime.run([&](PEContext& pe) {
-      const auto replay = [&](const PairSideProbe& probe) {
-        if (probe.in_place == nullptr || probe.side != probe.edge.a) return;
-        const std::string where =
-            name + " rank " + std::to_string(pe.rank()) + " pair (" +
-            std::to_string(probe.edge.a) + "," +
-            std::to_string(probe.edge.b) + ") tag " +
-            std::to_string(probe.in_place->seed_tag);
-        moves.fetch_add(expect_view_replay_matches(probe, where));
-        pairs.fetch_add(1);
-      };
-      (void)run_multilevel_spmd(g, config, pe, nullptr, replay);
-    });
-    EXPECT_GT(pairs.load(), 10u) << name;
-    EXPECT_GT(moves.load(), 0u) << name;
+/// At p = 1 every pair runs fully resident; at larger p most pairs run
+/// with a shipped side. Either way the executor gathers the same rows,
+/// so every p must execute the same pairs with the same moves and gains
+/// as p = 1 — with the flow pass too.
+class ExecutedPairs : public ::testing::TestWithParam<PairRun> {};
+
+TEST_P(ExecutedPairs, EveryPeCountExecutesThePairsOfP1) {
+  const PairRun& run = GetParam();
+  const StaticGraph g = make_instance(run.instance, 1);
+  const std::vector<PairRecord> resident = executed_pairs(g, run, 1);
+  ASSERT_GT(resident.size(), 100u);
+  std::size_t moves = 0;
+  for (const PairRecord& r : resident) moves += r.moves.size();
+  EXPECT_GT(moves, 0u);
+  for (const int p : {2, 3, 4, 7}) {
+    const std::vector<PairRecord> shipped = executed_pairs(g, run, p);
+    ASSERT_EQ(shipped.size(), resident.size()) << "p=" << p;
+    for (std::size_t i = 0; i < resident.size(); ++i) {
+      const PairRecord& x = resident[i];
+      const PairRecord& y = shipped[i];
+      ASSERT_EQ(x, y) << "p=" << p << " pair (" << x.a << "," << x.b
+                      << ") tag " << x.seed_tag << " vs (" << y.a << ","
+                      << y.b << ") tag " << y.seed_tag;
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    PeCounts, InPlacePairs, ::testing::Values(1, 2, 3, 4, 7),
-    [](const ::testing::TestParamInfo<int>& info) {
-      std::string name = "p";
-      name += std::to_string(info.param);
+    Runs, ExecutedPairs,
+    ::testing::Values(PairRun{"rgg14", 1, false}, PairRun{"rgg14", 2, false},
+                      PairRun{"rmat_12", 1, false},
+                      PairRun{"rmat_12", 2, false},
+                      PairRun{"rgg14", 1, true}),
+    [](const ::testing::TestParamInfo<PairRun>& info) {
+      std::string name = info.param.instance;
+      name += "_seed" + std::to_string(info.param.seed);
+      if (info.param.flow) name += "_flow";
       return name;
     });
 
@@ -413,8 +414,8 @@ std::uint64_t assignment_hash(const Partition& partition) {
 }
 
 /// Reference partitions (k = 16, fast preset, seed 1, instance seed 1).
-/// The pair path only changes how views are built, never what they
-/// contain, so every byte of every partition must match.
+/// The pair path only changes how a pair's rows are gathered, never what
+/// they contain, so every byte of every partition must match.
 struct Golden {
   const char* instance;
   EdgeWeight cut;

@@ -213,7 +213,7 @@ TEST(BlockRowShard, GatherQuotientReproducesSequentialConstruction) {
       // quotient construction reads target blocks from it exactly as the
       // pipeline reads the ghost-block cache, through the store's slots.
       const DistPartition replica = DistPartition::from_replica(partition);
-      store.bind_slots([&](NodeID u) { return replica.slot_of(u); });
+      store.bind_slots(replica);
       const QuotientGraph merged =
           gather_quotient(store, replica, partition.k(), pe);
       // Bit-for-bit: same edge order, same weights, same boundaries.

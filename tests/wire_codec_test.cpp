@@ -24,9 +24,11 @@
 #include <utility>
 #include <vector>
 
+#include "graph/graph_builder.hpp"
 #include "parallel/comm_stats.hpp"
 #include "parallel/dist_partition.hpp"
 #include "parallel/pair_side.hpp"
+#include "parallel/resident_pair.hpp"
 #include "parallel/shard_graph.hpp"
 #include "parallel/spmd_phases.hpp"
 #include "parallel/transport.hpp"
@@ -145,6 +147,34 @@ bool corrupt_reference(std::vector<std::uint64_t>& words, Rng& rng) {
       std::numeric_limits<std::uint64_t>::max(),
   };
   words[ends + nband + rng.bounded(narcs)] = bad[rng.bounded(6)];
+  return true;
+}
+
+/// Overwrites one band or arc weight of a valid encoding with a negative
+/// one, or two with weights whose sum leaves the int64 range. Returns
+/// false if the side has no band node.
+bool corrupt_weight(std::vector<std::uint64_t>& words, Rng& rng) {
+  const std::uint64_t nband = words[0];
+  if (nband == 0) return false;
+  const std::size_t ends = 2 + 2 * nband;
+  const std::uint64_t narcs = words[ends + nband - 1];
+  // The weight words: nband band weights, then (past the targets) narcs
+  // arc weights; take one of either kind.
+  const bool arc = narcs > 0 && rng.bounded(2) == 0;
+  const std::size_t first = arc ? ends + nband + narcs : 2 + nband;
+  const std::size_t count = arc ? narcs : nband;
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  if (count >= 2 && rng.bounded(2) == 0) {
+    const std::size_t i = rng.bounded(count);
+    const std::size_t j = (i + 1 + rng.bounded(count - 1)) % count;
+    words[first + i] = weight_bits(kMax / 2 + 1);
+    words[first + j] = weight_bits(kMax / 2 + 1);
+  } else {
+    const std::int64_t bad[] = {-1, -1 - static_cast<std::int64_t>(
+                                         rng.bounded(1000)),
+                                std::numeric_limits<std::int64_t>::min()};
+    words[first + rng.bounded(count)] = weight_bits(bad[rng.bounded(3)]);
+  }
   return true;
 }
 
@@ -282,6 +312,27 @@ TEST(PairSideCodec, OutOfRangeReferencesAreRejected) {
   EXPECT_GT(corrupted, 1000);
 }
 
+TEST(PairSideCodec, HostileWeightsAreRejected) {
+  // A side's weights become the executor's node and arc weights: a
+  // negative one, or a sum past the int64 range, must not reach a gain.
+  Rng rng(31);
+  int corrupted = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const SideSpec spec = random_side(rng);
+    std::vector<std::uint64_t> words = std::move(write(spec)).release();
+    if (!corrupt_weight(words, rng)) continue;
+    ++corrupted;
+    EXPECT_THROW((void)PairSide::parse(words), TransportError);
+  }
+  EXPECT_GT(corrupted, 1000);
+  // The extremes that still fit are accepted.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_NO_THROW((void)PairSide::parse(
+      {1, 0, 5, weight_bits(kMax), 1, 0, weight_bits(kMax)}));
+  EXPECT_THROW((void)PairSide::parse({2, 0, 5, 6, weight_bits(kMax), 1, 0, 0}),
+               TransportError);
+}
+
 TEST(PairSideCodec, MutationCorpusRaisesOnlyTransportError) {
   Rng rng(2024);
   int rejected = 0;
@@ -289,6 +340,7 @@ TEST(PairSideCodec, MutationCorpusRaisesOnlyTransportError) {
     const SideSpec spec = random_side(rng);
     std::vector<std::uint64_t> words = std::move(write(spec)).release();
     if (rng.bounded(4) == 0) corrupt_reference(words, rng);
+    if (rng.bounded(4) == 0) corrupt_weight(words, rng);
     const int mutations = 1 + static_cast<int>(rng.bounded(3));
     for (int m = 0; m < mutations; ++m) mutate(words, rng);
     try {
@@ -301,6 +353,121 @@ TEST(PairSideCodec, MutationCorpusRaisesOnlyTransportError) {
   // Most single mutations break an invariant; the corpus must hit the
   // checks, not only survive.
   EXPECT_GT(rejected, 2500);
+}
+
+// ---------------------------------------------- attaching a shipped side ----
+
+/// The executor's state for the attach tests: nodes 0-7 in blocks
+/// 0 0 0 1 1 1 2 2, every one held. The executor owns block 0, the
+/// partner ships block 1; ids from 100 on are held nowhere here.
+DistPartition attach_state() {
+  GraphBuilder builder(8);
+  for (NodeID u = 0; u + 1 < 8; ++u) builder.add_edge(u, u + 1, 1);
+  const StaticGraph g = builder.finalize();
+  return DistPartition::from_replica(
+      Partition(g, {0, 0, 0, 1, 1, 1, 2, 2}, 3));
+}
+
+/// Writes a side of block 1 from \p band (id and arcs, node weight 1) and
+/// \p fringe, and attaches it to \p partition and \p rows.
+void attach(const std::vector<std::pair<NodeID, std::vector<ArcSpec>>>& band,
+            const std::vector<NodeID>& fringe, DistPartition& partition,
+            PairRows& rows) {
+  PairSideWriter writer(static_cast<NodeID>(band.size()));
+  for (const auto& [id, arcs] : band) {
+    writer.begin_row(id, 1);
+    for (const ArcSpec& arc : arcs) {
+      switch (arc.kind) {
+        case RefKind::kBand:
+          writer.add_band_arc(arc.value, arc.weight);
+          break;
+        case RefKind::kFringe:
+          writer.add_fringe_arc(arc.value, arc.weight);
+          break;
+        default:
+          writer.add_global_arc(arc.value, arc.weight);
+          break;
+      }
+    }
+  }
+  const PairSide side =
+      PairSide::parse(std::move(writer.finish(fringe)).release());
+  attach_shipped_side(side, /*shipped=*/1, /*own=*/0, partition, rows);
+}
+
+TEST(PairSideAttach, ResolvesEveryIdToItsHeldOrTransientSlot) {
+  DistPartition partition = attach_state();
+  PairRows rows;
+  // Band 3, 4, 100 (100 not held), fringe 5 and 101 (not held).
+  attach({{3, {{RefKind::kGlobal, 2, 2}, {RefKind::kBand, 1, 1},
+               {RefKind::kFringe, 0, 1}}},
+          {4, {{RefKind::kBand, 0, 1}, {RefKind::kBand, 2, 3}}},
+          {100, {{RefKind::kBand, 1, 3}, {RefKind::kFringe, 1, 1},
+                 {RefKind::kGlobal, 1, 5}}}},
+         {5, 101}, partition, rows);
+  ASSERT_EQ(partition.num_slots(), 10u);
+  const auto slot = [&](NodeID id) { return partition.slot_of(id); };
+  EXPECT_EQ(slot(100), 8u);
+  EXPECT_EQ(slot(101), 9u);
+  EXPECT_EQ(partition.block_at(slot(100)), 1u);
+  EXPECT_EQ(partition.block_at(slot(101)), 1u);
+  EXPECT_EQ(partition.global_at(slot(101)), 101u);
+  // Band nodes have rows (and may move); the fringe is frozen context.
+  for (const NodeID id : {3u, 4u, 100u}) EXPECT_TRUE(rows.contains(slot(id)));
+  for (const NodeID id : {0u, 2u, 5u, 101u}) {
+    EXPECT_FALSE(rows.contains(slot(id)));
+  }
+  const auto row_of = [&](NodeID id) {
+    std::vector<std::pair<NodeID, EdgeWeight>> arcs;
+    const PairRow row = rows.row(slot(id));
+    for (std::size_t i = 0; i < row.targets.size(); ++i) {
+      arcs.emplace_back(partition.global_at(row.targets[i]), row.weights[i]);
+    }
+    return arcs;
+  };
+  using Arcs = std::vector<std::pair<NodeID, EdgeWeight>>;
+  EXPECT_EQ(row_of(3), (Arcs{{2, 2}, {4, 1}, {5, 1}}));
+  EXPECT_EQ(row_of(4), (Arcs{{3, 1}, {100, 3}}));
+  EXPECT_EQ(row_of(100), (Arcs{{4, 3}, {101, 1}, {1, 5}}));
+  EXPECT_EQ(rows.weight(slot(100)), 1);
+
+  // The attached ids leave no trace once the pair ends.
+  const ShardFootprint during = partition.footprint();
+  partition.detach();
+  EXPECT_EQ(partition.num_slots(), 8u);
+  EXPECT_FALSE(partition.knows(100));
+  EXPECT_FALSE(partition.knows(101));
+  EXPECT_EQ(partition.footprint().ghost_nodes, during.ghost_nodes);
+  EXPECT_TRUE(partition.journal().empty());
+}
+
+TEST(PairSideAttach, InconsistentSidesAreRejected) {
+  using Band = std::vector<std::pair<NodeID, std::vector<ArcSpec>>>;
+  struct Case {
+    const char* what;
+    Band band;
+    std::vector<NodeID> fringe;
+  };
+  const std::vector<Case> cases = {
+      {"id in band and fringe", {{3, {}}, {4, {}}}, {4}},
+      {"band id held in the executor's block", {{2, {}}}, {}},
+      {"band id held in a third block", {{6, {}}}, {}},
+      {"fringe id held in another block", {{3, {}}}, {7}},
+      {"global reference to a node not held", {{3, {{RefKind::kGlobal, 200, 1}}}},
+       {}},
+      {"global reference into a third block",
+       {{3, {{RefKind::kGlobal, 6, 1}}}}, {}},
+      {"global reference into the shipped block",
+       {{3, {{RefKind::kGlobal, 5, 1}}}}, {}},
+      {"global reference to an attached id",
+       {{3, {{RefKind::kGlobal, 100, 1}}}, {100, {}}}, {}},
+  };
+  for (const Case& c : cases) {
+    DistPartition partition = attach_state();
+    PairRows rows;
+    EXPECT_THROW(attach(c.band, c.fringe, partition, rows), TransportError)
+        << c.what;
+  }
 }
 
 TEST(RowCodec, RoundTripsAndRejectsMalformedRows) {

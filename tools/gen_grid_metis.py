@@ -6,7 +6,7 @@ usage:
 
 Stdlib only. Node (r, c) is METIS vertex r * n + c + 1; each row lists
 the neighbours above, below, left and right, in that order. The CI smoke
-jobs partition the 16 x 16 grid it writes.
+jobs partition the 16 x 16 and 64 x 64 grids it writes.
 """
 import sys
 
