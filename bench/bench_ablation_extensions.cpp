@@ -1,10 +1,9 @@
 /// \file bench_ablation_extensions.cpp
 /// \brief Ablation of the §8 future-work extensions implemented in this
-/// repo: flow-based pairwise refinement and the graph-theoretic BFS
-/// prepartitioner; plus a repartitioning-vs-fresh-run comparison.
+/// repo: the graph-theoretic BFS prepartitioner, plus a
+/// repartitioning-vs-fresh-run comparison.
 ///
-/// None of these has a table in the paper — §8 sketches them ("Other
-/// refinement algorithms, e.g., based on flows ... a very fast
+/// Neither has a table in the paper — §8 sketches them ("a very fast
 /// prepartitioner that works purely graph theoretically ...
 /// repartitioning"). This bench quantifies what they buy on our suite.
 #include <algorithm>
@@ -21,7 +20,7 @@
 namespace {
 
 /// The adaptive-mesh stand-in shared by the repartitioning tables: move
-/// ~5% random nodes to random blocks (Rng(7), so Extension 3 and 3b
+/// ~5% random nodes to random blocks (Rng(7), so Extension 2 and 2b
 /// degrade the same way).
 kappa::Partition perturb_5pct(const kappa::StaticGraph& g,
                               const kappa::Partition& p, kappa::BlockID k) {
@@ -38,28 +37,11 @@ kappa::Partition perturb_5pct(const kappa::StaticGraph& g,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace kappa;
   using namespace kappa::bench;
-  const int reps = repetitions(argc, argv, 2);
 
-  // --- Extension 1: flow refinement on top of FM. ---
-  print_table_header("Extension: FM vs FM+flow pairwise refinement, k = 16",
-                     {"refiner", "avg cut", "avg bal", "avg t[s]"});
-  for (const bool use_flow : {false, true}) {
-    SuiteAccumulator accumulator;
-    for (const std::string& name : small_suite()) {
-      const StaticGraph g = make_instance(name);
-      Config config = Config::preset(Preset::kFast, 16);
-      config.enable_flow_refinement = use_flow;
-      accumulator.add(run_kappa(g, config, reps));
-    }
-    const SuiteSummary s = accumulator.summary();
-    print_row({use_flow ? "FM+flow" : "FM", fmt(s.avg_cut),
-               fmt(s.avg_balance, 3), fmt(s.avg_time, 2)});
-  }
-
-  // --- Extension 2: prepartitioner quality (edge locality for the
+  // --- Extension 1: prepartitioner quality (edge locality for the
   // parallel matching phase). ---
   print_table_header(
       "Extension: prepartitioner locality (fraction of PE-internal edges)",
@@ -86,7 +68,7 @@ int main(int argc, char** argv) {
                    3)});
   }
 
-  // --- Extension 3: repartitioning vs. fresh partitioning after a
+  // --- Extension 2: repartitioning vs. fresh partitioning after a
   // perturbation (migration volume is the point). ---
   print_table_header(
       "Extension: repartition vs fresh run after 5% perturbation, k = 16",
@@ -115,7 +97,7 @@ int main(int argc, char** argv) {
                std::to_string(fresh_migration)});
   }
 
-  // --- Extension 3b: the same repartitioning workload SPMD on the PE
+  // --- Extension 2b: the same repartitioning workload SPMD on the PE
   // runtime. The partition and migration count are p-invariant; p only
   // spreads the migrated-node intake (counted by each rank from the row
   // store of its blocks) and the wire traffic over more PEs. ---
@@ -154,8 +136,8 @@ int main(int argc, char** argv) {
     }
   }
   std::printf(
-      "\nshape targets: flow >= FM quality at moderate extra time; "
-      "geometric ~ bfs >> numbering locality on geometric graphs;\n"
+      "\nshape targets: geometric ~ bfs >> numbering locality on "
+      "geometric graphs;\n"
       "repartitioning migrates an order of magnitude fewer nodes than a "
       "fresh run at comparable cut;\nSPMD repartition is p-invariant in "
       "cut and migration while per-PE intake shrinks with p\n");

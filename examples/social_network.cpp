@@ -46,8 +46,8 @@ int main() {
     // "discouraging heavy nodes leads to much more uniform contraction".
     CoarseningOptions coarsening;
     coarsening.rating = rating;
-    coarsening.contraction_limit =
-        contraction_stop_threshold(social.num_nodes(), k, 60.0);
+    coarsening.contraction_limit = contraction_stop_threshold(
+        social.num_nodes(), k, kContractionStopAlpha);
     Rng crng(3);
     const Hierarchy hierarchy = build_hierarchy(social, coarsening, crng);
     const StaticGraph& coarsest = hierarchy.coarsest();

@@ -27,8 +27,12 @@ struct CoarseningOptions {
   MatcherAlgo matcher = MatcherAlgo::kGPA;
   /// Contraction stops once the coarse graph has at most this many nodes.
   NodeID contraction_limit = 160;
-  /// Use the two-phase parallel matching scheme (local + gap graph) with
-  /// this many PEs; 0 disables it and matches the whole graph sequentially.
+  /// The shard count of §3.3's two-phase matching: a preliminary
+  /// partition (coarsening/prepartition.hpp) splits the graph into this
+  /// many shards, each matched locally before the gap graph settles the
+  /// edges between them. Both pipelines set it to k, the paper's one PE
+  /// per block; the SPMD hierarchy deals the shards out over the
+  /// runtime's ranks. 0 or 1 matches the whole graph sequentially.
   BlockID matching_pes = 0;
   /// Safety net: stop when a level shrinks by less than this factor
   /// (pathological graphs where hardly anything can be matched).
@@ -107,6 +111,10 @@ class Hierarchy {
 [[nodiscard]] Hierarchy build_hierarchy(const StaticGraph& graph,
                                         const CoarseningOptions& options,
                                         Rng& rng);
+
+/// Table 2's alpha of the contraction stop rule ("stop contraction
+/// n/60k^2"), the same in every preset.
+inline constexpr double kContractionStopAlpha = 60.0;
 
 /// The paper's stop threshold: k * max(20, n / (alpha k^2)) nodes
 /// (per-PE threshold max(20, n/(alpha k^2)) times k PEs).

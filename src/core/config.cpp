@@ -18,7 +18,6 @@ Config Config::preset(Preset preset, BlockID k, double eps) {
   Config config;
   config.k = k;
   config.eps = eps;
-  config.matching_pes = k;  // the paper runs with one PE per block
   switch (preset) {
     case Preset::kMinimal:
       config.init_repeats = 1;

@@ -1,5 +1,11 @@
 /// \file config.hpp
 /// \brief KaPPa configuration and the minimal/fast/strong presets (Table 2).
+///
+/// Table 2 settings that every preset shares are constants, not fields:
+/// contraction stops at alpha = 60 (kContractionStopAlpha in
+/// coarsening/hierarchy.hpp), and the two-phase matching runs on k
+/// shards, the paper's one PE per block (coarsening_options() in
+/// core/phases.hpp).
 #pragma once
 
 #include <cstdint>
@@ -34,12 +40,6 @@ struct Config {
   // --- Contraction (§3, Table 2 rows 1-3). ---
   EdgeRating rating = EdgeRating::kExpansionStar2;
   MatcherAlgo matcher = MatcherAlgo::kGPA;
-  /// Stop contraction below k * max(20, n/(stop_alpha k^2)) nodes
-  /// (Table 2: "stop contraction n/60k^2").
-  double stop_alpha = 60.0;
-  /// PEs used by the two-phase parallel matching; 0 = sequential matching,
-  /// the paper's setting equals k.
-  BlockID matching_pes = 0;
 
   // --- Initial partitioning (§4, Table 2 row "init. repeats"). ---
   int init_repeats = 3;
@@ -60,13 +60,6 @@ struct Config {
   /// Refine each pair with two seeds and adopt the better result (§5);
   /// in the MPI original this is free because both PEs of a pair work.
   bool duplicate_search = true;
-  /// Extension (§8 future work): add a min-cut pass on the boundary band
-  /// of each pair after the FM local iterations, in the sequential
-  /// pairwise refiner and in every SPMD pair alike. The
-  /// flow move is adopted only when it strictly improves the pair cut
-  /// without increasing overload, so a pair is never made worse. Off in
-  /// all paper presets; the ablation bench quantifies its effect.
-  bool enable_flow_refinement = false;
   /// Observability: record per-rank spans (phases, per-level halo,
   /// color classes, pair refinement, transport) into a preallocated
   /// buffer and merge them on the primary rank after the run — see

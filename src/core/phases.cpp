@@ -122,8 +122,8 @@ CoarseningOptions coarsening_options(const StaticGraph& graph,
   coarsening.rating = config.rating;
   coarsening.matcher = config.matcher;
   coarsening.contraction_limit = contraction_stop_threshold(
-      graph.num_nodes(), config.k, config.stop_alpha);
-  coarsening.matching_pes = config.matching_pes;
+      graph.num_nodes(), config.k, kContractionStopAlpha);
+  coarsening.matching_pes = config.k;
   coarsening.warm_start = warm;
   if (warm != nullptr) {
     coarsening.max_pair_weight_cap = repartition_pair_weight_cap(graph, config);
@@ -157,7 +157,6 @@ PairwiseRefinerOptions level_refine_options(const Config& config,
   refine.max_global_iterations = config.max_global_iterations;
   refine.stop_no_change = config.stop_no_change;
   refine.duplicate_search = config.duplicate_search;
-  refine.use_flow = config.enable_flow_refinement;
   return refine;
 }
 

@@ -27,9 +27,11 @@
 
 namespace kappa {
 
-/// Contraction knobs for \p graph under \p config. A non-null \p warm
-/// (repartitioning) restricts contraction to intra-block pairs of that
-/// assignment and caps pair weights by repartition_pair_weight_cap().
+/// Contraction knobs for \p graph under \p config: Table 2's stop
+/// threshold at kContractionStopAlpha, and k matching shards, the paper's
+/// one PE per block. A non-null \p warm (repartitioning) restricts
+/// contraction to intra-block pairs of that assignment and caps pair
+/// weights by repartition_pair_weight_cap().
 [[nodiscard]] CoarseningOptions coarsening_options(
     const StaticGraph& graph, const Config& config,
     const Partition* warm = nullptr);

@@ -3,10 +3,10 @@
 /// StaticGraph with a Partition.
 ///
 /// The pair kernel — band BFS and boundary refresh (band.hpp), two-way FM
-/// (twoway_fm.hpp), the min-cut pass (flow_refiner.hpp) and refine_pair()
-/// (pairwise_refiner.hpp) — is written once, as templates over a model of
-/// one pair's graph and partition state. A model names nodes by dense ids
-/// in [0, id_space()) and provides:
+/// (twoway_fm.hpp) and refine_pair() (pairwise_refiner.hpp) — is written
+/// once, as templates over a model of one pair's graph and partition
+/// state. A model names nodes by dense ids in [0, id_space()) and
+/// provides:
 ///
 ///   row(u)           u's arcs as parallel target / weight spans, in the
 ///                    model's row order; arcs leaving the pair may appear

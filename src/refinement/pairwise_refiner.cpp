@@ -31,7 +31,6 @@ PairwiseRefineReport pairwise_refine(const StaticGraph& graph,
 
     Rng color_rng = rng.fork(coloring_fork_tag(global));
     const EdgeColoring coloring = color_quotient_edges(quotient, color_rng);
-    report.colors_last_iteration = coloring.num_colors;
 
     // The pairs of one color class are block-disjoint; they run one after
     // another, in class order.
@@ -50,7 +49,6 @@ PairwiseRefineReport pairwise_refine(const StaticGraph& graph,
     }
 
     report.total_cut_gain += iteration_cut_gain;
-    report.total_imbalance_gain += iteration_imbalance_gain;
     report.global_iterations = global + 1;
 
     if (iteration_cut_gain > 0 || iteration_imbalance_gain > 0) {

@@ -27,7 +27,6 @@
 #include "graph/partition.hpp"
 #include "graph/static_graph.hpp"
 #include "refinement/band.hpp"
-#include "refinement/flow_refiner.hpp"
 #include "refinement/pair_model.hpp"
 #include "refinement/twoway_fm.hpp"
 #include "util/random.hpp"
@@ -55,19 +54,12 @@ struct PairwiseRefinerOptions {
   /// partitions u and v using different seeds ... the better partitioning
   /// of the two blocks is adopted").
   bool duplicate_search = false;
-  /// After the FM local iterations on a pair, run one min-cut pass on the
-  /// band (flow_refiner.hpp) — the §8 future-work refinement. The flow
-  /// move is only adopted when it strictly improves the pair cut without
-  /// increasing overload.
-  bool use_flow = false;
 };
 
 /// Aggregate outcome of a refinement run.
 struct PairwiseRefineReport {
   EdgeWeight total_cut_gain = 0;
-  NodeWeight total_imbalance_gain = 0;
   int global_iterations = 0;
-  int colors_last_iteration = 0;
 };
 
 /// Outcome of refining one scheduled block pair.
@@ -135,13 +127,13 @@ TwoWayFMResult search_pair(Model& model, BlockID a, BlockID b,
 
 /// Refines one scheduled pair {a, b} of \p model: band BFS from
 /// \p boundary_seeds, then the configured local FM iterations (optionally
-/// duplicated, with the optional flow pass). Search streams are forked
-/// from \p rng with \p seed_tag-derived tags, so equal tags reproduce
-/// equal searches regardless of the caller's schedule — this is what
-/// keeps the SPMD refiner's outcome independent of which PE executes the
-/// pair. Every band, and with it every move, stays inside the nodes the
-/// model lets move. Move tracking stamps each band node's entry block in
-/// an id-indexed array; callers that do not exchange deltas pass
+/// duplicated). Search streams are forked from \p rng with
+/// \p seed_tag-derived tags, so equal tags reproduce equal searches
+/// regardless of the caller's schedule — this is what keeps the SPMD
+/// refiner's outcome independent of which PE executes the pair. Every
+/// band, and with it every move, stays inside the nodes the model lets
+/// move. Move tracking stamps each band node's entry block in an
+/// id-indexed array; callers that do not exchange deltas pass
 /// \p collect_moves = false to skip it.
 template <typename Model>
 PairRefineResult refine_pair(Model& model, BlockID a, BlockID b,
@@ -151,9 +143,9 @@ PairRefineResult refine_pair(Model& model, BlockID a, BlockID b,
                              bool collect_moves = true) {
   PairRefineResult result;
 
-  // Entry block of every node that ever enters a band; FM (and the flow
-  // pass) only move band nodes, so the union of bands covers all moves.
-  // Moves are emitted in first-entry order.
+  // Entry block of every node that ever enters a band; FM only moves band
+  // nodes, so the union of bands covers all moves. Moves are emitted in
+  // first-entry order.
   thread_local StampSet entered;
   thread_local std::vector<BlockID> entry_block;
   std::vector<NodeID> entry_order;
@@ -197,20 +189,6 @@ PairRefineResult refine_pair(Model& model, BlockID a, BlockID b,
       record_band(band);
     }
   }
-  if (options.use_flow) {
-    // One min-cut pass on a freshly computed band (the flow model
-    // requires the band to contain the entire current pair boundary).
-    const std::vector<NodeID> boundary = refresh_boundary(model, a, b, band);
-    band = boundary_band_from_seeds(model, a, b, boundary, options.bfs_depth);
-    record_band(band);
-    FlowRefineOptions flow_options;
-    flow_options.max_block_weight = options.fm.max_block_weight;
-    flow_options.max_block_weight_b = options.fm.max_block_weight_b;
-    const FlowRefineResult flow =
-        flow_refine_pair(model, a, b, band, flow_options);
-    result.cut_gain += flow.cut_gain;
-  }
-
   for (const NodeID u : entry_order) {
     if (model.block(u) != entry_block[u]) {
       result.moves.emplace_back(u, model.block(u));

@@ -327,19 +327,19 @@ struct PairRecord {
 struct PairRun {
   const char* instance;
   std::uint64_t seed;
-  bool flow;
+  Preset preset;
 };
 
 void PrintTo(const PairRun& run, std::ostream* os) {
-  *os << run.instance << " seed " << run.seed << (run.flow ? " flow" : "");
+  *os << run.instance << " seed " << run.seed << " "
+      << preset_name(run.preset);
 }
 
 /// Every pair executed in a full SPMD run at \p p, sorted.
 std::vector<PairRecord> executed_pairs(const StaticGraph& g,
                                        const PairRun& run, int p) {
-  Config config = Config::preset(Preset::kFast, 16);
+  Config config = Config::preset(run.preset, 16);
   config.seed = run.seed;
-  config.enable_flow_refinement = run.flow;
   std::mutex mutex;
   std::vector<PairRecord> records;
   PERuntime runtime(p, run.seed);
@@ -364,7 +364,7 @@ std::vector<PairRecord> executed_pairs(const StaticGraph& g,
 /// At p = 1 every pair runs fully resident; at larger p most pairs run
 /// with a shipped side. Either way the executor gathers the same rows,
 /// so every p must execute the same pairs with the same moves and gains
-/// as p = 1 — with the flow pass too.
+/// as p = 1 — under strong's deeper bands and longer searches too.
 class ExecutedPairs : public ::testing::TestWithParam<PairRun> {};
 
 TEST_P(ExecutedPairs, EveryPeCountExecutesThePairsOfP1) {
@@ -390,14 +390,17 @@ TEST_P(ExecutedPairs, EveryPeCountExecutesThePairsOfP1) {
 
 INSTANTIATE_TEST_SUITE_P(
     Runs, ExecutedPairs,
-    ::testing::Values(PairRun{"rgg14", 1, false}, PairRun{"rgg14", 2, false},
-                      PairRun{"rmat_12", 1, false},
-                      PairRun{"rmat_12", 2, false},
-                      PairRun{"rgg14", 1, true}),
+    ::testing::Values(PairRun{"rgg14", 1, Preset::kFast},
+                      PairRun{"rgg14", 2, Preset::kFast},
+                      PairRun{"rmat_12", 1, Preset::kFast},
+                      PairRun{"rmat_12", 2, Preset::kFast},
+                      PairRun{"rgg14", 1, Preset::kStrong}),
     [](const ::testing::TestParamInfo<PairRun>& info) {
       std::string name = info.param.instance;
       name += "_seed" + std::to_string(info.param.seed);
-      if (info.param.flow) name += "_flow";
+      if (info.param.preset != Preset::kFast) {
+        name += std::string("_") + preset_name(info.param.preset);
+      }
       return name;
     });
 

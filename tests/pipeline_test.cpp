@@ -6,6 +6,7 @@
 
 #include "coarsening/hierarchy.hpp"
 #include "core/partitioner.hpp"
+#include "core/phases.hpp"
 #include "generators/generators.hpp"
 #include "graph/graph_builder.hpp"
 #include "graph/metrics.hpp"
@@ -24,6 +25,23 @@ TEST(StopThreshold, MatchesPaperFormula) {
   EXPECT_EQ(contraction_stop_threshold(10'000, 8, 60.0), 160u);
   // Never exceeds n.
   EXPECT_EQ(contraction_stop_threshold(100, 64, 60.0), 100u);
+}
+
+TEST(StopThreshold, EveryPresetMatchesOnKShardsAndStopsAtAlpha60) {
+  // Table 2 fixes alpha = 60 for every preset, and the two-phase matching
+  // runs on one shard per block, as the paper runs one PE per block.
+  const StaticGraph g = make_instance("rgg14", 3);
+  for (const Preset preset :
+       {Preset::kMinimal, Preset::kFast, Preset::kStrong}) {
+    for (const BlockID k : {2u, 16u}) {
+      const CoarseningOptions options =
+          coarsening_options(g, Config::preset(preset, k));
+      EXPECT_EQ(options.matching_pes, k) << preset_name(preset);
+      EXPECT_EQ(options.contraction_limit,
+                contraction_stop_threshold(g.num_nodes(), k, 60.0))
+          << preset_name(preset) << " k=" << k;
+    }
+  }
 }
 
 TEST(Hierarchy, CoarsensBelowThresholdAndConservesWeight) {

@@ -371,8 +371,8 @@ TEST(EdgeColoring, EmptyQuotientHasNoColors) {
 TEST(PairKernel, ReadsRowsAndWeightsOfMovableNodesOnly) {
   // A perturbed bisection of a grid with every third node frozen, so
   // frozen nodes sit inside and next to every band: band BFS, boundary
-  // refresh, FM and the flow pass all meet them. The model fails the
-  // test on any row or weight read, and any move, of a frozen node.
+  // refresh and FM all meet them. The model fails the test on any row or
+  // weight read, and any move, of a frozen node.
   const StaticGraph g = grid_graph(30, 30);
   std::vector<BlockID> assignment(g.num_nodes());
   for (NodeID u = 0; u < g.num_nodes(); ++u) {
@@ -386,25 +386,21 @@ TEST(PairKernel, ReadsRowsAndWeightsOfMovableNodesOnly) {
   std::vector<char> movable(g.num_nodes());
   for (NodeID u = 0; u < g.num_nodes(); ++u) movable[u] = u % 3 != 0;
 
-  for (const bool flow : {false, true}) {
-    Partition partition(g, assignment, 2);
-    PairwiseRefinerOptions options;
-    options.fm.max_block_weight = max_block_weight_bound(g, 2, 0.03);
-    options.bfs_depth = 3;
-    options.duplicate_search = true;
-    options.use_flow = flow;
-    const std::vector<NodeID> seeds = boundary_band(g, partition, 0, 1, 1);
-    const EdgeWeight before = edge_cut(g, partition);
-    FrozenContextModel<Partition> model(g, partition, movable);
-    const PairRefineResult result =
-        refine_pair(model, 0, 1, seeds, options, Rng(3), /*seed_tag=*/7);
-    EXPECT_FALSE(result.moves.empty()) << "flow " << flow;
-    EXPECT_EQ(before - edge_cut(g, partition), result.cut_gain)
-        << "flow " << flow;
-    for (const auto& [u, to] : result.moves) {
-      EXPECT_NE(movable[u], 0) << "flow " << flow;
-      EXPECT_EQ(partition.block(u), to);
-    }
+  Partition partition(g, assignment, 2);
+  PairwiseRefinerOptions options;
+  options.fm.max_block_weight = max_block_weight_bound(g, 2, 0.03);
+  options.bfs_depth = 3;
+  options.duplicate_search = true;
+  const std::vector<NodeID> seeds = boundary_band(g, partition, 0, 1, 1);
+  const EdgeWeight before = edge_cut(g, partition);
+  FrozenContextModel<Partition> model(g, partition, movable);
+  const PairRefineResult result =
+      refine_pair(model, 0, 1, seeds, options, Rng(3), /*seed_tag=*/7);
+  EXPECT_FALSE(result.moves.empty());
+  EXPECT_EQ(before - edge_cut(g, partition), result.cut_gain);
+  for (const auto& [u, to] : result.moves) {
+    EXPECT_NE(movable[u], 0);
+    EXPECT_EQ(partition.block(u), to);
   }
 }
 
