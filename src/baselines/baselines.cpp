@@ -6,8 +6,8 @@
 #include "coarsening/prepartition.hpp"
 #include "graph/contraction.hpp"
 #include "graph/metrics.hpp"
-#include "graph/subgraph.hpp"
 #include "initial/recursive_bisection.hpp"
+#include "matching/tentative_match.hpp"
 #include "refinement/kway_refiner.hpp"
 #include "util/random.hpp"
 #include "util/timer.hpp"
@@ -48,9 +48,8 @@ BaselineResult metis_like(const StaticGraph& graph, BlockID k, double eps,
     // parMetis flavour: every PE matches only its local subgraph; edges
     // crossing PE boundaries are never contracted (parMetis does folding
     // instead; the net effect — worse matchings near boundaries — is the
-    // same). We emulate with PE-local matchings via the parallel matcher
-    // minus its gap phase: simply match on the numbering prepartition
-    // per-PE subgraphs.
+    // same). We emulate with the parallel matcher minus its gap phase:
+    // match_shard() on the numbering prepartition's per-PE subgraphs.
     Hierarchy h(graph);
     MatchingOptions match_options;
     match_options.rating = coarsening.rating;
@@ -59,26 +58,18 @@ BaselineResult metis_like(const StaticGraph& graph, BlockID k, double eps,
       const StaticGraph& current = h.coarsest();
       const std::vector<BlockID> homes =
           numbering_prepartition(current.num_nodes(), k);
-      std::vector<NodeID> partner(current.num_nodes());
-      for (NodeID u = 0; u < current.num_nodes(); ++u) partner[u] = u;
-      NodeID pairs = 0;
       std::vector<std::vector<NodeID>> pe_nodes(k);
+      std::vector<NodeID> partner(current.num_nodes());
       for (NodeID u = 0; u < current.num_nodes(); ++u) {
         pe_nodes[homes[u]].push_back(u);
+        partner[u] = u;
       }
+      const Rng level_rng = rng.fork(4 + level);
       for (BlockID pe = 0; pe < k; ++pe) {
-        if (pe_nodes[pe].empty()) continue;
-        const Subgraph sub = induced_subgraph(current, pe_nodes[pe]);
-        Rng pe_rng = rng.fork(level * 131 + pe);
-        const std::vector<NodeID> local = compute_matching(
-            sub.graph, MatcherAlgo::kSHEM, match_options, pe_rng);
-        for (NodeID lu = 0; lu < local.size(); ++lu) {
-          if (local[lu] <= lu) continue;
-          partner[sub.local_to_global[lu]] = sub.local_to_global[local[lu]];
-          partner[sub.local_to_global[local[lu]]] = sub.local_to_global[lu];
-          ++pairs;
-        }
+        match_shard(current, pe_nodes[pe], pe, MatcherAlgo::kSHEM,
+                    match_options, level_rng, partner);
       }
+      const NodeID pairs = matching_size(partner);
       if (pairs == 0) break;
       const double shrink = static_cast<double>(pairs) /
                             static_cast<double>(current.num_nodes());

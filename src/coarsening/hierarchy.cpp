@@ -45,6 +45,12 @@ Hierarchy build_hierarchy(const StaticGraph& graph,
     warm_blocks = options.warm_start->assignment();
   }
 
+  // §3.3's preliminary partition, once on the finest level; contract()
+  // carries it down, as DistHierarchy does. Empty: unsharded.
+  const BlockID num_shards = options.matching_pes;
+  std::vector<BlockID> shards;
+  if (num_shards > 1) shards = prepartition(graph, num_shards);
+
   std::size_t level = 0;
   while (hierarchy.coarsest().num_nodes() > options.contraction_limit) {
     const StaticGraph& current = hierarchy.coarsest();
@@ -54,17 +60,12 @@ Hierarchy build_hierarchy(const StaticGraph& graph,
     // losing its matched edge to a post-matching dissolve.
     match_options.blocks = warm_blocks.empty() ? nullptr : &warm_blocks;
     Rng level_rng = rng.fork(level);
-    std::vector<NodeID> partner;
-    if (options.matching_pes > 1 &&
-        current.num_nodes() > 4 * options.matching_pes) {
-      const std::vector<BlockID> homes =
-          prepartition(current, options.matching_pes);
-      partner = parallel_matching(current, homes, options.matching_pes,
-                                  options.matcher, match_options, level_rng);
-    } else {
-      partner = compute_matching(current, options.matcher, match_options,
-                                 level_rng);
-    }
+    const std::vector<NodeID> partner =
+        shards.empty()
+            ? compute_matching(current, options.matcher, match_options,
+                               level_rng)
+            : parallel_matching(current, shards, num_shards, options.matcher,
+                                match_options, level_rng);
 #ifndef NDEBUG
     for (NodeID u = 0; !warm_blocks.empty() && u < current.num_nodes(); ++u) {
       assert((partner[u] == u || warm_blocks[u] == warm_blocks[partner[u]]) &&
@@ -77,7 +78,7 @@ Hierarchy build_hierarchy(const StaticGraph& graph,
     const double shrink =
         static_cast<double>(pairs) / static_cast<double>(current.num_nodes());
 
-    ContractionResult result = contract(current, partner);
+    ContractionResult result = contract(current, partner, shards);
     {
       std::ostringstream msg;
       msg << "level " << level << ": n=" << current.num_nodes() << " -> "
@@ -92,6 +93,7 @@ Hierarchy build_hierarchy(const StaticGraph& graph,
       }
       warm_blocks = std::move(coarse_blocks);
     }
+    shards = std::move(result.coarse_to_shard);
     hierarchy.push_level(std::move(result.coarse_graph),
                          std::move(result.fine_to_coarse));
     ++level;

@@ -28,11 +28,13 @@ struct CoarseningOptions {
   /// Contraction stops once the coarse graph has at most this many nodes.
   NodeID contraction_limit = 160;
   /// The shard count of §3.3's two-phase matching: a preliminary
-  /// partition (coarsening/prepartition.hpp) splits the graph into this
-  /// many shards, each matched locally before the gap graph settles the
-  /// edges between them. Both pipelines set it to k, the paper's one PE
+  /// partition (coarsening/prepartition.hpp) splits the finest graph into
+  /// this many shards, each matched locally before the gap graph settles
+  /// the edges between them; every coarse node inherits the shard of its
+  /// lower-id endpoint. Both pipelines set it to k, the paper's one PE
   /// per block; the SPMD hierarchy deals the shards out over the
-  /// runtime's ranks. 0 or 1 matches the whole graph sequentially.
+  /// runtime's ranks. 0 or 1 matches the whole graph sequentially
+  /// (initial bisection, baselines).
   BlockID matching_pes = 0;
   /// Safety net: stop when a level shrinks by less than this factor
   /// (pathological graphs where hardly anything can be matched).
@@ -103,11 +105,13 @@ class Hierarchy {
 [[nodiscard]] MatchingOptions hierarchy_match_options(
     const StaticGraph& graph, const CoarseningOptions& options);
 
-/// Builds the hierarchy by iterated match-and-contract with the
-/// in-process matchers (sequential, or the simulated two-phase parallel
-/// scheme when options.matching_pes > 1), one RNG fork of \p rng per
-/// level, until the contraction-limit, zero-matching or minimum-shrink
-/// stop rule fires.
+/// Builds the hierarchy by iterated match-and-contract in one address
+/// space, one RNG fork of \p rng per level, until the contraction-limit,
+/// zero-matching or minimum-shrink stop rule fires. With
+/// options.matching_pes > 1 it coarsens by DistHierarchy's rules (one
+/// finest-level prepartition carried down, parallel_matching, sharded
+/// contract()) and so, given the same \p rng, builds the store's level
+/// graphs and contraction maps at every p.
 [[nodiscard]] Hierarchy build_hierarchy(const StaticGraph& graph,
                                         const CoarseningOptions& options,
                                         Rng& rng);

@@ -8,6 +8,9 @@
 /// use the initial numbering of the nodes. Note that the initial
 /// partitioning does not directly affect the final partitioning computed
 /// later – its main purpose is to increase locality."
+///
+/// Both pipelines call it once per hierarchy build, on the finest level;
+/// contraction carries the shards down (build_hierarchy, DistHierarchy).
 #pragma once
 
 #include <vector>

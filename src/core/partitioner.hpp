@@ -65,9 +65,9 @@ struct PartitionResult {
 
   std::size_t hierarchy_levels = 0;
   NodeID coarsest_nodes = 0;
-  /// Node count of every hierarchy level, finest first (SPMD runs; the
-  /// replicated per-rank baseline an old-style run would hold is the sum
-  /// of these).
+  /// Node count of every hierarchy level, finest first (the replicated
+  /// per-rank baseline an old-style SPMD run would hold is the sum of
+  /// these).
   std::vector<NodeID> hierarchy_level_nodes;
 
   // SPMD run shape (zero/empty on sequential runs).

@@ -58,6 +58,9 @@ PartitionResult run_multilevel(const StaticGraph& graph, const Config& config,
   result.coarsening_time = phase_timer.elapsed_s();
   result.hierarchy_levels = hierarchy.num_levels();
   result.coarsest_nodes = hierarchy.coarsest().num_nodes();
+  for (std::size_t l = 0; l < hierarchy.num_levels(); ++l) {
+    result.hierarchy_level_nodes.push_back(hierarchy.graph(l).num_nodes());
+  }
 
   // --- Phase 2: initial partitioning (§4), or the projected warm input. ---
   phase_timer.restart();

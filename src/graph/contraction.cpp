@@ -6,72 +6,62 @@
 namespace kappa {
 
 ContractionResult contract(const StaticGraph& graph,
-                           const std::vector<NodeID>& partner) {
+                           const std::vector<NodeID>& partner,
+                           const std::vector<BlockID>& node_to_shard) {
   const NodeID n = graph.num_nodes();
   assert(partner.size() == n);
+  const bool sharded = !node_to_shard.empty();
+  assert(!sharded || node_to_shard.size() == n);
 
-  // Assign coarse ids: each matched pair and each unmatched node gets one.
-  std::vector<NodeID> fine_to_coarse(n, kInvalidNode);
-  NodeID coarse_n = 0;
+  // One coarse node per canonical endpoint (the lower id of a pair, or an
+  // unmatched node), numbered in ascending fine id — shard by shard when
+  // sharded.
+  std::vector<NodeID> canonical;
   for (NodeID u = 0; u < n; ++u) {
-    if (fine_to_coarse[u] != kInvalidNode) continue;
+    assert(partner[u] == u || partner[partner[u]] == u);  // symmetry
+    if (partner[u] >= u) canonical.push_back(u);
+  }
+  if (sharded) {
+    std::stable_sort(canonical.begin(), canonical.end(),
+                     [&](NodeID a, NodeID b) {
+                       return node_to_shard[a] < node_to_shard[b];
+                     });
+  }
+  const NodeID coarse_n = static_cast<NodeID>(canonical.size());
+  ContractionResult result;
+  result.fine_to_coarse.resize(n);
+  std::vector<NodeWeight> coarse_vwgt(coarse_n);
+  for (NodeID c = 0; c < coarse_n; ++c) {
+    const NodeID u = canonical[c];
     const NodeID v = partner[u];
-    assert(v == u || partner[v] == u);  // symmetry of the matching
-    fine_to_coarse[u] = coarse_n;
-    if (v != u) fine_to_coarse[v] = coarse_n;
-    ++coarse_n;
+    result.fine_to_coarse[u] = c;
+    result.fine_to_coarse[v] = c;
+    coarse_vwgt[c] = graph.node_weight(u) + (v != u ? graph.node_weight(v) : 0);
+    if (sharded) result.coarse_to_shard.push_back(node_to_shard[u]);
   }
+  const std::vector<NodeID>& fine_to_coarse = result.fine_to_coarse;
 
-  // Coarse node weights (and centroids if coordinates exist).
-  std::vector<NodeWeight> coarse_vwgt(coarse_n, 0);
-  const bool with_coords = graph.has_coordinates();
-  std::vector<Point2D> centroid_sum;
-  std::vector<double> weight_sum;
-  if (with_coords) {
-    centroid_sum.assign(coarse_n, Point2D{});
-    weight_sum.assign(coarse_n, 0.0);
-  }
-  for (NodeID u = 0; u < n; ++u) {
-    const NodeID cu = fine_to_coarse[u];
-    coarse_vwgt[cu] += graph.node_weight(u);
-    if (with_coords) {
-      const double w = static_cast<double>(std::max<NodeWeight>(
-          graph.node_weight(u), 1));
-      centroid_sum[cu].x += w * graph.coordinate(u).x;
-      centroid_sum[cu].y += w * graph.coordinate(u).y;
-      weight_sum[cu] += w;
-    }
-  }
-
-  // Build coarse adjacency: bucket fine arcs by coarse source, merge
-  // duplicate coarse targets with a timestamped scatter array (classic
-  // O(m) multilevel contraction).
+  // Coarse rows: the arcs of both members in coarse target space, the
+  // contracted edge dropped and parallel arcs merged — sorted by target
+  // (sharded), or through a timestamped scatter array in first-encounter
+  // order (classic O(m) multilevel contraction).
   std::vector<EdgeID> coarse_xadj(coarse_n + 1, 0);
   std::vector<NodeID> coarse_adj;
   std::vector<EdgeWeight> coarse_ewgt;
   coarse_adj.reserve(graph.num_arcs());
   coarse_ewgt.reserve(graph.num_arcs());
-
-  // For each coarse node, list its fine constituents.
-  std::vector<NodeID> members(n);
-  std::vector<EdgeID> member_start(coarse_n + 1, 0);
-  for (NodeID u = 0; u < n; ++u) ++member_start[fine_to_coarse[u] + 1];
-  for (NodeID c = 0; c < coarse_n; ++c) member_start[c + 1] += member_start[c];
-  {
-    std::vector<EdgeID> cursor(member_start.begin(), member_start.end() - 1);
-    for (NodeID u = 0; u < n; ++u) members[cursor[fine_to_coarse[u]]++] = u;
-  }
-
-  std::vector<NodeID> seen_at(coarse_n, kInvalidNode);  // timestamp array
-  std::vector<EdgeID> slot_of(coarse_n, 0);
+  std::vector<std::pair<NodeID, EdgeWeight>> row;  // sharded only
+  std::vector<NodeID> seen_at(sharded ? 0 : coarse_n, kInvalidNode);
+  std::vector<EdgeID> slot_of(sharded ? 0 : coarse_n, 0);
   for (NodeID c = 0; c < coarse_n; ++c) {
-    const EdgeID row_begin = coarse_adj.size();
-    for (EdgeID i = member_start[c]; i < member_start[c + 1]; ++i) {
-      const NodeID u = members[i];
+    row.clear();
+    for (const NodeID u : {canonical[c], partner[canonical[c]]}) {
       for (EdgeID e = graph.first_arc(u); e < graph.last_arc(u); ++e) {
         const NodeID cv = fine_to_coarse[graph.arc_target(e)];
-        if (cv == c) continue;  // contracted edge or internal edge: drop
-        if (seen_at[cv] == c) {
+        if (cv == c) continue;  // the contracted edge
+        if (sharded) {
+          row.emplace_back(cv, graph.arc_weight(e));
+        } else if (seen_at[cv] == c) {
           coarse_ewgt[slot_of[cv]] += graph.arc_weight(e);
         } else {
           seen_at[cv] = c;
@@ -80,22 +70,35 @@ ContractionResult contract(const StaticGraph& graph,
           coarse_ewgt.push_back(graph.arc_weight(e));
         }
       }
+      if (partner[u] == u) break;  // unmatched: one member
     }
-    (void)row_begin;
+    if (sharded) (void)merge_coarse_row(row, coarse_adj, coarse_ewgt);
     coarse_xadj[c + 1] = coarse_adj.size();
   }
 
-  StaticGraph coarse(std::move(coarse_xadj), std::move(coarse_adj),
-                     std::move(coarse_ewgt), std::move(coarse_vwgt));
-  if (with_coords) {
-    std::vector<Point2D> coarse_coords(coarse_n);
-    for (NodeID c = 0; c < coarse_n; ++c) {
-      coarse_coords[c] = {centroid_sum[c].x / weight_sum[c],
-                          centroid_sum[c].y / weight_sum[c]};
+  result.coarse_graph =
+      StaticGraph(std::move(coarse_xadj), std::move(coarse_adj),
+                  std::move(coarse_ewgt), std::move(coarse_vwgt));
+  return result;
+}
+
+EdgeWeight merge_coarse_row(std::vector<std::pair<NodeID, EdgeWeight>>& arcs,
+                            std::vector<NodeID>& adj,
+                            std::vector<EdgeWeight>& ewgt) {
+  std::sort(arcs.begin(), arcs.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const std::size_t row_begin = adj.size();
+  EdgeWeight wdeg = 0;
+  for (const auto& [target, weight] : arcs) {
+    if (adj.size() > row_begin && adj.back() == target) {
+      ewgt.back() += weight;  // a parallel coarse arc
+    } else {
+      adj.push_back(target);
+      ewgt.push_back(weight);
     }
-    coarse.set_coordinates(std::move(coarse_coords));
+    wdeg += weight;
   }
-  return {std::move(coarse), std::move(fine_to_coarse)};
+  return wdeg;
 }
 
 Partition project_partition(const StaticGraph& fine_graph,

@@ -73,6 +73,12 @@ StaticGraph read_metis_graph(const std::string& path) {
   std::vector<EdgeID> xadj(n + 1, 0);
   std::vector<NodeID> adj;
   std::vector<EdgeWeight> ewgt;
+  // Sized once from m (grown by doubling, they strew freed buffers over
+  // the heap), unless the file cannot back 2m arcs of two bytes each.
+  if (!size_error && m <= file_bytes / 4) {
+    adj.reserve(2 * m);
+    ewgt.reserve(2 * m);
+  }
   std::vector<NodeWeight> vwgt(n, 1);
   for (NodeID u = 0; u < n; ++u) {
     if (!next_vertex_line(in, line)) {

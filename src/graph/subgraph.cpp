@@ -34,13 +34,6 @@ Subgraph induced_subgraph(const StaticGraph& graph,
 
   result.graph = StaticGraph(std::move(xadj), std::move(adj), std::move(ewgt),
                              std::move(vwgt));
-  if (graph.has_coordinates()) {
-    std::vector<Point2D> coords(sub_n);
-    for (NodeID local = 0; local < sub_n; ++local) {
-      coords[local] = graph.coordinate(nodes[local]);
-    }
-    result.graph.set_coordinates(std::move(coords));
-  }
   return result;
 }
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <utility>
 
-#include "graph/subgraph.hpp"
 #include "matching/tentative_match.hpp"
 
 namespace kappa {
@@ -12,7 +12,8 @@ namespace kappa {
 std::vector<NodeID> parallel_matching(const StaticGraph& graph,
                                       const std::vector<BlockID>& node_to_pe,
                                       BlockID num_pes, MatcherAlgo algo,
-                                      const MatchingOptions& options, Rng& rng,
+                                      const MatchingOptions& options,
+                                      const Rng& level_rng,
                                       ParallelMatchingStats* stats) {
   const NodeID n = graph.num_nodes();
   assert(node_to_pe.size() == n);
@@ -23,31 +24,8 @@ std::vector<NodeID> parallel_matching(const StaticGraph& graph,
   // --- Phase 1: sequential matching on each PE's induced subgraph. ---
   std::vector<std::vector<NodeID>> pe_nodes(num_pes);
   for (NodeID u = 0; u < n; ++u) pe_nodes[node_to_pe[u]].push_back(u);
-
   for (BlockID pe = 0; pe < num_pes; ++pe) {
-    if (pe_nodes[pe].empty()) continue;
-    const Subgraph sub = induced_subgraph(graph, pe_nodes[pe]);
-    Rng pe_rng = rng.fork(pe);
-    // The block constraint travels into the subgraph's id space.
-    MatchingOptions sub_options = options;
-    std::vector<BlockID> sub_blocks;
-    if (options.blocks != nullptr) {
-      sub_blocks.reserve(sub.local_to_global.size());
-      for (const NodeID u : sub.local_to_global) {
-        sub_blocks.push_back((*options.blocks)[u]);
-      }
-      sub_options.blocks = &sub_blocks;
-    }
-    const std::vector<NodeID> local =
-        compute_matching(sub.graph, algo, sub_options, pe_rng);
-    for (NodeID lu = 0; lu < local.size(); ++lu) {
-      const NodeID lv = local[lu];
-      if (lv <= lu) continue;  // handle each pair once, skip unmatched
-      const NodeID u = sub.local_to_global[lu];
-      const NodeID v = sub.local_to_global[lv];
-      partner[u] = v;
-      partner[v] = u;
-    }
+    match_shard(graph, pe_nodes[pe], pe, algo, options, level_rng, partner);
   }
   if (stats != nullptr) stats->local_pairs = matching_size(partner);
 
@@ -74,56 +52,44 @@ std::vector<NodeID> parallel_matching(const StaticGraph& graph,
   }
   if (stats != nullptr) stats->gap_edges = gap.size();
 
-  // Iterated locally-heaviest matching: in every round each endpoint
-  // nominates its best remaining gap edge; an edge that is nominated by
-  // both endpoints is matched, dissolving tentative local matches.
-  std::vector<std::uint8_t> gap_alive(gap.size(), 1);
+  // Iterated locally-heaviest matching: in every round each free node
+  // nominates its best gap edge with a free other endpoint — by rating,
+  // then by the lower (u, v), the order of DistHierarchy's edge keys —
+  // and an edge nominated by both endpoints is matched, dissolving
+  // tentative local matches. Two such edges never share an endpoint, so
+  // the order of the matching pass does not matter.
+  auto better = [&](std::size_t i, std::size_t b) {
+    if (gap[i].rating != gap[b].rating) return gap[i].rating > gap[b].rating;
+    return std::pair(gap[i].u, gap[i].v) < std::pair(gap[b].u, gap[b].v);
+  };
   std::vector<std::uint8_t> node_taken(n, 0);
+  std::vector<std::size_t> best(n);
   std::size_t rounds = 0;
-  bool progress = true;
-  while (progress) {
-    progress = false;
+  std::size_t matched = 1;
+  while (matched != 0) {
     ++rounds;
-    // best remaining gap edge per node (index into gap, by rating then
-    // lower index for determinism).
-    std::vector<std::size_t> best(n, gap.size());
+    std::fill(best.begin(), best.end(), gap.size());
     for (std::size_t i = 0; i < gap.size(); ++i) {
-      if (!gap_alive[i]) continue;
+      if (node_taken[gap[i].u] || node_taken[gap[i].v]) continue;  // retired
       for (const NodeID x : {gap[i].u, gap[i].v}) {
-        if (node_taken[x]) continue;
-        std::size_t& b = best[x];
-        if (b == gap.size() || gap[i].rating > gap[b].rating ||
-            (gap[i].rating == gap[b].rating && i < b)) {
-          b = i;
-        }
+        if (best[x] == gap.size() || better(i, best[x])) best[x] = i;
       }
     }
+    matched = 0;
     for (std::size_t i = 0; i < gap.size(); ++i) {
-      if (!gap_alive[i]) continue;
       const NodeID u = gap[i].u;
       const NodeID v = gap[i].v;
-      if (node_taken[u] || node_taken[v]) {
-        gap_alive[i] = 0;
-        continue;
+      if (best[u] != i || best[v] != i) continue;
+      for (const NodeID x : {u, v}) {
+        if (partner[x] != x) partner[partner[x]] = partner[x];  // dissolve
       }
-      if (best[u] == i && best[v] == i) {
-        // Dissolve tentative local matches of u and v.
-        for (const NodeID x : {u, v}) {
-          const NodeID p = partner[x];
-          if (p != x) {
-            partner[p] = p;
-            local_match_rating[p] = 0.0;
-          }
-        }
-        partner[u] = v;
-        partner[v] = u;
-        node_taken[u] = 1;
-        node_taken[v] = 1;
-        gap_alive[i] = 0;
-        progress = true;
-        if (stats != nullptr) ++stats->gap_pairs;
-      }
+      partner[u] = v;
+      partner[v] = u;
+      node_taken[u] = 1;
+      node_taken[v] = 1;
+      ++matched;
     }
+    if (stats != nullptr) stats->gap_pairs += matched;
   }
   if (stats != nullptr) stats->gap_rounds = rounds;
   return partner;

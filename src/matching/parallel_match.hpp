@@ -1,13 +1,15 @@
 /// \file parallel_match.hpp
-/// \brief Parallel matching via local matching + gap graph (§3.3).
+/// \brief Parallel matching via local matching + gap graph (§3.3), on one
+/// level graph in one address space.
 ///
 /// Strategy after Manne & Bisseling: the nodes are pre-partitioned among
-/// PEs (geometrically if coordinates exist, else by node numbering). Each
-/// PE runs a sequential matcher on the subgraph induced by its local
-/// nodes. The *gap graph* consists of the cross-PE edges whose rating
-/// exceeds the ratings of the locally matched edges at both endpoints;
-/// on it, edges that are locally heaviest at both endpoints are matched
-/// iteratively until none remain.
+/// PEs (shards). Each PE runs a sequential matcher on the subgraph induced
+/// by its local nodes. The *gap graph* consists of the cross-PE edges
+/// whose rating exceeds the ratings of the locally matched edges at both
+/// endpoints; on it, edges that are locally heaviest at both endpoints are
+/// matched iteratively until none remain. The shard matching and the gap
+/// rules are DistHierarchy::match_level's (matching/tentative_match.hpp),
+/// so on the same shards both compute the same matching.
 #pragma once
 
 #include <vector>
@@ -31,6 +33,7 @@ struct ParallelMatchingStats {
 /// Computes a matching with the two-phase parallel scheme.
 ///
 /// \param node_to_pe  home PE of every node (values in [0, num_pes))
+/// \param level_rng   the level's stream (PE s draws level_rng.fork(1 + s))
 /// \param stats       optional output statistics
 ///
 /// A gap edge that wins both of its endpoints dissolves any local matches
@@ -40,6 +43,6 @@ struct ParallelMatchingStats {
 [[nodiscard]] std::vector<NodeID> parallel_matching(
     const StaticGraph& graph, const std::vector<BlockID>& node_to_pe,
     BlockID num_pes, MatcherAlgo algo, const MatchingOptions& options,
-    Rng& rng, ParallelMatchingStats* stats = nullptr);
+    const Rng& level_rng, ParallelMatchingStats* stats = nullptr);
 
 }  // namespace kappa

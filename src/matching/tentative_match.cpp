@@ -3,7 +3,33 @@
 #include <cassert>
 #include <limits>
 
+#include "graph/subgraph.hpp"
+
 namespace kappa {
+
+void match_shard(const StaticGraph& graph, const std::vector<NodeID>& nodes,
+                 BlockID shard, MatcherAlgo algo,
+                 const MatchingOptions& options, const Rng& level_rng,
+                 std::vector<NodeID>& partner) {
+  if (nodes.empty()) return;
+  const Subgraph sub = induced_subgraph(graph, nodes);
+  MatchingOptions sub_options = options;
+  std::vector<BlockID> sub_blocks;
+  if (options.blocks != nullptr) {
+    sub_blocks.reserve(nodes.size());
+    for (const NodeID u : nodes) sub_blocks.push_back((*options.blocks)[u]);
+    sub_options.blocks = &sub_blocks;
+  }
+  Rng shard_rng = level_rng.fork(1 + shard);
+  const std::vector<NodeID> matched =
+      compute_matching(sub.graph, algo, sub_options, shard_rng);
+  for (NodeID lu = 0; lu < matched.size(); ++lu) {
+    const NodeID lv = matched[lu];
+    if (lv <= lu) continue;  // handle each pair once, skip unmatched
+    partner[nodes[lu]] = nodes[lv];
+    partner[nodes[lv]] = nodes[lu];
+  }
+}
 
 TentativeMatchRater::TentativeMatchRater(const StaticGraph& graph,
                                          const MatchingOptions& options)

@@ -1,21 +1,33 @@
 /// \file tentative_match.hpp
-/// \brief Shared tentative-match rating and the §3.3 gap condition.
+/// \brief The shared bodies of §3.3's two-phase matching.
 ///
-/// The two-phase parallel matching scheme exists twice: simulated
-/// in-process (matching/parallel_match.cpp) and genuinely SPMD over
-/// channels (parallel/spmd_phases.cpp). Both build the gap graph the same
-/// way — a cross-PE edge qualifies iff its rating beats the *tentative
-/// local match* at both endpoints — so the rating of a node's tentative
-/// match and the gap condition live here, in one body.
+/// parallel_matching (one level graph, one address space) and
+/// DistHierarchy::match_level (each rank's resident CSR, gap rounds over
+/// channels) both match every shard with match_shard() and build the gap
+/// graph the same way — a cross-shard edge qualifies iff its rating beats
+/// the *tentative local match* at both endpoints — so given the same
+/// shards they compute the same matching. The parMetis-like baseline
+/// runs match_shard() alone, without the gap graph.
 #pragma once
 
 #include <vector>
 
 #include "graph/static_graph.hpp"
 #include "matching/matchers.hpp"
+#include "util/random.hpp"
 #include "util/types.hpp"
 
 namespace kappa {
+
+/// §3.3 phase 1 on one shard: matches the subgraph of \p graph induced by
+/// \p nodes (ascending) with \p algo on the stream
+/// level_rng.fork(1 + shard) and records the pairs in \p partner (ids of
+/// \p graph). The block constraint of \p options, indexed by ids of
+/// \p graph, travels into the shard's id space.
+void match_shard(const StaticGraph& graph, const std::vector<NodeID>& nodes,
+                 BlockID shard, MatcherAlgo algo,
+                 const MatchingOptions& options, const Rng& level_rng,
+                 std::vector<NodeID>& partner);
 
 /// Rates arcs of one contraction level under MatchingOptions.rating
 /// (precomputing the weighted degrees the innerOuter rating needs) and

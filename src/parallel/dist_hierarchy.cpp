@@ -18,7 +18,7 @@
 #include <utility>
 
 #include "coarsening/prepartition.hpp"
-#include "graph/subgraph.hpp"
+#include "graph/contraction.hpp"
 #include "matching/tentative_match.hpp"
 #include "parallel/dist_partition.hpp"
 #include "parallel/wire_format.hpp"
@@ -223,28 +223,8 @@ std::vector<NodeID> DistHierarchy::match_level(
   std::vector<NodeID> partner(num_local);  // local ids; ghosts stay unmatched
   std::iota(partner.begin(), partner.end(), NodeID{0});
   for (std::size_t i = 0; i < level.my_shard_ids.size(); ++i) {
-    const std::vector<NodeID>& locals = level.shard_locals[i];
-    if (locals.empty()) continue;
-    const Subgraph sub = induced_subgraph(resident, locals);
-    MatchingOptions sub_options = options;
-    std::vector<BlockID> sub_blocks;
-    if (options.blocks != nullptr) {
-      // The block constraint travels into the shard subgraph's id space.
-      sub_blocks.reserve(locals.size());
-      for (const NodeID l : locals) sub_blocks.push_back((*options.blocks)[l]);
-      sub_options.blocks = &sub_blocks;
-    }
-    Rng shard_rng = level_rng.fork(1 + level.my_shard_ids[i]);
-    const std::vector<NodeID> matched =
-        compute_matching(sub.graph, matcher, sub_options, shard_rng);
-    for (NodeID lu = 0; lu < matched.size(); ++lu) {
-      const NodeID lv = matched[lu];
-      if (lv <= lu) continue;  // handle each pair once, skip unmatched
-      const NodeID u = sub.local_to_global[lu];
-      const NodeID v = sub.local_to_global[lv];
-      partner[u] = v;
-      partner[v] = u;
-    }
+    match_shard(resident, level.shard_locals[i], level.my_shard_ids[i],
+                matcher, options, level_rng, partner);
   }
   for (NodeID u = 0; u < num_owned; ++u) {
     if (partner[u] != u && u < partner[u]) ++pe_.record().matching.local_pairs;
@@ -650,7 +630,8 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
             [](const Shipped& x, const Shipped& y) { return x.ghost < y.ghost; });
 
   // --- Owner-computes coarse rows: merge the members' coarse-translated
-  // arcs, drop the self-arc, sort by coarse target. The sorted canonical
+  // arcs, drop the self-arc, sort by coarse target (merge_coarse_row(),
+  // the row form of contract() with a shard map). The sorted canonical
   // row form makes every downstream stream (shard subgraphs, gap
   // candidates) a pure function of the graph content, independent of
   // p. ---
@@ -698,23 +679,10 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
           }
         }
       }
-      std::sort(acc.begin(), acc.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-
       rows.ids.push_back(c);
       rows.vwgt.push_back(weight);
-      EdgeWeight wdeg = 0;
-      for (std::size_t j = 0; j < acc.size(); ++j) {
-        if (j > 0 && acc[j].first == rows.adj.back()) {
-          rows.ewgt.back() += acc[j].second;  // merge parallel coarse arcs
-        } else {
-          rows.adj.push_back(acc[j].first);
-          rows.ewgt.push_back(acc[j].second);
-        }
-        wdeg += acc[j].second;
-      }
+      owned_wdeg.push_back(merge_coarse_row(acc, rows.adj, rows.ewgt));
       rows.xadj.push_back(rows.adj.size());
-      owned_wdeg.push_back(wdeg);
       if (warm_) owned_warm.push_back(fine.warm_blocks[lu]);
     }
     next.shard_locals[i].resize(rows.ids.size() - first_row);

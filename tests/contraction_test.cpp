@@ -3,6 +3,7 @@
 /// including the §2 invariants (weight conservation, cut preservation).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "generators/generators.hpp"
@@ -81,18 +82,41 @@ TEST(Contraction, CutEdgeWeightIsConservedMinusMatched) {
             g.total_edge_weight() - matched_weight);
 }
 
-TEST(Contraction, CoordinatesBecomeCentroids) {
-  GraphBuilder builder(2);
-  builder.add_edge(0, 1);
-  builder.set_coordinate(0, {0.0, 0.0});
-  builder.set_coordinate(1, {2.0, 4.0});
+TEST(Contraction, ShardedIdsAreShardMajorWithSortedRows) {
+  // The cycle 0-1-2-3-4-5-0 with pairs {1, 2} and {4, 5}, 0 and 3
+  // unmatched; shards {1, 0, 0, 1, 0, 1}. Shard 0 numbers its canonical
+  // endpoints 1 and 4 first, then shard 1 numbers 0 and 3; the pair
+  // {4, 5} lands in shard 0 with its lower endpoint.
+  GraphBuilder builder(6);
+  builder.add_edge(0, 1, 1);
+  builder.add_edge(1, 2, 2);
+  builder.add_edge(2, 3, 3);
+  builder.add_edge(3, 4, 4);
+  builder.add_edge(4, 5, 5);
+  builder.add_edge(0, 5, 6);
   const StaticGraph g = builder.finalize();
-  const ContractionResult result = contract(g, {1, 0});
-  ASSERT_TRUE(result.coarse_graph.has_coordinates());
-  EXPECT_NEAR(result.coarse_graph.coordinate(0).x, 1.0, 1e-12);
-  EXPECT_NEAR(result.coarse_graph.coordinate(0).y, 2.0, 1e-12);
+  const std::vector<NodeID> partner = {0, 2, 1, 3, 5, 4};
+  const std::vector<BlockID> shards = {1, 0, 0, 1, 0, 1};
+  const ContractionResult result = contract(g, partner, shards);
+  EXPECT_EQ(result.fine_to_coarse, (std::vector<NodeID>{2, 0, 0, 3, 1, 1}));
+  EXPECT_EQ(result.coarse_to_shard, (std::vector<BlockID>{0, 0, 1, 1}));
+  const StaticGraph& coarse = result.coarse_graph;
+  EXPECT_EQ(validate_graph(coarse), "");
+  for (NodeID c = 0; c < coarse.num_nodes(); ++c) {
+    const auto targets = coarse.neighbors(c);
+    EXPECT_TRUE(std::is_sorted(targets.begin(), targets.end())) << c;
+  }
+  // Coarse node 1 = {4, 5} reaches 3 (via 3-4, w 4) and 2 (via 0-5, w 6).
+  EXPECT_EQ(std::vector<NodeID>(coarse.neighbors(1).begin(),
+                                coarse.neighbors(1).end()),
+            (std::vector<NodeID>{2, 3}));
+  EXPECT_EQ(coarse.node_weight(1), 2);
+  // Unsharded, the same matching numbers canonical endpoints in fine
+  // order: 0, {1, 2}, 3, {4, 5}.
+  EXPECT_EQ(contract(g, partner).fine_to_coarse,
+            (std::vector<NodeID>{0, 1, 1, 2, 3, 3}));
+  EXPECT_TRUE(contract(g, partner).coarse_to_shard.empty());
 }
-
 TEST(Projection, PreservesCutExactly) {
   // The projected partition must cut exactly the same weight: coarse cut
   // edges correspond 1:1 to fine cut edges (matched edges are internal).

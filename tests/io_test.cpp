@@ -226,16 +226,21 @@ TEST_F(IOTest, RowsInAnyOrderReadAsSortedRows) {
 
 TEST_F(IOTest, ToleratesEdgeCountMismatchAndTrailingWhitespace) {
   const std::string path = temp_path("loose_header.graph");
-  {
-    std::ofstream out(path);
-    out << "3 7 \n";  // m disagrees with the two edges below
-    out << "2 \n";
-    out << "1 3\r\n";
-    out << "2\n";
+  // m disagrees with the two edges below. The reader sizes its arc arrays
+  // from m only when the file can back 2m arcs: 10^15 edges must not
+  // reserve petabytes.
+  for (const char* m : {"7", "1000000000000000"}) {
+    {
+      std::ofstream out(path);
+      out << "3 " << m << " \n";
+      out << "2 \n";
+      out << "1 3\r\n";
+      out << "2\n";
+    }
+    const StaticGraph g = read_metis_graph(path);
+    EXPECT_EQ(g.num_nodes(), 3u) << "m = " << m;
+    EXPECT_EQ(g.num_edges(), 2u) << "m = " << m;
   }
-  const StaticGraph g = read_metis_graph(path);
-  EXPECT_EQ(g.num_nodes(), 3u);
-  EXPECT_EQ(g.num_edges(), 2u);
   std::remove(path.c_str());
 }
 

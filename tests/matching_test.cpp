@@ -355,6 +355,29 @@ TEST(ParallelMatching, NoGapPhaseWhenLocalDominates) {
   EXPECT_EQ(partner[2], 3u);
 }
 
+TEST(ParallelMatching, GapRoundsOutliveAnEdgeThatLostAnEndpoint) {
+  // One node per PE, so every edge is a gap edge. Round 1 matches {1, 2};
+  // node 0 still prefers {0, 2}, whose endpoint 2 is taken. That edge
+  // must be retired before round 2 nominates, so {0, 3} is matched there
+  // instead of the rounds ending with it admissible — as
+  // DistHierarchy::match_level resolves the same graph.
+  GraphBuilder builder(4);
+  builder.add_edge(0, 2, 2);
+  builder.add_edge(1, 2, 3);
+  builder.add_edge(0, 3, 1);
+  const StaticGraph g = builder.finalize();
+  const std::vector<BlockID> homes = {0, 1, 2, 3};
+  MatchingOptions options;
+  options.rating = EdgeRating::kWeight;
+  Rng rng(3);
+  ParallelMatchingStats stats;
+  const auto partner = parallel_matching(g, homes, 4, MatcherAlgo::kGreedy,
+                                         options, rng, &stats);
+  EXPECT_EQ(partner, (std::vector<NodeID>{3, 2, 1, 0}));
+  EXPECT_EQ(stats.gap_pairs, 2u);
+  EXPECT_EQ(stats.gap_rounds, 3u);
+}
+
 TEST(ParallelMatching, QualityCloseToSequential) {
   // The two-phase scheme may lose a little rating vs. sequential GPA but
   // not much — that is the point of the gap graph (§3.3).

@@ -11,6 +11,7 @@
 #include "graph/graph_builder.hpp"
 #include "graph/metrics.hpp"
 #include "graph/validation.hpp"
+#include "parallel/pe_runtime.hpp"
 
 namespace kappa {
 namespace {
@@ -240,6 +241,27 @@ TEST(Pipeline, PhaseTimesSumToTotal) {
             result.total_time + 1e-6);
   EXPECT_GT(result.hierarchy_levels, 1u);
   EXPECT_GT(result.coarsest_nodes, 0u);
+}
+
+TEST(Pipeline, SequentialRunReportsTheLevelNodesOfSpmd) {
+  // Both pipelines build the same hierarchy, and both report its level
+  // sizes, finest first.
+  const StaticGraph g = make_instance("rgg14", 2);
+  Config config = Config::preset(Preset::kFast, 16);
+  config.seed = 4;
+  const PartitionResult sequential =
+      Partitioner(Context::sequential(config)).partition(g);
+  ASSERT_EQ(sequential.hierarchy_level_nodes.size(),
+            sequential.hierarchy_levels);
+  EXPECT_EQ(sequential.hierarchy_level_nodes.front(), g.num_nodes());
+  EXPECT_EQ(sequential.hierarchy_level_nodes.back(), sequential.coarsest_nodes);
+  for (const int p : {1, 4}) {
+    PERuntime runtime(p, config.seed);
+    const PartitionResult spmd =
+        Partitioner(Context::spmd(config, runtime)).partition(g);
+    EXPECT_EQ(sequential.hierarchy_level_nodes, spmd.hierarchy_level_nodes)
+        << "p=" << p;
+  }
 }
 
 }  // namespace

@@ -8,16 +8,19 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <numeric>
 #include <set>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "coarsening/hierarchy.hpp"
 #include "coarsening/prepartition.hpp"
 #include "core/partitioner.hpp"
 #include "generators/generators.hpp"
 #include "graph/graph_builder.hpp"
 #include "graph/quotient_graph.hpp"
+#include "graph/subgraph.hpp"
 #include "parallel/dist_partition.hpp"
 #include "parallel/pe_runtime.hpp"
 #include "parallel/shard_graph.hpp"
@@ -526,6 +529,153 @@ TEST(DistHierarchy, EachRankMaterializesItsOwnShardsOnly) {
     });
     for (int rank = 0; rank < p; ++rank) {
       EXPECT_EQ(finest_map[rank], prepartition(g, num_shards)) << "p=" << p;
+    }
+  }
+}
+
+// ------------------------------- build_hierarchy as the store's reference ----
+
+/// One hierarchy level in global ids: node weights, rows (arc order
+/// kept) and the contraction map to the next level (empty at the
+/// coarsest level).
+struct LevelImage {
+  std::vector<NodeWeight> weights;
+  std::vector<std::vector<std::pair<NodeID, EdgeWeight>>> rows;
+  std::vector<NodeID> to_coarse;
+};
+
+std::vector<LevelImage> sequential_images(const StaticGraph& g,
+                                          const CoarseningOptions& options,
+                                          const Rng& rng) {
+  Rng coarsen_rng = rng;
+  const Hierarchy h = build_hierarchy(g, options, coarsen_rng);
+  std::vector<LevelImage> images(h.num_levels());
+  for (std::size_t l = 0; l < h.num_levels(); ++l) {
+    const StaticGraph& level = h.graph(l);
+    LevelImage& image = images[l];
+    for (NodeID u = 0; u < level.num_nodes(); ++u) {
+      image.weights.push_back(level.node_weight(u));
+      auto& row = image.rows.emplace_back();
+      for (EdgeID e = level.first_arc(u); e < level.last_arc(u); ++e) {
+        row.emplace_back(level.arc_target(e), level.arc_weight(e));
+      }
+    }
+    if (l + 1 < h.num_levels()) image.to_coarse = h.map(l);
+  }
+  return images;
+}
+
+/// The levels of a DistHierarchy built on \p p ranks, each rank's owned
+/// nodes written into its own image and the images merged by owner.
+std::vector<LevelImage> dist_images(const StaticGraph& g,
+                                    const CoarseningOptions& options,
+                                    const Rng& rng, int p) {
+  std::vector<std::vector<LevelImage>> per_rank(p);
+  std::vector<std::vector<std::vector<char>>> owned(p);
+  PERuntime runtime(p, 1);
+  runtime.run([&](PEContext& pe) {
+    const DistHierarchy h(g, options, rng, pe);
+    std::vector<LevelImage>& images = per_rank[pe.rank()];
+    std::vector<std::vector<char>>& mine = owned[pe.rank()];
+    images.resize(h.num_levels());
+    mine.resize(h.num_levels());
+    for (std::size_t l = 0; l < h.num_levels(); ++l) {
+      const DistLevel& level = h.level(l);
+      const ShardGraph& sg = level.shard;
+      LevelImage& image = images[l];
+      image.weights.assign(level.global_n, 0);
+      image.rows.resize(level.global_n);
+      if (l + 1 < h.num_levels()) {
+        image.to_coarse.assign(level.global_n, kInvalidNode);
+      }
+      mine[l].assign(level.global_n, 0);
+      for (NodeID lu = 0; lu < sg.num_owned(); ++lu) {
+        const NodeID u = sg.global_of(lu);
+        mine[l][u] = 1;
+        image.weights[u] = sg.csr().node_weight(lu);
+        for (EdgeID e = sg.csr().first_arc(lu); e < sg.csr().last_arc(lu);
+             ++e) {
+          image.rows[u].emplace_back(sg.global_of(sg.csr().arc_target(e)),
+                                     sg.csr().arc_weight(e));
+        }
+        if (!image.to_coarse.empty()) {
+          image.to_coarse[u] = level.owned_to_coarse[lu];
+        }
+      }
+    }
+  });
+  std::vector<LevelImage> merged = per_rank[0];
+  for (int q = 1; q < p; ++q) {
+    if (per_rank[q].size() != merged.size()) {
+      ADD_FAILURE() << "rank " << q << " built another number of levels";
+      return merged;
+    }
+    for (std::size_t l = 0; l < merged.size(); ++l) {
+      for (NodeID u = 0; u < merged[l].weights.size(); ++u) {
+        if (!owned[q][l][u]) continue;
+        EXPECT_FALSE(owned[0][l][u]) << "level " << l << " node " << u;
+        merged[l].weights[u] = per_rank[q][l].weights[u];
+        merged[l].rows[u] = per_rank[q][l].rows[u];
+        if (!merged[l].to_coarse.empty()) {
+          merged[l].to_coarse[u] = per_rank[q][l].to_coarse[u];
+        }
+      }
+    }
+  }
+  return merged;
+}
+
+/// \p g with its coordinates dropped, as a METIS file would give it.
+StaticGraph without_coordinates(const StaticGraph& g) {
+  std::vector<NodeID> all(g.num_nodes());
+  std::iota(all.begin(), all.end(), NodeID{0});
+  RowSet rows = extract_rows(g, all);
+  return StaticGraph(std::move(rows.xadj), std::move(rows.adj),
+                     std::move(rows.ewgt), std::move(rows.vwgt));
+}
+
+TEST(DistHierarchy, BuildHierarchyBuildsTheSameLevels) {
+  // build_hierarchy coarsens by DistHierarchy's rules — one finest-level
+  // prepartition carried down, shared shard matching and gap rounds,
+  // shard-major coarse ids with sorted rows — so both give the same
+  // graphs and contraction maps level by level, at every p, with the
+  // geometric and the numbering prepartition, cold and warm-started.
+  Config config = Config::preset(Preset::kFast, 16);
+  config.seed = 1;
+  const Rng rng = Rng(config.seed).fork(1);
+  for (const char* name : {"rgg14", "delaunay14", "rmat_12"}) {
+    const StaticGraph instance = make_instance(name, 1);
+    for (const bool coordinates : {true, false}) {
+      if (coordinates && !instance.has_coordinates()) continue;
+      const StaticGraph g =
+          coordinates ? instance : without_coordinates(instance);
+      Partition warm =
+          Partitioner(Context::sequential(config)).partition(g).partition;
+      for (NodeID u = 0; u < g.num_nodes(); u += 20) {
+        warm.move(u, (warm.block(u) + 1) % config.k, g.node_weight(u));
+      }
+      for (const Partition* start : {static_cast<const Partition*>(nullptr),
+                                     static_cast<const Partition*>(&warm)}) {
+        const CoarseningOptions options = coarsening_options(g, config, start);
+        const std::vector<LevelImage> expected =
+            sequential_images(g, options, rng);
+        ASSERT_GE(expected.size(), 3u) << name;
+        for (const int p : {1, 3, 4}) {
+          const std::string where =
+              std::string(name) + (coordinates ? " geometric" : " numbering") +
+              (start != nullptr ? " warm" : " cold") + " p=" +
+              std::to_string(p);
+          const std::vector<LevelImage> got = dist_images(g, options, rng, p);
+          ASSERT_EQ(got.size(), expected.size()) << where;
+          for (std::size_t l = 0; l < got.size(); ++l) {
+            EXPECT_EQ(got[l].weights, expected[l].weights)
+                << where << " level " << l;
+            EXPECT_EQ(got[l].rows, expected[l].rows) << where << " level " << l;
+            EXPECT_EQ(got[l].to_coarse, expected[l].to_coarse)
+                << where << " level " << l;
+          }
+        }
+      }
     }
   }
 }
