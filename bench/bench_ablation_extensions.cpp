@@ -1,6 +1,6 @@
 /// \file bench_ablation_extensions.cpp
 /// \brief Ablation of the §8 future-work extensions implemented in this
-/// repo: the graph-theoretic BFS prepartitioner, plus a
+/// repo: the graph-theoretic BFS-order prepartitioner, plus a
 /// repartitioning-vs-fresh-run comparison.
 ///
 /// Neither has a table in the paper — §8 sketches them ("a very fast
@@ -42,13 +42,17 @@ int main() {
   using namespace kappa::bench;
 
   // --- Extension 1: prepartitioner quality (edge locality for the
-  // parallel matching phase). ---
+  // parallel matching phase): recursive coordinate bisection against the
+  // coordinate-free BFS order, and against ranges of the input numbering
+  // (which the generators randomize). BFS ranges are slices of BFS
+  // layers, so their locality falls off as the PE count grows. ---
   print_table_header(
       "Extension: prepartitioner locality (fraction of PE-internal edges)",
-      {"graph", "geometric", "bfs", "numbering"});
+      {"graph", "geom 16", "bfs 16", "input 16", "geom 64", "bfs 64",
+       "input 64"});
   for (const std::string& name :
-       {std::string("rgg15"), std::string("delaunay15"),
-        std::string("road_m")}) {
+       {std::string("rgg14"), std::string("rgg15"), std::string("delaunay14"),
+        std::string("delaunay15"), std::string("road_m")}) {
     const StaticGraph g = make_instance(name);
     auto internal_fraction = [&](const std::vector<BlockID>& homes) {
       EdgeID internal = 0;
@@ -60,12 +64,18 @@ int main() {
       return static_cast<double>(internal) /
              static_cast<double>(g.num_edges());
     };
-    Rng rng(1);
-    print_row({name, fmt(internal_fraction(geometric_prepartition(g, 16)), 3),
-               fmt(internal_fraction(bfs_prepartition(g, 16, rng)), 3),
-               fmt(internal_fraction(
-                       numbering_prepartition(g.num_nodes(), 16)),
-                   3)});
+    std::vector<std::string> row{name};
+    for (const BlockID pes : {16u, 64u}) {
+      std::vector<BlockID> input_order(g.num_nodes());
+      for (NodeID u = 0; u < g.num_nodes(); ++u) {
+        input_order[u] = static_cast<BlockID>(static_cast<std::uint64_t>(u) *
+                                              pes / g.num_nodes());
+      }
+      row.push_back(fmt(internal_fraction(geometric_prepartition(g, pes)), 3));
+      row.push_back(fmt(internal_fraction(bfs_order_prepartition(g, pes)), 3));
+      row.push_back(fmt(internal_fraction(input_order), 3));
+    }
+    print_row(row);
   }
 
   // --- Extension 2: repartitioning vs. fresh partitioning after a
@@ -136,8 +146,8 @@ int main() {
     }
   }
   std::printf(
-      "\nshape targets: geometric ~ bfs >> numbering locality on "
-      "geometric graphs;\n"
+      "\nshape targets: geometric >= bfs >> input-order locality at 16 "
+      "PEs, geometric >> bfs at 64;\n"
       "repartitioning migrates an order of magnitude fewer nodes than a "
       "fresh run at comparable cut;\nSPMD repartition is p-invariant in "
       "cut and migration while per-PE intake shrinks with p\n");

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "coarsening/hierarchy.hpp"
-#include "coarsening/prepartition.hpp"
 #include "graph/contraction.hpp"
 #include "graph/metrics.hpp"
 #include "initial/recursive_bisection.hpp"
@@ -49,19 +48,19 @@ BaselineResult metis_like(const StaticGraph& graph, BlockID k, double eps,
     // crossing PE boundaries are never contracted (parMetis does folding
     // instead; the net effect — worse matchings near boundaries — is the
     // same). We emulate with the parallel matcher minus its gap phase:
-    // match_shard() on the numbering prepartition's per-PE subgraphs.
+    // match_shard() on each PE's contiguous range of the level's node
+    // numbering, parMetis' input distribution.
     Hierarchy h(graph);
     MatchingOptions match_options;
     match_options.rating = coarsening.rating;
     std::size_t level = 0;
     while (h.coarsest().num_nodes() > coarsening.contraction_limit) {
       const StaticGraph& current = h.coarsest();
-      const std::vector<BlockID> homes =
-          numbering_prepartition(current.num_nodes(), k);
+      const NodeID n = current.num_nodes();
       std::vector<std::vector<NodeID>> pe_nodes(k);
-      std::vector<NodeID> partner(current.num_nodes());
-      for (NodeID u = 0; u < current.num_nodes(); ++u) {
-        pe_nodes[homes[u]].push_back(u);
+      std::vector<NodeID> partner(n);
+      for (NodeID u = 0; u < n; ++u) {
+        pe_nodes[static_cast<std::uint64_t>(u) * k / n].push_back(u);
         partner[u] = u;
       }
       const Rng level_rng = rng.fork(4 + level);

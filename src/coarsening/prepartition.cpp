@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
+#include <cstdint>
 #include <numeric>
 
 namespace kappa {
@@ -54,106 +54,32 @@ std::vector<BlockID> geometric_prepartition(const StaticGraph& graph,
   return result;
 }
 
-std::vector<BlockID> numbering_prepartition(NodeID num_nodes,
+std::vector<BlockID> bfs_order_prepartition(const StaticGraph& graph,
                                             BlockID num_pes) {
-  std::vector<BlockID> result(num_nodes, 0);
-  if (num_pes <= 1 || num_nodes == 0) return result;
-  for (NodeID u = 0; u < num_nodes; ++u) {
-    result[u] = static_cast<BlockID>(
-        std::min<std::uint64_t>(static_cast<std::uint64_t>(u) * num_pes /
-                                    num_nodes,
-                                num_pes - 1));
-  }
-  return result;
-}
-
-std::vector<BlockID> bfs_prepartition(const StaticGraph& graph,
-                                      BlockID num_pes, Rng& rng) {
   const NodeID n = graph.num_nodes();
   std::vector<BlockID> result(n, 0);
   if (num_pes <= 1 || n == 0) return result;
-
-  // --- Seed selection: farthest-point traversal (k-center heuristic). ---
-  std::vector<NodeID> seeds;
-  std::vector<std::uint32_t> distance(n,
-                                      std::numeric_limits<std::uint32_t>::max());
-  std::vector<NodeID> queue;
-  auto bfs_from = [&](NodeID seed) {
-    queue.clear();
-    queue.push_back(seed);
-    distance[seed] = 0;
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-      const NodeID u = queue[i];
-      for (const NodeID v : graph.neighbors(u)) {
-        if (distance[v] > distance[u] + 1) {
-          distance[v] = distance[u] + 1;
-          queue.push_back(v);
+  // The BFS order: components by their lowest id, one BFS from that id.
+  std::vector<NodeID> order;
+  order.reserve(n);
+  std::vector<std::uint8_t> seen(n, 0);
+  for (NodeID root = 0; root < n; ++root) {
+    if (seen[root]) continue;
+    seen[root] = 1;
+    order.push_back(root);
+    for (std::size_t i = order.size() - 1; i < order.size(); ++i) {
+      for (const NodeID v : graph.neighbors(order[i])) {
+        if (!seen[v]) {
+          seen[v] = 1;
+          order.push_back(v);
         }
       }
     }
-  };
-  seeds.push_back(static_cast<NodeID>(rng.bounded(n)));
-  bfs_from(seeds.back());
-  while (seeds.size() < num_pes) {
-    // Farthest node from all current seeds; unreached nodes (other
-    // components) count as infinitely far and are picked first.
-    NodeID farthest = seeds.back();
-    std::uint32_t best = 0;
-    for (NodeID u = 0; u < n; ++u) {
-      if (distance[u] > best ||
-          distance[u] == std::numeric_limits<std::uint32_t>::max()) {
-        best = distance[u];
-        farthest = u;
-        if (distance[u] == std::numeric_limits<std::uint32_t>::max()) break;
-      }
-    }
-    seeds.push_back(farthest);
-    bfs_from(farthest);  // updates the min-distance field incrementally
   }
-
-  // --- Balanced multi-source BFS growth: every PE absorbs frontier
-  // nodes round-robin, capped at ceil(n / num_pes) nodes each. ---
-  const NodeID cap = (n + num_pes - 1) / num_pes;
-  std::vector<std::vector<NodeID>> frontier(num_pes);
-  std::vector<NodeID> pe_size(num_pes, 0);
-  std::vector<bool> assigned(n, false);
-  for (BlockID pe = 0; pe < num_pes; ++pe) {
-    const NodeID seed = seeds[pe];
-    if (!assigned[seed]) {
-      assigned[seed] = true;
-      result[seed] = pe;
-      ++pe_size[pe];
-      frontier[pe].push_back(seed);
-    }
-  }
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (BlockID pe = 0; pe < num_pes; ++pe) {
-      std::vector<NodeID> next;
-      for (const NodeID u : frontier[pe]) {
-        for (const NodeID v : graph.neighbors(u)) {
-          if (assigned[v] || pe_size[pe] >= cap) continue;
-          assigned[v] = true;
-          result[v] = pe;
-          ++pe_size[pe];
-          next.push_back(v);
-          progress = true;
-        }
-      }
-      frontier[pe].swap(next);
-    }
-  }
-  // Leftovers (capped-out regions, disconnected scraps) go to the
-  // lightest PEs.
-  for (NodeID u = 0; u < n; ++u) {
-    if (assigned[u]) continue;
-    BlockID lightest = 0;
-    for (BlockID pe = 1; pe < num_pes; ++pe) {
-      if (pe_size[pe] < pe_size[lightest]) lightest = pe;
-    }
-    result[u] = lightest;
-    ++pe_size[lightest];
+  // Position i of the order goes to range floor(i * num_pes / n).
+  for (std::size_t i = 0; i < n; ++i) {
+    result[order[i]] = static_cast<BlockID>(
+        static_cast<std::uint64_t>(i) * num_pes / n);
   }
   return result;
 }
@@ -162,7 +88,7 @@ std::vector<BlockID> prepartition(const StaticGraph& graph, BlockID num_pes) {
   if (graph.has_coordinates()) {
     return geometric_prepartition(graph, num_pes);
   }
-  return numbering_prepartition(graph.num_nodes(), num_pes);
+  return bfs_order_prepartition(graph, num_pes);
 }
 
 }  // namespace kappa

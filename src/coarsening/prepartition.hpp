@@ -9,6 +9,11 @@
 /// partitioning does not directly affect the final partitioning computed
 /// later – its main purpose is to increase locality."
 ///
+/// Without coordinates (METIS input), contiguous ranges of the input
+/// numbering give no locality when the numbering is random, so the
+/// fallback cuts a BFS order instead: §8's "very fast prepartitioner that
+/// works purely graph theoretically", in one O(n + m) sweep.
+///
 /// Both pipelines call it once per hierarchy build, on the finest level;
 /// contraction carries the shards down (build_hierarchy, DistHierarchy).
 #pragma once
@@ -16,7 +21,6 @@
 #include <vector>
 
 #include "graph/static_graph.hpp"
-#include "util/random.hpp"
 #include "util/types.hpp"
 
 namespace kappa {
@@ -28,23 +32,19 @@ namespace kappa {
 [[nodiscard]] std::vector<BlockID> geometric_prepartition(
     const StaticGraph& graph, BlockID num_pes);
 
-/// Fallback without coordinates: contiguous ranges of the initial node
-/// numbering (many mesh generators emit locality-preserving numberings).
-[[nodiscard]] std::vector<BlockID> numbering_prepartition(NodeID num_nodes,
-                                                          BlockID num_pes);
-
-/// Purely graph-theoretic prepartitioner (the §8 future-work item "for
-/// very large systems we want to develop a very fast prepartitioner that
-/// works purely graph theoretically"): k-center-style seed selection by
-/// repeated farthest-point BFS, then balanced multi-source BFS growth —
-/// one O(m) sweep per phase. Quality is below recursive bisection but it
-/// needs neither coordinates nor a good numbering.
-[[nodiscard]] std::vector<BlockID> bfs_prepartition(const StaticGraph& graph,
-                                                    BlockID num_pes,
-                                                    Rng& rng);
+/// Fallback without coordinates: one BFS per connected component, the
+/// components in order of their lowest id and each BFS started there; the
+/// combined order is cut into \p num_pes contiguous ranges of
+/// floor(n / num_pes) or ceil(n / num_pes) nodes. A pure function of the
+/// graph. A range is a slice of BFS layers, so it is compact for a few
+/// ranges but turns into thin bands as num_pes grows: on rgg and delaunay
+/// graphs of 2^14-2^15 nodes, 42-71% of the edges stay inside a range at
+/// 64 ranges, against 92-94% for geometric_prepartition().
+[[nodiscard]] std::vector<BlockID> bfs_order_prepartition(
+    const StaticGraph& graph, BlockID num_pes);
 
 /// Dispatches to the geometric variant when coordinates exist, else to the
-/// numbering variant.
+/// BFS order.
 [[nodiscard]] std::vector<BlockID> prepartition(const StaticGraph& graph,
                                                 BlockID num_pes);
 

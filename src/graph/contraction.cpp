@@ -76,6 +76,9 @@ ContractionResult contract(const StaticGraph& graph,
     coarse_xadj[c + 1] = coarse_adj.size();
   }
 
+  // The coarse level keeps its own arcs, not the fine level's reservation.
+  coarse_adj.shrink_to_fit();
+  coarse_ewgt.shrink_to_fit();
   result.coarse_graph =
       StaticGraph(std::move(coarse_xadj), std::move(coarse_adj),
                   std::move(coarse_ewgt), std::move(coarse_vwgt));

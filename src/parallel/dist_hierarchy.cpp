@@ -154,7 +154,10 @@ DistLevel DistHierarchy::build_finest_level(const CoarseningOptions& options) {
   // The input graph is the one level that is resident everywhere, so the
   // prepartition may read it; the resulting ownership map is the finest
   // level's replicated metadata.
-  level.node_to_shard = prepartition(*finest_, level.num_shards);
+  {
+    KAPPA_TRACE_SPAN("coarsen.prepartition");
+    level.node_to_shard = prepartition(*finest_, level.num_shards);
+  }
   level.shard =
       ShardGraph(finest_shard_parts(*finest_, level.node_to_shard, pe_));
   for (BlockID s = static_cast<BlockID>(rank); s < level.num_shards;
@@ -222,13 +225,19 @@ std::vector<NodeID> DistHierarchy::match_level(
   // streams — are identical for every p. ---
   std::vector<NodeID> partner(num_local);  // local ids; ghosts stay unmatched
   std::iota(partner.begin(), partner.end(), NodeID{0});
-  for (std::size_t i = 0; i < level.my_shard_ids.size(); ++i) {
-    match_shard(resident, level.shard_locals[i], level.my_shard_ids[i],
-                matcher, options, level_rng, partner);
+  {
+    KAPPA_TRACE_SPAN("coarsen.match.local");
+    for (std::size_t i = 0; i < level.my_shard_ids.size(); ++i) {
+      match_shard(resident, level.shard_locals[i], level.my_shard_ids[i],
+                  matcher, options, level_rng, partner);
+    }
   }
   for (NodeID u = 0; u < num_owned; ++u) {
     if (partner[u] != u && u < partner[u]) ++pe_.record().matching.local_pairs;
   }
+
+  // Phases 2-4 settle the cross-shard edges.
+  KAPPA_TRACE_SPAN("coarsen.match.gap");
 
   // Rating of the tentative local match at each owned node (0 if
   // unmatched); ghost entries are filled by the exchange below. The
@@ -520,6 +529,7 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
   // cross-rank pair's canonical endpoint assigned the coarse id; it
   // ships the id to the partner's owner. ---
   {
+    KAPPA_TRACE_SPAN("coarsen.contract.halo");
     std::vector<std::vector<std::uint64_t>> outbox(p);
     for (NodeID lu = 0; lu < num_owned; ++lu) {
       const NodeID lv = partner[lu];
@@ -552,6 +562,7 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
   // boundary nodes it holds as a ghost. ---
   std::vector<int> served;  // scratch of for_each_other_owner
   {
+    KAPPA_TRACE_SPAN("coarsen.contract.halo");
     std::vector<std::vector<std::uint64_t>> outbox(p);
     auto owner_local = [&](NodeID l) { return fine.owner_of_local(l, rank); };
     for (NodeID lu = 0; lu < num_owned; ++lu) {
@@ -589,6 +600,7 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
   std::vector<Shipped> shipped;
   std::vector<std::pair<NodeID, EdgeWeight>> shipped_arcs;
   {
+    KAPPA_TRACE_SPAN("coarsen.contract.halo");
     std::vector<std::vector<std::uint64_t>> outbox(p);
     for (NodeID lu = 0; lu < num_owned; ++lu) {
       const NodeID lv = partner[lu];
@@ -646,48 +658,52 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
   rows.xadj.push_back(0);
   std::vector<EdgeWeight> owned_wdeg;  // full-row weighted degrees
   std::vector<BlockID> owned_warm;
-  std::vector<std::pair<NodeID, EdgeWeight>> acc;
-  for (std::size_t i = 0; i < fine.shard_locals.size(); ++i) {
-    const NodeID first_row = static_cast<NodeID>(rows.ids.size());
-    for (const NodeID lu : fine.shard_locals[i]) {
-      if (!is_canonical(lu)) continue;
-      const NodeID c = coarse_of[lu];
-      acc.clear();
-      auto add_member = [&](NodeID l) {
-        for (EdgeID e = resident.first_arc(l); e < resident.last_arc(l); ++e) {
-          const NodeID ct = coarse_of[resident.arc_target(e)];
-          if (ct != c) acc.emplace_back(ct, resident.arc_weight(e));
-        }
-      };
-      add_member(lu);
-      NodeWeight weight = resident.node_weight(lu);
-      const NodeID lv = partner[lu];
-      if (lv != lu) {
-        weight += resident.node_weight(lv);
-        if (sg.is_owned(lv)) {
-          add_member(lv);
-        } else {
-          const auto it = std::lower_bound(
-              shipped.begin(), shipped.end(), lv,
-              [](const Shipped& x, NodeID g) { return x.ghost < g; });
-          if (it == shipped.end() || it->ghost != lv) {
-            throw TransportError("halo exchange: remote member not shipped");
+  {
+    KAPPA_TRACE_SPAN("coarsen.contract.rows");
+    std::vector<std::pair<NodeID, EdgeWeight>> acc;
+    for (std::size_t i = 0; i < fine.shard_locals.size(); ++i) {
+      const NodeID first_row = static_cast<NodeID>(rows.ids.size());
+      for (const NodeID lu : fine.shard_locals[i]) {
+        if (!is_canonical(lu)) continue;
+        const NodeID c = coarse_of[lu];
+        acc.clear();
+        auto add_member = [&](NodeID l) {
+          for (EdgeID e = resident.first_arc(l); e < resident.last_arc(l);
+               ++e) {
+            const NodeID ct = coarse_of[resident.arc_target(e)];
+            if (ct != c) acc.emplace_back(ct, resident.arc_weight(e));
           }
-          for (std::size_t a = it->begin; a < it->end; ++a) {
-            const auto& [ct, w] = shipped_arcs[a];
-            if (ct != c) acc.emplace_back(ct, w);
+        };
+        add_member(lu);
+        NodeWeight weight = resident.node_weight(lu);
+        const NodeID lv = partner[lu];
+        if (lv != lu) {
+          weight += resident.node_weight(lv);
+          if (sg.is_owned(lv)) {
+            add_member(lv);
+          } else {
+            const auto it = std::lower_bound(
+                shipped.begin(), shipped.end(), lv,
+                [](const Shipped& x, NodeID g) { return x.ghost < g; });
+            if (it == shipped.end() || it->ghost != lv) {
+              throw TransportError("halo exchange: remote member not shipped");
+            }
+            for (std::size_t a = it->begin; a < it->end; ++a) {
+              const auto& [ct, w] = shipped_arcs[a];
+              if (ct != c) acc.emplace_back(ct, w);
+            }
           }
         }
+        rows.ids.push_back(c);
+        rows.vwgt.push_back(weight);
+        owned_wdeg.push_back(merge_coarse_row(acc, rows.adj, rows.ewgt));
+        rows.xadj.push_back(rows.adj.size());
+        if (warm_) owned_warm.push_back(fine.warm_blocks[lu]);
       }
-      rows.ids.push_back(c);
-      rows.vwgt.push_back(weight);
-      owned_wdeg.push_back(merge_coarse_row(acc, rows.adj, rows.ewgt));
-      rows.xadj.push_back(rows.adj.size());
-      if (warm_) owned_warm.push_back(fine.warm_blocks[lu]);
+      next.shard_locals[i].resize(rows.ids.size() - first_row);
+      std::iota(next.shard_locals[i].begin(), next.shard_locals[i].end(),
+                first_row);
     }
-    next.shard_locals[i].resize(rows.ids.size() - first_row);
-    std::iota(next.shard_locals[i].begin(), next.shard_locals[i].end(),
-              first_row);
   }
 
   // The coarse ghost layer: the row targets other ranks own, refreshed
@@ -708,6 +724,7 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
   std::vector<EdgeWeight> ghost_wdeg(ghosts.size(), 0);
   std::vector<BlockID> ghost_warm(warm_ ? ghosts.size() : 0, 0);
   {
+    KAPPA_TRACE_SPAN("coarsen.contract.halo");
     const std::size_t stride = warm_ ? 4 : 3;
     std::vector<std::vector<std::uint64_t>> outbox(p);
     for (std::size_t row = 0; row < rows.ids.size(); ++row) {

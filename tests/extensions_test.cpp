@@ -1,7 +1,10 @@
 /// \file extensions_test.cpp
 /// \brief Tests for the §8 future-work extensions: the graph-theoretic
-/// BFS prepartitioner and repartitioning.
+/// BFS-order prepartitioner and repartitioning.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "coarsening/prepartition.hpp"
 #include "core/partitioner.hpp"
@@ -14,44 +17,69 @@
 namespace kappa {
 namespace {
 
-// ----------------------------------------------------- BFS prepartition ----
+// ----------------------------------------------- BFS-order prepartition ----
+
+/// \p g with its coordinates dropped, as a METIS file would give it.
+StaticGraph without_coordinates(const StaticGraph& g) {
+  std::vector<EdgeID> xadj{0};
+  std::vector<NodeID> adj;
+  std::vector<EdgeWeight> ewgt;
+  std::vector<NodeWeight> vwgt;
+  for (NodeID u = 0; u < g.num_nodes(); ++u) {
+    for (EdgeID e = g.first_arc(u); e < g.last_arc(u); ++e) {
+      adj.push_back(g.arc_target(e));
+      ewgt.push_back(g.arc_weight(e));
+    }
+    xadj.push_back(adj.size());
+    vwgt.push_back(g.node_weight(u));
+  }
+  return StaticGraph(std::move(xadj), std::move(adj), std::move(ewgt),
+                     std::move(vwgt));
+}
+
+/// Nodes per shard of \p homes; every entry must name one of \p pes shards.
+std::vector<NodeID> shard_sizes(const std::vector<BlockID>& homes,
+                                BlockID pes) {
+  std::vector<NodeID> sizes(pes, 0);
+  for (const BlockID h : homes) {
+    EXPECT_LT(h, pes);
+    if (h < pes) ++sizes[h];
+  }
+  return sizes;
+}
 
 TEST(BfsPrepartition, CoversAllPEsAndBalances) {
   const StaticGraph g = make_instance("grid_s", 3);
-  Rng rng(2);
   for (const BlockID pes : {2u, 5u, 8u}) {
-    const auto homes = bfs_prepartition(g, pes, rng);
-    std::vector<NodeID> sizes(pes, 0);
-    for (const BlockID h : homes) {
-      ASSERT_LT(h, pes);
-      ++sizes[h];
-    }
-    const NodeID cap = (g.num_nodes() + pes - 1) / pes;
-    for (BlockID pe = 0; pe < pes; ++pe) {
-      EXPECT_GT(sizes[pe], 0u) << pes;
-      EXPECT_LE(sizes[pe], cap + cap / 4) << pes;  // leftover slack
-    }
+    const std::vector<NodeID> sizes =
+        shard_sizes(bfs_order_prepartition(g, pes), pes);
+    const auto [lightest, heaviest] =
+        std::minmax_element(sizes.begin(), sizes.end());
+    EXPECT_GT(*lightest, 0u) << pes;
+    EXPECT_LE(*heaviest - *lightest, 1u) << pes;
   }
 }
 
 TEST(BfsPrepartition, HandlesDisconnectedGraphs) {
-  GraphBuilder builder(40);
+  // Two paths of 20 nodes, then 5 isolated nodes: the order walks the
+  // first path, the second, then the isolated nodes one by one.
+  GraphBuilder builder(45);
   for (NodeID base : {NodeID{0}, NodeID{20}}) {
     for (NodeID u = base; u + 1 < base + 20; ++u) builder.add_edge(u, u + 1);
   }
   const StaticGraph g = builder.finalize();
-  Rng rng(4);
-  const auto homes = bfs_prepartition(g, 4, rng);
-  std::vector<NodeID> sizes(4, 0);
-  for (const BlockID h : homes) ++sizes[h];
-  for (BlockID pe = 0; pe < 4; ++pe) EXPECT_GT(sizes[pe], 0u);
+  const std::vector<BlockID> homes = bfs_order_prepartition(g, 4);
+  EXPECT_EQ(shard_sizes(homes, 4), (std::vector<NodeID>{12, 11, 11, 11}));
+  // Each path is walked from its lower end, so here the order is the
+  // numbering and the shards are its ranges.
+  EXPECT_TRUE(std::is_sorted(homes.begin(), homes.end()));
 }
 
 TEST(BfsPrepartition, LocalityBeatsRandomAssignment) {
-  // The whole point of prepartitioning: most edges should be PE-internal.
-  const StaticGraph g = make_instance("delaunay14", 7);
-  Rng rng(9);
-  const auto homes = bfs_prepartition(g, 8, rng);
+  // The whole point of prepartitioning: most edges should be PE-internal,
+  // without coordinates and under the generator's random numbering.
+  const StaticGraph g = without_coordinates(make_instance("delaunay14", 7));
+  const auto homes = bfs_order_prepartition(g, 8);
   EdgeID internal = 0;
   for (NodeID u = 0; u < g.num_nodes(); ++u) {
     for (const NodeID v : g.neighbors(u)) {
@@ -60,9 +88,18 @@ TEST(BfsPrepartition, LocalityBeatsRandomAssignment) {
   }
   const double fraction =
       static_cast<double>(internal) / static_cast<double>(g.num_edges());
-  // Random 8-way assignment keeps only ~12.5% internal; BFS regions keep
+  // Random 8-way assignment keeps only ~12.5% internal; BFS ranges keep
   // the vast majority.
   EXPECT_GT(fraction, 0.75);
+}
+
+TEST(BfsPrepartition, IsThePrepartitionOfAGraphWithoutCoordinates) {
+  const StaticGraph g = without_coordinates(make_instance("rgg14", 2));
+  ASSERT_FALSE(g.has_coordinates());
+  const std::vector<BlockID> expected = bfs_order_prepartition(g, 16);
+  for (int call = 0; call < 3; ++call) {
+    EXPECT_EQ(prepartition(g, 16), expected) << "call " << call;
+  }
 }
 
 // -------------------------------------------------------- repartitioning ----

@@ -639,7 +639,7 @@ TEST(DistHierarchy, BuildHierarchyBuildsTheSameLevels) {
   // prepartition carried down, shared shard matching and gap rounds,
   // shard-major coarse ids with sorted rows — so both give the same
   // graphs and contraction maps level by level, at every p, with the
-  // geometric and the numbering prepartition, cold and warm-started.
+  // geometric and the BFS-order prepartition, cold and warm-started.
   Config config = Config::preset(Preset::kFast, 16);
   config.seed = 1;
   const Rng rng = Rng(config.seed).fork(1);
@@ -662,7 +662,7 @@ TEST(DistHierarchy, BuildHierarchyBuildsTheSameLevels) {
         ASSERT_GE(expected.size(), 3u) << name;
         for (const int p : {1, 3, 4}) {
           const std::string where =
-              std::string(name) + (coordinates ? " geometric" : " numbering") +
+              std::string(name) + (coordinates ? " geometric" : " bfs order") +
               (start != nullptr ? " warm" : " cold") + " p=" +
               std::to_string(p);
           const std::vector<LevelImage> got = dist_images(g, options, rng, p);
@@ -712,7 +712,8 @@ FirstContraction first_contraction(const StaticGraph& g,
 }
 
 /// The path 0 - 1 - 2 - 3 with the given edge weights, sharded {0, 1},
-/// {2, 3} by the numbering fallback; heaviest-edge matching, one level.
+/// {2, 3} by the BFS-order fallback (the BFS from node 0 walks the path
+/// in numbering order); heaviest-edge matching, one level.
 StaticGraph weighted_path(EdgeWeight w01, EdgeWeight w12, EdgeWeight w23) {
   GraphBuilder builder(4);
   builder.add_edge(0, 1, w01);
